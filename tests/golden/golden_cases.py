@@ -24,8 +24,11 @@ from repro.mapping import HybridMapper, MapperConfig
 SCHEMA = "repro-golden-opstream/v1"
 DIGEST_PATH = Path(__file__).resolve().parent / "golden_digests.json"
 
-#: Small-scale golden matrix: the three named benchmarks of the issue on all
-#: three hardware presets, hybrid mode.  Small enough to map in well under a
+#: Small-scale golden matrix: qft, graph and qpe on all three hardware
+#: presets in hybrid mode, plus the reversible networks bn, call and gray —
+#: the only benchmarks with gates on three or more qubits, so the only ones
+#: that pin the multi-qubit position search — in gate-only and hybrid mode
+#: on the gate and mixed presets.  Small enough to map in well under a
 #: second each, large enough that both SWAPs and shuttling moves appear.
 CASES = [
     {"circuit": "qft", "num_qubits": 12, "hardware": hardware,
@@ -39,6 +42,12 @@ CASES = [
     {"circuit": "qpe", "num_qubits": 10, "hardware": hardware,
      "mode": "hybrid", "lattice_rows": 7, "num_atoms": 30, "seed": 2024}
     for hardware in ("gate", "mixed", "shuttling")
+] + [
+    {"circuit": circuit, "num_qubits": num_qubits, "hardware": hardware,
+     "mode": mode, "lattice_rows": 7, "num_atoms": 30, "seed": 2024}
+    for circuit, num_qubits in (("bn", 24), ("call", 16), ("gray", 20))
+    for hardware in ("gate", "mixed")
+    for mode in ("gate_only", "hybrid")
 ]
 
 
