@@ -45,16 +45,25 @@ implementation (and is what the property tests compare against).
 Cache invalidation: a :class:`SwapCostCache` is valid for one routing round
 only — it snapshots per-node baseline distances against the current mapping
 state and the current ``positions`` dict, and is discarded after the round's
-SWAP is chosen.  The site-level adjacency and hop-distance tables it leans on
+SWAP is chosen.  Within the round it memoises, per qubit, the nodes acting
+on it (with their gate, position, layer and baseline), so each qubit's
+inverted-index lookup and filtering happen once however many candidates
+move it.  The site-level adjacency and hop-distance tables it leans on
 live in :class:`~repro.hardware.connectivity.SiteConnectivity` and are
 immutable.
+
+Candidate generation stays cheap because a round produces one candidate
+per (front qubit, occupied neighbour site) pair: :class:`SwapCandidate` is a
+named tuple, :meth:`GateRouter.candidate_swaps` visits each front qubit
+once (a qubit shared by commuting front gates yields no new site pair), and
+:meth:`GateRouter.best_swap` compares ``(cost, lower site, higher site)``
+tuples built inline — the same order as ``(cost, candidate.key())``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..circuit.gate import Gate
 from ..hardware.architecture import NeutralAtomArchitecture
@@ -65,13 +74,13 @@ from .state import MappingState
 __all__ = ["SwapCandidate", "SwapCostCache", "GateRouter"]
 
 
-@dataclass(frozen=True)
-class SwapCandidate:
+class SwapCandidate(NamedTuple):
     """A candidate SWAP between the atoms at two adjacent sites.
 
     ``qubit_a`` is always a circuit qubit of a front-layer gate; ``qubit_b``
     is the circuit qubit held by the partner atom or ``None`` when the
-    partner is an auxiliary (unassigned) atom.
+    partner is an auxiliary (unassigned) atom.  A named tuple, because
+    every routing round builds one per (front qubit, partner atom) pair.
     """
 
     qubit_a: int
@@ -102,8 +111,8 @@ class SwapCostCache:
     given nodes is built on the fly.
     """
 
-    __slots__ = ("_router", "_state", "_positions", "_nodes", "_base", "_slots",
-                 "_qubit_index", "baseline_front", "baseline_lookahead", "exact")
+    __slots__ = ("_router", "_state", "_nodes", "_qubit_index", "_touched",
+                 "baseline_front", "baseline_lookahead", "exact")
 
     def __init__(self, router: "GateRouter", state: MappingState,
                  front_nodes: Sequence, lookahead_nodes: Sequence,
@@ -111,65 +120,60 @@ class SwapCostCache:
                  qubit_index: Optional[Dict[int, Sequence]] = None) -> None:
         self._router = router
         self._state = state
-        self._positions = positions
-        self._nodes: Dict[int, object] = {}
-        self._base: Dict[int, int] = {}
-        self._slots: Dict[int, int] = {}
+        # node index -> (gate, position, slot, baseline distance); slot 0 is
+        # the front layer, 1 the lookahead layer.
+        self._nodes: Dict[int, Tuple[Gate, Optional[GatePosition], int, int]] = {}
         # The delta formulation attributes every node's distance exactly once;
         # a node listed twice (possible only with hand-crafted layer inputs,
         # never with LayerManager) voids that, and best_swap falls back to the
         # naive scorer.
         self.exact = True
-        baseline_front = 0
-        baseline_lookahead = 0
+        baselines = [0, 0]
         gate_distance = router._gate_distance
         for slot, nodes in ((0, front_nodes), (1, lookahead_nodes)):
             for node in nodes:
                 index = node.index
                 if index in self._nodes:
                     self.exact = False
-                distance = gate_distance(state, node.gate, None, positions.get(index))
-                if slot == 0:
-                    baseline_front += distance
-                else:
-                    baseline_lookahead += distance
-                self._nodes[index] = node
-                self._base[index] = distance
-                self._slots[index] = slot
-        self.baseline_front = baseline_front
-        self.baseline_lookahead = baseline_lookahead
+                position = positions.get(index)
+                distance = gate_distance(state, node.gate, None, position)
+                baselines[slot] += distance
+                self._nodes[index] = (node.gate, position, slot, distance)
+        self.baseline_front, self.baseline_lookahead = baselines
         # Without an externally maintained index, build one over the given
         # layers; either way lookups are filtered against the known nodes
         # (the LayerManager index may list shuttle-assigned nodes too).
         self._qubit_index = (qubit_index if qubit_index is not None
                              else build_qubit_node_index(front_nodes,
                                                          lookahead_nodes))
+        self._touched: Dict[int, Dict[int, Tuple]] = {}
 
-    def _touched_indices(self, qubit: int) -> Sequence[int]:
-        known = self._nodes
-        return [node.index for node in self._qubit_index.get(qubit, ())
-                if node.index in known]
+    def _touched_nodes(self, qubit: int) -> Dict[int, Tuple]:
+        """This round's nodes acting on ``qubit``, memoised per qubit."""
+        touched = self._touched.get(qubit)
+        if touched is None:
+            known = self._nodes
+            touched = {node.index: known[node.index]
+                       for node in self._qubit_index.get(qubit, ())
+                       if node.index in known}
+            self._touched[qubit] = touched
+        return touched
 
     def cost(self, candidate: SwapCandidate) -> float:
         """Cost of ``candidate``, bit-identical to :meth:`GateRouter.swap_cost`."""
-        touched = set(self._touched_indices(candidate.qubit_a))
+        touched = self._touched_nodes(candidate.qubit_a)
         if candidate.qubit_b is not None:
-            touched.update(self._touched_indices(candidate.qubit_b))
-        delta_front = 0
-        delta_lookahead = 0
-        router = self._router
+            touched_b = self._touched_nodes(candidate.qubit_b)
+            if touched_b:
+                touched = {**touched, **touched_b}
+        deltas = [0, 0]
         state = self._state
-        positions = self._positions
+        router = self._router
         gate_distance = router._gate_distance
-        for index in touched:
-            node = self._nodes[index]
-            distance = gate_distance(state, node.gate, candidate, positions.get(index))
-            if self._slots[index] == 0:
-                delta_front += distance - self._base[index]
-            else:
-                delta_lookahead += distance - self._base[index]
-        front_cost = self.baseline_front + delta_front
-        lookahead_cost = self.baseline_lookahead + delta_lookahead
+        for gate, position, slot, base in touched.values():
+            deltas[slot] += gate_distance(state, gate, candidate, position) - base
+        front_cost = self.baseline_front + deltas[0]
+        lookahead_cost = self.baseline_lookahead + deltas[1]
         base = front_cost + router.lookahead_weight * lookahead_cost
         if router.decay_rate == 0.0:
             return base
@@ -254,29 +258,40 @@ class GateRouter:
     # ------------------------------------------------------------------
     def candidate_swaps(self, state: MappingState,
                         front_nodes: Sequence) -> List[SwapCandidate]:
-        """All SWAPs acting on a front-layer gate qubit and an adjacent atom."""
+        """All SWAPs acting on a front-layer gate qubit and an adjacent atom.
+
+        Candidates are listed by front qubit (first occurrence in layer
+        order), then by partner site in neighbour order; each site pair
+        appears once, under the front qubit visited first.
+        """
+        interaction_neighbours = state.connectivity.interaction_neighbours
+        atom_of_qubit = state.atom_of_qubit
+        site_of_atom = state.site_of_atom
+        atom_at_site = state.atom_at_site
+        qubit_of_atom = state.qubit_of_atom
+        visited: Set[int] = set()
         seen: Set[Tuple[int, int]] = set()
         candidates: List[SwapCandidate] = []
         for node in front_nodes:
             for qubit in node.gate.qubits:
-                atom_a = state.atom_of_qubit(qubit)
-                site_a = state.site_of_atom(atom_a)
-                for site_b in state.connectivity.interaction_neighbours(site_a):
-                    atom_b = state.atom_at_site(site_b)
+                # A qubit shared by commuting front gates adds nothing the
+                # first visit did not.
+                if qubit in visited:
+                    continue
+                visited.add(qubit)
+                atom_a = atom_of_qubit(qubit)
+                site_a = site_of_atom(atom_a)
+                for site_b in interaction_neighbours(site_a):
+                    atom_b = atom_at_site(site_b)
                     if atom_b is None:
                         continue
-                    key = (min(site_a, site_b), max(site_a, site_b))
+                    key = (site_a, site_b) if site_a < site_b else (site_b, site_a)
                     if key in seen:
                         continue
                     seen.add(key)
                     candidates.append(SwapCandidate(
-                        qubit_a=qubit,
-                        qubit_b=state.qubit_of_atom(atom_b),
-                        atom_a=atom_a,
-                        atom_b=atom_b,
-                        site_a=site_a,
-                        site_b=site_b,
-                    ))
+                        qubit, qubit_of_atom(atom_b), atom_a, atom_b,
+                        site_a, site_b))
         return candidates
 
     # ------------------------------------------------------------------
@@ -411,8 +426,12 @@ class GateRouter:
         candidates = self.candidate_swaps(state, front_nodes)
         if not candidates:
             return None
-        if self._last_swap_key is not None and len(candidates) > 1:
-            filtered = [c for c in candidates if c.key() != self._last_swap_key]
+        last = self._last_swap_key
+        if last is not None and len(candidates) > 1:
+            # A candidate's key equals the sorted ``last`` pair exactly when
+            # both of its (distinct) sites are in it.
+            filtered = [c for c in candidates
+                        if c.site_a not in last or c.site_b not in last]
             if filtered:
                 candidates = filtered
         cache: Optional[SwapCostCache] = None
@@ -422,14 +441,18 @@ class GateRouter:
             if not cache.exact:
                 cache = None
         best_candidate = None
-        best_key: Optional[Tuple[float, Tuple[int, int]]] = None
+        # (cost, lower site, higher site): the cost, then candidate.key().
+        best_key: Optional[Tuple[float, int, int]] = None
         for candidate in candidates:
             if cache is not None:
                 cost = cache.cost(candidate)
             else:
                 cost = self.swap_cost(state, candidate, front_nodes,
                                       lookahead_nodes, positions)
-            key = (cost, candidate.key())
+            site_a = candidate.site_a
+            site_b = candidate.site_b
+            key = ((cost, site_a, site_b) if site_a < site_b
+                   else (cost, site_b, site_a))
             if best_key is None or key < best_key:
                 best_key = key
                 best_candidate = candidate

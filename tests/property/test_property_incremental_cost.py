@@ -6,13 +6,21 @@ touch the two swapped qubits.  On random circuits, lattices, and scrambled
 mapping states the incremental cost of *every* candidate must equal the
 naive full recomputation bit-for-bit, and :meth:`GateRouter.best_swap` must
 pick the identical candidate with and without the engine.
+
+Candidate generation and selection are also checked against the original
+generator and selection loop, kept below unchanged as test-only references:
+the candidate list must match element by element and in order, and the
+selected SWAP must match with the inverse of the last SWAP excluded.
 """
+
+from typing import List, Optional, Sequence, Set, Tuple
 
 from hypothesis import given, settings, strategies as st
 
 from repro.circuit import QuantumCircuit
 from repro.hardware import NeutralAtomArchitecture, SiteConnectivity, SquareLattice
-from repro.mapping import GateRouter, LayerManager, MappingState, find_gate_position
+from repro.mapping import (GateRouter, LayerManager, MappingState,
+                           SwapCandidate, find_gate_position)
 
 
 ARCHITECTURE = NeutralAtomArchitecture(
@@ -28,7 +36,7 @@ def routing_scenario(draw):
     circuit = QuantumCircuit(NUM_QUBITS, name="prop-cost")
     num_gates = draw(st.integers(1, 12))
     for _ in range(num_gates):
-        width = draw(st.sampled_from([2, 2, 2, 3]))
+        width = draw(st.sampled_from([2, 2, 2, 3, 4, 5]))
         qubits = draw(st.lists(st.integers(0, NUM_QUBITS - 1), min_size=width,
                                max_size=width, unique=True))
         circuit.cz(*qubits)
@@ -36,6 +44,62 @@ def routing_scenario(draw):
                                          st.integers(0, 10_000)),
                                min_size=0, max_size=12))
     return circuit, operations
+
+
+def reference_candidate_swaps(state: MappingState,
+                              front_nodes: Sequence) -> List[SwapCandidate]:
+    """All SWAPs acting on a front-layer gate qubit and an adjacent atom."""
+    seen: Set[Tuple[int, int]] = set()
+    candidates: List[SwapCandidate] = []
+    for node in front_nodes:
+        for qubit in node.gate.qubits:
+            atom_a = state.atom_of_qubit(qubit)
+            site_a = state.site_of_atom(atom_a)
+            for site_b in state.connectivity.interaction_neighbours(site_a):
+                atom_b = state.atom_at_site(site_b)
+                if atom_b is None:
+                    continue
+                key = (min(site_a, site_b), max(site_a, site_b))
+                if key in seen:
+                    continue
+                seen.add(key)
+                candidates.append(SwapCandidate(
+                    qubit_a=qubit,
+                    qubit_b=state.qubit_of_atom(atom_b),
+                    atom_a=atom_a,
+                    atom_b=atom_b,
+                    site_a=site_a,
+                    site_b=site_b,
+                ))
+    return candidates
+
+
+def _fields(candidate: SwapCandidate) -> Tuple:
+    return (candidate.qubit_a, candidate.qubit_b, candidate.atom_a,
+            candidate.atom_b, candidate.site_a, candidate.site_b)
+
+
+def reference_best_swap(router: GateRouter, state: MappingState,
+                        front_nodes: Sequence, lookahead_nodes: Sequence,
+                        positions) -> Optional[SwapCandidate]:
+    """The original selection loop over the naive scorer."""
+    candidates = reference_candidate_swaps(state, front_nodes)
+    if not candidates:
+        return None
+    if router._last_swap_key is not None and len(candidates) > 1:
+        filtered = [c for c in candidates if c.key() != router._last_swap_key]
+        if filtered:
+            candidates = filtered
+    best_candidate = None
+    best_key: Optional[Tuple[float, Tuple[int, int]]] = None
+    for candidate in candidates:
+        cost = router.swap_cost(state, candidate, front_nodes,
+                                lookahead_nodes, positions)
+        key = (cost, candidate.key())
+        if best_key is None or key < best_key:
+            best_key = key
+            best_candidate = candidate
+    return best_candidate
 
 
 def scrambled_state(operations) -> MappingState:
@@ -123,6 +187,43 @@ class TestDeltaCostExactness:
         for candidate in candidates:
             naive = router.swap_cost(state, candidate, front, lookahead, positions)
             assert cache.cost(candidate) == naive
+
+    @given(routing_scenario())
+    @settings(max_examples=60, deadline=None)
+    def test_candidates_match_reference_generator(self, scenario):
+        circuit, operations = scenario
+        state, layers, front, lookahead, positions = routing_round(circuit, operations)
+        router = GateRouter(ARCHITECTURE)
+        candidates = router.candidate_swaps(state, front)
+        expected = reference_candidate_swaps(state, front)
+        assert len(candidates) == len(expected)
+        for candidate, reference in zip(candidates, expected):
+            assert _fields(candidate) == _fields(reference)
+            assert candidate.key() == reference.key()
+
+    @given(routing_scenario(), st.integers(0, 10_000),
+           st.sampled_from([0.0, 0.5]))
+    @settings(max_examples=60, deadline=None)
+    def test_best_swap_matches_reference_with_inverse_excluded(
+            self, scenario, pick, decay_rate):
+        """With ``_last_swap_key`` set, the inverse-SWAP filter engages."""
+        circuit, operations = scenario
+        state, layers, front, lookahead, positions = routing_round(circuit, operations)
+        candidates = reference_candidate_swaps(state, front)
+        if not candidates:
+            return
+        router = GateRouter(ARCHITECTURE, decay_rate=decay_rate)
+        router.note_swap_applied(state, candidates[pick % len(candidates)])
+        expected = reference_best_swap(router, state, front, lookahead,
+                                       positions)
+        assert expected is not None
+        if len(candidates) > 1:
+            assert expected.key() != router._last_swap_key
+        fast = router.best_swap(state, front, lookahead, positions,
+                                qubit_index=layers.qubit_node_index())
+        assert fast == expected
+        router.incremental = False
+        assert router.best_swap(state, front, lookahead, positions) == expected
 
     def test_duplicate_nodes_disable_the_engine(self):
         """Hand-crafted duplicate layers fall back to the naive scorer."""
