@@ -40,23 +40,13 @@ recorded from PR 1 onward (schema ``repro-bench-scaling/v1``):
         {
           "kind": "shard_routing",      // serial-vs-sharded comparison (--shard)
           "hardware": "mixed", "circuit": "qft", "mode": "hybrid",
-          "scale": 0.3, "num_qubits": 60, "available_cpus": 1,
-          "shard_workers": 1, "scheduler": "chained", "num_slices": 28,
-          "seed_snapshots": true, "hierarchical_partition": true,
-          "serial_seconds": 3.2, "sharded_seconds": 0.61,
-          "shard_speedup": 5.2, "shard_overhead_pct": -80.6,
-          "serial_moves": 493, "sharded_moves": 651,
-          "peak_rss_mb": 182.4,         // ru_maxrss high-water after the case
-          "speculative_seam_probe": {   // seeded-vs-unseeded seam quality
-            "pool_kind": "thread", "shard_workers": 2,
-            "unseeded": { "seam_gate_ratio": 0.95, "seam_gates": 1734 },
-            "seeded":   { "seam_gate_ratio": 0.39, "seam_gates": 711,
-                          "seeded_hit_ratio": 0.61, "repair_moves": 399 },
-            "seam_ratio_drop": 2.44
-          }
-          // plus "cpu_caveat" on single-core hosts: the chained scheduler's
-          // speedup is real but the speculative multi-core figure is not
-          // measurable there
+          "scale": 0.3, "num_qubits": 60, "available_cpus": 2,
+          "hierarchical_partition": true, "num_slices": 46,
+          "serial_seconds": 4.42, "sharded_seconds": 1.04,
+          "shard_speedup": 4.26, "shard_overhead_pct": -76.5,
+          "serial_moves": 493, "sharded_moves": 693,
+          "serial_delta_t_us": 10082.8, "sharded_delta_t_us": 16841.8,
+          "peak_rss_mb": 72.9           // ru_maxrss high-water after the case
         },
         {
           "kind": "serving_throughput",  // gateway case (benchmarks/bench_serving.py)
@@ -185,79 +175,22 @@ def run_case(hardware: str, circuit_name: str, mode: str, scale: float,
     rss = peak_rss_mb()
     if rss is not None:
         case["peak_rss_mb"] = rss
-    caveat = cpu_caveat(case)
-    if caveat:
-        case["cpu_caveat"] = caveat
     return case
 
 
-def _speculative_seam_probe(architecture, connectivity, circuit,
-                            base_config, alpha_ratio) -> Dict:
-    """Seeded-vs-unseeded seam quality of the speculative scheduler.
-
-    Runs the speculative stitcher twice over a thread pool (two workers —
-    the stream is worker-count and pool-kind independent, and threads keep
-    the probe meaningful on 1-CPU hosts where the default shard case falls
-    back to the chained scheduler): once with ``seed_snapshots=False`` (the
-    PR 7 stitching: every slice replays against the drifted merged state)
-    and once with ``seed_snapshots=True`` (forecast-seeded workers plus the
-    repair pass).  Records ``seam_gates`` / ``seam_gate_ratio`` for both so
-    the before/after of predictive seeding is committed evidence, not a
-    claim.
-    """
-    import repro.mapping.shard as shard_module
-
-    probe: Dict[str, object] = {"pool_kind": "thread", "shard_workers": 2}
-    previous = shard_module._POOL_KIND
-    shard_module._POOL_KIND = "thread"
-    try:
-        for label, seeded in (("unseeded", False), ("seeded", True)):
-            config = base_config.with_overrides(
-                shard_routing=True, shard_workers=2, seed_snapshots=seeded)
-            context = compile_circuit(circuit, architecture, config,
-                                      connectivity=connectivity,
-                                      alpha_ratio=alpha_ratio)
-            stats = context.require_result().shard_stats
-            probe[label] = {
-                "seed_snapshots": seeded,
-                "seam_gates": stats.get("seam_gates", 0),
-                "seam_gate_ratio": stats.get("seam_gate_ratio", 0.0),
-                "seeded_hit_ratio": stats.get("seeded_hit_ratio", 0.0),
-                "repair_moves": stats.get("repair_moves", 0),
-                "num_moves": context.require_result().num_moves,
-            }
-    finally:
-        shard_module._POOL_KIND = previous
-    unseeded = probe["unseeded"]["seam_gate_ratio"]  # type: ignore[index]
-    seeded = probe["seeded"]["seam_gate_ratio"]  # type: ignore[index]
-    probe["seam_ratio_drop"] = (round(unseeded / seeded, 2)
-                                if seeded > 0 else None)
-    return probe
-
-
 def run_shard_case(hardware: str, circuit_name: str, mode: str, scale: float,
-                   *, alpha: float = 1.0, topology: str = "square",
-                   workers: Optional[int] = None,
-                   seam_probe: bool = True) -> Dict:
+                   *, alpha: float = 1.0, topology: str = "square") -> Dict:
     """Route one circuit serially and sharded; record the comparison.
 
-    ``workers=None`` auto-sizes: ``min(available_cpus, 4)`` on a multi-core
-    host (speculative scheduler, real parallelism), ``1`` on a single core
-    (chained scheduler — exact, no seams, and still typically *faster* than
-    serial because each slice is a much smaller routing subproblem).
-
-    With ``seam_probe`` the case additionally records the speculative
-    scheduler's seeded-vs-unseeded seam quality
-    (:func:`_speculative_seam_probe`) — two extra sharded compiles.
+    Sharded routing runs its slices one after another on one core, so the
+    speedup comes from smaller per-slice routing subproblems, not from
+    parallelism; ΔT is recorded next to the wall times because that speed
+    is bought with schedule quality.
     """
     architecture, connectivity = _architecture(hardware, scale, topology)
     circuit = build_circuit(circuit_name, scale)
-    cpus = os.cpu_count() or 1
-    if workers is None:
-        workers = min(cpus, 4) if cpus >= 2 else 1
     serial_config = config_for_mode(mode, alpha)
-    sharded_config = serial_config.with_overrides(shard_routing=True,
-                                                 shard_workers=workers)
+    sharded_config = serial_config.with_overrides(shard_routing=True)
     alpha_ratio = alpha if mode == "hybrid" else None
 
     start = time.perf_counter()
@@ -272,7 +205,8 @@ def run_shard_case(hardware: str, circuit_name: str, mode: str, scale: float,
 
     serial_result = serial.require_result()
     sharded_result = sharded.require_result()
-    shard_stats = sharded_result.shard_stats
+    serial_metrics = serial.require_metrics()
+    sharded_metrics = sharded.require_metrics()
     speedup = serial_wall / sharded_wall if sharded_wall > 0 else 0.0
     case = {
         "kind": "shard_routing",
@@ -282,12 +216,9 @@ def run_shard_case(hardware: str, circuit_name: str, mode: str, scale: float,
         "topology": architecture.topology.kind,
         "scale": scale,
         "num_qubits": scaled_size(circuit_name, scale),
-        "available_cpus": cpus,
-        "shard_workers": workers,
-        "scheduler": shard_stats.get("scheduler", "serial-fallback"),
-        "seed_snapshots": sharded_config.seed_snapshots,
+        "available_cpus": os.cpu_count(),
         "hierarchical_partition": sharded_config.hierarchical_partition,
-        "num_slices": shard_stats.get("num_slices", 1),
+        "num_slices": sharded_result.shard_stats.get("num_slices", 1),
         "serial_seconds": round(serial_wall, 4),
         "sharded_seconds": round(sharded_wall, 4),
         "shard_speedup": round(speedup, 2),
@@ -298,18 +229,14 @@ def run_shard_case(hardware: str, circuit_name: str, mode: str, scale: float,
         "sharded_swaps": sharded_result.num_swaps,
         "serial_moves": serial_result.num_moves,
         "sharded_moves": sharded_result.num_moves,
-        "serial_delta_cz": serial.require_metrics().delta_cz,
-        "sharded_delta_cz": sharded.require_metrics().delta_cz,
+        "serial_delta_cz": serial_metrics.delta_cz,
+        "sharded_delta_cz": sharded_metrics.delta_cz,
+        "serial_delta_t_us": round(serial_metrics.delta_t_us, 2),
+        "sharded_delta_t_us": round(sharded_metrics.delta_t_us, 2),
     }
-    if seam_probe:
-        case["speculative_seam_probe"] = _speculative_seam_probe(
-            architecture, connectivity, circuit, serial_config, alpha_ratio)
     rss = peak_rss_mb()
     if rss is not None:
         case["peak_rss_mb"] = rss
-    caveat = cpu_caveat(case)
-    if caveat:
-        case["cpu_caveat"] = caveat
     return case
 
 
@@ -547,32 +474,9 @@ def cpu_caveat(case: Dict) -> Optional[str]:
     cpus = case.get("available_cpus")
     if cpus is None:
         return None
-    kind = case.get("kind", "single")
-    if kind == "shard_routing":
-        workers = case.get("shard_workers") or 1
-        if cpus < max(2, workers):
-            return (f"only {cpus} CPU(s) available — the speculative "
-                    f"scheduler's multi-core speedup cannot manifest here; "
-                    f"recorded numbers reflect the chained scheduler "
-                    f"(exact, single-core), whose speedup comes from "
-                    f"smaller per-slice routing subproblems, not "
-                    f"parallelism.  Re-record on a host with >= "
-                    f"{max(2, workers)} cores for the parallel figure "
-                    f"(ROADMAP caveat)")
-        return None
-    if kind == "single":
-        # Only a case that actually ran with sharded routing can be starved
-        # of the speculative scheduler's parallelism; a plain serial compile
-        # carries no multi-core claim to caveat.
-        if cpus < 2 and case.get("shard_routing"):
-            return (f"only {cpus} CPU(s) available — intra-circuit sharded "
-                    f"routing (shard_routing=True, speculative scheduler) "
-                    f"cannot show a multi-core speedup on this host "
-                    f"(ROADMAP caveat)")
-        return None
-    if kind != "batch_throughput":
-        # Serving cases measure requests/sec against a latency budget, not
-        # a speedup over a serial reference — no multi-core claim to hedge.
+    if case.get("kind") != "batch_throughput":
+        # Only batch cases claim a multi-core speedup; every other kind runs
+        # its compiles (and sharded slices) on one core.
         return None
     workers = case.get("num_workers") or 1
     if cpus < max(2, workers):
@@ -645,23 +549,14 @@ def _print_case(case: Dict) -> None:
         return
     if case.get("kind") == "shard_routing":
         print(f"[shard    ] {case['circuit']:>12s} x {case['hardware']} "
-              f"workers={case['shard_workers']} "
-              f"scheduler={case['scheduler']} slices={case['num_slices']} "
+              f"slices={case['num_slices']} "
               f"serial={case['serial_seconds']:7.2f}s "
               f"sharded={case['sharded_seconds']:7.2f}s "
               f"speedup={case['shard_speedup']:4.2f}x "
               f"moves={case['serial_moves']}->{case['sharded_moves']} "
-              f"swaps={case['serial_swaps']}->{case['sharded_swaps']}")
-        probe = case.get("speculative_seam_probe")
-        if probe:
-            print(f"            seam (speculative, thread x2): "
-                  f"unseeded={probe['unseeded']['seam_gate_ratio']:.4f} "
-                  f"seeded={probe['seeded']['seam_gate_ratio']:.4f} "
-                  f"drop={probe['seam_ratio_drop']}x "
-                  f"repair_moves={probe['seeded']['repair_moves']}")
-        caveat = cpu_caveat(case)
-        if caveat:
-            print(f"            note: {caveat}")
+              f"swaps={case['serial_swaps']}->{case['sharded_swaps']} "
+              f"dT={case.get('serial_delta_t_us')}->"
+              f"{case.get('sharded_delta_t_us')}us")
         return
     if case.get("kind") == "telemetry_overhead":
         print(f"[telemetry] {case['circuit']:>12s} x {case['hardware']} "
@@ -710,12 +605,7 @@ def build_parser(description: str) -> argparse.ArgumentParser:
                         help="worker processes for --batch (default 4)")
     parser.add_argument("--shard", action="store_true",
                         help="record serial-vs-sharded routing cases "
-                             "(kind shard_routing) for the selected matrix; "
-                             "worker count auto-sizes to the host unless "
-                             "--shard-workers is given")
-    parser.add_argument("--shard-workers", type=int, default=None,
-                        help="shard_workers for --shard (default: "
-                             "min(cpus, 4) on multi-core hosts, else 1)")
+                             "(kind shard_routing) for the selected matrix")
     parser.add_argument("--profile", action="store_true",
                         help="run the selected matrix under cProfile and "
                              "dump a per-stage summary plus the top-20 "
@@ -759,9 +649,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.baseline and not Path(args.baseline).exists():
         parser.error(f"baseline report not found: {args.baseline}")
 
-    if args.shard_workers is not None and args.shard_workers < 1:
-        parser.error("--shard-workers must be at least 1")
-
     if args.trace and (args.profile or args.shard or args.batch
                        or args.telemetry_overhead):
         parser.error("--trace applies to the default single-circuit matrix")
@@ -787,8 +674,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for hardware in args.hardware:
             for circuit_name in args.circuits:
                 case = run_shard_case(hardware, circuit_name, args.modes[0],
-                                      args.scale, topology=args.topology,
-                                      workers=args.shard_workers)
+                                      args.scale, topology=args.topology)
                 report = merge_case(args.out, case, args.scale)
                 write_report(report, args.out)
                 _print_case(case)

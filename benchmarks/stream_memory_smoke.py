@@ -1,15 +1,14 @@
 """Large-circuit streaming-stitcher memory smoke.
 
 Drains a 1000+-qubit synthetic circuit (at ``--scale`` 0.6, the default)
-through the speculative streaming stitcher with ``retain=False`` while an
+through the chained sharded stream with ``retain=False`` while an
 incremental :class:`StreamValidator` replays every yielded operation.  The
 run fails (non-zero exit) if
 
 * the stream replays illegally or is incomplete,
-* the live slice-result window exceeds the speculation bound
-  (``workers + 1``), or
+* ``retain=False`` still builds a whole-circuit result, or
 * the process peak RSS blows ``--max-rss-mb`` — the bounded-memory claim
-  the streaming stitcher exists to make.
+  the streaming path exists to make.
 
 CI runs this inside the shard-differential job; the JSON summary
 (``--out``) is uploaded as an artifact so a red run ships its numbers.
@@ -32,7 +31,6 @@ from repro.circuit.library.random_circuits import local_window_circuit
 from repro.hardware import SiteConnectivity
 from repro.hardware.presets import mixed
 from repro.mapping import MapperConfig, ShardedRouter, StreamValidator
-import repro.mapping.shard as shard_module
 from repro.workloads import lattice_rows_for
 
 #: Qubit count at scale 1.0; scale 0.6 lands on ~1024 qubits, the
@@ -42,7 +40,7 @@ FULL_SCALE_QUBITS = 1707
 GATES_PER_QUBIT = 0.6
 
 
-def run_smoke(scale: float, workers: int) -> dict:
+def run_smoke(scale: float) -> dict:
     num_qubits = max(256, round(FULL_SCALE_QUBITS * scale))
     num_gates = max(128, round(num_qubits * GATES_PER_QUBIT))
     num_atoms = num_qubits + max(64, num_qubits // 16)
@@ -50,11 +48,7 @@ def run_smoke(scale: float, workers: int) -> dict:
                          num_atoms=num_atoms)
     connectivity = SiteConnectivity(architecture)
     circuit = local_window_circuit(num_qubits, num_gates, window=4, seed=7)
-    config = MapperConfig.sharded(workers=workers, shard_min_slice=48)
-
-    # 1-CPU CI runners: thread workers keep the speculative scheduler
-    # exercised without fork overhead (the stream is pool-kind independent).
-    shard_module._POOL_KIND = "thread"
+    config = MapperConfig.sharded(shard_min_slice=48)
     router = ShardedRouter(architecture, config, connectivity=connectivity)
     stream = router.stream(circuit, retain=False)
     if stream is None:
@@ -80,12 +74,6 @@ def run_smoke(scale: float, workers: int) -> dict:
         "num_ops": num_ops,
         "num_slices": stats["num_slices"],
         "tree_depth": stats["tree_depth"],
-        "scheduler": stats["scheduler"],
-        "workers": workers,
-        "max_live_results": stats["max_live_results"],
-        "seeded_slices": stats["seeded_slices"],
-        "seeded_fallbacks": stats["seeded_fallbacks"],
-        "seam_gates": stats["seam_gates"],
         "result_retained": stream.result is not None,
         "replay_violations": violations[:10],
         "peak_rss_mb": peak_rss_mb(),
@@ -96,15 +84,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", type=float, default=0.6,
                         help="workload scale; 0.6 = ~1024 qubits (default)")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="speculative shard workers (default 2)")
     parser.add_argument("--max-rss-mb", type=float, default=768.0,
                         help="peak-RSS ceiling in MiB (default 768)")
     parser.add_argument("--out", default=None,
                         help="write the JSON summary to this path")
     args = parser.parse_args(argv)
 
-    summary = run_smoke(args.scale, args.workers)
+    summary = run_smoke(args.scale)
     failures = []
     if "error" in summary:
         failures.append(summary["error"])
@@ -114,10 +100,6 @@ def main(argv=None) -> int:
                 f"stream replay violations: {summary['replay_violations']}")
         if summary["result_retained"]:
             failures.append("retain=False still built a MappingResult")
-        if summary["max_live_results"] > args.workers + 1:
-            failures.append(
-                f"live results {summary['max_live_results']} exceed the "
-                f"speculation window {args.workers + 1}")
         rss = summary["peak_rss_mb"]
         if rss is None:
             failures.append("resource module unavailable; peak RSS unknown")

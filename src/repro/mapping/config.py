@@ -14,6 +14,14 @@ from typing import Optional
 
 __all__ = ["MapperConfig"]
 
+#: Switches whose on/off paths emit byte-identical streams by contract
+#: (enforced by ``tests/differential/``).
+_BYTE_IDENTICAL_FIELDS = frozenset({"cross_round_cache", "chain_kernel"})
+#: Partition knobs; they shape sharded streams only.
+_PARTITION_FIELDS = frozenset({"shard_min_slice", "shard_max_slice",
+                               "shard_max_cut_qubits",
+                               "hierarchical_partition"})
+
 
 @dataclass(frozen=True)
 class MapperConfig:
@@ -44,7 +52,8 @@ class MapperConfig:
         occupancy-region invalidation.  The emitted operation stream is
         bit-identical either way (enforced by the differential harness under
         ``tests/differential/``); ``False`` selects the from-scratch
-        reference path the harness compares against.
+        reference path the harness compares against.  Not part of the
+        fingerprint.
     chain_kernel:
         Whether chain construction may use the vectorised candidate kernel
         (numpy gathers over the interaction zone with argmin/stable-argsort
@@ -53,7 +62,7 @@ class MapperConfig:
         scalar tie-break order exactly and euclidean terms stay scalar
         (``math.hypot`` parity, the PR 3 precedent) — and the kernel-on/off
         axis of ``tests/differential/`` enforces it.  Ignored (scalar path)
-        when numpy is unavailable.
+        when numpy is unavailable.  Not part of the fingerprint.
     stall_threshold:
         Number of consecutive routing operations without executing a gate
         after which the mapper switches to deterministic fallback routing.
@@ -64,23 +73,15 @@ class MapperConfig:
     shard_routing:
         Enable sharded intra-circuit routing (``repro.mapping.shard``): the
         circuit DAG is partitioned into weakly-coupled slices at
-        low-crossing frontiers, slices are routed on worker processes
-        against snapshotted mapping states, and the seams are stitched by
-        re-routing boundary gates against the merged state.  The emitted
-        stream is **not** bit-identical to serial routing — the contract is
-        *metrics parity* (ΔCZ/Δmove counts within bounds) plus full replay
-        validity, enforced by ``tests/differential/test_differential_shard``.
-        ``False`` (the default) leaves the serial path byte-identical to the
-        committed goldens.
-    shard_workers:
-        Worker count for sharded routing.  ``1`` selects the *chained*
-        scheduler (each slice routes from the true predecessor state —
-        deterministic, no speculation, the honest configuration for 1-CPU
-        hosts); ``>= 2`` selects the *speculative* scheduler (all slices
-        route in parallel from the initial-state snapshot and diverged ops
-        are re-routed at the seams).  The operation stream depends only on
-        this chained/speculative distinction, never on how many workers
-        actually ran, so the fingerprint stays an honest result identity.
+        low-crossing frontiers and the slices are routed one after another,
+        each from the true mapping state its predecessor left behind.  The
+        emitted stream is **not** bit-identical to serial routing — the
+        contract is *metrics parity* (ΔCZ/ΔT/move counts within bounds)
+        plus full replay validity, enforced by
+        ``tests/differential/test_differential_shard``.  ``False`` (the
+        default) leaves the serial path byte-identical to the committed
+        goldens, and the four partition knobs below are then left out of
+        the fingerprint.
     shard_min_slice:
         Minimum gates per slice; circuits with fewer than two minimum-size
         slices silently take the serial path (bit-identical to goldens).
@@ -92,25 +93,14 @@ class MapperConfig:
         Hard bound on the number of qubits crossing any slice cut; the
         partitioner extends slices rather than cut above it.  ``None``
         places cuts at the locally minimal crossing without a bound.
-    seed_snapshots:
-        Whether speculative slice workers start from a *forecast* of their
-        slice's entry mapping state (``repro.mapping.shard`` runs a cheap
-        placement simulation over the partition plan and seeds each worker
-        with the predicted qubit→site maps) instead of the initial-state
-        snapshot.  Seeded workers speculate far closer to the truth, so the
-        stitch replays more ops and seam rounds shrink to a thin repair
-        pass.  A slice whose forecast cannot be realised as a legal state
-        falls back to the initial snapshot.  Affects speculative sharded
-        streams only (``shard_routing=True`` and ``shard_workers >= 2``);
-        the default serial path is untouched.
     hierarchical_partition:
         Whether the partitioner recursively re-cuts oversized slices at
         their own minimum-crossing frontiers
         (``repro.mapping.partition.partition_circuit_tree``), producing a
         slice tree whose every level honours ``shard_max_cut_qubits`` and
-        whose leaves stream through the stitcher in deterministic
-        left-to-right order.  ``False`` keeps the flat greedy frontier
-        sweep.  Affects sharded streams only.
+        whose leaves are routed in deterministic left-to-right order.
+        ``False`` keeps the flat greedy frontier sweep.  Affects sharded
+        streams only.
     """
 
     alpha_gate: float = 1.0
@@ -126,11 +116,9 @@ class MapperConfig:
     stall_threshold: Optional[int] = None
     max_routing_steps: Optional[int] = None
     shard_routing: bool = False
-    shard_workers: int = 2
     shard_min_slice: int = 24
     shard_max_slice: Optional[int] = None
     shard_max_cut_qubits: Optional[int] = None
-    seed_snapshots: bool = True
     hierarchical_partition: bool = True
 
     def __post_init__(self) -> None:
@@ -141,8 +129,7 @@ class MapperConfig:
         for name in ("alpha_gate", "alpha_shuttling", "lookahead_weight",
                      "decay_rate", "time_weight"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        for name in ("lookahead_depth", "history_window", "shard_workers",
-                     "shard_min_slice"):
+        for name in ("lookahead_depth", "history_window", "shard_min_slice"):
             object.__setattr__(self, name, int(getattr(self, name)))
         for name in ("stall_threshold", "max_routing_steps", "shard_max_slice",
                      "shard_max_cut_qubits"):
@@ -150,7 +137,7 @@ class MapperConfig:
             if value is not None:
                 object.__setattr__(self, name, int(value))
         for name in ("use_commutation", "cross_round_cache", "chain_kernel",
-                     "shard_routing", "seed_snapshots", "hierarchical_partition"):
+                     "shard_routing", "hierarchical_partition"):
             object.__setattr__(self, name, bool(getattr(self, name)))
         if self.alpha_gate < 0 or self.alpha_shuttling < 0:
             raise ValueError("alpha weights must be non-negative")
@@ -162,8 +149,6 @@ class MapperConfig:
             raise ValueError("cost weights must be non-negative")
         if self.history_window < 0:
             raise ValueError("history window cannot be negative")
-        if self.shard_workers < 1:
-            raise ValueError("shard_workers must be at least 1")
         if self.shard_min_slice < 1:
             raise ValueError("shard_min_slice must be at least 1")
         if self.shard_max_slice is not None and \
@@ -221,9 +206,9 @@ class MapperConfig:
                          "('shuttling_only', 'gate_only', 'hybrid')")
 
     @classmethod
-    def sharded(cls, workers: int = 2, **kwargs) -> "MapperConfig":
+    def sharded(cls, **kwargs) -> "MapperConfig":
         """Hybrid configuration with sharded intra-circuit routing enabled."""
-        return cls(shard_routing=True, shard_workers=workers, **kwargs)
+        return cls(shard_routing=True, **kwargs)
 
     def with_overrides(self, **kwargs) -> "MapperConfig":
         """Return a copy with selected fields replaced."""
@@ -240,29 +225,38 @@ class MapperConfig:
     # Persistent identity
     # ------------------------------------------------------------------
     def canonical_key(self) -> str:
-        """Canonical ``field=value`` serialisation of every config field.
+        """Canonical ``field=value`` serialisation of output-affecting fields.
 
         Fields are enumerated from the dataclass definition and sorted by
         name, so the key depends on neither declaration order, dict order
         nor object identity — two configs built from equal kwargs in any
         process produce the identical string (regression-tested across a
-        subprocess boundary in ``tests/store/test_keys.py``).
+        subprocess boundary in ``tests/store/test_keys.py``).  Fields that
+        cannot change the emitted stream are left out, so configs that
+        produce identical streams share one store key: the byte-identical
+        switches always, and the partition knobs whenever sharded routing
+        is off.
         """
+        omitted = (_BYTE_IDENTICAL_FIELDS if self.shard_routing
+                   else _BYTE_IDENTICAL_FIELDS | _PARTITION_FIELDS)
         parts = [f"{spec.name}={getattr(self, spec.name)!r}"
-                 for spec in sorted(fields(self), key=lambda spec: spec.name)]
-        # v2: the sharding knobs (shard_routing/shard_workers/shard_min_slice/
-        # shard_max_slice/shard_max_cut_qubits) joined the field set, so every
-        # fingerprint shifted; the schema tag makes the break explicit (and
-        # repro 1.3.0 rides along so store keys of both components move
-        # together — see repro/_version.py).
+                 for spec in sorted(fields(self), key=lambda spec: spec.name)
+                 if spec.name not in omitted]
+        # v2: the sharding knobs joined the field set, so every fingerprint
+        # shifted; the schema tag makes the break explicit (and repro 1.3.0
+        # rides along so store keys of both components move together — see
+        # repro/_version.py).
         # v3: chain_kernel joined the field set.  Fingerprints shift (cached
         # store entries recompile once) but op streams do not — the kernel is
         # bit-identical by contract, so repro._version and the goldens stay.
-        # v4: seed_snapshots / hierarchical_partition joined the field set.
-        # They only shape *sharded* streams (metrics-parity contract);
-        # shard_routing=False output is unchanged, so again only the schema
-        # tag moves — repro._version and the goldens stay.
-        return "mapper-config/v4|" + "|".join(parts)
+        # v4: hierarchical_partition and a since-removed seeding knob joined
+        # the field set; only sharded streams change, so again only the
+        # schema tag moved.
+        # v5: the speculative scheduler and its two knobs are gone, and
+        # fields that cannot change the output (see above) are no longer
+        # keyed.  shard_routing=False output is unchanged, so repro._version
+        # and the goldens stay.
+        return "mapper-config/v5|" + "|".join(parts)
 
     def fingerprint(self) -> str:
         """SHA-256 of :meth:`canonical_key` — the config component of

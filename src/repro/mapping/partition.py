@@ -7,10 +7,10 @@ gate list: slices are contiguous segments of the (topologically ordered)
 gate sequence, and each cut is placed at a *low-crossing frontier* — a
 position where as few qubits as possible are live on both sides of the cut.
 Cutting on contiguous segments keeps every per-qubit gate order trivially
-intact, which is what lets the stitcher replay slice streams against the
-merged state without re-deriving dependencies (cf. the hierarchical
-decomposition of separable workflow-nets: cut where the coupling frontier is
-narrow, recurse inside).
+intact, which is what lets slices route one after another, each from its
+predecessor's final state, without re-deriving dependencies (cf. the
+hierarchical decomposition of separable workflow-nets: cut where the
+coupling frontier is narrow, recurse inside).
 
 Definitions
 -----------
@@ -44,8 +44,8 @@ midpoint, then towards the earlier position — fully deterministic), and the
 recursion continues inside both halves.  The result is a
 :class:`PartitionNode` *tree* whose every internal cut honours the hard
 ``max_cut_qubits`` bound and whose leaves — read left to right — are
-exactly the plan's slices, in the deterministic order the streaming
-stitcher consumes them.  A segment with no admissible frontier stays an
+exactly the plan's slices, in the deterministic order the sharded router
+routes them.  A segment with no admissible frontier stays an
 oversized leaf: as in the sweep, the cut bound is hard, the size bound is
 soft.
 """

@@ -87,20 +87,12 @@ class MappingResult:
     initial_atom_map / final_atom_map:
         The atom mapping before and after the run.
     shard_stats:
-        Sharded-routing bookkeeping (:mod:`repro.mapping.shard`): scheduler
-        kind, slice sizes, replay/defer counts, seam rounds, slice failures.
-        Speculative runs additionally record the seeding and memory
-        telemetry — ``seeded_slices`` / ``seeded_fallbacks`` (how many
-        workers started from a forecast entry map vs the initial snapshot),
-        ``seeded_hit_ratio`` (fraction of speculative circuit gates that
-        replayed without deferral:
-        ``gates_replayed / (gates_replayed + gates_deferred)``),
-        ``seam_gate_ratio`` (``seam_gates`` over the circuit's non-barrier
-        gate count — the "how much fell back to serial repair" headline),
+        Sharded-routing bookkeeping (:mod:`repro.mapping.shard`): the
+        partition summary (``num_slices``, ``slice_sizes``, ``cut_qubits``),
         ``tree_depth`` (height of the hierarchical partition tree; 1 for a
-        flat plan) and ``max_live_results`` (high-water mark of slice
-        results held concurrently by the streaming stitcher).  Empty for
-        serial runs.
+        flat plan), ``partition_seconds`` and ``hierarchical_partition``.
+        Empty for serial runs, including sharded configs that fell back to
+        the serial path.
     """
 
     circuit: QuantumCircuit

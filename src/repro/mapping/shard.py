@@ -1,8 +1,8 @@
-"""Sharded intra-circuit routing: parallel slice routing + seam stitching.
+"""Sharded intra-circuit routing: chained slice routing + streaming emission.
 
 The batch layer (:mod:`repro.service.batch`) and the serving gateway
-parallelise *across* circuits; one large circuit still routes serially.
-:class:`ShardedRouter` parallelises *within* a circuit:
+parallelise *across* circuits; one large circuit still routes in one pass.
+:class:`ShardedRouter` splits the pass *within* a circuit:
 
 1. **Partition** — :func:`repro.mapping.partition.partition_circuit` cuts the
    gate list into weakly-coupled slices at low-crossing frontiers; with
@@ -10,229 +10,51 @@ parallelise *across* circuits; one large circuit still routes serially.
    (:func:`~repro.mapping.partition.partition_circuit_tree`) re-cuts
    oversized slices at their own min-crossing frontiers into a slice tree
    whose every level honours the hard cut-qubit bound.
-2. **Slice routing** — each slice is routed as a full-width subcircuit by an
-   ordinary serial :class:`~repro.mapping.hybrid_mapper.HybridMapper`.  With
-   ``shard_workers >= 2`` (*speculative* scheduler) slices route
-   concurrently on a :class:`~repro.resilience.supervisor.SupervisedPool`.
-   With ``seed_snapshots`` each worker starts from a **forecast entry map**:
-   a cheap placement simulation (:func:`forecast_entry_maps`) walks the
-   plan once, predicting where every qubit will sit when its slice begins,
-   so slice ``k`` speculates from (approximately) the state it will actually
-   inherit instead of the initial snapshot — replay preconditions mostly
-   hold and seam rounds shrink to a thin repair pass.  A slice whose
-   forecast is missing or infeasible falls back to the initial snapshot.
-   With ``shard_workers == 1`` (*chained* scheduler) slices route one after
-   another from the true predecessor state; there is no speculation and the
-   result is exact — the honest configuration for 1-CPU hosts.
-3. **Streaming seam stitching** — completed slice results are consumed in
-   deterministic leaf order by a *streaming* stitcher
-   (:meth:`ShardedRouter.stream`).  Before replaying a *seeded* slice the
-   stitcher emits a **repair pass**: a short deterministic move sequence
-   transforming the true merged state into exactly the forecast state the
-   worker started from (forecasts never reassign qubits, so aligning the
-   atom→site map suffices) — the worker's stream then replays verbatim by
-   construction and no seam round is needed.  Unseeded or fallback streams
-   are *replayed* against the true merged state the PR-7 way (an operation
-   is kept when its preconditions still hold; deferred gates form one
-   serial seam round per slice).  Either way the merged operations are
-   yielded incrementally.  At most
-   ``workers + 1`` slice results exist at any moment — the merged stream
-   never holds every slice's op list in memory at once, which is what
-   bounds peak RSS on 1000+-qubit circuits (``max_live_results`` in
-   ``shard_stats`` records the high-water mark).  :meth:`ShardedRouter.map`
-   is simply the stream drained into a :class:`MappingResult`.
+2. **Chained slice routing** — each slice is routed as a full-width
+   subcircuit by an ordinary serial
+   :class:`~repro.mapping.hybrid_mapper.HybridMapper`, one after another in
+   leaf order, each starting from the true mapping state its predecessor
+   left behind.  There is no speculation and no seam repair; slicing pays
+   off because a slice caps the front layer the router scores every round.
+3. **Streaming emission** — each slice's operations are yielded (gate
+   indices shifted to the whole circuit) as soon as the slice is routed,
+   and the slice result is dropped before the next one routes, so exactly
+   one slice result is alive at any moment.  With ``retain=False``
+   (:meth:`ShardedRouter.stream`) nothing accumulates into a whole-circuit
+   :class:`MappingResult`, which bounds peak RSS on 1000+-qubit circuits.
+   :meth:`ShardedRouter.map` is simply the stream drained into a result.
 
-Contract (ROADMAP item 2): sharded routing is **not** bit-identical to
-serial routing.  It is gated by *metrics parity* (ΔCZ / move counts within
-bounds) plus full replay validity (:mod:`repro.mapping.replay`), enforced by
-``tests/differential/test_differential_shard.py``.  The emitted stream
-depends only on the config (scheduler split, seeding, partition shape —
-all fingerprinted), never on how many workers actually ran or whether a
-worker crashed mid-slice — a crashed/hung slice worker is recycled by the
-supervised pool and its whole slice falls back to the seam path.
-
-The speculative scheduler ships work to process workers via a fork-inherited
-module global (:data:`_FORK_CONTEXT`) so the architecture, connectivity,
-slice subcircuits and forecast maps never cross a pickle boundary; only the
-slice index does.  One sharded map runs per process at a time (guarded by a
-module lock).
+Contract: sharded routing is **not** bit-identical to serial routing.  It is
+gated by *metrics parity* (ΔCZ / ΔT / move counts within bounds) plus full
+replay validity (:mod:`repro.mapping.replay`), enforced by
+``tests/differential/test_differential_shard.py``.  The emitted stream is a
+deterministic function of the circuit, the architecture and the
+fingerprinted config.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import deque
 from dataclasses import replace as dataclass_replace
-from typing import Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, Optional
 
 from ..circuit.circuit import QuantumCircuit
-from ..circuit.gate import Gate, GateKind
+from ..circuit.gate import GateKind
 from ..hardware.architecture import NeutralAtomArchitecture
 from ..hardware.connectivity import SiteConnectivity
-from ..resilience.supervisor import SupervisedPool
-from ..shuttling.moves import Move
 from ..telemetry import tracing
 from ..telemetry.registry import get_registry
 from .config import MapperConfig
 from .partition import (PartitionPlan, partition_circuit,
                         partition_circuit_tree, slice_subcircuit)
-from .result import (CircuitGateOp, MappedOperation, MappingResult, ShuttleOp,
-                     SwapOp)
+from .result import CircuitGateOp, MappedOperation, MappingResult
 from .state import MappingState
 
-__all__ = ["ShardedRouter", "StitchStream", "forecast_entry_maps"]
-
-#: Pool kind override for tests (``"process"`` / ``"thread"``); ``None``
-#: auto-selects: process workers where ``fork`` is available, else threads.
-_POOL_KIND: Optional[str] = None
-
-#: Per-slice wall-clock budget handed to the supervised pool (``None`` =
-#: unbounded).  Tests shrink it to exercise the hung-worker recycle path.
-_SLICE_DEADLINE_S: Optional[float] = None
-
-#: Fork-inherited routing context for speculative slice workers: set (under
-#: :data:`_CONTEXT_LOCK`) *before* the pool is constructed so forked workers
-#: inherit it; thread workers read it directly.
-_FORK_CONTEXT: Dict[str, object] = {}
-_CONTEXT_LOCK = threading.Lock()
-
-#: One entry-map forecast: ``(atom_to_site, qubit_to_atom)`` as produced by
-#: :meth:`MappingState.export_maps`.
-EntryMaps = Tuple[List[int], List[int]]
-
-
-def _route_slice_worker(slice_index: int) -> Tuple[bool, MappingResult]:
-    """Pool task: route one slice subcircuit from its seeded (or snapshot) state.
-
-    Runs inside a forked worker process (or a pool thread); everything but
-    the slice index arrives through :data:`_FORK_CONTEXT`.  Returns
-    ``(seeded, result)`` — ``seeded`` reports whether the worker actually
-    started from the forecast entry map.  A missing forecast, or one the
-    :class:`MappingState` constructor rejects as infeasible, falls back to
-    the initial-state snapshot.
-    """
-    from .hybrid_mapper import HybridMapper
-
-    with tracing.span("shard.slice", slice=slice_index) as trace_span:
-        context = _FORK_CONTEXT
-        mapper = HybridMapper(context["architecture"], context["config"],
-                              context["connectivity"])
-        state: Optional[MappingState] = None
-        seeded = False
-        entry_maps = context.get("entry_maps")
-        if entry_maps is not None:
-            forecast = entry_maps[slice_index]
-            if forecast is not None:
-                try:
-                    state = MappingState.from_maps(
-                        context["architecture"], forecast,
-                        connectivity=context["connectivity"])
-                    seeded = True
-                except ValueError:
-                    state = None
-        if state is None:
-            state = context["snapshot"].copy()
-        trace_span.set(seeded=seeded)
-        result = mapper.map(context["subcircuits"][slice_index],
-                            initial_state=state)
-        return seeded, result
-
-
-def _resolve_pool_kind() -> str:
-    if _POOL_KIND is not None:
-        return _POOL_KIND
-    import multiprocessing
-
-    try:
-        multiprocessing.get_context("fork")
-        return "process"
-    except ValueError:  # pragma: no cover - platform without fork
-        return "thread"
-
-
-# ----------------------------------------------------------------------
-# Forecast entry maps (predictive snapshot seeding)
-# ----------------------------------------------------------------------
-def forecast_entry_maps(plan: PartitionPlan,
-                        initial_state: MappingState
-                        ) -> List[Optional[EntryMaps]]:
-    """Cheap placement simulation over the plan → per-slice entry-map forecast.
-
-    Walks every slice's gates once against a simulated state: a gate whose
-    qubits are not mutually interacting is "routed" by direct moves only —
-    each qubit is placed on the cheapest free site interacting with the
-    already-gathered ones, mirroring the shuttling router's direct-move
-    choice (``(travel, site)`` tie-break) without chain scoring, move-aways
-    or SWAP search.  The entry of slice ``k`` is the simulated state after
-    slices ``0..k-1``.  Every returned map is exported from a live
-    :class:`MappingState`, so it is legal by construction; a gate the
-    simulation cannot place is simply skipped (the forecast degrades, the
-    seam rounds absorb the error).
-    """
-    sim = initial_state.copy()
-    architecture = sim.architecture
-    lattice = architecture.lattice
-    connectivity = sim.connectivity
-    gates = plan.circuit.gates
-    entries: List[Optional[EntryMaps]] = []
-    for piece in plan.slices:
-        entries.append(sim.export_maps())
-        for index in piece.gate_indices():
-            gate = gates[index]
-            if not gate.is_entangling or sim.gate_executable(gate):
-                continue
-            _simulate_gather(sim, gate, architecture, lattice, connectivity)
-    return entries
-
-
-def _simulate_gather(sim: MappingState, gate: Gate, architecture, lattice,
-                     connectivity) -> None:
-    """Greedy direct-move placement of one gate's qubits in the simulation."""
-    anchor = gate.qubits[0]
-    anchor_site = sim.site_of_qubit(anchor)
-    if not architecture.is_entangling_site(anchor_site):
-        # Storage-stranded anchor (zoned topologies): relocate it onto the
-        # nearest free entangling site first, like the real router.
-        row = lattice.rectangular_row(anchor_site)
-        best = None
-        for site in architecture.entangling_sites():
-            if sim.site_is_free(site):
-                key = (row[site], site)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            return
-        sim.move_atom(sim.atom_of_qubit(anchor), best[1])
-        anchor_site = best[1]
-
-    kept: List[int] = [anchor_site]
-    anchor_row = lattice.euclidean_row(anchor_site)
-    others = sorted((q for q in gate.qubits if q != anchor),
-                    key=lambda q: anchor_row[sim.site_of_qubit(q)])
-    for qubit in others:
-        current = sim.site_of_qubit(qubit)
-        if all(connectivity.are_adjacent(current, site) for site in kept):
-            kept.append(current)
-            continue
-        zone: Optional[Set[int]] = None
-        for site in kept:
-            neighbours = connectivity.interaction_set(site)
-            zone = set(neighbours) if zone is None else zone & neighbours
-            if not zone:
-                return
-        free = zone & sim.free_sites()
-        free.discard(current)
-        if not free:
-            return
-        row = lattice.rectangular_row(current)
-        destination = min(free, key=lambda site: (row[site], site))
-        sim.move_atom(sim.atom_of_qubit(qubit), destination)
-        kept.append(destination)
+__all__ = ["ShardedRouter", "StitchStream"]
 
 
 class ShardedRouter:
-    """Partition → (parallel) slice routing → streaming seam stitching.
+    """Partition → chained slice routing → streaming emission.
 
     Constructed by :meth:`HybridMapper.map` when ``config.shard_routing`` is
     set; :meth:`map` returns ``None`` when the circuit partitions into fewer
@@ -248,9 +70,9 @@ class ShardedRouter:
         self.architecture = architecture
         self.config = config
         self.connectivity = connectivity or SiteConnectivity(architecture)
-        # Slice and seam routing always runs the plain serial mapper — the
-        # override is what keeps the mutual recursion between HybridMapper
-        # and ShardedRouter one level deep.
+        # Slice routing always runs the plain serial mapper — the override
+        # is what keeps the mutual recursion between HybridMapper and
+        # ShardedRouter one level deep.
         self._serial_config = config.with_overrides(shard_routing=False)
 
     # ------------------------------------------------------------------
@@ -278,7 +100,7 @@ class ShardedRouter:
         final stream order while slices are still being routed.  With
         ``retain=False`` nothing is accumulated into a
         :class:`MappingResult` — the caller owns each yielded op and the
-        stitcher's live memory stays bounded by a per-slice constant
+        stream's live memory stays bounded by one slice result
         (validity can be checked on the fly with
         :class:`repro.mapping.replay.StreamValidator`).
         """
@@ -342,24 +164,7 @@ class StitchStream:
             self.stage_seconds: Dict[str, float] = {}
             self._coverage = bytearray(len(plan.circuit))
         self.stats: Dict[str, object] = {
-            "pool_kind": None,
-            "workers": 1,
-            "gates_replayed": 0,
-            "gates_deferred": 0,
-            "swaps_replayed": 0,
-            "swaps_dropped": 0,
-            "moves_replayed": 0,
-            "moves_dropped": 0,
-            "seam_rounds": 0,
-            "seam_gates": 0,
-            "seeded_slices": 0,
-            "seeded_fallbacks": 0,
-            "repair_moves": 0,
-            "max_live_results": 0,
-            "slice_failures": [],
-            "stitch_seconds": 0.0,
             "partition_seconds": partition_seconds,
-            "seed_snapshots": router.config.seed_snapshots,
             "hierarchical_partition": router.config.hierarchical_partition,
         }
         self.stats.update(plan.summary())
@@ -371,16 +176,6 @@ class StitchStream:
         self._started = True
         return self._run()
 
-    def _run(self) -> Iterator[MappedOperation]:
-        stats = self.stats
-        if self._router.config.shard_workers <= 1:
-            stats["scheduler"] = "chained"
-            yield from self._chained()
-        else:
-            stats["scheduler"] = "speculative"
-            yield from self._speculative()
-        self._finalise()
-
     def _emit(self, op: MappedOperation) -> MappedOperation:
         if self.result is not None:
             self.result.append(op)
@@ -389,10 +184,9 @@ class StitchStream:
         return op
 
     # ------------------------------------------------------------------
-    # Chained scheduler (shard_workers == 1)
-    # ------------------------------------------------------------------
-    def _chained(self) -> Iterator[MappedOperation]:
-        """Route slices sequentially from the true state — exact, no seams.
+    def _run(self) -> Iterator[MappedOperation]:
+        """Route slices in leaf order, each from the state its predecessor
+        left behind.
 
         Each slice result is fully drained (and dropped) before the next
         slice routes, so exactly one lives at any moment.
@@ -400,7 +194,6 @@ class StitchStream:
         from .hybrid_mapper import HybridMapper
 
         router, state = self._router, self._state
-        self.stats["max_live_results"] = 1
         for piece in self._plan.slices:
             subcircuit = slice_subcircuit(self._plan.circuit, piece)
             mapper = HybridMapper(router.architecture, router._serial_config,
@@ -415,372 +208,22 @@ class StitchStream:
                 _merge_counters(self.result, slice_result)
             _merge_stage_seconds(self.stage_seconds,
                                  slice_result.stage_seconds)
+        self._finalise()
 
-    # ------------------------------------------------------------------
-    # Speculative scheduler (shard_workers >= 2)
-    # ------------------------------------------------------------------
-    def _speculative(self) -> Iterator[MappedOperation]:
-        """Route slices concurrently from seeded snapshots, stitch in order.
-
-        At most ``workers + 1`` slices are in flight: completed results are
-        consumed (replayed and dropped) in leaf order while later slices
-        still route, and a new slice is only submitted as one is consumed —
-        the memory bound behind ``max_live_results``.  A slice whose worker
-        failed (crash, deadline kill, pool shutdown) is deferred wholesale
-        to its seam round — serial fallback, not fatal.
-        """
-        global _FORK_CONTEXT
-        router, plan, state = self._router, self._plan, self._state
-        stats = self.stats
-        subcircuits = [slice_subcircuit(plan.circuit, piece)
-                       for piece in plan.slices]
-        kind = _resolve_pool_kind()
-        workers = min(router.config.shard_workers, plan.num_slices)
-        stats["pool_kind"] = kind
-        stats["workers"] = workers
-        entry_maps: Optional[List[Optional[EntryMaps]]] = None
-        if router.config.seed_snapshots:
-            tick = time.perf_counter()
-            entry_maps = forecast_entry_maps(plan, state)
-            stats["forecast_seconds"] = time.perf_counter() - tick
-        slice_stage_seconds: Dict[str, float] = {}
-        window = workers + 1
-
-        with _CONTEXT_LOCK:
-            _FORK_CONTEXT = {
-                "architecture": router.architecture,
-                "config": router._serial_config,
-                "connectivity": router.connectivity,
-                "subcircuits": subcircuits,
-                "snapshot": state.copy(),
-                "entry_maps": entry_maps,
-            }
-            pool = SupervisedPool(workers, kind=kind,
-                                  deadline_s=_SLICE_DEADLINE_S)
-            try:
-                pending: Deque[Tuple[int, object]] = deque()
-                next_index = 0
-                while next_index < plan.num_slices or pending:
-                    while (next_index < plan.num_slices
-                           and len(pending) < window):
-                        piece = plan.slices[next_index]
-                        pending.append((piece.index, pool.submit(
-                            _route_slice_worker, piece.index,
-                            label=f"slice-{piece.index}")))
-                        next_index += 1
-                    stats["max_live_results"] = max(
-                        stats["max_live_results"], len(pending))
-                    slice_index, future = pending.popleft()
-                    piece = plan.slices[slice_index]
-                    seeded = False
-                    try:
-                        seeded, slice_result = future.result()
-                    except Exception as exc:  # noqa: BLE001 - any pool fault
-                        stats["slice_failures"].append(
-                            {"slice": piece.index,
-                             "error": f"{type(exc).__name__}: {exc}"})
-                        slice_result = None
-                    if entry_maps is not None and slice_result is not None:
-                        key = "seeded_slices" if seeded else "seeded_fallbacks"
-                        stats[key] += 1
-                    tick = time.perf_counter()
-                    if slice_result is None:
-                        deferred = [
-                            (piece.start + offset, gate)
-                            for offset, gate in enumerate(
-                                subcircuits[piece.index].gates)
-                            if gate.kind != GateKind.BARRIER
-                        ]
-                    else:
-                        _merge_stage_seconds(slice_stage_seconds,
-                                             slice_result.stage_seconds)
-                        if seeded and self._repair_pays_off(
-                                slice_result, entry_maps[piece.index]):
-                            yield from self._repair_to_forecast(
-                                entry_maps[piece.index][0], slice_result)
-                        deferred = yield from self._replay_slice(
-                            slice_result, piece.start)
-                        del slice_result
-                    stats["stitch_seconds"] += time.perf_counter() - tick
-                    if deferred:
-                        yield from self._seam_round(deferred)
-            finally:
-                pool.shutdown(wait=False)
-                _FORK_CONTEXT = {}
-        # Worker-side stage timings overlap in wall-clock; they are reported
-        # separately so stage_seconds stays a serial-time account.
-        stats["slice_stage_seconds"] = slice_stage_seconds
-
-    def _repair_pays_off(self, slice_result: MappingResult,
-                         forecast: EntryMaps) -> bool:
-        """Decide whether to repair the true state to a slice's forecast.
-
-        Repair guarantees a verbatim replay only when the true qubit→atom
-        map still agrees with the forecast's (forecasts never model SWAPs;
-        replayed SWAPs from earlier slices void the guarantee — then the
-        plain replay-plus-seam path is both cheaper and no worse).  And when
-        a dry replay of the stream defers nothing, the drift is confined to
-        atoms this slice never touches and repair would spend moves for no
-        seam reduction.  Both checks depend only on deterministic state, so
-        the emitted stream stays independent of worker count and pool kind.
-        """
-        target_sites, target_qubit_atoms = forecast
-        state = self._state
-        if any(state.atom_of_qubit(qubit) != atom
-               for qubit, atom in enumerate(target_qubit_atoms)):
-            return False
-        misplaced = sum(1 for atom, site in enumerate(target_sites)
-                        if state.site_of_atom(atom) != site)
-        if misplaced == 0:
-            return False
-        probe = state.copy()
-        blocked: Set[int] = set()
-        would_defer = 0
-        for op in slice_result.operations:
-            if isinstance(op, CircuitGateOp):
-                gate = op.gate
-                if any(q in blocked for q in gate.qubits) \
-                        or not probe.gate_executable(gate):
-                    blocked.update(gate.qubits)
-                    would_defer += 1
-            elif isinstance(op, SwapOp):
-                if (probe.atom_of_qubit(op.qubit_a) == op.atom_a
-                        and probe.site_of_atom(op.atom_a) == op.site_a
-                        and probe.atom_at_site(op.site_b) == op.atom_b):
-                    probe.apply_swap_with_atom(op.qubit_a, op.atom_b)
-            elif isinstance(op, ShuttleOp):
-                move = op.move
-                if (probe.site_of_atom(move.atom) == move.source
-                        and probe.site_is_free(move.destination)):
-                    probe.apply_move(move)
-        # Repair costs at most ~one move per misplaced atom; every deferred
-        # gate costs a serial routing pass in the seam round.  Repair when
-        # it is the cheaper currency.
-        return 0 < misplaced <= would_defer
-
-    def _repair_to_forecast(self, target_sites: Sequence[int],
-                            slice_result: MappingResult
-                            ) -> Iterator[MappedOperation]:
-        """Emit moves aligning the true state with a seeded stream's forecast.
-
-        This is the repair pass that makes a seeded stream replay verbatim.
-        It is scoped to the stream's *footprint*: every atom the stream
-        references is placed on its forecast site, and every move
-        destination that was free in the forecast is cleared of strays.
-        That is exactly the precondition set the stream's legality depended
-        on in the worker — atoms the stream never touches may keep drifting
-        and get repaired only when a later slice actually needs them.
-        Deterministic: atoms settle in index order; a blocked atom (its
-        target still occupied) is resolved by evicting the occupant to the
-        nearest free scratch site outside the footprint, and each eviction
-        unblocks a placement, so the pass terminates.
-        """
-        state, stats = self._state, self.stats
-        architecture = self._router.architecture
-        lattice = architecture.lattice
-        penalised = architecture.topology.has_travel_penalties
-
-        footprint: Set[int] = set()
-        destinations: Set[int] = set()
-        for op in slice_result.operations:
-            if isinstance(op, CircuitGateOp):
-                footprint.update(op.atoms)
-            elif isinstance(op, SwapOp):
-                footprint.add(op.atom_a)
-                footprint.add(op.atom_b)
-            elif isinstance(op, ShuttleOp):
-                footprint.add(op.move.atom)
-                destinations.add(op.move.destination)
-        # Sites whose occupancy the stream relies on; scratch evictions must
-        # stay clear of them.
-        reserved = {target_sites[atom] for atom in footprint} | destinations
-        forecast_owner = {site: atom
-                          for atom, site in enumerate(target_sites)}
-
-        def emit_move(atom: int, destination: int,
-                      move_away: bool) -> MappedOperation:
-            source = state.site_of_atom(atom)
-            move = Move(
-                atom=atom, source=source, destination=destination,
-                source_position=lattice.position(source),
-                destination_position=lattice.position(destination),
-                is_move_away=move_away,
-                travel_distance_um=(lattice.rectangular_row(source)[destination]
-                                    if penalised else None),
-            )
-            state.apply_move(move)
-            stats["repair_moves"] += 1
-            return self._emit(ShuttleOp(move=move))
-
-        def scratch_site(near: int, pending: Set[int]) -> int:
-            row = lattice.rectangular_row(near)
-            avoid = reserved | pending
-            best = min((site for site in state.free_sites()
-                        if site not in avoid),
-                       key=lambda site: (row[site], site), default=None)
-            if best is None:
-                best = min((site for site in state.free_sites()
-                            if site not in pending),
-                           key=lambda site: (row[site], site), default=None)
-            if best is None:  # pragma: no cover - pathological density
-                best = min(state.free_sites(),
-                           key=lambda site: (row[site], site))
-            return best
-
-        movers = [atom for atom in sorted(footprint)
-                  if state.site_of_atom(atom) != target_sites[atom]]
-        while movers:
-            progress = False
-            for atom in list(movers):
-                target = target_sites[atom]
-                if state.site_is_free(target):
-                    yield emit_move(atom, target, False)
-                    movers.remove(atom)
-                    progress = True
-            if progress or not movers:
-                continue
-            # Every remaining target is occupied (permutation cycles, or a
-            # stray atom squatting on a mover's home).  Evict the occupant
-            # of the first blocked mover's target; the mover settles on the
-            # next sweep.
-            target = target_sites[movers[0]]
-            occupant = state.atom_at_site(target)
-            scratch = scratch_site(target, {target_sites[m] for m in movers})
-            yield emit_move(occupant, scratch, True)
-            if occupant in movers and target_sites[occupant] == scratch:
-                movers.remove(occupant)
-        # Clear strays off destinations the worker saw as free; a
-        # destination owned by a footprint atom in the forecast is vacated
-        # by the stream itself before its move needs it.
-        for destination in sorted(destinations):
-            if forecast_owner.get(destination) is not None:
-                continue
-            occupant = state.atom_at_site(destination)
-            if occupant is not None and occupant not in footprint:
-                yield emit_move(occupant, scratch_site(destination, set()),
-                                True)
-
-    def _replay_slice(self, slice_result: MappingResult,
-                      offset: int) -> Iterator[MappedOperation]:
-        """Replay one speculative stream against the true state.
-
-        Yields the surviving operations; returns the deferred gates as
-        ``(global_gate_index, gate)`` in stream order (a valid execution
-        order of the slice, so dependencies among deferred gates are
-        preserved).  ``blocked`` tracks qubits with a deferred gate
-        pending: any later gate touching a blocked qubit is deferred too,
-        which conservatively preserves per-qubit gate order (stricter than
-        the commutation-aware DAG, never weaker).
-        """
-        state, stats = self._state, self.stats
-        blocked: Set[int] = set()
-        deferred: List[Tuple[int, Gate]] = []
-        for op in slice_result.operations:
-            if isinstance(op, CircuitGateOp):
-                gate = op.gate
-                if any(q in blocked for q in gate.qubits) \
-                        or not state.gate_executable(gate):
-                    blocked.update(gate.qubits)
-                    deferred.append((offset + op.gate_index, gate))
-                    stats["gates_deferred"] += 1
-                    continue
-                atoms = tuple(state.atom_of_qubit(q) for q in gate.qubits)
-                sites = tuple(state.site_of_atom(a) for a in atoms)
-                yield self._emit(CircuitGateOp(
-                    gate=gate, gate_index=offset + op.gate_index,
-                    atoms=atoms, sites=sites))
-                stats["gates_replayed"] += 1
-            elif isinstance(op, SwapOp):
-                # A SWAP survives when both recorded atoms still sit in their
-                # recorded traps and the qubit is still on its recorded atom
-                # (site adjacency is geometric, so it carries over).  The
-                # partner qubit is re-read from the true state: an auxiliary
-                # atom in the speculative run may hold a real qubit now.
-                if (state.atom_of_qubit(op.qubit_a) == op.atom_a
-                        and state.site_of_atom(op.atom_a) == op.site_a
-                        and state.atom_at_site(op.site_b) == op.atom_b):
-                    partner = state.qubit_of_atom(op.atom_b)
-                    state.apply_swap_with_atom(op.qubit_a, op.atom_b)
-                    yield self._emit(SwapOp(
-                        qubit_a=op.qubit_a,
-                        qubit_b=partner if partner is not None else -1,
-                        atom_a=op.atom_a, atom_b=op.atom_b,
-                        site_a=op.site_a, site_b=op.site_b))
-                    stats["swaps_replayed"] += 1
-                else:
-                    stats["swaps_dropped"] += 1
-            elif isinstance(op, ShuttleOp):
-                move = op.move
-                if (state.site_of_atom(move.atom) == move.source
-                        and state.site_is_free(move.destination)):
-                    state.apply_move(move)
-                    yield self._emit(op)
-                    stats["moves_replayed"] += 1
-                else:
-                    stats["moves_dropped"] += 1
-        return deferred
-
-    def _seam_round(self, deferred: Sequence[Tuple[int, Gate]]
-                    ) -> Iterator[MappedOperation]:
-        """Serially re-route one slice's deferred gates against the true state."""
-        from .hybrid_mapper import HybridMapper
-
-        router, state, stats = self._router, self._state, self.stats
-        seam = QuantumCircuit(self._plan.circuit.num_qubits,
-                              name=f"{self._plan.circuit.name}[seam]")
-        for _, gate in deferred:
-            seam.append(gate)
-        mapper = HybridMapper(router.architecture, router._serial_config,
-                              router.connectivity)
-        with tracing.span("shard.seam_round", num_gates=len(deferred)):
-            seam_result = mapper.map(seam, initial_state=state)
-        for op in seam_result.operations:
-            if isinstance(op, CircuitGateOp):
-                op = dataclass_replace(op,
-                                       gate_index=deferred[op.gate_index][0])
-            yield self._emit(op)
-        if self.result is not None:
-            _merge_counters(self.result, seam_result)
-        _merge_stage_seconds(self.stage_seconds, seam_result.stage_seconds)
-        stats["seam_rounds"] += 1
-        stats["seam_gates"] += len(deferred)
-
-    # ------------------------------------------------------------------
     def _finalise(self) -> None:
         stats = self.stats
-        replayed = stats["gates_replayed"]
-        attempted = replayed + stats["gates_deferred"]
-        if stats["scheduler"] == "speculative":
-            stats["seeded_hit_ratio"] = (replayed / attempted if attempted
-                                         else 1.0)
-        circuit = self._plan.circuit
-        routable = sum(1 for gate in circuit
-                       if gate.kind != GateKind.BARRIER)
-        stats["seam_gate_ratio"] = (stats["seam_gates"] / routable
-                                    if routable else 0.0)
         self.final_qubit_map = self._state.qubit_mapping()
         self.final_atom_map = self._state.atom_mapping()
         self.stage_seconds["partition"] = stats["partition_seconds"]
-        self.stage_seconds["stitch"] = stats["stitch_seconds"]
         registry = get_registry()
         registry.counter(
             "repro_shard_runs_total",
             help="Sharded mapping runs completed").inc()
-        for counter in ("gates_replayed", "gates_deferred", "seam_rounds",
-                        "seam_gates", "seeded_slices", "seeded_fallbacks",
-                        "repair_moves"):
-            amount = int(stats[counter])
-            if amount:
-                registry.counter(
-                    f"repro_shard_{counter}_total",
-                    help=f"Sharded stitcher: {counter.replace('_', ' ')}"
-                ).inc(amount)
-        for stage in ("partition", "stitch"):
-            registry.histogram(
-                "repro_shard_stage_seconds",
-                help="Wall time per sharded-routing stage",
-                labels={"stage": stage}).observe(
-                    float(stats[f"{stage}_seconds"]))
+        registry.histogram(
+            "repro_shard_stage_seconds",
+            help="Wall time per sharded-routing stage",
+            labels={"stage": "partition"}).observe(
+                float(stats["partition_seconds"]))
         if self.result is not None:
             self.result.verify_complete()
             self.result.final_qubit_map = self.final_qubit_map
@@ -788,7 +231,7 @@ class StitchStream:
             self.result.shard_stats = stats
             self.result.runtime_seconds = time.perf_counter() - self._start_time
         else:
-            missing = [index for index, gate in enumerate(circuit)
+            missing = [index for index, gate in enumerate(self._plan.circuit)
                        if gate.kind != GateKind.BARRIER
                        and self._coverage[index] != 1]
             if missing:
@@ -798,14 +241,10 @@ class StitchStream:
 
 
 def _merge_counters(result: MappingResult, part: MappingResult) -> None:
-    """Aggregate capability-attribution counters from a sub-route.
+    """Aggregate capability-attribution counters from one slice route.
 
-    Exact in chained mode (every gate routes through exactly one slice
-    mapper).  In speculative mode only seam rounds contribute — replayed
-    gates have no per-gate attribution (their routing happened in a
-    worker against a speculated state), which ``shard_stats`` documents
-    via ``gates_replayed``.  ``num_swaps``/``num_moves`` are counted by
-    ``append`` and stay exact everywhere.
+    Exact: every gate routes through exactly one slice mapper.
+    ``num_swaps``/``num_moves`` are counted by ``append`` instead.
     """
     result.num_gate_routed += part.num_gate_routed
     result.num_shuttle_routed += part.num_shuttle_routed

@@ -442,33 +442,6 @@ class MappingState:
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
-    def export_maps(self) -> Tuple[List[int], List[int]]:
-        """Snapshot of ``(atom_to_site, qubit_to_atom)`` as plain lists.
-
-        The wire format of forecast entry maps in sharded routing
-        (:mod:`repro.mapping.shard`): cheap to copy across a fork boundary
-        and accepted verbatim by :meth:`from_maps`.
-        """
-        return list(self._atom_to_site), list(self._qubit_to_atom)
-
-    @classmethod
-    def from_maps(cls, architecture: NeutralAtomArchitecture,
-                  maps: Tuple[Sequence[int], Sequence[int]],
-                  connectivity: Optional[SiteConnectivity] = None
-                  ) -> "MappingState":
-        """Rebuild a state from an :meth:`export_maps` snapshot.
-
-        The constructor validates the maps (site bounds, no shared traps,
-        no shared atoms), so an infeasible forecast raises ``ValueError`` —
-        the signal on which a speculative slice worker falls back to the
-        initial-state snapshot.
-        """
-        initial_sites, initial_qubit_map = maps
-        return cls(architecture, len(initial_qubit_map),
-                   connectivity=connectivity,
-                   initial_sites=initial_sites,
-                   initial_qubit_map=initial_qubit_map)
-
     def copy(self) -> "MappingState":
         """Deep copy of the mapping state (shares the immutable connectivity)."""
         clone = MappingState(

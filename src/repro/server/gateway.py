@@ -267,7 +267,7 @@ class ServingGateway:
 
         With ``trace=True`` the request runs under a ``gateway.request``
         root span; every span produced on its behalf — request prep, pool
-        dispatch, pipeline passes, shard slices/seams, store access — is
+        dispatch, pipeline passes, sharded slice maps, store access — is
         collected into one tree and attached to the response as Chrome
         trace events (``response.trace``).  Tracing observes timestamps
         only, so the artifact is byte-identical with it on or off.

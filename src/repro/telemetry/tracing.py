@@ -3,7 +3,8 @@
 One gateway request becomes one **trace**: a tree of :class:`Span` records
 linked by ``trace_id`` / ``parent_id``, covering gateway admission, the
 prep executor, the supervised-pool worker (in another thread *or* process),
-the pipeline passes, shard slice routing/stitching and store accesses.
+the pipeline passes, sharded maps with their per-slice mapper runs and
+store accesses.
 
 The propagation primitive is :class:`TraceContext` — a tiny frozen
 (picklable) pair of ids.  :class:`~repro.resilience.SupervisedPool` carries
@@ -16,7 +17,7 @@ under the same context, so a chaotic task still yields a complete tree.
 
 Recording is gated on an *active context* held in a :mod:`contextvars`
 variable: without one, :func:`span` returns a shared no-op handle, so the
-instrumented hot paths (pipeline passes, store get/put, shard slices) cost
+instrumented hot paths (pipeline passes, store get/put, mapper runs) cost
 a single context-variable load when nothing is being traced.  Timestamps
 are ``time.monotonic`` — on Linux a system-wide clock, so spans from forked
 pool workers land on the same timeline as the gateway's.

@@ -1,19 +1,19 @@
 """Differential harness, sharding axis: metrics parity + validity replay.
 
 Sharded routing (``MapperConfig.shard_routing``) intentionally does *not*
-promise a bit-identical stream — the honest gate (ROADMAP item 2) is:
+promise a bit-identical stream — the honest gate is:
 
 1. **validity** — every sharded op stream replays legally from its initial
    maps (``repro.mapping.replay``), and
 2. **metrics parity** — ΔCZ / ΔT / swap / move counts stay within configured
    bounds of the serial mapper's on the same workload.
 
-The suite runs shard-on (both schedulers) vs shard-off across seeded random
-circuits × the mixed/shuttling presets, mirroring the cache differential
-harness (``test_differential_cache.py``).  Every failed parity comparison is
-appended to a JSON report (``SHARD_PARITY_REPORT``, default
-``shard-parity-report.json``) which the CI shard-differential job uploads as
-an artifact, so a red run ships the numbers with it.
+The suite runs shard-on (flat and hierarchical partitions) vs shard-off
+across seeded random circuits × the mixed/shuttling presets, mirroring the
+cache differential harness (``test_differential_cache.py``).  Every failed
+parity comparison is appended to a JSON report (``SHARD_PARITY_REPORT``,
+default ``shard-parity-report.json``) which the CI shard-differential job
+uploads as an artifact, so a red run ships the numbers with it.
 
 The whole module is marked ``shard``: run it standalone with
 ``pytest -m shard``.
@@ -35,7 +35,6 @@ from repro.circuit.library.random_circuits import (
 from repro.evaluation.metrics import evaluate
 from repro.hardware import SiteConnectivity
 from repro.mapping import HybridMapper, MapperConfig, validate_stream
-import repro.mapping.shard as shard_module
 from repro.workloads import build_scaled_architecture
 
 pytestmark = pytest.mark.shard
@@ -49,22 +48,24 @@ RANDOM_CIRCUITS = {
     "local": lambda seed: local_window_circuit(18, 120, window=4, seed=seed),
 }
 
-SCHEDULERS = {"chained": 1, "speculative": 2}
-
-#: Parity bounds: sharded <= serial * factor + slack.  Sharding trades some
-#: op-count quality at the slice seams for intra-circuit parallelism; the
-#: bounds are calibrated from the observed worst case on these seeds
-#: (moves ~2.9x + a ~17-move repair overhead, ΔT ~2.7x on the
-#: heavily-fragmented small test circuits — seeded stitching keeps every
-#: worker move and adds a repair pass where unseeded stitching dropped
-#: moves and re-routed at the seams) with headroom, and tight enough that
-#: a stitching regression that, e.g., re-routes every slice from scratch
-#: blows through them.
+#: Parity bounds: sharded <= serial * factor + slack.  Chained slices route
+#: from the true state, so quality is lost only where a slice boundary caps
+#: the router's view.  Worst cases on this suite's grid:
+#:
+#: * moves: 2.26x with hierarchical partitions (shuttling/local/1234:
+#:   19 -> 43) and 3.58x with flat ones (mixed/layered/7: 12 -> 43, +31);
+#: * ΔT: 2.26x (shuttling/layered/7 flat: 226 -> 511 µs);
+#: * swaps and ΔCZ: 1.5x (gate/layered/7: 2 -> 3 swaps, 6 -> 9 ΔCZ).
+#:
+#: Factors carry ~10% headroom over the ratios and the slacks absorb the
+#: small-count cases (the flat 12 -> 43 needs slack 13 at 2.5x).  A
+#: stitching regression that, e.g., re-routes a slice from scratch blows
+#: through them.
 PARITY_BOUNDS = {
-    "num_swaps": (2.0, 12.0),
-    "num_moves": (3.0, 20.0),
-    "delta_cz": (2.0, 36.0),
-    "delta_t_us": (3.0, 150.0),
+    "num_swaps": (2.0, 2.0),
+    "num_moves": (2.5, 15.0),
+    "delta_cz": (2.0, 6.0),
+    "delta_t_us": (2.5, 50.0),
 }
 
 _REPORT_PATH = os.environ.get("SHARD_PARITY_REPORT",
@@ -125,10 +126,7 @@ def assert_metrics_parity(case: str, circuit, architecture, connectivity,
             "out_of_bounds": out_of_bounds,
             "serial": serial_metrics.as_row(),
             "sharded": sharded_metrics.as_row(),
-            "shard_stats": {
-                key: value for key, value in sharded.shard_stats.items()
-                if key != "slice_stage_seconds"
-            },
+            "shard_stats": sharded.shard_stats,
         })
     assert not violations, \
         f"{case}: sharded stream fails replay: {violations[:5]}"
@@ -137,54 +135,24 @@ def assert_metrics_parity(case: str, circuit, architecture, connectivity,
 
 
 class TestShardMetricsParity:
-    @pytest.fixture(autouse=True)
-    def _thread_pool(self, monkeypatch):
-        # CI runs this axis on 1-CPU runners; thread workers keep the
-        # speculative scheduler exercised without fork overhead.  The stream
-        # is pool-kind independent (covered by tests/mapping).
-        monkeypatch.setattr(shard_module, "_POOL_KIND", "thread")
-
     @pytest.mark.parametrize("hardware", HARDWARE_PRESETS)
     @pytest.mark.parametrize("workload", sorted(RANDOM_CIRCUITS))
     @pytest.mark.parametrize("seed", (7, 1234))
-    @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
-    def test_random_circuit_parity(self, hardware, workload, seed, scheduler):
+    @pytest.mark.parametrize("hierarchical", (False, True))
+    def test_random_circuit_parity(self, hardware, workload, seed,
+                                   hierarchical):
         architecture, connectivity = _architecture(hardware)
         circuit = RANDOM_CIRCUITS[workload](seed)
-        case = f"{hardware}/{workload}/seed{seed}/{scheduler}"
+        case = f"{hardware}/{workload}/seed{seed}/hier={hierarchical}"
         assert_metrics_parity(
             case, circuit, architecture, connectivity,
             MapperConfig.hybrid(1.0),
-            MapperConfig.hybrid(1.0, shard_routing=True,
-                                shard_workers=SCHEDULERS[scheduler],
-                                shard_min_slice=16),
-        )
-
-    @pytest.mark.parametrize("seed_snapshots", (False, True))
-    @pytest.mark.parametrize("hierarchical", (False, True))
-    @pytest.mark.parametrize("workload", ("layered", "local"))
-    def test_seeding_axes_parity(self, workload, hierarchical,
-                                 seed_snapshots):
-        """seed_snapshots x hierarchical_partition under the speculative
-        scheduler: every combination must keep metrics parity and replay
-        validity — predictive seeding changes *where* moves happen (worker
-        vs seam), never whether the stream is legal or how far the op
-        counts may drift from serial."""
-        architecture, connectivity = _architecture("mixed")
-        circuit = RANDOM_CIRCUITS[workload](7)
-        case = (f"mixed/{workload}/seed7/speculative/"
-                f"seeded={seed_snapshots}/hier={hierarchical}")
-        assert_metrics_parity(
-            case, circuit, architecture, connectivity,
-            MapperConfig.hybrid(1.0),
-            MapperConfig.hybrid(1.0, shard_routing=True,
-                                shard_workers=2, shard_min_slice=16,
-                                seed_snapshots=seed_snapshots,
+            MapperConfig.hybrid(1.0, shard_routing=True, shard_min_slice=16,
                                 hierarchical_partition=hierarchical),
         )
 
-    @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
-    def test_gate_leaning_parity_exercises_swaps(self, scheduler):
+    @pytest.mark.parametrize("hierarchical", (False, True))
+    def test_gate_leaning_parity_exercises_swaps(self, hierarchical):
         """A gate-leaning config on the gate preset yields nonzero SWAP/ΔCZ
         counts, keeping those parity axes non-vacuous."""
         architecture, connectivity = _architecture("gate")
@@ -192,11 +160,10 @@ class TestShardMetricsParity:
         serial = HybridMapper(architecture, MapperConfig.hybrid(8.0),
                               connectivity=connectivity).map(circuit)
         assert serial.num_swaps > 0, "expected a swap-exercising workload"
-        case = f"gate/layered/seed7/{scheduler}"
+        case = f"gate/layered/seed7/hier={hierarchical}"
         assert_metrics_parity(
             case, circuit, architecture, connectivity,
             MapperConfig.hybrid(8.0),
-            MapperConfig.hybrid(8.0, shard_routing=True,
-                                shard_workers=SCHEDULERS[scheduler],
-                                shard_min_slice=16),
+            MapperConfig.hybrid(8.0, shard_routing=True, shard_min_slice=16,
+                                hierarchical_partition=hierarchical),
         )

@@ -34,7 +34,6 @@ from repro.mapping import (
     slice_subcircuit,
     validate_stream,
 )
-import repro.mapping.shard as shard_module
 
 WORKLOADS = {
     "layered": lambda seed: random_layered_circuit(16, 10, seed=seed),
@@ -303,47 +302,38 @@ class TestPartitionAcrossTopologies:
         "zoned": lambda: zoned(lattice_rows=9, num_atoms=30),
     }
 
-    @pytest.mark.parametrize("kind", sorted(TOPOLOGY_REGISTRY))
-    def test_sharded_stream_valid_on_topology(self, kind):
+    def _architecture(self, kind):
         builder = self.ARCHITECTURES.get(kind)
         assert builder is not None, (
             f"topology family {kind!r} is registered but has no architecture "
             "builder in this suite — extend ARCHITECTURES so the sharding "
             "invariants cover it")
-        architecture = builder()
+        return builder()
+
+    @pytest.mark.parametrize("kind", sorted(TOPOLOGY_REGISTRY))
+    def test_sharded_stream_valid_on_topology(self, kind):
+        """Flat greedy partition, chained slices."""
+        architecture = self._architecture(kind)
         circuit = random_layered_circuit(16, 10, seed=7)
-        config = MapperConfig.sharded(workers=1, shard_min_slice=12)
+        config = MapperConfig.sharded(shard_min_slice=12,
+                                      hierarchical_partition=False)
         result = HybridMapper(architecture, config).map(circuit)
         assert result.shard_stats, "expected the sharded path to engage"
         assert result.shard_stats["num_slices"] >= 2
+        assert result.shard_stats["tree_depth"] == 1
         result.verify_complete()
         assert validate_stream(result, architecture) == []
 
     @pytest.mark.parametrize("kind", sorted(TOPOLOGY_REGISTRY))
-    def test_seeded_hierarchical_stream_valid_on_topology(self, kind,
-                                                          monkeypatch):
-        """The predictive-seeding pipeline end to end per topology family:
-        hierarchical tree partition, forecast-seeded speculative workers
-        (thread pool — 1-CPU CI), repair-pass stitching."""
-        monkeypatch.setattr(shard_module, "_POOL_KIND", "thread")
-        builder = self.ARCHITECTURES.get(kind)
-        assert builder is not None, (
-            f"topology family {kind!r} is registered but has no architecture "
-            "builder in this suite — extend ARCHITECTURES so the sharding "
-            "invariants cover it")
-        architecture = builder()
+    def test_hierarchical_stream_valid_on_topology(self, kind):
+        """Hierarchical tree partition, chained slices."""
+        architecture = self._architecture(kind)
         circuit = random_layered_circuit(16, 10, seed=7)
-        config = MapperConfig.sharded(workers=2, shard_min_slice=12,
-                                      seed_snapshots=True,
+        config = MapperConfig.sharded(shard_min_slice=12,
                                       hierarchical_partition=True)
         result = HybridMapper(architecture, config).map(circuit)
         assert result.shard_stats, "expected the sharded path to engage"
         assert result.shard_stats["num_slices"] >= 2
-        assert result.shard_stats["scheduler"] == "speculative"
-        assert result.shard_stats["seed_snapshots"] is True
         assert result.shard_stats["hierarchical_partition"] is True
-        assert result.shard_stats["seeded_slices"] \
-            + result.shard_stats["seeded_fallbacks"] \
-            == result.shard_stats["num_slices"]
         result.verify_complete()
         assert validate_stream(result, architecture) == []

@@ -1,4 +1,4 @@
-"""Sharded routing: serial fallback, schedulers, stitching, pool faults.
+"""Sharded routing: serial fallback, chained slices, bounded streaming.
 
 Three contracts under test:
 
@@ -6,15 +6,19 @@ Three contracts under test:
   slices (1-qubit, tiny, fully-sequential) silently takes the serial path
   and stays *bit-identical* to the ``shard_routing=False`` stream (and hence
   to the committed goldens).
-* **Validity + determinism** — both schedulers emit streams that replay
-  legally from the initial maps, are complete, and are deterministic;
-  the speculative stream is identical under thread and process pools
-  (the stream depends on the config, never on the pool).
-* **Fault tolerance** — a slice worker that dies is not fatal: its whole
-  slice is re-routed serially at the seam and the merged stream stays valid.
+* **Validity + determinism** — chained slice routing emits streams that
+  replay legally from the initial maps, are complete, and are
+  deterministic.
+* **Bounded streaming** — a 1000+-qubit circuit drains through
+  ``stream(retain=False)`` under an incremental validator without ever
+  building a whole-circuit result.
 """
 
 from __future__ import annotations
+
+import ast
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -24,19 +28,17 @@ from repro.circuit.library.random_circuits import (
     random_layered_circuit,
 )
 from repro.hardware import SiteConnectivity
+from repro.hardware.presets import mixed
 from repro.mapping import (
     HybridMapper,
     MapperConfig,
+    ShardedRouter,
+    StreamValidator,
     assert_stream_valid,
     validate_stream,
 )
-import repro.mapping.shard as shard_module
 
-
-@pytest.fixture()
-def thread_pool(monkeypatch):
-    """Force the speculative scheduler onto thread workers (1-CPU CI box)."""
-    monkeypatch.setattr(shard_module, "_POOL_KIND", "thread")
+MAPPING_SRC = Path(__file__).resolve().parents[2] / "src" / "repro" / "mapping"
 
 
 def _map(architecture, circuit, config, connectivity=None):
@@ -50,13 +52,12 @@ class TestSerialFallback:
     def _assert_identical_to_serial(self, architecture, circuit):
         connectivity = SiteConnectivity(architecture)
         serial = _map(architecture, circuit, MapperConfig(), connectivity)
-        for workers in (1, 2):
-            sharded = _map(architecture, circuit,
-                           MapperConfig.sharded(workers=workers), connectivity)
-            assert sharded.op_stream_lines() == serial.op_stream_lines()
-            assert sharded.op_stream_digest() == serial.op_stream_digest()
-            assert not sharded.shard_stats, \
-                "fallback must not engage the sharded path"
+        sharded = _map(architecture, circuit, MapperConfig.sharded(),
+                       connectivity)
+        assert sharded.op_stream_lines() == serial.op_stream_lines()
+        assert sharded.op_stream_digest() == serial.op_stream_digest()
+        assert not sharded.shard_stats, \
+            "fallback must not engage the sharded path"
 
     def test_one_qubit_circuit(self, mixed_architecture):
         circuit = QuantumCircuit(1, name="one_qubit")
@@ -85,24 +86,22 @@ class TestSerialFallback:
 class TestChainedScheduler:
     def test_stream_valid_and_complete(self, mixed_architecture):
         circuit = random_layered_circuit(16, 10, seed=7)
-        config = MapperConfig.sharded(workers=1, shard_min_slice=12)
+        config = MapperConfig.sharded(shard_min_slice=12)
         result = _map(mixed_architecture, circuit, config)
-        assert result.shard_stats["scheduler"] == "chained"
         assert result.shard_stats["num_slices"] >= 2
-        assert result.shard_stats["seam_rounds"] == 0
         result.verify_complete()
         assert_stream_valid(result, mixed_architecture)
 
     def test_deterministic(self, mixed_architecture):
         circuit = random_layered_circuit(16, 10, seed=1234)
-        config = MapperConfig.sharded(workers=1, shard_min_slice=12)
+        config = MapperConfig.sharded(shard_min_slice=12)
         first = _map(mixed_architecture, circuit, config)
         second = _map(mixed_architecture, circuit, config)
         assert first.op_stream_lines() == second.op_stream_lines()
 
     def test_counters_cover_every_entangling_gate(self, mixed_architecture):
         circuit = random_layered_circuit(16, 10, seed=7)
-        config = MapperConfig.sharded(workers=1, shard_min_slice=12)
+        config = MapperConfig.sharded(shard_min_slice=12)
         result = _map(mixed_architecture, circuit, config)
         attributed = (result.num_gate_routed + result.num_shuttle_routed
                       + result.num_trivially_executable)
@@ -110,103 +109,54 @@ class TestChainedScheduler:
 
     def test_stage_seconds_include_partition(self, mixed_architecture):
         circuit = random_layered_circuit(16, 10, seed=7)
-        config = MapperConfig.sharded(workers=1, shard_min_slice=12)
+        config = MapperConfig.sharded(shard_min_slice=12)
         result = _map(mixed_architecture, circuit, config)
         assert "partition" in result.stage_seconds
         assert "shuttle_route" in result.stage_seconds
 
 
-class TestSpeculativeScheduler:
-    def test_stream_valid_and_complete(self, mixed_architecture, thread_pool):
-        circuit = random_layered_circuit(16, 10, seed=7)
-        config = MapperConfig.sharded(workers=2, shard_min_slice=12)
-        result = _map(mixed_architecture, circuit, config)
-        assert result.shard_stats["scheduler"] == "speculative"
-        assert result.shard_stats["pool_kind"] == "thread"
-        assert result.shard_stats["gates_replayed"] > 0
-        result.verify_complete()
-        assert_stream_valid(result, mixed_architecture)
+class TestThousandQubitStreaming:
+    def test_streaming_bounded_memory(self):
+        """1024-qubit circuit through ``stream(retain=False)``.
 
-    def test_deterministic(self, mixed_architecture, thread_pool):
-        circuit = local_window_circuit(18, 120, window=4, seed=7)
-        config = MapperConfig.sharded(workers=2, shard_min_slice=16)
-        first = _map(mixed_architecture, circuit, config)
-        second = _map(mixed_architecture, circuit, config)
-        assert first.op_stream_lines() == second.op_stream_lines()
+        The stream must never build a whole-circuit :class:`MappingResult`;
+        it is validated incrementally as it drains, exactly as a
+        bounded-memory consumer would run it.
+        """
+        architecture = mixed(lattice_rows=34, num_atoms=1100)
+        connectivity = SiteConnectivity(architecture)
+        circuit = local_window_circuit(1024, 600, window=4, seed=7)
+        assert circuit.num_qubits >= 1000
+        config = MapperConfig.sharded(shard_min_slice=48)
+        router = ShardedRouter(architecture, config,
+                               connectivity=connectivity)
+        stream = router.stream(circuit, retain=False)
+        assert stream is not None
+        validator = StreamValidator(circuit, architecture,
+                                    stream.initial_qubit_map,
+                                    stream.initial_atom_map,
+                                    connectivity=connectivity)
+        tracemalloc.start()
+        for op in stream:
+            validator.check(op)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
 
-    def test_thread_and_process_pools_agree(self, mixed_architecture,
-                                            monkeypatch):
-        """The stream depends on the config, never on the pool backing."""
-        circuit = random_layered_circuit(16, 8, seed=1234)
-        config = MapperConfig.sharded(workers=2, shard_min_slice=12)
-        monkeypatch.setattr(shard_module, "_POOL_KIND", "thread")
-        threaded = _map(mixed_architecture, circuit, config)
-        monkeypatch.setattr(shard_module, "_POOL_KIND", "process")
-        forked = _map(mixed_architecture, circuit, config)
-        assert threaded.op_stream_lines() == forked.op_stream_lines()
-
-    def test_worker_count_does_not_change_stream(self, mixed_architecture,
-                                                 thread_pool):
-        """Beyond the chained/speculative split, worker count is wall-clock
-        only — 2 and 4 workers must emit the identical stream."""
-        circuit = random_layered_circuit(16, 10, seed=7)
-        two = _map(mixed_architecture, circuit,
-                   MapperConfig.sharded(workers=2, shard_min_slice=12))
-        four = _map(mixed_architecture, circuit,
-                    MapperConfig.sharded(workers=4, shard_min_slice=12))
-        assert two.op_stream_lines() == four.op_stream_lines()
-
-    def test_shuttling_heavy_workload(self, shuttling_architecture,
-                                      thread_pool):
-        circuit = local_window_circuit(18, 120, window=4, seed=7)
-        config = MapperConfig.sharded(workers=2, shard_min_slice=16)
-        result = _map(shuttling_architecture, circuit, config)
-        result.verify_complete()
-        assert_stream_valid(result, shuttling_architecture)
-
-
-class TestPoolFaultFallback:
-    def test_crashed_slice_falls_back_to_seam(self, mixed_architecture,
-                                              thread_pool, monkeypatch):
-        """A worker that dies on one slice defers that slice to the seam
-        path; the merged stream must still be complete and valid."""
-        real_worker = shard_module._route_slice_worker
-
-        def flaky_worker(slice_index):
-            if slice_index == 1:
-                raise RuntimeError("injected slice-worker fault")
-            return real_worker(slice_index)
-
-        monkeypatch.setattr(shard_module, "_route_slice_worker", flaky_worker)
-        circuit = random_layered_circuit(16, 10, seed=7)
-        config = MapperConfig.sharded(workers=2, shard_min_slice=12)
-        result = _map(mixed_architecture, circuit, config)
-        failures = result.shard_stats["slice_failures"]
-        assert [entry["slice"] for entry in failures] == [1]
-        assert "injected slice-worker fault" in failures[0]["error"]
-        result.verify_complete()
-        assert_stream_valid(result, mixed_architecture)
-
-    def test_all_slices_crashing_still_completes(self, mixed_architecture,
-                                                 thread_pool, monkeypatch):
-        def doomed_worker(slice_index):
-            raise RuntimeError("injected total pool fault")
-
-        monkeypatch.setattr(shard_module, "_route_slice_worker", doomed_worker)
-        circuit = random_layered_circuit(16, 8, seed=7)
-        config = MapperConfig.sharded(workers=2, shard_min_slice=12)
-        result = _map(mixed_architecture, circuit, config)
-        assert len(result.shard_stats["slice_failures"]) \
-            == result.shard_stats["num_slices"]
-        result.verify_complete()
-        assert_stream_valid(result, mixed_architecture)
+        assert stream.result is None
+        assert stream.stats["num_slices"] >= 5
+        violations = validator.finish(stream.final_qubit_map,
+                                      stream.final_atom_map)
+        assert violations == []
+        # Bounded live memory: peak traced allocation while draining must
+        # stay far below what retaining every slice result would cost.
+        # Measured ~46 MB (x86-64, Python 3.11); 3x headroom.
+        assert peak < 140 * 1024 * 1024, f"peak live allocation {peak} bytes"
 
 
 class TestShardConfig:
     def test_sharded_classmethod(self):
-        config = MapperConfig.sharded(workers=3, shard_min_slice=10)
+        config = MapperConfig.sharded(shard_min_slice=10)
         assert config.shard_routing is True
-        assert config.shard_workers == 3
         assert config.shard_min_slice == 10
 
     def test_resolved_shard_max_slice(self):
@@ -215,7 +165,6 @@ class TestShardConfig:
                             shard_max_slice=15).resolved_shard_max_slice == 15
 
     @pytest.mark.parametrize("kwargs", (
-        {"shard_workers": 0},
         {"shard_min_slice": 0},
         {"shard_min_slice": 10, "shard_max_slice": 5},
         {"shard_max_cut_qubits": -1},
@@ -240,3 +189,28 @@ class TestShardConfig:
                 result.operations[index] = corrupted
                 break
         assert validate_stream(result, mixed_architecture) != []
+
+
+def _imported_modules(path: Path):
+    """Absolute module names imported by one ``repro.mapping`` source file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            # Relative imports resolve against the repro.mapping package.
+            package = ["repro", "mapping"][:max(0, 3 - node.level)]
+            base = ".".join(package + ([node.module] if node.module else []))
+            yield node.lineno, base
+            for alias in node.names:
+                yield node.lineno, f"{base}.{alias.name}"
+
+
+def test_mapping_does_not_import_resilience():
+    """The mapper stays free of the serving layer's supervised pool."""
+    offenders = [f"{path.name}:{lineno} {name}"
+                 for path in sorted(MAPPING_SRC.glob("*.py"))
+                 for lineno, name in _imported_modules(path)
+                 if name == "repro.resilience"
+                 or name.startswith("repro.resilience.")]
+    assert offenders == []

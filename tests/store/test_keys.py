@@ -17,6 +17,7 @@ from repro.circuit import QuantumCircuit
 from repro.circuit.library import get_benchmark
 from repro.circuit.qasm import dumps as qasm_dumps, loads as qasm_loads
 from repro.mapping import MapperConfig
+from repro.pipeline import compile_circuit
 from repro.service import ArchitectureSpec, CompilationTask, task_store_key
 from repro.store import StoreKey, compute_store_key
 
@@ -57,6 +58,31 @@ class TestCircuitDigest:
         assert again.canonical_digest() == circuit.canonical_digest()
 
 
+SERIAL = MapperConfig()
+SHARDED = MapperConfig.sharded()
+
+#: Overrides that can change the emitted stream: each must move the key.
+OUTPUT_AFFECTING = [
+    (SERIAL, {"alpha_gate": 2.0}), (SERIAL, {"lookahead_depth": 2}),
+    (SERIAL, {"history_window": 5}), (SERIAL, {"use_commutation": False}),
+    (SERIAL, {"stall_threshold": 7}), (SERIAL, {"shard_routing": True}),
+    (SHARDED, {"shard_min_slice": 12}), (SHARDED, {"shard_max_slice": 120}),
+    (SHARDED, {"shard_max_cut_qubits": 6}),
+    (SHARDED, {"hierarchical_partition": False}),
+]
+
+#: Overrides that cannot change the emitted stream: the key must not move.
+#: The byte-identical switches are inert always; the partition knobs are
+#: inert while sharded routing is off.
+INERT = [
+    (SERIAL, {"cross_round_cache": False}), (SERIAL, {"chain_kernel": False}),
+    (SHARDED, {"cross_round_cache": False}), (SHARDED, {"chain_kernel": False}),
+    (SERIAL, {"shard_min_slice": 12}), (SERIAL, {"shard_max_slice": 96}),
+    (SERIAL, {"shard_max_cut_qubits": 6}),
+    (SERIAL, {"hierarchical_partition": False}),
+]
+
+
 class TestConfigFingerprint:
     def test_equal_kwargs_equal_fingerprint(self):
         a = MapperConfig(alpha_gate=2.0, lookahead_weight=0.2)
@@ -67,17 +93,18 @@ class TestConfigFingerprint:
         assert (MapperConfig.for_mode("hybrid", 1.5).fingerprint()
                 == MapperConfig(alpha_gate=1.5, alpha_shuttling=1.0).fingerprint())
 
-    def test_any_field_changes_fingerprint(self):
-        base = MapperConfig()
-        for override in ({"alpha_gate": 2.0}, {"lookahead_depth": 2},
-                         {"cross_round_cache": False}, {"chain_kernel": False},
-                         {"history_window": 5},
-                         {"use_commutation": False}, {"stall_threshold": 7},
-                         {"shard_routing": True}, {"shard_workers": 3},
-                         {"shard_min_slice": 12}, {"shard_max_slice": 96},
-                         {"shard_max_cut_qubits": 6}):
-            assert base.with_overrides(**override).fingerprint() != \
-                base.fingerprint(), override
+    @pytest.mark.parametrize("base, override", OUTPUT_AFFECTING)
+    def test_output_affecting_field_changes_fingerprint(self, base, override):
+        assert base.with_overrides(**override).fingerprint() != \
+            base.fingerprint()
+
+    @pytest.mark.parametrize("base, override", INERT)
+    def test_inert_field_keeps_fingerprint(self, base, override):
+        assert base.with_overrides(**override).fingerprint() == \
+            base.fingerprint()
+
+    def test_canonical_key_schema_tag(self):
+        assert MapperConfig().canonical_key().startswith("mapper-config/v5|")
 
     def test_canonical_key_sorted_by_field_name(self):
         names = [part.split("=")[0]
@@ -91,6 +118,28 @@ class TestConfigFingerprint:
                 == MapperConfig(alpha_gate=2.0).fingerprint())
         assert (MapperConfig(time_weight=1).fingerprint()
                 == MapperConfig(time_weight=1.0).fingerprint())
+
+
+class TestEqualStreamsEqualKeys:
+    """Differential grid: every inert override must leave both the op stream
+    and the config fingerprint unchanged — equal streams, equal store keys."""
+
+    @pytest.mark.parametrize("hardware", ("gate", "mixed", "shuttling"))
+    @pytest.mark.parametrize("circuit_name", ("qft", "graph"))
+    def test_inert_overrides_share_stream_and_key(self, hardware,
+                                                  circuit_name):
+        spec = ArchitectureSpec(hardware, lattice_rows=7, num_atoms=30)
+        architecture = spec.build()
+        circuit = get_benchmark(circuit_name, num_qubits=12, seed=3)
+
+        def digest(config):
+            return compile_circuit(circuit, architecture, config) \
+                .require_result().op_stream_digest()["sha256"]
+
+        for base, override in INERT:
+            config = base.with_overrides(**override)
+            assert digest(config) == digest(base), override
+            assert config.fingerprint() == base.fingerprint(), override
 
 
 class TestArchitectureSpecKey:
@@ -178,6 +227,7 @@ class TestCrossProcessStability:
 import sys
 from repro.circuit.library import get_benchmark
 from repro.mapping import MapperConfig
+from repro.pipeline import compile_circuit
 from repro.service import ArchitectureSpec
 from repro.store import compute_store_key
 
