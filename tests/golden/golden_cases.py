@@ -1,27 +1,33 @@
 """Shared case matrix and digest computation for the golden op-stream tests.
 
 The golden digests pin the exact operation stream the mapper emits for a
-small, fixed configuration of the paper's benchmarks.  Any routing change
-that shifts the stream — an intentional algorithm change or an accidental
-cache bug — fails the comparison loudly instead of silently altering
-results.  Regenerate intentionally shifted digests with::
+small, fixed configuration of the paper's benchmarks, and the schedules and
+Table 1a metrics derived from it: a SHA-256 over every scheduled operation
+of the reference and the mapped schedule, plus the exact ``delta_cz``,
+``delta_t_us`` and ``delta_fidelity``.  Any routing, scheduling or
+evaluation change that shifts them — an intentional algorithm change or an
+accidental cache bug — fails the comparison loudly instead of silently
+altering results.  Regenerate intentionally shifted digests with::
 
     PYTHONPATH=src python tests/golden/regenerate.py
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 from typing import Dict, List
 
 from repro.circuit import decompose_mcx_to_mcz
 from repro.circuit.library import get_benchmark
+from repro.evaluation import metrics_from_schedules
 from repro.hardware import SiteConnectivity
 from repro.hardware.presets import preset
 from repro.mapping import HybridMapper, MapperConfig
+from repro.scheduling import Schedule, Scheduler
 
-SCHEMA = "repro-golden-opstream/v1"
+SCHEMA = "repro-golden-opstream/v2"
 DIGEST_PATH = Path(__file__).resolve().parent / "golden_digests.json"
 
 #: Small-scale golden matrix: qft, graph and qpe on all three hardware
@@ -55,8 +61,28 @@ def case_key(case: Dict) -> str:
     return f"{case['hardware']}/{case['circuit']}-{case['num_qubits']}/{case['mode']}"
 
 
+#: Op-stream fields of a golden entry.
+OP_STREAM_FIELDS = ("sha256", "num_operations", "num_gates", "num_swaps",
+                    "num_moves")
+#: Schedule and metric fields of a golden entry (schema v2).
+SCHEDULE_FIELDS = ("schedule_sha256", "delta_cz", "delta_t_us",
+                   "delta_fidelity")
+DIGEST_FIELDS = OP_STREAM_FIELDS + SCHEDULE_FIELDS
+
+
+def schedule_sha256(reference: Schedule, mapped: Schedule) -> str:
+    """SHA-256 over every operation of both schedules, floats exact."""
+    lines = []
+    for label, schedule in (("reference", reference), ("mapped", mapped)):
+        lines.append(f"{label} {len(schedule)}")
+        lines.extend(json.dumps([op.kind, op.name, op.start, op.duration,
+                                 op.atoms, op.sites, op.fidelity])
+                     for op in schedule)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def compute_digest(case: Dict) -> Dict:
-    """Map one golden case and return its op-stream digest."""
+    """Map and schedule one golden case; return its digest fields."""
     architecture = preset(case["hardware"], lattice_rows=case["lattice_rows"],
                           num_atoms=case["num_atoms"])
     connectivity = SiteConnectivity(architecture)
@@ -66,7 +92,16 @@ def compute_digest(case: Dict) -> Dict:
     mapper = HybridMapper(architecture, MapperConfig.for_mode(case["mode"]),
                           connectivity=connectivity)
     result = mapper.map(circuit)
-    return result.op_stream_digest()
+    scheduler = Scheduler(architecture, connectivity=connectivity)
+    reference = scheduler.schedule_circuit(circuit)
+    mapped = scheduler.schedule_result(result)
+    metrics = metrics_from_schedules(circuit, result, architecture,
+                                     reference, mapped)
+    return {**result.op_stream_digest(),
+            "schedule_sha256": schedule_sha256(reference, mapped),
+            "delta_cz": metrics.delta_cz,
+            "delta_t_us": metrics.delta_t_us,
+            "delta_fidelity": metrics.delta_fidelity}
 
 
 def compute_all() -> List[Dict]:

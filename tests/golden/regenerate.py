@@ -1,7 +1,7 @@
-"""Regenerate the committed golden op-stream digests.
+"""Regenerate the committed golden op-stream, schedule and metric digests.
 
-Run after an *intentional* routing change (and say so in the commit
-message)::
+Run after an *intentional* routing, scheduling or evaluation change (and
+say so in the commit message)::
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
@@ -30,7 +30,10 @@ def main() -> int:
     for entry in entries:
         print(f"{case_key(entry):40s} sha256={entry['sha256'][:16]}... "
               f"ops={entry['num_operations']} swaps={entry['num_swaps']} "
-              f"moves={entry['num_moves']}")
+              f"moves={entry['num_moves']} "
+              f"schedules={entry['schedule_sha256'][:16]}... "
+              f"dCZ={entry['delta_cz']} dT={entry['delta_t_us']!r} "
+              f"dF={entry['delta_fidelity']!r}")
     print(f"wrote {DIGEST_PATH}")
     return 0
 

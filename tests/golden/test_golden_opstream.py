@@ -1,4 +1,4 @@
-"""Golden op-stream digests: any routing change that shifts output fails loudly.
+"""Golden digests: any change that shifts op streams, schedules or metrics fails.
 
 On a mismatch the test writes ``golden-digest-diff.json`` (working
 directory) listing the expected and actual digest of every diverging case;
@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from golden_cases import CASES, SCHEMA, case_key, compute_digest, load_committed
+from golden_cases import (CASES, DIGEST_FIELDS, SCHEMA, case_key,
+                          compute_digest, load_committed)
 
 DIFF_PATH = Path("golden-digest-diff.json")
 
@@ -53,13 +54,12 @@ def test_golden_file_covers_exactly_the_case_matrix(committed):
 @pytest.mark.parametrize("case", CASES, ids=case_key)
 def test_op_stream_digest_matches_committed(case, committed):
     expected_entry = committed[case_key(case)]
-    expected = {field: expected_entry[field]
-                for field in ("sha256", "num_operations", "num_gates",
-                              "num_swaps", "num_moves")}
+    expected = {field: expected_entry[field] for field in DIGEST_FIELDS}
     actual = compute_digest(case)
     if actual != expected:
         _record_diff(case, expected, actual)
     assert actual == expected, (
-        f"op stream of {case_key(case)} diverged from the committed golden "
-        f"digest (see {DIFF_PATH}); if intentional, regenerate via "
+        f"op stream, schedules or metrics of {case_key(case)} diverged from "
+        f"the committed golden digest (see {DIFF_PATH}); if intentional, "
+        "regenerate via "
         "'PYTHONPATH=src python tests/golden/regenerate.py'")
