@@ -235,13 +235,16 @@ class MapperConfig:
         cannot change the emitted stream are left out, so configs that
         produce identical streams share one store key: the byte-identical
         switches always, and the partition knobs whenever sharded routing
-        is off.
+        is off.  ``shard_max_slice`` is keyed by its resolved value, so
+        ``None`` and ``4 * shard_min_slice`` share a key.
         """
         omitted = (_BYTE_IDENTICAL_FIELDS if self.shard_routing
                    else _BYTE_IDENTICAL_FIELDS | _PARTITION_FIELDS)
-        parts = [f"{spec.name}={getattr(self, spec.name)!r}"
-                 for spec in sorted(fields(self), key=lambda spec: spec.name)
-                 if spec.name not in omitted]
+        values = {spec.name: getattr(self, spec.name) for spec in fields(self)
+                  if spec.name not in omitted}
+        if "shard_max_slice" in values:
+            values["shard_max_slice"] = self.resolved_shard_max_slice
+        parts = [f"{name}={values[name]!r}" for name in sorted(values)]
         # v2: the sharding knobs joined the field set, so every fingerprint
         # shifted; the schema tag makes the break explicit (and repro 1.3.0
         # rides along so store keys of both components move together — see
@@ -256,7 +259,9 @@ class MapperConfig:
         # fields that cannot change the output (see above) are no longer
         # keyed.  shard_routing=False output is unchanged, so repro._version
         # and the goldens stay.
-        return "mapper-config/v5|" + "|".join(parts)
+        # v6: shard_max_slice is keyed by its resolved value; sharded keys
+        # with shard_max_slice=None shift, streams do not.
+        return "mapper-config/v6|" + "|".join(parts)
 
     def fingerprint(self) -> str:
         """SHA-256 of :meth:`canonical_key` — the config component of

@@ -134,20 +134,3 @@ class Schedule:
 
     def num_shuttle_operations(self) -> int:
         return self.count_by_kind().get(OperationKind.SHUTTLE, 0)
-
-    # ------------------------------------------------------------------
-    # Validation
-    # ------------------------------------------------------------------
-    def verify_no_atom_overlap(self) -> None:
-        """Raise if any atom takes part in two operations at the same time."""
-        per_atom: Dict[int, List[Tuple[float, float]]] = {}
-        for op in self.operations:
-            for atom in op.atoms:
-                per_atom.setdefault(atom, []).append((op.start, op.end))
-        for atom, intervals in per_atom.items():
-            intervals.sort()
-            for (start_a, end_a), (start_b, _end_b) in zip(intervals, intervals[1:]):
-                if start_b < end_a - 1e-9:
-                    raise AssertionError(
-                        f"atom {atom} is double-booked: [{start_a}, {end_a}) overlaps "
-                        f"[{start_b}, ...)")

@@ -17,11 +17,31 @@ Two hardware constraints shape the timing:
 2. two entangling gates may only run simultaneously if every atom of one gate
    keeps at least the restriction radius ``r_restr`` from every atom of the
    other (Section 2.1) — otherwise the later gate is delayed.
+
+The second constraint is checked against the live entangling intervals,
+which an :class:`_IntervalIndex` keeps ordered by end time.  A candidate
+start ``t`` can only conflict with an interval that ends after
+``t + _EPSILON``; every other interval is skipped by the time test anyway.
+The index finds the first such interval with one ``bisect_right`` on the
+sorted end times and scans only the tail, re-bisecting on every retry.  The
+time-overlap and spatial tests on that tail are unchanged, and a retry
+moves the start to the maximum end over all conflicts, which does not
+depend on the order the intervals are visited in — so the schedule is
+exactly the one a scan over every live interval produces.
+
+Intervals that ended long ago are pruned by a heuristic that is kept
+unchanged: once more than 256 intervals are live, every interval that ended
+at least 1000 us before the start of the gate just committed is dropped.
+On the end-ordered index these intervals form a prefix, deleted in one
+slice.  The heuristic is not exact — a later gate on atoms that idled far
+behind the frontier may start early enough to overlap a pruned interval —
+which :func:`repro.scheduling.validate_schedule` can detect.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from bisect import bisect_right
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.gate import Gate, GateKind
@@ -36,6 +56,21 @@ __all__ = ["Scheduler"]
 
 _EPSILON = 1e-9
 
+#: Native realisation of one SWAP as (pulse, operand positions) pairs, the
+#: positions indexing the SWAP's (atom_a, atom_b); mirrors
+#: ``circuit.decompose.swap_decomposition``.
+_NATIVE_SWAP = (
+    ("h", (1,)),
+    ("cz", (0, 1)),
+    ("h", (1,)),
+    ("h", (0,)),
+    ("cz", (1, 0)),
+    ("h", (0,)),
+    ("h", (1,)),
+    ("cz", (0, 1)),
+    ("h", (1,)),
+)
+
 
 class _EntanglingInterval:
     """Book-keeping entry for the restriction-radius constraint."""
@@ -48,6 +83,39 @@ class _EntanglingInterval:
         self.end = end
         self.sites = sites
         self.blocked = blocked
+
+
+class _IntervalIndex:
+    """Live entangling intervals in two parallel lists sorted by end time.
+
+    ``bisect`` has no ``key=`` argument before Python 3.10, so the end
+    times are kept in a list of their own.  Intervals with equal ends keep
+    their insertion order.
+    """
+
+    __slots__ = ("ends", "items")
+
+    def __init__(self) -> None:
+        self.ends: List[float] = []
+        self.items: List[_EntanglingInterval] = []
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def add(self, interval: _EntanglingInterval) -> None:
+        position = bisect_right(self.ends, interval.end)
+        self.ends.insert(position, interval.end)
+        self.items.insert(position, interval)
+
+    def ending_after(self, time: float) -> List[_EntanglingInterval]:
+        """The intervals whose end lies strictly after ``time``."""
+        return self.items[bisect_right(self.ends, time):]
+
+    def drop_ending_by(self, time: float) -> None:
+        """Delete every interval whose end is at most ``time``."""
+        count = bisect_right(self.ends, time)
+        del self.ends[:count]
+        del self.items[:count]
 
 
 class Scheduler:
@@ -65,7 +133,7 @@ class Scheduler:
         """Schedule a mapped operation stream."""
         schedule = Schedule(num_circuit_qubits=result.circuit.num_qubits)
         ready: Dict[int, float] = {}
-        intervals: List[_EntanglingInterval] = []
+        intervals = _IntervalIndex()
 
         pending_moves: List[Tuple[Move, int]] = []  # (move, atom) buffered for batching
 
@@ -100,7 +168,7 @@ class Scheduler:
             raise ValueError("placement must cover every circuit qubit")
         schedule = Schedule(num_circuit_qubits=circuit.num_qubits)
         ready: Dict[int, float] = {}
-        intervals: List[_EntanglingInterval] = []
+        intervals = _IntervalIndex()
         for gate in circuit:
             if gate.kind == GateKind.BARRIER:
                 self._schedule_barrier(ready, gate)
@@ -119,7 +187,7 @@ class Scheduler:
             ready[qubit] = fence
 
     def _schedule_gate(self, schedule: Schedule, ready: Dict[int, float],
-                       intervals: List[_EntanglingInterval], gate: Gate,
+                       intervals: _IntervalIndex, gate: Gate,
                        atoms: Tuple[int, ...], sites: Tuple[int, ...]) -> None:
         arch = self.architecture
         if gate.kind == GateKind.MEASURE:
@@ -148,39 +216,31 @@ class Scheduler:
         width = gate.num_qubits
         duration = arch.durations.entangling(width)
         fidelity = arch.fidelities.entangling(width)
-        start = self._entangling_start(ready, intervals, atoms, sites, duration)
+        blocked = self._blocked_sites(sites)
+        start = self._entangling_start(ready, intervals, atoms, sites, blocked,
+                                       duration)
         schedule.append(ScheduledOperation(
             kind=OperationKind.ENTANGLING, name=gate.name, start=start,
             duration=duration, atoms=atoms, sites=sites, fidelity=fidelity))
-        self._commit_entangling(ready, intervals, atoms, sites, start, duration)
+        self._commit_entangling(ready, intervals, atoms, sites, blocked, start,
+                                duration)
 
     def _schedule_swap(self, schedule: Schedule, ready: Dict[int, float],
-                       intervals: List[_EntanglingInterval], operation: SwapOp) -> None:
+                       intervals: _IntervalIndex, operation: SwapOp) -> None:
         atoms = (operation.atom_a, operation.atom_b)
         sites = (operation.site_a, operation.site_b)
         self._schedule_native_swap(schedule, ready, intervals, atoms, sites)
 
     def _schedule_native_swap(self, schedule: Schedule, ready: Dict[int, float],
-                              intervals: List[_EntanglingInterval],
+                              intervals: _IntervalIndex,
                               atoms: Tuple[int, ...], sites: Tuple[int, ...]) -> None:
         """Emit the native 3-CZ + 6-H realisation of one SWAP."""
         arch = self.architecture
-        atom_a, atom_b = atoms
-        # Pulse sequence mirrors circuit.decompose.swap_decomposition.
-        sequence = [
-            ("h", (atom_b,)),
-            ("cz", (atom_a, atom_b)),
-            ("h", (atom_b,)),
-            ("h", (atom_a,)),
-            ("cz", (atom_b, atom_a)),
-            ("h", (atom_a,)),
-            ("h", (atom_b,)),
-            ("cz", (atom_a, atom_b)),
-            ("h", (atom_b,)),
-        ]
-        site_of = {atom_a: sites[0], atom_b: sites[1]}
-        for name, op_atoms in sequence:
-            op_sites = tuple(site_of[a] for a in op_atoms)
+        # All three CZs act on the same two sites.
+        blocked = self._blocked_sites(sites)
+        for name, positions in _NATIVE_SWAP:
+            op_atoms = tuple(atoms[i] for i in positions)
+            op_sites = tuple(sites[i] for i in positions)
             if name == "h":
                 start = ready.get(op_atoms[0], 0.0)
                 duration = arch.durations.single_qubit
@@ -191,12 +251,14 @@ class Scheduler:
                 ready[op_atoms[0]] = start + duration
             else:
                 duration = arch.durations.cz
-                start = self._entangling_start(ready, intervals, op_atoms, op_sites, duration)
+                start = self._entangling_start(ready, intervals, op_atoms, op_sites,
+                                               blocked, duration)
                 schedule.append(ScheduledOperation(
                     kind=OperationKind.ENTANGLING, name=name, start=start,
                     duration=duration, atoms=op_atoms, sites=op_sites,
                     fidelity=arch.fidelities.cz))
-                self._commit_entangling(ready, intervals, op_atoms, op_sites, start, duration)
+                self._commit_entangling(ready, intervals, op_atoms, op_sites,
+                                        blocked, start, duration)
 
     # ------------------------------------------------------------------
     # Restriction-radius handling
@@ -208,19 +270,19 @@ class Scheduler:
         return blocked
 
     def _entangling_start(self, ready: Dict[int, float],
-                          intervals: List[_EntanglingInterval],
+                          intervals: _IntervalIndex,
                           atoms: Tuple[int, ...], sites: Tuple[int, ...],
-                          duration: float) -> float:
+                          blocked: Set[int], duration: float) -> float:
         """Earliest start compatible with atom readiness and the restriction radius."""
         start = max((ready.get(atom, 0.0) for atom in atoms), default=0.0)
-        blocked = self._blocked_sites(sites)
         site_set = set(sites)
         while True:
             conflict_end: Optional[float] = None
-            for interval in intervals:
-                if interval.end <= start + _EPSILON or interval.start >= start + duration - _EPSILON:
+            for interval in intervals.ending_after(start + _EPSILON):
+                if interval.start >= start + duration - _EPSILON:
                     continue
-                if site_set & interval.blocked or interval_sites_blocked(interval, blocked):
+                if (not site_set.isdisjoint(interval.blocked)
+                        or any(site in blocked for site in interval.sites)):
                     if conflict_end is None or interval.end > conflict_end:
                         conflict_end = interval.end
             if conflict_end is None:
@@ -228,19 +290,19 @@ class Scheduler:
             start = conflict_end
 
     @staticmethod
-    def _prune_intervals(intervals: List[_EntanglingInterval], horizon: float) -> None:
+    def _prune_intervals(intervals: _IntervalIndex, horizon: float) -> None:
         """Drop intervals that ended long before the scheduling horizon."""
         if len(intervals) > 256:
-            intervals[:] = [iv for iv in intervals if iv.end > horizon - 1e3]
+            intervals.drop_ending_by(horizon - 1e3)
 
     def _commit_entangling(self, ready: Dict[int, float],
-                           intervals: List[_EntanglingInterval],
+                           intervals: _IntervalIndex,
                            atoms: Tuple[int, ...], sites: Tuple[int, ...],
-                           start: float, duration: float) -> None:
+                           blocked: Set[int], start: float,
+                           duration: float) -> None:
         for atom in atoms:
             ready[atom] = start + duration
-        intervals.append(_EntanglingInterval(start, start + duration, sites,
-                                             self._blocked_sites(sites)))
+        intervals.add(_EntanglingInterval(start, start + duration, sites, blocked))
         self._prune_intervals(intervals, start)
 
     # ------------------------------------------------------------------
@@ -264,7 +326,3 @@ class Scheduler:
             for atom in atoms:
                 ready[atom] = start + duration
 
-
-def interval_sites_blocked(interval: _EntanglingInterval, blocked: Set[int]) -> bool:
-    """True if any site of ``interval`` falls inside the ``blocked`` zone."""
-    return any(site in blocked for site in interval.sites)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.circuit import decompose_mcx_to_mcz
 from repro.circuit.library import get_benchmark
@@ -81,8 +81,12 @@ def schedule_sha256(reference: Schedule, mapped: Schedule) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def compute_digest(case: Dict) -> Dict:
-    """Map and schedule one golden case; return its digest fields."""
+def compile_case(case: Dict) -> Tuple:
+    """Map and schedule one golden case.
+
+    Returns ``(architecture, circuit, result, reference, mapped)``: the
+    native input circuit, its mapping result and the two schedules.
+    """
     architecture = preset(case["hardware"], lattice_rows=case["lattice_rows"],
                           num_atoms=case["num_atoms"])
     connectivity = SiteConnectivity(architecture)
@@ -93,8 +97,13 @@ def compute_digest(case: Dict) -> Dict:
                           connectivity=connectivity)
     result = mapper.map(circuit)
     scheduler = Scheduler(architecture, connectivity=connectivity)
-    reference = scheduler.schedule_circuit(circuit)
-    mapped = scheduler.schedule_result(result)
+    return (architecture, circuit, result, scheduler.schedule_circuit(circuit),
+            scheduler.schedule_result(result))
+
+
+def compute_digest(case: Dict) -> Dict:
+    """Map and schedule one golden case; return its digest fields."""
+    architecture, circuit, result, reference, mapped = compile_case(case)
     metrics = metrics_from_schedules(circuit, result, architecture,
                                      reference, mapped)
     return {**result.op_stream_digest(),

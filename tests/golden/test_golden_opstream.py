@@ -4,7 +4,8 @@ On a mismatch the test writes ``golden-digest-diff.json`` (working
 directory) listing the expected and actual digest of every diverging case;
 CI uploads the file as an artifact.  If the change was intentional,
 regenerate with ``PYTHONPATH=src python tests/golden/regenerate.py`` and
-commit the result.
+commit the result.  Independently of the committed values, every case's
+schedules must pass :func:`repro.scheduling.validate_schedule`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from golden_cases import (CASES, DIGEST_FIELDS, SCHEMA, case_key,
-                          compute_digest, load_committed)
+                          compile_case, compute_digest, load_committed)
+from repro.scheduling import validate_schedule
 
 DIFF_PATH = Path("golden-digest-diff.json")
 
@@ -63,3 +65,11 @@ def test_op_stream_digest_matches_committed(case, committed):
         f"the committed golden digest (see {DIFF_PATH}); if intentional, "
         "regenerate via "
         "'PYTHONPATH=src python tests/golden/regenerate.py'")
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_key)
+def test_schedules_pass_the_oracle(case):
+    """Both schedules keep atom exclusivity and the restriction radius."""
+    architecture, _circuit, _result, reference, mapped = compile_case(case)
+    assert validate_schedule(reference, architecture) == []
+    assert validate_schedule(mapped, architecture) == []

@@ -19,7 +19,7 @@ from repro.evaluation import evaluate, run_mode_comparison
 from repro.hardware import SiteConnectivity
 from repro.hardware.presets import gate_optimised, mixed, shuttling_optimised
 from repro.mapping import HybridMapper, MapperConfig
-from repro.scheduling import Scheduler
+from repro.scheduling import Scheduler, validate_schedule
 
 
 QUICK_ALPHAS = (0.05, 1.0, 20.0)
@@ -84,7 +84,7 @@ class TestPipelineConsistency:
         result = mapper.map(reversible_circuit)
         result.verify_complete()
         schedule = Scheduler(architecture, connectivity).schedule_result(result)
-        schedule.verify_no_atom_overlap()
+        assert validate_schedule(schedule, architecture) == []
         metrics = evaluate(reversible_circuit, result, architecture,
                            connectivity=connectivity)
         assert metrics.delta_fidelity >= 0

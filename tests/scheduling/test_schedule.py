@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.scheduling import OperationKind, Schedule, ScheduledOperation
+from repro.scheduling import (OperationKind, Schedule, ScheduledOperation,
+                              validate_schedule)
 
 
 def op(kind=OperationKind.SINGLE_QUBIT, name="h", start=0.0, duration=0.5,
@@ -75,12 +76,11 @@ class TestScheduleAggregates:
         assert schedule.num_shuttle_operations() == 1
         assert len(schedule) == 3
 
-    def test_overlap_verification_passes_for_disjoint_atoms(self):
-        self.build().verify_no_atom_overlap()
+    def test_overlap_verification_passes_for_disjoint_atoms(self, small_architecture):
+        assert validate_schedule(self.build(), small_architecture) == []
 
-    def test_overlap_verification_detects_double_booking(self):
+    def test_overlap_verification_detects_double_booking(self, small_architecture):
         schedule = Schedule(num_circuit_qubits=2)
         schedule.append(op(start=0.0, duration=1.0, atoms=(0,)))
         schedule.append(op(start=0.5, duration=1.0, atoms=(0,)))
-        with pytest.raises(AssertionError):
-            schedule.verify_no_atom_overlap()
+        assert validate_schedule(schedule, small_architecture)

@@ -5,7 +5,7 @@ import pytest
 from repro.circuit import QuantumCircuit
 from repro.hardware import NeutralAtomArchitecture, SquareLattice
 from repro.mapping import HybridMapper, MapperConfig
-from repro.scheduling import OperationKind, Scheduler
+from repro.scheduling import OperationKind, Scheduler, validate_schedule
 
 
 class TestCircuitScheduling:
@@ -14,7 +14,7 @@ class TestCircuitScheduling:
         circuit.h(0).h(0)
         schedule = Scheduler(small_architecture).schedule_circuit(circuit)
         assert schedule.makespan == pytest.approx(1.0)
-        schedule.verify_no_atom_overlap()
+        assert validate_schedule(schedule, small_architecture) == []
 
     def test_far_apart_gates_run_in_parallel(self, small_architecture):
         circuit = QuantumCircuit(20)
@@ -82,7 +82,7 @@ class TestMappedResultScheduling:
         schedule = Scheduler(small_architecture).schedule_result(result)
         expected_cz = long_range_circuit.num_entangling_gates() + 3 * result.num_swaps
         assert schedule.num_cz_gates() == expected_cz
-        schedule.verify_no_atom_overlap()
+        assert validate_schedule(schedule, small_architecture) == []
 
     def test_moves_scheduled_as_shuttle_operations(self, small_architecture,
                                                    long_range_circuit):
@@ -92,7 +92,7 @@ class TestMappedResultScheduling:
         assert schedule.num_shuttle_operations() > 0
         # batching can only reduce the number of scheduled shuttle operations
         assert schedule.num_shuttle_operations() <= result.num_moves
-        schedule.verify_no_atom_overlap()
+        assert validate_schedule(schedule, small_architecture) == []
 
     def test_shuttle_duration_includes_activation_and_travel(self, small_architecture,
                                                              long_range_circuit):
@@ -117,5 +117,5 @@ class TestMappedResultScheduling:
         mapper = HybridMapper(mixed_architecture, MapperConfig.hybrid(1.0))
         result = mapper.map(multiqubit_circuit)
         schedule = Scheduler(mixed_architecture).schedule_result(result)
-        schedule.verify_no_atom_overlap()
+        assert validate_schedule(schedule, mixed_architecture) == []
         assert schedule.makespan > 0

@@ -73,13 +73,15 @@ OUTPUT_AFFECTING = [
 
 #: Overrides that cannot change the emitted stream: the key must not move.
 #: The byte-identical switches are inert always; the partition knobs are
-#: inert while sharded routing is off.
+#: inert while sharded routing is off; and an explicit shard_max_slice equal
+#: to its resolved default (4 * shard_min_slice) routes exactly like None.
 INERT = [
     (SERIAL, {"cross_round_cache": False}), (SERIAL, {"chain_kernel": False}),
     (SHARDED, {"cross_round_cache": False}), (SHARDED, {"chain_kernel": False}),
     (SERIAL, {"shard_min_slice": 12}), (SERIAL, {"shard_max_slice": 96}),
     (SERIAL, {"shard_max_cut_qubits": 6}),
     (SERIAL, {"hierarchical_partition": False}),
+    (SHARDED, {"shard_max_slice": 4 * SHARDED.shard_min_slice}),
 ]
 
 
@@ -104,7 +106,18 @@ class TestConfigFingerprint:
             base.fingerprint()
 
     def test_canonical_key_schema_tag(self):
-        assert MapperConfig().canonical_key().startswith("mapper-config/v5|")
+        assert MapperConfig().canonical_key().startswith("mapper-config/v6|")
+
+    def test_resolved_shard_max_slice_is_keyed(self):
+        """None and its resolved value 4 * shard_min_slice partition and
+        route identically, so they share a key; another value does not."""
+        implicit = MapperConfig.sharded(shard_min_slice=10)
+        explicit = MapperConfig.sharded(shard_min_slice=10, shard_max_slice=40)
+        assert implicit.fingerprint() == explicit.fingerprint()
+        assert "shard_max_slice=40" in implicit.canonical_key()
+        assert (MapperConfig.sharded(shard_min_slice=10,
+                                     shard_max_slice=41).fingerprint()
+                != implicit.fingerprint())
 
     def test_canonical_key_sorted_by_field_name(self):
         names = [part.split("=")[0]
