@@ -156,7 +156,6 @@ def run_case(hardware: str, circuit_name: str, mode: str, scale: float,
         "mode": mode,
         "topology": architecture.topology.kind,
         "cross_round_cache": config.cross_round_cache,
-        "chain_kernel": config.chain_kernel,
         "shard_routing": config.shard_routing,
         "scale": scale,
         "num_qubits": scaled_size(circuit_name, scale),

@@ -43,11 +43,7 @@ from collections import deque
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
-
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less fallback environments
-    _np = None
+import numpy as _np
 
 from .architecture import NeutralAtomArchitecture
 
@@ -70,8 +66,8 @@ class SiteConnectivity:
 
         # Neighbour tables come from the topology.  Unzoned topologies
         # resolve these to the plain geometric radius neighbourhoods built
-        # by the (numpy-accelerated) row-vector kernel — one broadcast over
-        # the in-radius offsets instead of a python scan per site, with
+        # by the numpy row-vector kernel — one broadcast over the in-radius
+        # offsets instead of a python scan per site, with
         # membership and ordering identical to per-site ``sites_within``
         # calls.  Zoned topologies additionally restrict pairs by zone
         # capability (storage traps have no interaction partners), so the
@@ -86,30 +82,22 @@ class SiteConnectivity:
         # neighbourhoods as frozensets for set algebra.
         self._interaction_sets: List[FrozenSet[int]] = [
             frozenset(neighbours) for neighbours in self._interaction_neighbours]
-        if _np is not None:
-            # One scatter per site into a reused row buffer: no transient
-            # num_sites x num_sites matrix alongside the bytearray rows.
-            self._adjacent_rows: List[bytearray] = []
-            row_buffer = _np.zeros(self.num_sites, dtype=_np.uint8)
-            for neighbours in self._interaction_neighbours:
-                row_buffer[:] = 0
-                if neighbours:
-                    row_buffer[list(neighbours)] = 1
-                self._adjacent_rows.append(bytearray(row_buffer))
-        else:
-            self._adjacent_rows = []
-            for site in range(self.num_sites):
-                row = bytearray(self.num_sites)
-                for neighbour in self._interaction_neighbours[site]:
-                    row[neighbour] = 1
-                self._adjacent_rows.append(row)
+        # One scatter per site into a reused row buffer: no transient
+        # num_sites x num_sites matrix alongside the bytearray rows.
+        self._adjacent_rows: List[bytearray] = []
+        row_buffer = _np.zeros(self.num_sites, dtype=_np.uint8)
+        for neighbours in self._interaction_neighbours:
+            row_buffer[:] = 0
+            if neighbours:
+                row_buffer[list(neighbours)] = 1
+            self._adjacent_rows.append(bytearray(row_buffer))
 
         # Preallocated all-pairs hop-distance table; each row is filled by a
         # single BFS on first use (see hop_row) and reused forever after.
         self._hop_rows: List[Optional[List[int]]] = [None] * self.num_sites
 
         # Lazy per-site interaction neighbourhoods as sorted int64 arrays,
-        # for the vectorised chain kernel (numpy only).
+        # for the vectorised chain kernel.
         self._interaction_arrays: List = [None] * self.num_sites
 
     # ------------------------------------------------------------------
@@ -133,8 +121,7 @@ class SiteConnectivity:
         Lazily built from the neighbour tuple (which the topology emits in
         ascending site order — the scan order of ``sites_within``) and cached
         forever; returned by reference, callers must not mutate it.  Used by
-        the vectorised chain kernel for batched occupancy gathers.  Requires
-        numpy.
+        the vectorised chain kernel for batched occupancy gathers.
         """
         array = self._interaction_arrays[site]
         if array is None:

@@ -43,10 +43,7 @@ from dataclasses import dataclass
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
                     Sequence, Tuple, Type, Union)
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less fallback environments
-    _np = None
+import numpy as _np
 
 __all__ = [
     "Position",
@@ -159,7 +156,7 @@ class Topology:
         including zoned travel penalties via the subclass override), so
         vectorised argmin/argsort selections over the array reproduce the
         scalar comparisons exactly.  Returned by reference; callers must
-        not mutate it.  Requires numpy (the chain kernel is gated on it).
+        not mutate it.
         """
         cache = getattr(self, "_rect_row_arrays", None)
         if cache is None:
@@ -177,7 +174,7 @@ class Topology:
         The scan order of :meth:`sites_within` is ascending site index, so
         first-occurrence argmin over this array matches the scalar
         ``min(..., key=(value, site))`` tie-break.  Returned by reference;
-        callers must not mutate it.  Requires numpy.
+        callers must not mutate it.
         """
         cache = getattr(self, "_sites_within_arrays", None)
         if cache is None:
@@ -301,18 +298,13 @@ class GridTopology(Topology):
         self._rectangular_rows: List[Optional[List[float]]] = [None] * self._num_sites
         # numpy row-vector kernel: per-axis coordinate arrays, used to fill
         # rectangular-distance rows in one vectorised expression (exact for
-        # any spacing — see rectangular_row).  Gated on numpy being
-        # importable; the pure-python loops remain the fallback and the
-        # reference (tests assert the rows are bit-identical).  Euclidean
-        # rows intentionally stay scalar: vectorised sqrt differs from
-        # math.hypot in the last bit on non-representable coordinates.
-        if _np is not None:
-            self._xs = _np.fromiter((p[0] for p in self._positions), dtype=_np.float64,
-                                    count=self._num_sites)
-            self._ys = _np.fromiter((p[1] for p in self._positions), dtype=_np.float64,
-                                    count=self._num_sites)
-        else:
-            self._xs = self._ys = None
+        # any spacing — see rectangular_row).  Euclidean rows intentionally
+        # stay scalar: vectorised sqrt differs from math.hypot in the last
+        # bit on non-representable coordinates.
+        self._xs = _np.fromiter((p[0] for p in self._positions), dtype=_np.float64,
+                                count=self._num_sites)
+        self._ys = _np.fromiter((p[1] for p in self._positions), dtype=_np.float64,
+                                count=self._num_sites)
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -406,9 +398,9 @@ class GridTopology(Topology):
         fill deliberately stays on ``math.hypot``: a vectorised
         ``sqrt(dx*dx + dy*dy)`` differs from ``hypot`` in the last bit for
         coordinates that are not exactly representable (e.g. spacing 0.3),
-        which would make routing decisions depend on whether numpy is
-        installed.  Row construction is one-time per site, so the scalar
-        loop costs nothing in the steady state.
+        which would shift routing decisions the golden digests pin.  Row
+        construction is one-time per site, so the scalar loop costs nothing
+        in the steady state.
         """
         self._check_site(site)
         row = self._euclidean_rows[site]
@@ -432,10 +424,7 @@ class GridTopology(Topology):
         row = self._rectangular_rows[site]
         if row is None:
             x, y = self._positions[site]
-            if self._xs is not None:
-                row = (_np.abs(x - self._xs) + _np.abs(y - self._ys)).tolist()
-            else:
-                row = [abs(x - px) + abs(y - py) for px, py in self._positions]
+            row = (_np.abs(x - self._xs) + _np.abs(y - self._ys)).tolist()
             self._rectangular_rows[site] = row
         return row
 
@@ -511,35 +500,28 @@ class GridTopology(Topology):
     def neighbour_table(self, radius: float) -> List[Tuple[int, ...]]:
         """:meth:`sites_within` for *every* site at once (memoised).
 
-        With numpy available the whole table is computed as one broadcast
-        over the in-radius offsets (the row-vector kernel the connectivity
-        construction uses); the fallback assembles the same rows per site.
+        The whole table is computed as one broadcast over the in-radius
+        offsets (the row-vector kernel the connectivity construction uses).
         Ordering and membership are identical to :meth:`sites_within`.
         """
         cached = self._neighbour_table_cache.get(radius)
         if cached is not None:
             return cached
-        if radius <= 0:
-            table: List[Tuple[int, ...]] = [() for _ in range(self._num_sites)]
-        elif _np is not None:
-            offsets = self._radius_offsets(radius)
-            if offsets:
-                drs = _np.fromiter((o[0] for o in offsets), dtype=_np.int64,
-                                   count=len(offsets))
-                dcs = _np.fromiter((o[1] for o in offsets), dtype=_np.int64,
-                                   count=len(offsets))
-                sites = _np.arange(self._num_sites, dtype=_np.int64)
-                r = sites[:, None] // self.cols + drs[None, :]
-                c = sites[:, None] % self.cols + dcs[None, :]
-                valid = ((r >= 0) & (r < self.rows) & (c >= 0) & (c < self.cols))
-                neighbour = r * self.cols + c
-                table = [tuple(neighbour[i, valid[i]].tolist())
-                         for i in range(self._num_sites)]
-            else:
-                table = [() for _ in range(self._num_sites)]
+        offsets = self._radius_offsets(radius) if radius > 0 else []
+        if offsets:
+            drs = _np.fromiter((o[0] for o in offsets), dtype=_np.int64,
+                               count=len(offsets))
+            dcs = _np.fromiter((o[1] for o in offsets), dtype=_np.int64,
+                               count=len(offsets))
+            sites = _np.arange(self._num_sites, dtype=_np.int64)
+            r = sites[:, None] // self.cols + drs[None, :]
+            c = sites[:, None] % self.cols + dcs[None, :]
+            valid = ((r >= 0) & (r < self.rows) & (c >= 0) & (c < self.cols))
+            neighbour = r * self.cols + c
+            table = [tuple(neighbour[i, valid[i]].tolist())
+                     for i in range(self._num_sites)]
         else:
-            table = [tuple(self.sites_within(site, radius))
-                     for site in range(self._num_sites)]
+            table = [() for _ in range(self._num_sites)]
         self._neighbour_table_cache[radius] = table
         return table
 

@@ -16,7 +16,7 @@ __all__ = ["MapperConfig"]
 
 #: Switches whose on/off paths emit byte-identical streams by contract
 #: (enforced by ``tests/differential/``).
-_BYTE_IDENTICAL_FIELDS = frozenset({"cross_round_cache", "chain_kernel"})
+_BYTE_IDENTICAL_FIELDS = frozenset({"cross_round_cache"})
 #: Partition knobs; they shape sharded streams only.
 _PARTITION_FIELDS = frozenset({"shard_min_slice", "shard_max_slice",
                                "shard_max_cut_qubits",
@@ -54,15 +54,6 @@ class MapperConfig:
         ``tests/differential/``); ``False`` selects the from-scratch
         reference path the harness compares against.  Not part of the
         fingerprint.
-    chain_kernel:
-        Whether chain construction may use the vectorised candidate kernel
-        (numpy gathers over the interaction zone with argmin/stable-argsort
-        selection) instead of the scalar set loops.  The emitted operation
-        stream is bit-identical either way — the kernel replicates the
-        scalar tie-break order exactly and euclidean terms stay scalar
-        (``math.hypot`` parity, the PR 3 precedent) — and the kernel-on/off
-        axis of ``tests/differential/`` enforces it.  Ignored (scalar path)
-        when numpy is unavailable.  Not part of the fingerprint.
     stall_threshold:
         Number of consecutive routing operations without executing a gate
         after which the mapper switches to deterministic fallback routing.
@@ -112,7 +103,6 @@ class MapperConfig:
     history_window: int = 4
     use_commutation: bool = True
     cross_round_cache: bool = True
-    chain_kernel: bool = True
     stall_threshold: Optional[int] = None
     max_routing_steps: Optional[int] = None
     shard_routing: bool = False
@@ -136,8 +126,8 @@ class MapperConfig:
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, int(value))
-        for name in ("use_commutation", "cross_round_cache", "chain_kernel",
-                     "shard_routing", "hierarchical_partition"):
+        for name in ("use_commutation", "cross_round_cache", "shard_routing",
+                     "hierarchical_partition"):
             object.__setattr__(self, name, bool(getattr(self, name)))
         if self.alpha_gate < 0 or self.alpha_shuttling < 0:
             raise ValueError("alpha weights must be non-negative")
@@ -249,9 +239,10 @@ class MapperConfig:
         # shifted; the schema tag makes the break explicit (and repro 1.3.0
         # rides along so store keys of both components move together — see
         # repro/_version.py).
-        # v3: chain_kernel joined the field set.  Fingerprints shift (cached
-        # store entries recompile once) but op streams do not — the kernel is
-        # bit-identical by contract, so repro._version and the goldens stay.
+        # v3: the chain-kernel switch joined the field set.  Fingerprints
+        # shifted (cached store entries recompile once) but op streams did
+        # not, so repro._version and the goldens stayed.  The switch has
+        # since been removed; it was never keyed after v5, so no key moved.
         # v4: hierarchical_partition and a since-removed seeding knob joined
         # the field set; only sharded streams change, so again only the
         # schema tag moved.

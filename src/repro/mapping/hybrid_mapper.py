@@ -92,7 +92,6 @@ class HybridMapper:
             lookahead_weight=self.config.lookahead_weight,
             time_weight=self.config.time_weight,
             history_window=self.config.history_window,
-            chain_kernel=self.config.chain_kernel,
         )
         # Cross-round routing caches (decisions + move chains) with
         # occupancy-region invalidation; bit-identical op stream either way.

@@ -52,10 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less fallback environments
-    _np = None
+import numpy as _np
 
 from ..circuit.gate import Gate
 from ..hardware.architecture import NeutralAtomArchitecture
@@ -91,8 +88,7 @@ class ShuttlingRouter:
 
     def __init__(self, architecture: NeutralAtomArchitecture, *,
                  lookahead_weight: float = 0.1, time_weight: float = 0.1,
-                 history_window: int = 4, incremental: bool = True,
-                 chain_kernel: bool = True) -> None:
+                 history_window: int = 4, incremental: bool = True) -> None:
         if lookahead_weight < 0 or time_weight < 0:
             raise ValueError("cost weights must be non-negative")
         if history_window < 0:
@@ -102,14 +98,6 @@ class ShuttlingRouter:
         self.time_weight = time_weight
         self.history_window = history_window
         self.incremental = incremental
-        # Vectorised chain-construction kernel (``MapperConfig.chain_kernel``):
-        # candidate zones are scored as numpy gathers with argmin /
-        # stable-argsort selection replicating the scalar ``(value, site)``
-        # tie-breaks exactly, so emitted op streams are byte-identical
-        # either way (enforced by the kernel axis of ``tests/differential``).
-        # Scalar loops remain both the fallback (no numpy) and the
-        # differential reference.
-        self._kernel = bool(chain_kernel) and _np is not None
         # Zone capability of the trap topology: on zoned devices anchors
         # stranded in storage zones are relocated into an entangling zone
         # first, and pooled moves carry the corridor-penalised travel
@@ -267,8 +255,14 @@ class ShuttlingRouter:
         pairs, the recorded reads fully determine the result, so the
         cross-round chain cache can replay it while they still hold.
 
-        Two-qubit gates dispatch to :meth:`_build_chain_2q`; the generic
-        path below handles them too (the specialisation is equivalence-
+        Candidate zones are scored as numpy gathers whose argmin /
+        stable-argsort selections replicate the scalar ``(value, site)``
+        tie-breaks exactly; the scalar loops live on as the test-only
+        reference in ``tests/differential/chain_reference.py``, which the
+        kernel differential holds byte-identical on hostile spacings.
+
+        Two-qubit gates dispatch to :meth:`_build_chain_2q_kernel`; the
+        generic path handles them too (the specialisation is equivalence-
         tested against it, see ``TestTwoQubitChainSpecialisation``).  On a
         zoned topology an anchor stranded on a non-entangling site takes
         the generic path, which relocates the anchor into an entangling
@@ -279,155 +273,22 @@ class ShuttlingRouter:
             if (not self._zone_aware
                     or self.architecture.is_entangling_site(
                         state.site_of_qubit(anchor))):
-                if self._kernel:
-                    return self._build_chain_2q_kernel(state, gate, anchor,
-                                                       gate_index, reads)
-                return self._build_chain_2q(state, gate, anchor, gate_index, reads)
-        if self._kernel:
-            return self._build_chain_generic_kernel(state, gate, anchor,
-                                                    gate_index, reads)
-        return self._build_chain_generic(state, gate, anchor, gate_index, reads)
-
-    def _build_chain_generic(self, state: MappingState, gate: Gate, anchor: int,
-                             gate_index: int,
-                             reads: Optional[ChainReads] = None
-                             ) -> Optional[MoveChain]:
-        """Anchor-gathering chain construction for any gate width.
-
-        Scalar reference implementation; the vectorised twin is
-        :meth:`_build_chain_generic_kernel` and the kernel axis of
-        ``tests/differential`` holds the two byte-identical.
-        """
-        connectivity = state.connectivity
-        lattice = self.architecture.lattice
-        anchor_site = state.site_of_qubit(anchor)
-
-        # Locally simulated occupancy so consecutive moves in the chain see
-        # the effects of earlier ones.  Copy-on-write: most candidate chains
-        # are rejected (or keep every qubit in place) before any simulated
-        # move, so the live occupancy view is only copied once the first
-        # move is recorded.
-        occupied: Set[int] = state.occupied_sites()
-        owns_occupied = False
-        delta: Set[int] = set()
-        kept_sites: List[int] = [anchor_site]
-        moves: List[Move] = []
-        gate_atom_sites = {state.site_of_qubit(q) for q in gate.qubits}
-
-        # Zoned topologies: an anchor on a storage trap cannot host the
-        # gate, so it is relocated onto the nearest free entangling trap
-        # first and the gathering happens around the new site.
-        if self._zone_aware and not self.architecture.is_entangling_site(anchor_site):
-            relocation = self._anchor_relocation(state, anchor, anchor_site, reads)
-            if relocation is None:
-                return None
-            moves.append(relocation)
-            occupied = set(occupied)
-            owns_occupied = True
-            occupied.discard(anchor_site)
-            occupied.add(relocation.destination)
-            delta.update((anchor_site, relocation.destination))
-            anchor_site = relocation.destination
-            kept_sites[0] = anchor_site
-
-        # Gather the remaining qubits, nearest to the anchor first, so that
-        # already-adjacent qubits claim their sites before far ones move in.
-        anchor_row = lattice.euclidean_row(anchor_site)
-        others = sorted(
-            (q for q in gate.qubits if q != anchor),
-            key=lambda q: anchor_row[state.site_of_qubit(q)])
-
-        for qubit in others:
-            current_site = state.site_of_qubit(qubit)
-            if self._site_fits(connectivity, current_site, kept_sites):
-                kept_sites.append(current_site)
-                continue
-
-            # Candidate destination sites: must interact with every kept site.
-            zone = self._target_zone(connectivity, kept_sites)
-            zone.discard(current_site)
-            zone -= set(kept_sites)
-            if reads is not None:
-                reads.record_batch(zone, occupied, delta)
-            if not zone:
-                return None
-
-            current_row = lattice.rectangular_row(current_site)
-            if owns_occupied:
-                free_candidates = {site for site in zone if site not in occupied}
-            else:
-                # Occupancy is still the live view: one C-level difference
-                # against the incrementally maintained free-site set.
-                free_candidates = zone & state.free_sites()
-            if free_candidates:
-                destination = min(free_candidates,
-                                  key=lambda site: (current_row[site], site))
-                moves.append(self._make_move(state, qubit, current_site, destination,
-                                             lattice, is_move_away=False))
-                if not owns_occupied:
-                    occupied = set(occupied)
-                    owns_occupied = True
-                occupied.discard(current_site)
-                occupied.add(destination)
-                delta.update((current_site, destination))
-                kept_sites.append(destination)
-                continue
-
-            # No free site in the zone: free one with a move-away first.
-            blocked_candidates = sorted(
-                (site for site in zone
-                 if site in occupied and site not in gate_atom_sites),
-                key=lambda site: (current_row[site], site))
-            move_away = None
-            freed_site = None
-            for blocked in blocked_candidates:
-                blocking_atom = state.atom_at_site(blocked)
-                if reads is not None:
-                    reads.atom_reads[blocked] = blocking_atom
-                if blocking_atom is None:
-                    continue
-                away_destination = self._nearest_free_site(
-                    state, connectivity, lattice, blocked, occupied,
-                    forbidden=set(kept_sites) | {current_site},
-                    reads=reads, delta=delta)
-                if away_destination is None:
-                    continue
-                move_away = self._pooled_move(blocking_atom, blocked,
-                                              away_destination, lattice,
-                                              is_move_away=True)
-                freed_site = blocked
-                break
-            if move_away is None or freed_site is None:
-                return None
-            moves.append(move_away)
-            if not owns_occupied:
-                occupied = set(occupied)
-                owns_occupied = True
-            occupied.discard(freed_site)
-            occupied.add(move_away.destination)
-            delta.update((freed_site, move_away.destination))
-            moves.append(self._make_move(state, qubit, current_site, freed_site,
-                                         lattice, is_move_away=False))
-            occupied.discard(current_site)
-            occupied.add(freed_site)
-            delta.add(current_site)
-            kept_sites.append(freed_site)
-
-        if not moves:
-            return None
-        return MoveChain(moves=moves, gate_index=gate_index)
+                return self._build_chain_2q_kernel(state, gate, anchor,
+                                                   gate_index, reads)
+        return self._build_chain_generic_kernel(state, gate, anchor,
+                                                gate_index, reads)
 
     def _build_chain_generic_kernel(self, state: MappingState, gate: Gate,
                                     anchor: int, gate_index: int,
                                     reads: Optional[ChainReads] = None
                                     ) -> Optional[MoveChain]:
-        """Vectorised twin of :meth:`_build_chain_generic` (any gate width).
+        """Anchor-gathering chain construction for any gate width.
 
         The per-qubit candidate zone — the intersection of every kept
         site's interaction neighbourhood — is reduced as a chain of
         ``intersect1d`` gathers over the cached sorted neighbour arrays,
         and the destination falls out of one argmin.  Bit-identity with
-        the scalar walk holds by the same arguments as
+        the scalar reference walk holds by the same arguments as
         :meth:`_build_chain_2q_kernel` (``intersect1d`` keeps the arrays
         sorted ascending, so argmin's first minimum is the scalar
         ``(row[site], site)`` tie-break; the row arrays hold the scalar
@@ -449,10 +310,10 @@ class ShuttlingRouter:
         lattice = self.architecture.lattice
         anchor_site = state.site_of_qubit(anchor)
 
-        # Simulated occupancy, copy-on-write — exactly the scalar
-        # bookkeeping: the set view feeds _nearest_free_site (which gates
-        # its own kernel path on whether the view is still the live one)
-        # and the membership probes of the delta corrections.
+        # Simulated occupancy, copy-on-write: the set view feeds
+        # _nearest_free_site (which takes its vectorised path only while
+        # the view is still the live one) and the membership probes of the
+        # delta corrections.
         occupied: Set[int] = state.occupied_sites()
         owns_occupied = False
         delta: Set[int] = set()
@@ -576,78 +437,21 @@ class ShuttlingRouter:
             return None
         return MoveChain(moves=moves, gate_index=gate_index)
 
-    def _build_chain_2q(self, state: MappingState, gate: Gate, anchor: int,
-                        gate_index: int,
-                        reads: Optional[ChainReads]) -> Optional[MoveChain]:
-        """Two-qubit specialisation of :meth:`_build_chain`.
-
-        With a single gathering qubit there is never a second iteration, so
-        no occupancy simulation is needed: the chain is either one direct
-        move into the anchor's free zone, or a move-away plus the direct
-        move onto the freed site.  Control flow, tie-breaking and recorded
-        reads replicate the generic path exactly.
-        """
-        connectivity = state.connectivity
-        lattice = self.architecture.lattice
-        anchor_site = state.site_of_qubit(anchor)
-        qubit = gate.qubits[1] if gate.qubits[0] == anchor else gate.qubits[0]
-        current_site = state.site_of_qubit(qubit)
-        if connectivity.are_adjacent(current_site, anchor_site):
-            return None
-
-        zone = connectivity.interaction_set(anchor_site).difference(
-            (current_site, anchor_site))
-        occupied = state.occupied_sites()
-        if reads is not None:
-            reads.record_batch(zone, occupied, None)
-        if not zone:
-            return None
-
-        current_row = lattice.rectangular_row(current_site)
-        free_candidates = zone & state.free_sites()
-        if free_candidates:
-            destination = min(free_candidates,
-                              key=lambda site: (current_row[site], site))
-            move = self._pooled_move(state.atom_of_qubit(qubit), current_site,
-                                     destination, lattice, is_move_away=False)
-            return MoveChain(moves=[move], gate_index=gate_index)
-
-        # No free site in the zone (the zone already excludes both gate
-        # sites, so every member is a blocking atom): free one with a
-        # move-away first.
-        blocked_candidates = sorted(
-            zone, key=lambda site: (current_row[site], site))
-        forbidden = {anchor_site, current_site}
-        for blocked in blocked_candidates:
-            blocking_atom = state.atom_at_site(blocked)
-            if reads is not None:
-                reads.atom_reads[blocked] = blocking_atom
-            if blocking_atom is None:
-                continue
-            away_destination = self._nearest_free_site(
-                state, connectivity, lattice, blocked, occupied,
-                forbidden=forbidden, reads=reads, delta=None)
-            if away_destination is None:
-                continue
-            move_away = self._pooled_move(blocking_atom, blocked,
-                                          away_destination, lattice,
-                                          is_move_away=True)
-            direct = self._pooled_move(state.atom_of_qubit(qubit), current_site,
-                                       blocked, lattice, is_move_away=False)
-            return MoveChain(moves=[move_away, direct], gate_index=gate_index)
-        return None
-
     def _build_chain_2q_kernel(self, state: MappingState, gate: Gate,
                                anchor: int, gate_index: int,
                                reads: Optional[ChainReads]
                                ) -> Optional[MoveChain]:
-        """Vectorised twin of :meth:`_build_chain_2q` (numpy candidate batch).
+        """Two-qubit specialisation of :meth:`_build_chain` (numpy candidate batch).
 
-        The whole candidate set is gathered through index arrays — the
-        anchor's interaction zone (cached sorted array), the moving qubit's
-        travel-distance row (cached float64 array) and the incremental
-        free-site mask — and the destination is selected with one argmin.
-        Bit-identity with the scalar loop holds because:
+        With a single gathering qubit there is never a second iteration, so
+        no occupancy simulation is needed: the chain is either one direct
+        move into the anchor's free zone, or a move-away plus the direct
+        move onto the freed site.  The whole candidate set is gathered
+        through index arrays — the anchor's interaction zone (cached sorted
+        array), the moving qubit's travel-distance row (cached float64
+        array) and the incremental free-site mask — and the destination is
+        selected with one argmin.  Bit-identity with the scalar reference
+        loop holds because:
 
         * the zone array is sorted ascending, so the *first* minimum
           ``argmin`` returns is the smallest site — exactly the scalar
@@ -671,8 +475,8 @@ class ShuttlingRouter:
             return None
 
         # The neighbour table never contains its own site, and are_adjacent
-        # ruled out current_site, so the interaction set equals the scalar
-        # path's ``difference((current_site, anchor_site))`` without a copy.
+        # ruled out current_site, so the interaction set is already the
+        # zone minus both gate sites.
         if reads is not None:
             reads.record_region(connectivity.interaction_set(anchor_site))
         zone = connectivity.interaction_array(anchor_site)
@@ -727,17 +531,6 @@ class ShuttlingRouter:
         """True if ``site`` interacts with every already-kept site."""
         return all(connectivity.are_adjacent(site, kept) for kept in kept_sites)
 
-    @staticmethod
-    def _target_zone(connectivity, kept_sites: Sequence[int]) -> Set[int]:
-        """Sites within the interaction radius of *all* kept sites."""
-        zone: Optional[Set[int]] = None
-        for kept in kept_sites:
-            neighbours = connectivity.interaction_set(kept)
-            zone = set(neighbours) if zone is None else (zone & neighbours)
-            if not zone:
-                return set()
-        return zone or set()
-
     def _gate_capable_sites(self, connectivity) -> frozenset:
         """Entangling-zone sites that actually have interaction partners.
 
@@ -768,31 +561,22 @@ class ShuttlingRouter:
         """
         candidates = self._gate_capable_sites(state.connectivity)
         lattice = self.architecture.topology
-        if self._kernel:
-            # Relocation is always the chain's first move, so the scan runs
-            # against the live occupancy: one masked gather over the cached
-            # sorted candidate array replaces the set intersection, with the
-            # ascending order making argmin the scalar (row, site) tie-break.
-            if reads is not None:
-                reads.record_region(candidates)
-            array = self._gate_capable_array
-            if array is None:
-                array = _np.fromiter(sorted(candidates), dtype=_np.int64,
-                                     count=len(candidates))
-                self._gate_capable_array = array
-            free = array[state.free_mask[array].nonzero()[0]]
-            if not free.size:
-                return None
-            row = lattice.rectangular_row_array(anchor_site)
-            destination = int(free[row[free].argmin()])
-        else:
-            if reads is not None:
-                reads.record_batch(candidates, state.occupied_sites(), None)
-            free = candidates & state.free_sites()
-            if not free:
-                return None
-            row = lattice.rectangular_row(anchor_site)
-            destination = min(free, key=lambda site: (row[site], site))
+        # Relocation is always the chain's first move, so the scan runs
+        # against the live occupancy: one masked gather over the cached
+        # sorted candidate array, with the ascending order making argmin
+        # the scalar (row, site) tie-break.
+        if reads is not None:
+            reads.record_region(candidates)
+        array = self._gate_capable_array
+        if array is None:
+            array = _np.fromiter(sorted(candidates), dtype=_np.int64,
+                                 count=len(candidates))
+            self._gate_capable_array = array
+        free = array[state.free_mask[array].nonzero()[0]]
+        if not free.size:
+            return None
+        row = lattice.rectangular_row_array(anchor_site)
+        destination = int(free[row[free].argmin()])
         return self._pooled_move(state.atom_of_qubit(anchor), anchor_site,
                                  destination, lattice, is_move_away=False)
 
@@ -807,15 +591,15 @@ class ShuttlingRouter:
         unscanned larger ring cannot influence the result, so recording only
         the scanned rings keeps the cache's invalidation reads exact.
 
-        Against the live occupancy the kernel path scans each disc as one
-        masked gather (the disc arrays are sorted ascending, so argmin
-        reproduces the scalar ``(row[site], site)`` tie-break) and records
-        the scanned disc by reference; a construction-local simulated
-        occupancy (``occupied`` is a copy, ``delta`` non-empty) takes the
-        scalar path, whose reads the recorder partitions eagerly.
+        Against the live occupancy each disc is scanned as one masked
+        gather (the disc arrays are sorted ascending, so argmin reproduces
+        the scalar ``(row[site], site)`` tie-break) and the scanned disc is
+        recorded by reference.  A simulated occupancy (``occupied`` is a
+        construction-local copy: multi-move chains and the forced chain)
+        takes the scalar scan below, whose reads the recorder partitions
+        eagerly.
         """
-        live = occupied is state.occupied_sites()
-        if self._kernel and live:
+        if occupied is state.occupied_sites():
             free_mask = state.free_mask
             spacing = lattice.spacing
             # Every live call site passes the gate sites as ``forbidden``
@@ -866,15 +650,11 @@ class ShuttlingRouter:
 
         best = None
         origin_row = lattice.rectangular_row(origin)
-        live_free = state.free_sites() if live else None
         scanned_radius = max_radius
         for radius in range(1, max_radius + 1):
             disc = lattice.sites_within_set(origin, radius * lattice.spacing + _EPSILON)
-            if live_free is not None:
-                candidates = (disc & live_free) - forbidden
-            else:
-                candidates = {site for site in disc
-                              if site not in occupied and site not in forbidden}
+            candidates = {site for site in disc
+                          if site not in occupied and site not in forbidden}
             if candidates:
                 best = min(candidates,
                            key=lambda site: (origin_row[site], site))
@@ -968,7 +748,7 @@ class ShuttlingRouter:
         return penalty
 
     def _batch_time_penalties(self, chains_by_node: Sequence) -> None:
-        """Vectorised twin of :meth:`move_time_penalty` for one round.
+        """Batched :meth:`move_time_penalty` for one round.
 
         Pre-fills ``_penalty_cache`` for every distinct candidate move of
         the round in one numpy batch instead of one scalar history walk per
@@ -1272,13 +1052,13 @@ class ShuttlingRouter:
             front_index = lookahead_index = change_cache = None
             front_partners = lookahead_partners = distance_groups = None
         # Construction first, scoring second: the state is frozen across the
-        # round, so gathering every candidate chain up front lets the kernel
-        # pre-fill the per-move time penalties as one numpy batch.  Node and
+        # round, so gathering every candidate chain up front lets the
+        # per-move time penalties be pre-filled as one numpy batch.  Node and
         # chain order are unchanged, so the (cost, length) running minimum
         # selects exactly the chain the interleaved walk selected.
         chains_by_node = [(node, self.candidate_chains(state, node))
                           for node in front_nodes]
-        if self.incremental and self._kernel and self._recent_moves:
+        if self.incremental and self._recent_moves:
             self._batch_time_penalties(chains_by_node)
         best_chain: Optional[MoveChain] = None
         best_rank: Optional[Tuple[float, int]] = None

@@ -18,10 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less fallback environments
-    _np = None
+import numpy as _np
 
 from ..circuit.gate import Gate
 from ..hardware.architecture import NeutralAtomArchitecture
@@ -119,13 +116,10 @@ class MappingState:
         self._journal_floor = 0
 
         # Vectorised free-site mask (1 = free), maintained alongside the
-        # incremental sets when numpy is available.  Used by the chain
-        # kernel for batched free/occupied gathers.
-        if _np is not None:
-            self._free_mask = _np.ones(self.num_sites, dtype=_np.uint8)
-            self._free_mask[initial_sites] = 0
-        else:
-            self._free_mask = None
+        # incremental sets.  Used by the chain kernel for batched
+        # free/occupied gathers.
+        self._free_mask = _np.ones(self.num_sites, dtype=_np.uint8)
+        self._free_mask[initial_sites] = 0
 
         # Qubit mapping f_q: circuit qubit -> atom, and the inverse.
         if initial_qubit_map is None:
@@ -198,7 +192,7 @@ class MappingState:
 
     @property
     def free_mask(self):
-        """Vectorised free-site mask (uint8, 1 = free), or ``None`` without numpy.
+        """Vectorised free-site mask (uint8, 1 = free).
 
         Maintained incrementally by :meth:`move_atom`; callers must treat it
         as read-only.
@@ -400,9 +394,8 @@ class MappingState:
         self._occupied.add(destination)
         self._free.discard(destination)
         self._free.add(source)
-        if self._free_mask is not None:
-            self._free_mask[source] = 1
-            self._free_mask[destination] = 0
+        self._free_mask[source] = 1
+        self._free_mask[destination] = 0
         journal = self._journal
         journal.append(source)
         journal.append(destination)
@@ -469,10 +462,9 @@ class MappingState:
             raise AssertionError("incremental occupied-site set drifted from the maps")
         if self._free != set(range(self.num_sites)) - rebuilt_occupied:
             raise AssertionError("incremental free-site set drifted from the maps")
-        if self._free_mask is not None:
-            mask_free = {site for site in range(self.num_sites) if self._free_mask[site]}
-            if mask_free != self._free:
-                raise AssertionError("free-site mask drifted from the incremental sets")
+        mask_free = {site for site in range(self.num_sites) if self._free_mask[site]}
+        if mask_free != self._free:
+            raise AssertionError("free-site mask drifted from the incremental sets")
         for qubit, atom in enumerate(self._qubit_to_atom):
             if self._atom_to_qubit[atom] != qubit:
                 raise AssertionError(f"qubit {qubit} / atom {atom} maps are inconsistent")

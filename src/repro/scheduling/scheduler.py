@@ -29,13 +29,10 @@ moves the start to the maximum end over all conflicts, which does not
 depend on the order the intervals are visited in — so the schedule is
 exactly the one a scan over every live interval produces.
 
-Intervals that ended long ago are pruned by a heuristic that is kept
-unchanged: once more than 256 intervals are live, every interval that ended
-at least 1000 us before the start of the gate just committed is dropped.
-On the end-ordered index these intervals form a prefix, deleted in one
-slice.  The heuristic is not exact — a later gate on atoms that idled far
-behind the frontier may start early enough to overlap a pruned interval —
-which :func:`repro.scheduling.validate_schedule` can detect.
+No interval is ever dropped.  Atoms that idled far behind the frontier may
+start a gate early enough to overlap an interval that ended long before the
+latest commit, so every interval stays live; the end-time bisection keeps
+the scan short for gates near the frontier.
 """
 
 from __future__ import annotations
@@ -99,9 +96,6 @@ class _IntervalIndex:
         self.ends: List[float] = []
         self.items: List[_EntanglingInterval] = []
 
-    def __len__(self) -> int:
-        return len(self.items)
-
     def add(self, interval: _EntanglingInterval) -> None:
         position = bisect_right(self.ends, interval.end)
         self.ends.insert(position, interval.end)
@@ -110,12 +104,6 @@ class _IntervalIndex:
     def ending_after(self, time: float) -> List[_EntanglingInterval]:
         """The intervals whose end lies strictly after ``time``."""
         return self.items[bisect_right(self.ends, time):]
-
-    def drop_ending_by(self, time: float) -> None:
-        """Delete every interval whose end is at most ``time``."""
-        count = bisect_right(self.ends, time)
-        del self.ends[:count]
-        del self.items[:count]
 
 
 class Scheduler:
@@ -289,12 +277,6 @@ class Scheduler:
                 return start
             start = conflict_end
 
-    @staticmethod
-    def _prune_intervals(intervals: _IntervalIndex, horizon: float) -> None:
-        """Drop intervals that ended long before the scheduling horizon."""
-        if len(intervals) > 256:
-            intervals.drop_ending_by(horizon - 1e3)
-
     def _commit_entangling(self, ready: Dict[int, float],
                            intervals: _IntervalIndex,
                            atoms: Tuple[int, ...], sites: Tuple[int, ...],
@@ -303,7 +285,6 @@ class Scheduler:
         for atom in atoms:
             ready[atom] = start + duration
         intervals.add(_EntanglingInterval(start, start + duration, sites, blocked))
-        self._prune_intervals(intervals, start)
 
     # ------------------------------------------------------------------
     # Shuttling

@@ -1,17 +1,17 @@
-"""Differential harness: vectorised chain kernel vs scalar reference path.
+"""Differential harness: vectorised chain kernel vs scalar reference builders.
 
-The chain-construction kernel (``MapperConfig.chain_kernel``) promises a
-**byte-identical** operation stream: every argmin / stable-argsort
-tie-break must resolve exactly as the scalar loops it replaces.  This
-harness locks that contract down on *hostile spacings* — lattice constants
-whose float expansions accumulate differently under vectorised evaluation
-(the PR 3 pitfall axis) — across the kernel-on/off x cache-on/off grid.
+The shuttling router builds move chains with numpy gathers whose argmin /
+stable-argsort tie-breaks must resolve exactly as the scalar loops of
+:mod:`chain_reference`, so the emitted operation stream is
+**byte-identical** to the one the scalar builders produce.  This harness
+locks that contract down on *hostile spacings* — lattice constants whose
+float expansions accumulate differently under vectorised evaluation — with
+the cross-round cache on and off.  The reference arm patches the scalar
+builders into ``ShuttlingRouter`` and maps with the cache off.
 
 On a mismatch the test appends to ``kernel-digest-diff.json`` (working
 directory) so the CI differential job can upload the divergence as an
-artifact.  The same tests run in the no-numpy CI leg, where
-``chain_kernel=True`` degrades to the scalar path and the grid collapses
-to the cache axis — keeping the fallback continuously covered.
+artifact.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from repro.circuit.library import get_benchmark
 from repro.circuit.library.random_circuits import random_layered_circuit
 from repro.hardware import SiteConnectivity
 from repro.mapping import HybridMapper, MapperConfig
-from repro.mapping.shuttling_router import _np
 from repro.workloads import build_scaled_architecture
+
+from chain_reference import patched_router
 
 DIFF_PATH = Path("kernel-digest-diff.json")
 
@@ -36,9 +37,9 @@ DIFF_PATH = Path("kernel-digest-diff.json")
 #: vector reduction would first diverge from the scalar loops.
 HOSTILE_SPACINGS = (0.3, 1.1)
 
-#: (chain_kernel, cross_round_cache) variants compared against the
-#: all-scalar, cache-off reference.
-GRID = ((True, True), (True, False), (False, True))
+#: cross_round_cache settings of the kernel arm, each compared against the
+#: scalar, cache-off reference arm.
+CACHE_AXIS = (True, False)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -62,19 +63,20 @@ def _record_diff(case: str, expected: str, actual: str) -> None:
 
 def assert_kernel_grid_identical(circuit, architecture, connectivity,
                                  case: str) -> None:
-    """Map under every grid variant and require byte-identical output."""
-    reference = HybridMapper(
-        architecture,
-        MapperConfig.hybrid(1.0).with_overrides(chain_kernel=False,
-                                                cross_round_cache=False),
-        connectivity=connectivity).map(circuit)
+    """Map with the kernel under both cache settings and require output
+    byte-identical to the scalar reference arm."""
+    with patched_router():
+        reference = HybridMapper(
+            architecture,
+            MapperConfig.hybrid(1.0).with_overrides(cross_round_cache=False),
+            connectivity=connectivity).map(circuit)
     reference_bytes = "\n".join(reference.op_stream_lines()).encode()
-    for chain_kernel, cross_round_cache in GRID:
+    for cross_round_cache in CACHE_AXIS:
         config = MapperConfig.hybrid(1.0).with_overrides(
-            chain_kernel=chain_kernel, cross_round_cache=cross_round_cache)
+            cross_round_cache=cross_round_cache)
         result = HybridMapper(architecture, config,
                               connectivity=connectivity).map(circuit)
-        variant = f"{case}/kernel={chain_kernel}/cache={cross_round_cache}"
+        variant = f"{case}/kernel/cache={cross_round_cache}"
         if result.op_stream_digest() != reference.op_stream_digest():
             _record_diff(variant, reference.op_stream_digest(),
                          result.op_stream_digest())
@@ -151,24 +153,3 @@ class TestKernelDifferentialHostileSpacings:
         circuit = random_layered_circuit(16, 6, seed=1234)
         assert_kernel_grid_identical(circuit, architecture, connectivity,
                                      "layered/rectangular/0.3x0.7")
-
-
-class TestKernelActuallyEngages:
-    """Guard against the kernel silently never firing (dead-code equivalence)."""
-
-    @pytest.mark.skipif(_np is None, reason="scalar-fallback environment")
-    def test_kernel_enabled_on_default_config(self):
-        architecture = build_scaled_architecture("shuttling", 0.12,
-                                                 spacing=0.3)
-        mapper = HybridMapper(architecture, MapperConfig.hybrid(1.0),
-                              connectivity=SiteConnectivity(architecture))
-        assert mapper.shuttling_router._kernel
-
-    def test_kernel_flag_off_disables_kernel(self):
-        architecture = build_scaled_architecture("shuttling", 0.12,
-                                                 spacing=0.3)
-        mapper = HybridMapper(
-            architecture,
-            MapperConfig.hybrid(1.0).with_overrides(chain_kernel=False),
-            connectivity=SiteConnectivity(architecture))
-        assert not mapper.shuttling_router._kernel

@@ -8,7 +8,8 @@ one) fails loudly:
 * neighbour tables are symmetric (adjacency is an undirected relation),
 * distance rows agree with the pairwise distance queries,
 * the zone partition covers every site exactly once,
-* numpy-kernel distance rows are bit-identical to the scalar formulas.
+* numpy-kernel distance rows are bit-identical to the scalar formulas,
+* vectorised neighbour tables equal per-site scans under the zone rules.
 """
 
 from __future__ import annotations
@@ -204,39 +205,81 @@ class TestTopologyProperties:
                         (other in members)
 
 
-class TestNumpyFallbackParity:
-    """The scalar fallback must produce bit-identical rows and tables."""
+#: (kind, build_topology kwargs) per registered kind, at plain and
+#: inexact spacings; the last zoned case overrides both radii per zone.
+TABLE_CASES = [
+    ("square", dict(spacing=3.0)),
+    ("square", dict(spacing=0.3)),
+    ("rectangular", dict(cols=9, spacing=3.0, spacing_y=2.0)),
+    ("zoned", dict(spacing=3.0)),
+    ("zoned", dict(spacing=1.1, zone_layout=(
+        Zone("s", "storage", 2, restriction_radius=1.0),
+        Zone("e1", "entangling", 3),
+        Zone("e2", "entangling", 2, interaction_radius=1.5,
+             restriction_radius=2.5)))),
+]
 
-    @pytest.mark.parametrize("kind,kwargs", [
-        ("square", dict(spacing=3.0)),
-        ("square", dict(spacing=0.3)),
-        ("rectangular", dict(cols=9, spacing=3.0, spacing_y=2.0)),
-        ("zoned", dict(spacing=3.0)),
-    ])
-    def test_rows_and_tables_identical_without_numpy(self, kind, kwargs,
-                                                     monkeypatch):
-        import repro.hardware.topology as topology_module
-        with_numpy = build_topology(kind, 7, **kwargs)
-        # Materialise the kernel-built tables/rows *before* disabling numpy
-        # (the kernel is consulted lazily at call time).
-        kernel_tables = {radius: with_numpy.neighbour_table(radius)
-                         for radius in RADII}
-        kernel_interaction = {radius: with_numpy.interaction_neighbour_table(radius)
-                              for radius in RADII}
-        kernel_rect = [with_numpy.rectangular_row(site)
-                       for site in range(with_numpy.num_sites)]
-        kernel_euclid = [with_numpy.euclidean_row(site)
-                         for site in range(with_numpy.num_sites)]
-        monkeypatch.setattr(topology_module, "_np", None)
-        without_numpy = build_topology(kind, 7, **kwargs)
-        assert without_numpy._xs is None
+
+def _zone_radius(topology, site: int, override: str, radius_um: float,
+                 storage_default: float) -> float:
+    """Effective radius of ``site`` under the zone rules: the zone's
+    override in units of d, else the device radius (``storage_default``
+    for storage traps)."""
+    if not isinstance(topology, ZonedTopology):
+        return radius_um
+    zone = topology.zones[topology.zone_of(site)]
+    value = getattr(zone, override)
+    if value is not None:
+        return value * topology.spacing
+    return storage_default if zone.band_kind == "storage" else radius_um
+
+
+class TestNeighbourTables:
+    """Vectorised neighbour tables and distance rows against per-site
+    scans, zone rules and the scalar rectangular formula."""
+
+    def test_every_registered_kind_is_covered(self):
+        assert {kind for kind, _ in TABLE_CASES} == set(TOPOLOGY_REGISTRY)
+
+    @pytest.mark.parametrize("kind,kwargs", TABLE_CASES)
+    def test_tables_match_per_site_scans(self, kind, kwargs):
+        topology = build_topology(kind, 7, **kwargs)
+        sites = range(topology.num_sites)
         for radius in RADII:
-            assert kernel_tables[radius] == without_numpy.neighbour_table(radius)
-            assert kernel_interaction[radius] == \
-                without_numpy.interaction_neighbour_table(radius)
-        for site in range(with_numpy.num_sites):
-            assert kernel_rect[site] == without_numpy.rectangular_row(site)
-            assert kernel_euclid[site] == without_numpy.euclidean_row(site)
+            assert topology.neighbour_table(radius) == [
+                tuple(topology.sites_within(site, radius)) for site in sites]
+            interaction = []
+            for site in sites:
+                reach = _zone_radius(topology, site, "interaction_radius",
+                                     radius, 0.0)
+                interaction.append(tuple(
+                    other for other in topology.sites_within(site, reach)
+                    if topology.euclidean_distance(site, other) <= min(
+                        reach, _zone_radius(topology, other,
+                                            "interaction_radius", radius,
+                                            0.0)) + 1e-9))
+            assert topology.interaction_neighbour_table(radius) == interaction
+            assert topology.restriction_neighbour_table(radius) == [
+                tuple(topology.sites_within(site, _zone_radius(
+                    topology, site, "restriction_radius", radius, radius)))
+                for site in sites]
+
+    @pytest.mark.parametrize("kind,kwargs", TABLE_CASES)
+    def test_rectangular_rows_match_scalar_formula(self, kind, kwargs):
+        topology = build_topology(kind, 7, **kwargs)
+        positions = topology.positions()
+        for site in range(topology.num_sites):
+            row = topology.rectangular_row(site)
+            x, y = positions[site]
+            expected = []
+            for other, (px, py) in enumerate(positions):
+                value = abs(x - px) + abs(y - py)
+                if topology.has_travel_penalties:
+                    value += (topology.corridor_transit_um
+                              * topology.zone_crossings(site, other))
+                expected.append(value)
+            assert [value.hex() for value in row] == \
+                [value.hex() for value in expected]
 
 
 class TestGridTopologyValidation:

@@ -201,9 +201,10 @@ class TestPairPenaltyCompatibilityParity:
 
 
 class TestTwoQubitChainSpecialisation:
-    """`_build_chain_2q` must be observationally identical to the generic
-    anchor-gathering path for two-qubit gates — across fresh, shuffled and
-    crowded occupancies, including recorded reads."""
+    """`_build_chain_2q_kernel` must be observationally identical to the
+    generic anchor-gathering path `_build_chain_generic_kernel` for
+    two-qubit gates — across fresh, shuffled and crowded occupancies,
+    including recorded reads."""
 
     def test_specialised_path_matches_generic(self, small_architecture,
                                               small_connectivity):
@@ -226,19 +227,71 @@ class TestTwoQubitChainSpecialisation:
                 for anchor in gate.qubits:
                     reads_fast = ChainReads()
                     reads_generic = ChainReads()
-                    fast = router._build_chain_2q(state, gate, anchor,
-                                                  node.index, reads_fast)
-                    generic = router._build_chain_generic(
+                    fast = router._build_chain_2q_kernel(
+                        state, gate, anchor, node.index, reads_fast)
+                    generic = router._build_chain_generic_kernel(
                         state, gate, anchor, node.index, reads_generic)
                     if fast is None or generic is None:
                         assert fast is None and generic is None
                     else:
                         assert fast.moves == generic.moves
-                    assert reads_fast.occupied == reads_generic.occupied
-                    assert reads_fast.free == reads_generic.free
+                    reads_fast.seal(state)
+                    reads_generic.seal(state)
+                    assert reads_fast.region == reads_generic.region
+                    assert reads_fast.free_sub == reads_generic.free_sub
                     assert reads_fast.atom_reads == reads_generic.atom_reads
             # Random walk the occupancy (move a random atom to a random
             # free site) so later iterations compare on crowded layouts.
             atom = rng.randrange(state.num_atoms)
             free = sorted(state.free_sites())
             state.move_atom(atom, rng.choice(free))
+
+
+class TestBatchedTimePenalty:
+    """`_batch_time_penalties` pre-fills `_penalty_cache` with values equal
+    bit for bit to the scalar history walk `_compute_time_penalty`, on
+    inexact spacings and on corridor-penalised zoned travel."""
+
+    @pytest.mark.parametrize("hardware, spacing, topology_kwargs", (
+        ("mixed", 3.0, {}),
+        ("mixed", 0.3, {}),
+        ("mixed", 1.1, {}),
+        ("zoned", 1.1, {"corridor_transit_um": 7.3}),
+    ))
+    def test_batch_matches_scalar_penalty(self, hardware, spacing,
+                                          topology_kwargs):
+        import random
+
+        from repro.hardware.presets import preset
+
+        architecture = preset(hardware, lattice_rows=5, spacing=spacing,
+                              num_atoms=12, **topology_kwargs)
+        topology = architecture.topology
+        assert topology.has_travel_penalties == bool(topology_kwargs)
+        router = ShuttlingRouter(architecture, history_window=4)
+        rng = random.Random(2024)
+        sites = range(topology.num_sites)
+
+        def random_move():
+            # Few atoms on a small grid: shared atoms, endpoints, rows and
+            # columns (every branch of the compatibility rule) are common.
+            source, destination = rng.sample(sites, 2)
+            return router._pooled_move(rng.randrange(6), source, destination,
+                                       topology, is_move_away=False)
+
+        filled = 0
+        for _round in range(40):
+            router.note_moves_applied(
+                [random_move() for _ in range(rng.randint(1, 3))])
+            chains = [[random_move() for _ in range(rng.randint(1, 4))]
+                      for _ in range(rng.randint(1, 6))]
+            assert not router._penalty_cache
+            router._batch_time_penalties([(None, chains)])
+            moves = {(move.atom, move.source, move.destination): move
+                     for chain in chains for move in chain}
+            assert router._penalty_cache.keys() == moves.keys()
+            for key, batched in router._penalty_cache.items():
+                scalar = router._compute_time_penalty(moves[key])
+                assert batched.hex() == scalar.hex(), (key, batched, scalar)
+                filled += 1
+        assert filled > 200

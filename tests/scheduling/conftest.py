@@ -9,6 +9,7 @@ from repro.circuit.library import get_benchmark
 from repro.hardware import (NeutralAtomArchitecture, SiteConnectivity, Zone,
                             ZonedTopology)
 from repro.mapping import HybridMapper, MapperConfig
+from repro.pipeline import compile_circuit
 from repro.workloads import build_scaled_architecture
 
 
@@ -17,8 +18,8 @@ def call25_gate_only():
     """``call`` at 25 qubits, gate-only, on the scale-0.3 mixed device.
 
     Its mapped schedule runs past 1000 us with more than 256 live
-    entangling intervals, so the scheduler's interval prune fires on it
-    hundreds of times (across the whole golden matrix it fires once).
+    entangling intervals, the regime in which idle atoms far behind the
+    frontier test their gates against long-finished intervals.
     Returns ``(architecture, connectivity, circuit, result)``.
     """
     architecture = build_scaled_architecture("mixed", 0.3)
@@ -44,3 +45,21 @@ def asymmetric_device() -> NeutralAtomArchitecture:
     return NeutralAtomArchitecture(
         name="asymmetric", lattice=topology, num_atoms=16,
         interaction_radius=1.0, restriction_radius=2.0)
+
+
+@pytest.fixture(scope="session")
+def call25_hybrid_compiled():
+    """The ``call`` instance of seed 1819171248, hybrid, compiled through
+    the default pipeline on the scale-0.3 mixed device.
+
+    Atoms that idle far behind the frontier start gates early enough to
+    overlap intervals that ended more than 1000 us before the latest
+    commit; a scheduler that drops such intervals emits restriction-radius
+    violations on its mapped schedule.  Returns
+    ``(architecture, context)``.
+    """
+    architecture = build_scaled_architecture("mixed", 0.3)
+    circuit = get_benchmark("call", seed=1819171248)
+    context = compile_circuit(circuit, architecture, MapperConfig.hybrid(1.0),
+                              alpha_ratio=1.0)
+    return architecture, context

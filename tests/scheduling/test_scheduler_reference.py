@@ -1,17 +1,17 @@
 """Reference oracle for the scheduler's end-time-ordered interval index.
 
 :class:`repro.scheduling.Scheduler` looks up restriction-radius conflicts in
-an index of the live entangling intervals ordered by end time, and prunes a
-prefix of it.  The original linear scan over a plain list of intervals, in
-commit order, is kept below unchanged as a test-only reference.  Every
+an index of the live entangling intervals ordered by end time.  The original
+linear scan over a plain list of intervals, in commit order, is kept below
+as a test-only reference.  Every
 schedule the indexed scheduler produces must equal the reference schedule
 operation for operation: same kind, name, start, duration, atoms, sites and
 fidelity, floats compared exactly.
 
 The matrix covers seeded random circuits mapped on every hardware preset,
 a zoned device whose restriction radii differ per zone (so each of the two
-spatial tests blocks on its own), hand-built hostile timings, and a mapped
-circuit on which the reference provably prunes.
+spatial tests blocks on its own), hand-built hostile timings, and a long
+mapped schedule.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.workloads import build_scaled_architecture
 
 
 # ----------------------------------------------------------------------
-# Reference implementation: the original list-based scan, unchanged.
+# Reference implementation: the original list-based scan.
 # ----------------------------------------------------------------------
 _EPSILON = 1e-9
 
@@ -49,14 +49,7 @@ def interval_sites_blocked(interval, blocked: Set[int]) -> bool:
 
 
 class ReferenceScheduler(Scheduler):
-    """The scheduler with the original linear scan and list prune.
-
-    ``prunes`` counts the prunes that dropped at least one interval.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.prunes = 0
+    """The scheduler with the original linear scan over every interval."""
 
     def _entangling_start(self, ready: Dict[int, float], intervals,
                           atoms: Tuple[int, ...], sites: Tuple[int, ...],
@@ -77,13 +70,6 @@ class ReferenceScheduler(Scheduler):
                 return start
             start = conflict_end
 
-    def _prune_intervals(self, intervals, horizon: float) -> None:
-        """Drop intervals that ended long before the scheduling horizon."""
-        if len(intervals) > 256:
-            before = len(intervals)
-            intervals[:] = [iv for iv in intervals if iv.end > horizon - 1e3]
-            self.prunes += len(intervals) < before
-
 
 # ----------------------------------------------------------------------
 # Oracle comparison
@@ -97,11 +83,10 @@ def _first_difference(expected: Schedule, actual: Schedule):
 
 def assert_matches_reference(architecture, circuit: QuantumCircuit,
                              result=None, connectivity=None
-                             ) -> Tuple[ReferenceScheduler, List[Schedule]]:
+                             ) -> List[Schedule]:
     """Schedule ``circuit`` (and ``result``) both ways and require equality.
 
-    Returns the reference scheduler, for its prune count, and the
-    reference schedules.
+    Returns the reference schedules.
     """
     connectivity = connectivity or SiteConnectivity(architecture)
 
@@ -118,7 +103,7 @@ def assert_matches_reference(architecture, circuit: QuantumCircuit,
     actual = schedules(Scheduler(architecture, connectivity=connectivity))
     for want, got in zip(expected, actual):
         assert got.operations == want.operations, _first_difference(want, got)
-    return reference, expected
+    return expected
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +139,7 @@ def test_asymmetric_restriction_matches_reference(asymmetric_device,
     for pair in ((narrow, wide) if narrow_first else (wide, narrow)):
         circuit.cz(*pair)
     circuit.cz(9, 10)             # far from both: no delay
-    _, (schedule,) = assert_matches_reference(asymmetric_device, circuit)
+    (schedule,) = assert_matches_reference(asymmetric_device, circuit)
     assert _entangling_starts(schedule) == pytest.approx([0.0, 0.2, 0.0])
 
 
@@ -182,7 +167,7 @@ def test_equal_end_times_match_reference():
     circuit.cz(0, 1).cz(4, 5).cz(8, 9)     # all [0, 0.2)
     circuit.cz(2, 3).cz(6, 7)              # both blocked: [0.2, 0.4)
     circuit.cz(4, 5)                       # blocked by both: [0.4, 0.6)
-    _, (schedule,) = assert_matches_reference(_row_device(), circuit)
+    (schedule,) = assert_matches_reference(_row_device(), circuit)
     assert _entangling_starts(schedule) == pytest.approx(
         [0.0, 0.0, 0.0, 0.2, 0.2, 0.4])
 
@@ -198,7 +183,7 @@ def test_end_within_epsilon_of_start_matches_reference(offset):
     circuit.cz(0, 1)          # [0, 0.2 + offset)
     circuit.h(2)              # qubit 2 ready at 0.2
     circuit.cz(2, 3)          # next to qubit 1
-    _, (schedule,) = assert_matches_reference(architecture, circuit)
+    (schedule,) = assert_matches_reference(architecture, circuit)
     second = _entangling_starts(schedule)[1]
     assert (second == 0.2) == (0.2 + offset <= 0.2 + _EPSILON)
 
@@ -213,35 +198,28 @@ def test_gate_filling_an_earlier_gap_matches_reference(width, start):
     circuit.h(0).h(1)             # pair ready at 0.7
     circuit.cz(0, 1)              # [0.7, 0.9)
     circuit.mcz(list(range(2, 2 + width)))
-    _, (schedule,) = assert_matches_reference(_row_device(), circuit)
+    (schedule,) = assert_matches_reference(_row_device(), circuit)
     assert _entangling_starts(schedule)[2] == pytest.approx(start)
 
 
 def test_atom_idle_behind_the_frontier_matches_reference():
     """300 sequential 5 us CZs on qubits 0/1, then a CZ on the idle
-    neighbours 2/3.  The run ends at 1500 us with more than 256 intervals
-    live, so the prune has dropped the early intervals the last gate
-    overlaps."""
+    neighbours 2/3.  The run ends at 1500 us with 300 intervals live; the
+    last gate must still see the early intervals it would overlap, so it
+    waits for the busy pair to finish."""
     architecture = _row_device(cz=5.0)
     circuit = QuantumCircuit(4)
     for _ in range(300):
         circuit.cz(0, 1)
     circuit.cz(2, 3)
-    reference, (schedule,) = assert_matches_reference(architecture, circuit)
-    assert reference.prunes > 0
-    # The heuristic lets the idle pair start at 0, inside the dropped
-    # interval [0, 5) of its neighbours: a conflict the oracle reports.
-    assert _entangling_starts(schedule)[-1] == 0.0
-    violations = validate_schedule(schedule, architecture)
-    assert violations
-    assert all(v.startswith("restriction radius") for v in violations)
+    (schedule,) = assert_matches_reference(architecture, circuit)
+    assert _entangling_starts(schedule)[-1] == pytest.approx(1500.0)
+    assert validate_schedule(schedule, architecture) == []
 
 
 # ----------------------------------------------------------------------
-# A mapped circuit on which the reference provably prunes
+# A long mapped schedule: more than 256 intervals live past 1000 us
 # ----------------------------------------------------------------------
 def test_call25_gate_only_matches_reference(call25_gate_only):
     architecture, connectivity, circuit, result = call25_gate_only
-    reference, _ = assert_matches_reference(architecture, circuit, result,
-                                            connectivity)
-    assert reference.prunes > 0
+    assert_matches_reference(architecture, circuit, result, connectivity)

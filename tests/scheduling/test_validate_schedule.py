@@ -102,3 +102,10 @@ class TestScheduler:
                                  architecture) == []
         assert validate_schedule(scheduler.schedule_result(result),
                                  architecture) == []
+
+    def test_call25_hybrid_pipeline_schedules_are_valid(
+            self, call25_hybrid_compiled):
+        architecture, context = call25_hybrid_compiled
+        reference, mapped = context.require_schedules()
+        assert validate_schedule(reference, architecture) == []
+        assert validate_schedule(mapped, architecture) == []

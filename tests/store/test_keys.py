@@ -72,12 +72,12 @@ OUTPUT_AFFECTING = [
 ]
 
 #: Overrides that cannot change the emitted stream: the key must not move.
-#: The byte-identical switches are inert always; the partition knobs are
+#: The byte-identical switch is inert always; the partition knobs are
 #: inert while sharded routing is off; and an explicit shard_max_slice equal
 #: to its resolved default (4 * shard_min_slice) routes exactly like None.
 INERT = [
-    (SERIAL, {"cross_round_cache": False}), (SERIAL, {"chain_kernel": False}),
-    (SHARDED, {"cross_round_cache": False}), (SHARDED, {"chain_kernel": False}),
+    (SERIAL, {"cross_round_cache": False}),
+    (SHARDED, {"cross_round_cache": False}),
     (SERIAL, {"shard_min_slice": 12}), (SERIAL, {"shard_max_slice": 96}),
     (SERIAL, {"shard_max_cut_qubits": 6}),
     (SERIAL, {"hierarchical_partition": False}),
