@@ -34,8 +34,10 @@ DIGEST_PATH = Path(__file__).resolve().parent / "golden_digests.json"
 #: presets in hybrid mode, plus the reversible networks bn, call and gray —
 #: the only benchmarks with gates on three or more qubits, so the only ones
 #: that pin the multi-qubit position search — in gate-only and hybrid mode
-#: on the gate and mixed presets.  Small enough to map in well under a
-#: second each, large enough that both SWAPs and shuttling moves appear.
+#: on the gate and mixed presets.  qft, graph and qpe also run hybrid on the
+#: zoned preset, the only device whose storage traps force anchor
+#: relocations into the entangling zone.  Small enough to map in well under
+#: a second each, large enough that both SWAPs and shuttling moves appear.
 CASES = [
     {"circuit": "qft", "num_qubits": 12, "hardware": hardware,
      "mode": "hybrid", "lattice_rows": 7, "num_atoms": 30, "seed": 2024}
@@ -54,6 +56,10 @@ CASES = [
     for circuit, num_qubits in (("bn", 24), ("call", 16), ("gray", 20))
     for hardware in ("gate", "mixed")
     for mode in ("gate_only", "hybrid")
+] + [
+    {"circuit": circuit, "num_qubits": num_qubits, "hardware": "zoned",
+     "mode": "hybrid", "lattice_rows": 9, "num_atoms": 24, "seed": 2024}
+    for circuit, num_qubits in (("qft", 10), ("graph", 12), ("qpe", 8))
 ]
 
 

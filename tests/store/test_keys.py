@@ -108,6 +108,22 @@ class TestConfigFingerprint:
     def test_canonical_key_schema_tag(self):
         assert MapperConfig().canonical_key().startswith("mapper-config/v6|")
 
+    @pytest.mark.parametrize("config, expected", [
+        (MapperConfig(),
+         "a97e1a90af5bf7ed958364163c3c47211e2a1f127d2f048692c7e190173c0ffc"),
+        (MapperConfig.gate_only(),
+         "eb4eb376a16f2fb8f50d683101e46cafd2cf2c426072d19550642ebabb47d6c3"),
+        (MapperConfig.shuttling_only(),
+         "f84be5a78d757a83f3462713bb67946c116b9fe236f237fdaab66573064a4450"),
+        (MapperConfig.sharded(),
+         "c89ef03f3f88322542d5fd66415a4e4cf623e517235d1f3778f55d9087930063"),
+    ], ids=["default", "gate_only", "shuttling_only", "sharded"])
+    def test_fingerprint_is_pinned(self, config, expected):
+        """Store entries written by earlier builds keep resolving: removing
+        a field that was never keyed must not move any fingerprint.  A
+        deliberate key change bumps the schema tag and updates these."""
+        assert config.fingerprint() == expected
+
     def test_resolved_shard_max_slice_is_keyed(self):
         """None and its resolved value 4 * shard_min_slice partition and
         route identically, so they share a key; another value does not."""
