@@ -155,7 +155,6 @@ def run_case(hardware: str, circuit_name: str, mode: str, scale: float,
         "circuit": circuit_name,
         "mode": mode,
         "topology": architecture.topology.kind,
-        "cross_round_cache": config.cross_round_cache,
         "shard_routing": config.shard_routing,
         "scale": scale,
         "num_qubits": scaled_size(circuit_name, scale),

@@ -1,7 +1,12 @@
 """Hybrid gate/shuttling circuit mapping — the paper's primary contribution."""
 
 from .config import MapperConfig
-from .decision import CapabilityDecider, CapabilityDecision, GateCostEstimate
+from .decision import (
+    CapabilityDecider,
+    CapabilityDecision,
+    DecisionMemo,
+    GateCostEstimate,
+)
 from .gate_router import GateRouter, SwapCandidate, SwapCostCache
 from .hybrid_mapper import HybridMapper, MappingError
 from .initial_layout import (
@@ -22,7 +27,6 @@ from .partition import (
     partition_circuit_tree,
     slice_subcircuit,
 )
-from .regioncache import CrossRoundCache
 from .replay import StreamValidator, assert_stream_valid, validate_stream
 from .result import (
     CircuitGateOp,
@@ -48,12 +52,12 @@ __all__ = [
     "LayerManager",
     "CapabilityDecider",
     "CapabilityDecision",
+    "DecisionMemo",
     "GateCostEstimate",
     "GateRouter",
     "SwapCandidate",
     "SwapCostCache",
     "ShuttlingRouter",
-    "CrossRoundCache",
     "CircuitSlice",
     "PartitionNode",
     "PartitionPlan",

@@ -14,9 +14,6 @@ from typing import Optional
 
 __all__ = ["MapperConfig"]
 
-#: Switches whose on/off paths emit byte-identical streams by contract
-#: (enforced by ``tests/differential/``).
-_BYTE_IDENTICAL_FIELDS = frozenset({"cross_round_cache"})
 #: Partition knobs; they shape sharded streams only.
 _PARTITION_FIELDS = frozenset({"shard_min_slice", "shard_max_slice",
                                "shard_max_cut_qubits",
@@ -46,14 +43,6 @@ class MapperConfig:
         and the parallelism term.
     use_commutation:
         Whether layer creation may exploit gate commutation rules.
-    cross_round_cache:
-        Whether the mapper may reuse capability decisions and candidate move
-        chains across routing rounds (``repro.mapping.regioncache``), with
-        occupancy-region invalidation.  The emitted operation stream is
-        bit-identical either way (enforced by the differential harness under
-        ``tests/differential/``); ``False`` selects the from-scratch
-        reference path the harness compares against.  Not part of the
-        fingerprint.
     stall_threshold:
         Number of consecutive routing operations without executing a gate
         after which the mapper switches to deterministic fallback routing.
@@ -102,7 +91,6 @@ class MapperConfig:
     time_weight: float = 0.1
     history_window: int = 4
     use_commutation: bool = True
-    cross_round_cache: bool = True
     stall_threshold: Optional[int] = None
     max_routing_steps: Optional[int] = None
     shard_routing: bool = False
@@ -126,7 +114,7 @@ class MapperConfig:
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, int(value))
-        for name in ("use_commutation", "cross_round_cache", "shard_routing",
+        for name in ("use_commutation", "shard_routing",
                      "hierarchical_partition"):
             object.__setattr__(self, name, bool(getattr(self, name)))
         if self.alpha_gate < 0 or self.alpha_shuttling < 0:
@@ -223,13 +211,12 @@ class MapperConfig:
         process produce the identical string (regression-tested across a
         subprocess boundary in ``tests/store/test_keys.py``).  Fields that
         cannot change the emitted stream are left out, so configs that
-        produce identical streams share one store key: the byte-identical
-        switches always, and the partition knobs whenever sharded routing
-        is off.  ``shard_max_slice`` is keyed by its resolved value, so
-        ``None`` and ``4 * shard_min_slice`` share a key.
+        produce identical streams share one store key: the partition knobs
+        are omitted whenever sharded routing is off.  ``shard_max_slice``
+        is keyed by its resolved value, so ``None`` and
+        ``4 * shard_min_slice`` share a key.
         """
-        omitted = (_BYTE_IDENTICAL_FIELDS if self.shard_routing
-                   else _BYTE_IDENTICAL_FIELDS | _PARTITION_FIELDS)
+        omitted = frozenset() if self.shard_routing else _PARTITION_FIELDS
         values = {spec.name: getattr(self, spec.name) for spec in fields(self)
                   if spec.name not in omitted}
         if "shard_max_slice" in values:
@@ -251,7 +238,9 @@ class MapperConfig:
         # keyed.  shard_routing=False output is unchanged, so repro._version
         # and the goldens stay.
         # v6: shard_max_slice is keyed by its resolved value; sharded keys
-        # with shard_max_slice=None shift, streams do not.
+        # with shard_max_slice=None shift, streams do not.  The
+        # region-cache switch was removed later; it was never keyed after
+        # v5, so no key moved.
         return "mapper-config/v6|" + "|".join(parts)
 
     def fingerprint(self) -> str:

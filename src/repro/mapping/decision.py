@@ -7,22 +7,25 @@ success probabilities ``P_g`` and ``P_s`` following the fidelity model of
 Eq. (1), weighs them with the user-chosen factors ``alpha_g`` and ``alpha_s``,
 and assigns the gate to the capability with the larger weighted outcome.
 
-The estimates are deliberately cheap — they are recomputed for every front
-layer — and only need to rank the two capabilities correctly, not predict the
-absolute fidelity.
+The estimates are deliberately cheap and only need to rank the two
+capabilities correctly, not predict the absolute fidelity.  Every gate is
+re-decided in every routing round, but a round mutates only a handful of
+sites, so :class:`DecisionMemo` replays the verdicts of gates whose inspected
+sites are unchanged.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuit.gate import Gate
 from ..hardware.architecture import NeutralAtomArchitecture
 from .state import MappingState
 
-__all__ = ["CapabilityDecision", "GateCostEstimate", "CapabilityDecider"]
+__all__ = ["CapabilityDecision", "GateCostEstimate", "CapabilityDecider",
+           "DecisionMemo"]
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,85 @@ class CapabilityDecision:
     gate_index: int
     use_gate_based: bool
     estimate: GateCostEstimate
+
+
+class DecisionMemo:
+    """Cross-round memo of capability decisions, keyed by gate index.
+
+    :meth:`CapabilityDecider.estimate` reads only the sites of the gate
+    qubits and the free-trap count inside each site's interaction
+    neighbourhood; everything else it touches is immutable site geometry.
+    An entry therefore replays while the gate qubits sit on the stored
+    sites and those counts are unchanged, checked in two steps:
+
+    * **stamps** (fast path): while
+      :meth:`~repro.mapping.state.MappingState.neighbourhoods_unchanged_since`
+      holds for the entry's epoch, an O(1) read per site, no count can
+      have changed;
+    * **free counts** (revalidation): after a move landed nearby, the
+      counts are recomputed and compared with the stored ones; equal
+      counts re-arm the fast path at the current epoch.
+
+    A hit means every input of the estimate is unchanged, so the replayed
+    decision equals a recomputed one.  Entries are bound to one
+    :class:`MappingState`: a lookup against another state drops them all,
+    and each entry also pins its gate object, so one state mapped with two
+    circuits cannot replay a decision across them.
+    """
+
+    def __init__(self) -> None:
+        # gate_index -> [gate, sites, stamp epoch, free counts, decision];
+        # a list so revalidation can advance the epoch in place.
+        self._entries: Dict[int, List] = {}
+        self._state: Optional[MappingState] = None
+        self.hits = 0
+        self.misses = 0
+
+    def stats(self) -> Dict[str, int]:
+        """Hit/miss counters (used by tests and the perf harness)."""
+        return {"decision_hits": self.hits, "decision_misses": self.misses}
+
+    def lookup(self, state: MappingState, gate: Gate,
+               gate_index: int) -> Optional["CapabilityDecision"]:
+        """Replay the memoised decision, or ``None`` on a miss."""
+        if state is not self._state:
+            self._entries.clear()
+            self._state = state
+            self.misses += 1
+            return None
+        entry = self._entries.get(gate_index)
+        if entry is None or entry[0] is not gate:
+            self.misses += 1
+            return None
+        _gate, sites, epoch, free_counts, decision = entry
+        site_of_qubit = state.site_of_qubit
+        for qubit, site in zip(gate.qubits, sites):
+            if site_of_qubit(qubit) != site:
+                self.misses += 1
+                return None
+        if (free_counts is not None
+                and not state.neighbourhoods_unchanged_since(sites, epoch)):
+            num_free = state.num_free_sites_near
+            for site, count in zip(sites, free_counts):
+                if num_free(site) != count:
+                    self.misses += 1
+                    return None
+            entry[2] = state.occupancy_epoch
+        self.hits += 1
+        return decision
+
+    def store(self, state: MappingState, gate: Gate, gate_index: int,
+              decision: "CapabilityDecision",
+              free_counts: Optional[Tuple[int, ...]]) -> None:
+        """Memoise one decision, made on the state of the latest lookup.
+
+        ``free_counts`` are the per-anchor free-trap counts the estimate
+        read, or ``None`` when it read no occupancy at all; such decisions
+        depend only on the gate-qubit sites.
+        """
+        sites = tuple(state.site_of_qubit(q) for q in gate.qubits)
+        self._entries[gate_index] = [gate, sites, state.occupancy_epoch,
+                                     free_counts, decision]
 
 
 class CapabilityDecider:
@@ -73,13 +155,10 @@ class CapabilityDecider:
         # (they have no interaction adjacency), so a gate with a qubit in a
         # storage zone is assigned to shuttling regardless of the weights.
         self._zones_limit_gates = not architecture.all_sites_entangling
-        # Optional cross-round decision cache (a
-        # :class:`~repro.mapping.regioncache.CrossRoundCache`); wired by the
-        # hybrid mapper when ``MapperConfig.cross_round_cache`` is on.
-        self.cache = None
+        self.memo = DecisionMemo()
         # Free-trap counts the latest estimate read (per anchor, in qubit
         # order), or None when it read no occupancy at all; forwarded to the
-        # cache so validation revisits exactly what the estimate depends on.
+        # memo so revalidation revisits exactly what the estimate read.
         self._last_free_counts: Optional[Tuple[int, ...]] = None
 
     # ------------------------------------------------------------------
@@ -190,15 +269,13 @@ class CapabilityDecider:
     def decide(self, state: MappingState, gate: Gate, gate_index: int) -> CapabilityDecision:
         """Assign one gate to gate-based or shuttling-based mapping.
 
-        With a wired cross-round cache an unchanged occupancy region replays
-        the cached verdict; the estimate only inspects the gate qubits' sites
-        and their interaction neighbourhoods, so the replay is exact.
+        A gate whose sites and neighbourhood free counts are unchanged
+        since its last decision replays it from :attr:`memo`.
         """
-        cache = self.cache
-        if cache is not None:
-            cached = cache.lookup_decision(state, gate, gate_index)
-            if cached is not None:
-                return cached
+        memo = self.memo
+        cached = memo.lookup(state, gate, gate_index)
+        if cached is not None:
+            return cached
         estimate = self.estimate(state, gate, gate_index)
         if (self._zones_limit_gates and len(gate.qubits) >= 2
                 and not self._gate_sites_entangling(state, gate)):
@@ -206,7 +283,7 @@ class CapabilityDecider:
             # carry it into an entangling zone (this overrides even
             # gate-only mode, mirroring the paper's forced fallback for
             # unplaceable multi-qubit gates).  The verdict is a pure
-            # function of the gate-qubit sites, so cached replays stay
+            # function of the gate-qubit sites, so memo replays stay
             # exact.
             decision = CapabilityDecision(gate_index, False, estimate)
         elif self.alpha_shuttling == 0:
@@ -218,9 +295,7 @@ class CapabilityDecider:
             weighted_shuttle = self.alpha_shuttling * estimate.success_shuttling_based
             decision = CapabilityDecision(
                 gate_index, weighted_gate >= weighted_shuttle, estimate)
-        if cache is not None:
-            cache.store_decision(state, gate, gate_index, decision,
-                                 self._last_free_counts)
+        memo.store(state, gate, gate_index, decision, self._last_free_counts)
         return decision
 
     def split_layers(self, state: MappingState, nodes: Sequence,

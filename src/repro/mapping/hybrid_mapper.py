@@ -41,11 +41,10 @@ from ..hardware.connectivity import SiteConnectivity
 from ..telemetry import tracing
 from ..telemetry.registry import get_registry
 from .config import MapperConfig
-from .decision import CapabilityDecider
+from .decision import CapabilityDecider, DecisionMemo
 from .gate_router import GateRouter, SwapCandidate
 from .layers import LayerManager
 from .multiqubit import GatePosition, find_gate_position
-from .regioncache import CrossRoundCache
 from .result import CircuitGateOp, MappingResult, ShuttleOp, SwapOp
 from .shuttling_router import ShuttlingRouter
 from .state import MappingState
@@ -93,13 +92,9 @@ class HybridMapper:
             time_weight=self.config.time_weight,
             history_window=self.config.history_window,
         )
-        # Cross-round routing caches (decisions + move chains) with
-        # occupancy-region invalidation; bit-identical op stream either way.
-        self.region_cache: Optional[CrossRoundCache] = None
-        if self.config.cross_round_cache:
-            self.region_cache = CrossRoundCache()
-            self.decider.cache = self.region_cache
-            self.shuttling_router.chain_cache = self.region_cache
+        # The decider's cross-round decision memo, under the name the
+        # layer probes read its hit/miss counters from.
+        self.region_cache: DecisionMemo = self.decider.memo
 
     # ------------------------------------------------------------------
     # Public entry point
@@ -145,8 +140,6 @@ class HybridMapper:
 
         self.gate_router.reset()
         self.shuttling_router.reset()
-        if self.region_cache is not None:
-            self.region_cache.begin_run(state)
 
         positions: Dict[int, GatePosition] = {}
         routed_by: Dict[int, str] = {}

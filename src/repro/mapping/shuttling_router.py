@@ -59,7 +59,6 @@ from ..hardware.architecture import NeutralAtomArchitecture
 from ..shuttling.aod import _ordering_preserved
 from ..shuttling.moves import Move, MoveChain
 from .layers import build_qubit_node_index
-from .regioncache import ChainReads
 from .state import MappingState
 
 __all__ = ["ShuttlingRouter"]
@@ -118,7 +117,7 @@ class ShuttlingRouter:
         self._round_state: Optional[MappingState] = None
         self._round_epoch = -1
         self._round_free_zone: Dict[int, object] = {}
-        self._round_nearest: Dict[int, Tuple[Optional[int], int]] = {}
+        self._round_nearest: Dict[int, Optional[int]] = {}
         self._recent_moves: List[Move] = []
         # move_time_penalty depends only on the move and the recent-move
         # history; memoised per move identity until the history changes.
@@ -140,10 +139,6 @@ class ShuttlingRouter:
         self._distance_parts: Dict[int, Dict[Tuple[int, int, int], float]] = {}
         self._prev_front_entries: Dict[int, List] = {}
         self._prev_lookahead_entries: Dict[int, List] = {}
-        # Optional cross-round chain cache (a
-        # :class:`~repro.mapping.regioncache.CrossRoundCache`); wired by the
-        # hybrid mapper when ``MapperConfig.cross_round_cache`` is on.
-        self.chain_cache = None
 
     # ------------------------------------------------------------------
     # History bookkeeping
@@ -189,24 +184,11 @@ class ShuttlingRouter:
         so that minimal-length chains are preferred, following the intuition
         that two moves are unlikely to beat one direct move even when they
         can be shuttled in parallel.
-
-        With a wired cross-round cache the constructed list is memoised per
-        gate and replayed while the gate qubits keep their ``(atom, site)``
-        pairs and the occupancy of the chain region (every site construction
-        can read) is unchanged — construction would reproduce the identical
-        chains, so the replay is exact.
         """
         gate: Gate = node.gate
-        cache = self.chain_cache
-        reads = None
-        if cache is not None:
-            cached, reads = cache.probe_chains(state, gate, node.index)
-            if cached is not None:
-                return cached
         chains: List[MoveChain] = []
         for anchor in gate.qubits:
-            chain = self._build_chain(state, gate, anchor, node.index,
-                                      reads=reads)
+            chain = self._build_chain(state, gate, anchor, node.index)
             if chain is not None:
                 if gate.num_qubits > 2:
                     # Two-qubit chains (at most a move-away plus a direct
@@ -236,24 +218,11 @@ class ShuttlingRouter:
             chains.sort(key=len)
             shortest = len(chains[0])
             chains = [chain for chain in chains if len(chain) <= shortest + 1]
-        if cache is not None:
-            cache.store_chains(state, gate, node.index, chains, reads)
         return chains
 
     def _build_chain(self, state: MappingState, gate: Gate, anchor: int,
-                     gate_index: int,
-                     reads: Optional[ChainReads] = None) -> Optional[MoveChain]:
+                     gate_index: int) -> Optional[MoveChain]:
         """Gather all gate qubits around ``anchor`` with direct/move-away moves.
-
-        When ``reads`` is given, every *live* occupancy value the
-        construction reads is recorded in it: the target-zone scans, the
-        move-away ring scans (each site as occupied or free) and the
-        identities of inspected blocking atoms.  Sites the chain itself has
-        already mutated in its local simulation (``delta``) are excluded —
-        their simulated value is a deterministic consequence of earlier
-        recorded reads.  Together with the gate qubits' ``(atom, site)``
-        pairs, the recorded reads fully determine the result, so the
-        cross-round chain cache can replay it while they still hold.
 
         Candidate zones are scored as numpy gathers whose argmin /
         stable-argsort selections replicate the scalar ``(value, site)``
@@ -274,13 +243,12 @@ class ShuttlingRouter:
                     or self.architecture.is_entangling_site(
                         state.site_of_qubit(anchor))):
                 return self._build_chain_2q_kernel(state, gate, anchor,
-                                                   gate_index, reads)
+                                                   gate_index)
         return self._build_chain_generic_kernel(state, gate, anchor,
-                                                gate_index, reads)
+                                                gate_index)
 
     def _build_chain_generic_kernel(self, state: MappingState, gate: Gate,
-                                    anchor: int, gate_index: int,
-                                    reads: Optional[ChainReads] = None
+                                    anchor: int, gate_index: int
                                     ) -> Optional[MoveChain]:
         """Anchor-gathering chain construction for any gate width.
 
@@ -298,13 +266,6 @@ class ShuttlingRouter:
         sites in ``delta``, so the kernel corrects the live free-mask
         gather with one vectorised equality mask per delta site instead
         of re-materialising an occupancy array.
-
-        Occupancy reads are recorded by reference per kept site
-        (:meth:`ChainReads.record_region` with the topology's cached
-        frozensets) — a superset of the scalar path's intersected
-        post-discard zone.  Superset recording is sound for the chain
-        cache (replay requires strictly more sites to be unchanged) and
-        costs one list append per kept site.
         """
         connectivity = state.connectivity
         lattice = self.architecture.lattice
@@ -322,7 +283,7 @@ class ShuttlingRouter:
         gate_atom_sites = {state.site_of_qubit(q) for q in gate.qubits}
 
         if self._zone_aware and not self.architecture.is_entangling_site(anchor_site):
-            relocation = self._anchor_relocation(state, anchor, anchor_site, reads)
+            relocation = self._anchor_relocation(state, anchor, anchor_site)
             if relocation is None:
                 return None
             moves.append(relocation)
@@ -349,11 +310,7 @@ class ShuttlingRouter:
             # site's neighbourhood, minus the kept sites and the moving
             # qubit's current site.
             zone = connectivity.interaction_array(kept_sites[0])
-            if reads is not None:
-                reads.record_region(connectivity.interaction_set(kept_sites[0]))
             for kept in kept_sites[1:]:
-                if reads is not None:
-                    reads.record_region(connectivity.interaction_set(kept))
                 if zone.size:
                     zone = _np.intersect1d(
                         zone, connectivity.interaction_array(kept),
@@ -402,14 +359,11 @@ class ShuttlingRouter:
             for index in order:
                 blocked = int(blocked_candidates[index])
                 blocking_atom = state.atom_at_site(blocked)
-                if reads is not None:
-                    reads.atom_reads[blocked] = blocking_atom
                 if blocking_atom is None:
                     continue
                 away_destination = self._nearest_free_site(
                     state, connectivity, lattice, blocked, occupied,
-                    forbidden=set(kept_sites) | {current_site},
-                    reads=reads, delta=delta)
+                    forbidden=set(kept_sites) | {current_site})
                 if away_destination is None:
                     continue
                 move_away = self._pooled_move(blocking_atom, blocked,
@@ -438,8 +392,7 @@ class ShuttlingRouter:
         return MoveChain(moves=moves, gate_index=gate_index)
 
     def _build_chain_2q_kernel(self, state: MappingState, gate: Gate,
-                               anchor: int, gate_index: int,
-                               reads: Optional[ChainReads]
+                               anchor: int, gate_index: int
                                ) -> Optional[MoveChain]:
         """Two-qubit specialisation of :meth:`_build_chain` (numpy candidate batch).
 
@@ -461,10 +414,6 @@ class ShuttlingRouter:
           euclidean pitfall cannot occur);
         * the move-away order is a stable argsort over the same values,
           matching ``sorted(zone, key=(row[site], site))``.
-
-        Occupancy reads are recorded by reference
-        (:meth:`ChainReads.record_region`): the zone frozenset is the
-        topology's cached object, so recording costs one append.
         """
         connectivity = state.connectivity
         lattice = self.architecture.lattice
@@ -477,8 +426,6 @@ class ShuttlingRouter:
         # The neighbour table never contains its own site, and are_adjacent
         # ruled out current_site, so the interaction set is already the
         # zone minus both gate sites.
-        if reads is not None:
-            reads.record_region(connectivity.interaction_set(anchor_site))
         zone = connectivity.interaction_array(anchor_site)
         if not zone.size:
             return None
@@ -509,13 +456,11 @@ class ShuttlingRouter:
         for index in order:
             blocked = int(zone[index])
             blocking_atom = state.atom_at_site(blocked)
-            if reads is not None:
-                reads.atom_reads[blocked] = blocking_atom
             if blocking_atom is None:
                 continue
             away_destination = self._nearest_free_site(
                 state, connectivity, lattice, blocked, occupied,
-                forbidden=forbidden, reads=reads, delta=None)
+                forbidden=forbidden)
             if away_destination is None:
                 continue
             move_away = self._pooled_move(blocking_atom, blocked,
@@ -548,16 +493,12 @@ class ShuttlingRouter:
         return cached
 
     def _anchor_relocation(self, state: MappingState, anchor: int,
-                           anchor_site: int,
-                           reads: Optional[ChainReads]) -> Optional[Move]:
+                           anchor_site: int) -> Optional[Move]:
         """Direct move of a storage-stranded anchor into an entangling zone.
 
         The destination is the free gate-capable site nearest to the
         anchor's current trap (travel metric, deterministic site-index
-        tie-break).  The scan reads the occupancy of every gate-capable
-        site, so the full candidate set is recorded for the chain cache —
-        the relocation is always the chain's first move, hence all reads
-        are live.
+        tie-break).
         """
         candidates = self._gate_capable_sites(state.connectivity)
         lattice = self.architecture.topology
@@ -565,8 +506,6 @@ class ShuttlingRouter:
         # against the live occupancy: one masked gather over the cached
         # sorted candidate array, with the ascending order making argmin
         # the scalar (row, site) tie-break.
-        if reads is not None:
-            reads.record_region(candidates)
         array = self._gate_capable_array
         if array is None:
             array = _np.fromiter(sorted(candidates), dtype=_np.int64,
@@ -582,22 +521,14 @@ class ShuttlingRouter:
 
     def _nearest_free_site(self, state: MappingState, connectivity, lattice,
                            origin: int, occupied: Set[int], forbidden: Set[int],
-                           max_radius: int = 4,
-                           reads: Optional[ChainReads] = None,
-                           delta: Optional[Set[int]] = None) -> Optional[int]:
+                           max_radius: int = 4) -> Optional[int]:
         """Closest free site to ``origin`` outside ``forbidden`` (for move-aways).
-
-        Scanned ring sites are recorded in ``reads`` (occupancy reads); an
-        unscanned larger ring cannot influence the result, so recording only
-        the scanned rings keeps the cache's invalidation reads exact.
 
         Against the live occupancy each disc is scanned as one masked
         gather (the disc arrays are sorted ascending, so argmin reproduces
-        the scalar ``(row[site], site)`` tie-break) and the scanned disc is
-        recorded by reference.  A simulated occupancy (``occupied`` is a
-        construction-local copy: multi-move chains and the forced chain)
-        takes the scalar scan below, whose reads the recorder partitions
-        eagerly.
+        the scalar ``(row[site], site)`` tie-break).  A simulated occupancy
+        (``occupied`` is a construction-local copy: multi-move chains and
+        the forced chain) takes the scalar scan below.
         """
         if occupied is state.occupied_sites():
             free_mask = state.free_mask
@@ -612,16 +543,10 @@ class ShuttlingRouter:
             memoisable = not any(free_mask[site] for site in forbidden)
             if memoisable:
                 self._sync_round(state)
-                cached = self._round_nearest.get(origin)
-                if cached is not None:
-                    best, scanned_radius = cached
-                    if reads is not None:
-                        reads.record_region(lattice.sites_within_set(
-                            origin, scanned_radius * spacing + _EPSILON))
-                    return best
+                if origin in self._round_nearest:
+                    return self._round_nearest[origin]
             origin_row = lattice.rectangular_row_array(origin)
             best = None
-            scanned_radius = max_radius
             for radius in range(1, max_radius + 1):
                 disc = lattice.sites_within_array(
                     origin, radius * spacing + _EPSILON)
@@ -635,39 +560,20 @@ class ShuttlingRouter:
                     candidates = candidates[keep]
                 if candidates.size:
                     best = int(candidates[origin_row[candidates].argmin()])
-                    scanned_radius = radius
                     break
             if memoisable:
-                self._round_nearest[origin] = (best, scanned_radius)
-            if reads is not None:
-                # Each scan covers the whole disc, so recording the largest
-                # scanned disc once captures every occupancy read; the
-                # frozenset is the topology's cached object (deferred
-                # partition — live reads only on this path).
-                reads.record_region(lattice.sites_within_set(
-                    origin, scanned_radius * spacing + _EPSILON))
+                self._round_nearest[origin] = best
             return best
 
-        best = None
         origin_row = lattice.rectangular_row(origin)
-        scanned_radius = max_radius
         for radius in range(1, max_radius + 1):
             disc = lattice.sites_within_set(origin, radius * lattice.spacing + _EPSILON)
             candidates = {site for site in disc
                           if site not in occupied and site not in forbidden}
             if candidates:
-                best = min(candidates,
+                return min(candidates,
                            key=lambda site: (origin_row[site], site))
-                scanned_radius = radius
-                break
-        if reads is not None:
-            # Each scan covers the whole disc, so recording the largest
-            # scanned disc once captures every occupancy read of the loop.
-            reads.record_batch(
-                lattice.sites_within_set(origin,
-                                         scanned_radius * lattice.spacing + _EPSILON),
-                occupied, delta)
-        return best
+        return None
 
     def _make_move(self, state: MappingState, qubit: int, source: int,
                    destination: int, lattice, *, is_move_away: bool) -> Move:

@@ -16,7 +16,7 @@ everything consistent.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as _np
 
@@ -29,12 +29,6 @@ __all__ = ["MappingState"]
 
 _UNOCCUPIED = -1
 _UNASSIGNED = -1
-
-#: Maximum number of sites kept in the occupancy-change journal (two per
-#: move).  Once exceeded, the older half is dropped and
-#: :meth:`MappingState.changed_sites_since` answers ``None`` for epochs
-#: before the truncation point (callers fall back to a full validation).
-_JOURNAL_LIMIT = 1024
 
 
 class MappingState:
@@ -97,23 +91,15 @@ class MappingState:
         self._free: Set[int] = {site for site in range(self.num_sites)
                                 if site not in self._occupied}
 
-        # Occupancy-region invalidation support for the cross-round caches
-        # (:mod:`repro.mapping.regioncache`).  ``_occupancy_epoch`` counts
-        # occupancy mutations (moves; SWAPs leave occupancy untouched) and
-        # ``_neigh_stamp[s]`` is the epoch of the last mutation anywhere in
-        # the closed interaction neighbourhood of ``s``, so "is the
-        # neighbourhood of this site untouched since epoch e" is an O(1)
-        # stamp read.
+        # Occupancy-change tracking for the cross-round memos (the
+        # decision memo and the router's per-round memos).
+        # ``_occupancy_epoch`` counts occupancy mutations (moves; SWAPs
+        # leave occupancy untouched) and ``_neigh_stamp[s]`` is the epoch of
+        # the last mutation anywhere in the closed interaction neighbourhood
+        # of ``s``, so "is the neighbourhood of this site untouched since
+        # epoch e" is an O(1) stamp read.
         self._occupancy_epoch = 0
         self._neigh_stamp: List[int] = [0] * self.num_sites
-
-        # Occupancy-change journal: two site indices appended per move
-        # (source, destination), with ``_journal_floor`` the epoch at which
-        # the journal starts.  Lets region caches ask "which sites changed
-        # since epoch e" in O(changes) instead of O(region); bounded by
-        # truncating the older half past ``_JOURNAL_LIMIT``.
-        self._journal: List[int] = []
-        self._journal_floor = 0
 
         # Vectorised free-site mask (1 = free), maintained alongside the
         # incremental sets.  Used by the chain kernel for batched
@@ -183,7 +169,7 @@ class MappingState:
         return self._free
 
     # ------------------------------------------------------------------
-    # Occupancy-region invalidation (cross-round caches)
+    # Occupancy-change tracking (cross-round memos)
     # ------------------------------------------------------------------
     @property
     def occupancy_epoch(self) -> int:
@@ -198,41 +184,6 @@ class MappingState:
         as read-only.
         """
         return self._free_mask
-
-    def changed_sites_since(self, epoch: int) -> Optional[List[int]]:
-        """Sites whose occupancy changed after ``epoch`` (may repeat), oldest first.
-
-        Returns ``None`` when the journal has been truncated past ``epoch``
-        (callers must fall back to a full validation).  An up-to-date epoch
-        yields the empty list.
-        """
-        if epoch < self._journal_floor:
-            return None
-        start = (epoch - self._journal_floor) * 2
-        return self._journal[start:]
-
-    def region_untouched_since(self, region, epoch: int,
-                               scan_limit: int = 64) -> Optional[bool]:
-        """Whether no site of ``region`` changed occupancy after ``epoch``.
-
-        Scans the change journal in place (no slice copy): ``True`` /
-        ``False`` when the journal covers ``epoch`` and the answer is
-        decided within ``scan_limit`` membership probes, ``None`` when the
-        journal was truncated past ``epoch`` or the scan would exceed the
-        limit — callers fall back to a full value validation, so the check
-        is O(recent changes) with a hard ceiling.
-        """
-        if epoch < self._journal_floor:
-            return None
-        journal = self._journal
-        start = (epoch - self._journal_floor) * 2
-        end = len(journal)
-        if end - start > scan_limit:
-            return None
-        for index in range(start, end):
-            if journal[index] in region:
-                return False
-        return True
 
     def neighbourhoods_unchanged_since(self, sites: Iterable[int], epoch: int) -> bool:
         """True if the closed interaction neighbourhood of every given site is
@@ -396,18 +347,10 @@ class MappingState:
         self._free.add(source)
         self._free_mask[source] = 1
         self._free_mask[destination] = 0
-        journal = self._journal
-        journal.append(source)
-        journal.append(destination)
-        if len(journal) > _JOURNAL_LIMIT:
-            drop = len(journal) // 2
-            drop -= drop % 2
-            del journal[:drop]
-            self._journal_floor += drop // 2
         self.num_moves_applied += 1
         # Stamp every site whose interaction neighbourhood the mutation
-        # belongs to (adjacency is symmetric), so region caches can
-        # invalidate with O(1) stamp reads.
+        # belongs to (adjacency is symmetric), so the decision memo can
+        # validate with O(1) stamp reads.
         self._occupancy_epoch += 1
         epoch = self._occupancy_epoch
         neigh_stamp = self._neigh_stamp

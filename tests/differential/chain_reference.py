@@ -16,26 +16,14 @@ from typing import Iterator, List, Optional, Sequence, Set
 import pytest
 
 from repro.circuit.gate import Gate
-from repro.mapping.regioncache import ChainReads
 from repro.mapping.shuttling_router import _EPSILON, ShuttlingRouter
 from repro.mapping.state import MappingState
 from repro.shuttling.moves import Move, MoveChain
 
 
 def _build_chain(self, state: MappingState, gate: Gate, anchor: int,
-                 gate_index: int,
-                 reads: Optional[ChainReads] = None) -> Optional[MoveChain]:
+                 gate_index: int) -> Optional[MoveChain]:
     """Gather all gate qubits around ``anchor`` with direct/move-away moves.
-
-    When ``reads`` is given, every *live* occupancy value the
-    construction reads is recorded in it: the target-zone scans, the
-    move-away ring scans (each site as occupied or free) and the
-    identities of inspected blocking atoms.  Sites the chain itself has
-    already mutated in its local simulation (``delta``) are excluded —
-    their simulated value is a deterministic consequence of earlier
-    recorded reads.  Together with the gate qubits' ``(atom, site)``
-    pairs, the recorded reads fully determine the result, so the
-    cross-round chain cache can replay it while they still hold.
 
     Two-qubit gates dispatch to :func:`_build_chain_2q`; the generic path
     handles them too.  On a zoned topology an anchor stranded on a
@@ -47,15 +35,12 @@ def _build_chain(self, state: MappingState, gate: Gate, anchor: int,
         if (not self._zone_aware
                 or self.architecture.is_entangling_site(
                     state.site_of_qubit(anchor))):
-            return _build_chain_2q(self, state, gate, anchor, gate_index,
-                                   reads)
-    return _build_chain_generic(self, state, gate, anchor, gate_index, reads)
+            return _build_chain_2q(self, state, gate, anchor, gate_index)
+    return _build_chain_generic(self, state, gate, anchor, gate_index)
 
 
 def _build_chain_generic(self, state: MappingState, gate: Gate, anchor: int,
-                         gate_index: int,
-                         reads: Optional[ChainReads] = None
-                         ) -> Optional[MoveChain]:
+                         gate_index: int) -> Optional[MoveChain]:
     """Anchor-gathering chain construction for any gate width.
 
     Scalar reference of ``ShuttlingRouter._build_chain_generic_kernel``.
@@ -71,7 +56,6 @@ def _build_chain_generic(self, state: MappingState, gate: Gate, anchor: int,
     # move is recorded.
     occupied: Set[int] = state.occupied_sites()
     owns_occupied = False
-    delta: Set[int] = set()
     kept_sites: List[int] = [anchor_site]
     moves: List[Move] = []
     gate_atom_sites = {state.site_of_qubit(q) for q in gate.qubits}
@@ -80,7 +64,7 @@ def _build_chain_generic(self, state: MappingState, gate: Gate, anchor: int,
     # gate, so it is relocated onto the nearest free entangling trap
     # first and the gathering happens around the new site.
     if self._zone_aware and not self.architecture.is_entangling_site(anchor_site):
-        relocation = self._anchor_relocation(state, anchor, anchor_site, reads)
+        relocation = self._anchor_relocation(state, anchor, anchor_site)
         if relocation is None:
             return None
         moves.append(relocation)
@@ -88,7 +72,6 @@ def _build_chain_generic(self, state: MappingState, gate: Gate, anchor: int,
         owns_occupied = True
         occupied.discard(anchor_site)
         occupied.add(relocation.destination)
-        delta.update((anchor_site, relocation.destination))
         anchor_site = relocation.destination
         kept_sites[0] = anchor_site
 
@@ -109,8 +92,6 @@ def _build_chain_generic(self, state: MappingState, gate: Gate, anchor: int,
         zone = _target_zone(connectivity, kept_sites)
         zone.discard(current_site)
         zone -= set(kept_sites)
-        if reads is not None:
-            reads.record_batch(zone, occupied, delta)
         if not zone:
             return None
 
@@ -131,7 +112,6 @@ def _build_chain_generic(self, state: MappingState, gate: Gate, anchor: int,
                 owns_occupied = True
             occupied.discard(current_site)
             occupied.add(destination)
-            delta.update((current_site, destination))
             kept_sites.append(destination)
             continue
 
@@ -144,14 +124,11 @@ def _build_chain_generic(self, state: MappingState, gate: Gate, anchor: int,
         freed_site = None
         for blocked in blocked_candidates:
             blocking_atom = state.atom_at_site(blocked)
-            if reads is not None:
-                reads.atom_reads[blocked] = blocking_atom
             if blocking_atom is None:
                 continue
             away_destination = _nearest_free_site(
                 self, state, connectivity, lattice, blocked, occupied,
-                forbidden=set(kept_sites) | {current_site},
-                reads=reads, delta=delta)
+                forbidden=set(kept_sites) | {current_site})
             if away_destination is None:
                 continue
             move_away = self._pooled_move(blocking_atom, blocked,
@@ -167,12 +144,10 @@ def _build_chain_generic(self, state: MappingState, gate: Gate, anchor: int,
             owns_occupied = True
         occupied.discard(freed_site)
         occupied.add(move_away.destination)
-        delta.update((freed_site, move_away.destination))
         moves.append(self._make_move(state, qubit, current_site, freed_site,
                                      lattice, is_move_away=False))
         occupied.discard(current_site)
         occupied.add(freed_site)
-        delta.add(current_site)
         kept_sites.append(freed_site)
 
     if not moves:
@@ -181,15 +156,14 @@ def _build_chain_generic(self, state: MappingState, gate: Gate, anchor: int,
 
 
 def _build_chain_2q(self, state: MappingState, gate: Gate, anchor: int,
-                    gate_index: int,
-                    reads: Optional[ChainReads]) -> Optional[MoveChain]:
+                    gate_index: int) -> Optional[MoveChain]:
     """Two-qubit specialisation of :func:`_build_chain`.
 
     With a single gathering qubit there is never a second iteration, so
     no occupancy simulation is needed: the chain is either one direct
     move into the anchor's free zone, or a move-away plus the direct
-    move onto the freed site.  Control flow, tie-breaking and recorded
-    reads replicate the generic path exactly.  Scalar reference of
+    move onto the freed site.  Control flow and tie-breaking replicate
+    the generic path exactly.  Scalar reference of
     ``ShuttlingRouter._build_chain_2q_kernel``.
     """
     connectivity = state.connectivity
@@ -203,8 +177,6 @@ def _build_chain_2q(self, state: MappingState, gate: Gate, anchor: int,
     zone = connectivity.interaction_set(anchor_site).difference(
         (current_site, anchor_site))
     occupied = state.occupied_sites()
-    if reads is not None:
-        reads.record_batch(zone, occupied, None)
     if not zone:
         return None
 
@@ -225,13 +197,11 @@ def _build_chain_2q(self, state: MappingState, gate: Gate, anchor: int,
     forbidden = {anchor_site, current_site}
     for blocked in blocked_candidates:
         blocking_atom = state.atom_at_site(blocked)
-        if reads is not None:
-            reads.atom_reads[blocked] = blocking_atom
         if blocking_atom is None:
             continue
         away_destination = _nearest_free_site(
             self, state, connectivity, lattice, blocked, occupied,
-            forbidden=forbidden, reads=reads, delta=None)
+            forbidden=forbidden)
         if away_destination is None:
             continue
         move_away = self._pooled_move(blocking_atom, blocked,
@@ -255,21 +225,15 @@ def _target_zone(connectivity, kept_sites: Sequence[int]) -> Set[int]:
 
 
 def _anchor_relocation(self, state: MappingState, anchor: int,
-                       anchor_site: int,
-                       reads: Optional[ChainReads]) -> Optional[Move]:
+                       anchor_site: int) -> Optional[Move]:
     """Direct move of a storage-stranded anchor into an entangling zone.
 
     The destination is the free gate-capable site nearest to the
     anchor's current trap (travel metric, deterministic site-index
-    tie-break).  The scan reads the occupancy of every gate-capable
-    site, so the full candidate set is recorded for the chain cache —
-    the relocation is always the chain's first move, hence all reads
-    are live.
+    tie-break).
     """
     candidates = self._gate_capable_sites(state.connectivity)
     lattice = self.architecture.topology
-    if reads is not None:
-        reads.record_batch(candidates, state.occupied_sites(), None)
     free = candidates & state.free_sites()
     if not free:
         return None
@@ -281,20 +245,11 @@ def _anchor_relocation(self, state: MappingState, anchor: int,
 
 def _nearest_free_site(self, state: MappingState, connectivity, lattice,
                        origin: int, occupied: Set[int], forbidden: Set[int],
-                       max_radius: int = 4,
-                       reads: Optional[ChainReads] = None,
-                       delta: Optional[Set[int]] = None) -> Optional[int]:
-    """Closest free site to ``origin`` outside ``forbidden`` (for move-aways).
-
-    Scanned ring sites are recorded in ``reads`` (occupancy reads); an
-    unscanned larger ring cannot influence the result, so recording only
-    the scanned rings keeps the cache's invalidation reads exact.
-    """
+                       max_radius: int = 4) -> Optional[int]:
+    """Closest free site to ``origin`` outside ``forbidden`` (for move-aways)."""
     live = occupied is state.occupied_sites()
-    best = None
     origin_row = lattice.rectangular_row(origin)
     live_free = state.free_sites() if live else None
-    scanned_radius = max_radius
     for radius in range(1, max_radius + 1):
         disc = lattice.sites_within_set(origin, radius * lattice.spacing + _EPSILON)
         if live_free is not None:
@@ -303,18 +258,9 @@ def _nearest_free_site(self, state: MappingState, connectivity, lattice,
             candidates = {site for site in disc
                           if site not in occupied and site not in forbidden}
         if candidates:
-            best = min(candidates,
+            return min(candidates,
                        key=lambda site: (origin_row[site], site))
-            scanned_radius = radius
-            break
-    if reads is not None:
-        # Each scan covers the whole disc, so recording the largest
-        # scanned disc once captures every occupancy read of the loop.
-        reads.record_batch(
-            lattice.sites_within_set(origin,
-                                     scanned_radius * lattice.spacing + _EPSILON),
-            occupied, delta)
-    return best
+    return None
 
 
 @contextmanager

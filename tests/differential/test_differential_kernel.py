@@ -5,9 +5,8 @@ stable-argsort tie-breaks must resolve exactly as the scalar loops of
 :mod:`chain_reference`, so the emitted operation stream is
 **byte-identical** to the one the scalar builders produce.  This harness
 locks that contract down on *hostile spacings* — lattice constants whose
-float expansions accumulate differently under vectorised evaluation — with
-the cross-round cache on and off.  The reference arm patches the scalar
-builders into ``ShuttlingRouter`` and maps with the cache off.
+float expansions accumulate differently under vectorised evaluation.  The
+reference arm patches the scalar builders into ``ShuttlingRouter``.
 
 On a mismatch the test appends to ``kernel-digest-diff.json`` (working
 directory) so the CI differential job can upload the divergence as an
@@ -37,10 +36,6 @@ DIFF_PATH = Path("kernel-digest-diff.json")
 #: vector reduction would first diverge from the scalar loops.
 HOSTILE_SPACINGS = (0.3, 1.1)
 
-#: cross_round_cache settings of the kernel arm, each compared against the
-#: scalar, cache-off reference arm.
-CACHE_AXIS = (True, False)
-
 
 @pytest.fixture(scope="module", autouse=True)
 def _fresh_diff_file():
@@ -61,33 +56,26 @@ def _record_diff(case: str, expected: str, actual: str) -> None:
     DIFF_PATH.write_text(json.dumps(existing, indent=2) + "\n")
 
 
-def assert_kernel_grid_identical(circuit, architecture, connectivity,
+def assert_kernel_matches_reference(circuit, architecture, connectivity,
                                  case: str) -> None:
-    """Map with the kernel under both cache settings and require output
-    byte-identical to the scalar reference arm."""
+    """Map with the kernel and require output byte-identical to the scalar
+    reference arm."""
+    config = MapperConfig.hybrid(1.0)
     with patched_router():
-        reference = HybridMapper(
-            architecture,
-            MapperConfig.hybrid(1.0).with_overrides(cross_round_cache=False),
-            connectivity=connectivity).map(circuit)
-    reference_bytes = "\n".join(reference.op_stream_lines()).encode()
-    for cross_round_cache in CACHE_AXIS:
-        config = MapperConfig.hybrid(1.0).with_overrides(
-            cross_round_cache=cross_round_cache)
-        result = HybridMapper(architecture, config,
-                              connectivity=connectivity).map(circuit)
-        variant = f"{case}/kernel/cache={cross_round_cache}"
-        if result.op_stream_digest() != reference.op_stream_digest():
-            _record_diff(variant, reference.op_stream_digest(),
-                         result.op_stream_digest())
-        assert "\n".join(result.op_stream_lines()).encode() \
-            == reference_bytes, variant
-        assert result.op_stream_digest() == reference.op_stream_digest(), (
-            f"op stream of {variant} diverged from the scalar reference "
-            f"(see {DIFF_PATH})")
-        assert result.operations == reference.operations
-        assert result.final_qubit_map == reference.final_qubit_map
-        assert result.final_atom_map == reference.final_atom_map
+        reference = HybridMapper(architecture, config,
+                                 connectivity=connectivity).map(circuit)
+    result = HybridMapper(architecture, config,
+                          connectivity=connectivity).map(circuit)
+    if result.op_stream_digest() != reference.op_stream_digest():
+        _record_diff(case, reference.op_stream_digest(),
+                     result.op_stream_digest())
+    assert result.op_stream_lines() == reference.op_stream_lines(), case
+    assert result.op_stream_digest() == reference.op_stream_digest(), (
+        f"op stream of {case} diverged from the scalar reference "
+        f"(see {DIFF_PATH})")
+    assert result.operations == reference.operations
+    assert result.final_qubit_map == reference.final_qubit_map
+    assert result.final_atom_map == reference.final_atom_map
 
 
 class TestKernelDifferentialHostileSpacings:
@@ -98,7 +86,7 @@ class TestKernelDifferentialHostileSpacings:
                                                  spacing=spacing)
         connectivity = SiteConnectivity(architecture)
         circuit = random_layered_circuit(16, 6, seed=7)
-        assert_kernel_grid_identical(
+        assert_kernel_matches_reference(
             circuit, architecture, connectivity,
             f"layered/{hardware}/spacing={spacing}")
 
@@ -109,7 +97,7 @@ class TestKernelDifferentialHostileSpacings:
         connectivity = SiteConnectivity(architecture)
         circuit = decompose_mcx_to_mcz(
             get_benchmark("qft", num_qubits=14, seed=2024))
-        assert_kernel_grid_identical(circuit, architecture, connectivity,
+        assert_kernel_matches_reference(circuit, architecture, connectivity,
                                      f"qft/mixed/spacing={spacing}")
 
     @pytest.mark.parametrize("hardware", ("mixed", "shuttling"))
@@ -123,7 +111,7 @@ class TestKernelDifferentialHostileSpacings:
         connectivity = SiteConnectivity(architecture)
         circuit = random_layered_circuit(16, 6, seed=7,
                                          multi_qubit_fraction=0.35)
-        assert_kernel_grid_identical(
+        assert_kernel_matches_reference(
             circuit, architecture, connectivity,
             f"multiq/{hardware}/spacing={spacing}")
 
@@ -136,7 +124,7 @@ class TestKernelDifferentialHostileSpacings:
         connectivity = SiteConnectivity(architecture)
         circuit = random_layered_circuit(14, 5, seed=11,
                                          multi_qubit_fraction=0.3)
-        assert_kernel_grid_identical(
+        assert_kernel_matches_reference(
             circuit, architecture, connectivity,
             f"multiq/zoned/spacing={spacing}")
 
@@ -151,5 +139,5 @@ class TestKernelDifferentialHostileSpacings:
                               topology="rectangular", spacing_y=0.7)
         connectivity = SiteConnectivity(architecture)
         circuit = random_layered_circuit(16, 6, seed=1234)
-        assert_kernel_grid_identical(circuit, architecture, connectivity,
+        assert_kernel_matches_reference(circuit, architecture, connectivity,
                                      "layered/rectangular/0.3x0.7")

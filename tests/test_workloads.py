@@ -128,18 +128,3 @@ class TestEdgeSizes:
         assert result.num_swaps == 0
         assert result.num_moves == 0
         assert len(result.circuit_gate_ops()) == 3
-
-    def test_single_qubit_circuit_identical_with_cache_off(self):
-        from repro.circuit import QuantumCircuit
-        from repro.mapping import HybridMapper, MapperConfig
-
-        circuit = QuantumCircuit(1, name="single")
-        circuit.h(0)
-        circuit.rz(0.5, 0)
-        architecture = build_scaled_architecture("mixed", 0.001)
-        cached = HybridMapper(architecture, MapperConfig.hybrid(1.0)).map(circuit)
-        reference = HybridMapper(
-            architecture,
-            MapperConfig.hybrid(1.0).with_overrides(cross_round_cache=False),
-        ).map(circuit)
-        assert cached.operations == reference.operations
