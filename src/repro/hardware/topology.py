@@ -473,6 +473,26 @@ class GridTopology(Topology):
             self._radius_offsets_cache[radius] = cached
         return cached
 
+    def radius_offset_arrays(self, radius: float):
+        """The in-radius ``(dr, dc)`` offsets as two int64 arrays, in scan order.
+
+        Adding them to a site's ``(row, col)`` and dropping out-of-bounds
+        results yields exactly :meth:`sites_within` in ascending site order,
+        so a batch of neighbourhoods can be gathered without a per-site
+        table.  Returned by reference; callers must not mutate them.
+        """
+        cache = getattr(self, "_offset_arrays", None)
+        if cache is None:
+            cache = {}
+            self._offset_arrays = cache
+        arrays = cache.get(radius)
+        if arrays is None:
+            offsets = self._radius_offsets(radius) if radius > 0 else []
+            arrays = (_np.array([o[0] for o in offsets], dtype=_np.int64),
+                      _np.array([o[1] for o in offsets], dtype=_np.int64))
+            cache[radius] = arrays
+        return arrays
+
     def sites_within(self, site: int, radius: float) -> List[int]:
         """All sites (excluding ``site`` itself) within Euclidean ``radius``.
 

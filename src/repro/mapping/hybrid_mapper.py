@@ -390,15 +390,19 @@ class HybridMapper:
                         shuttle_nodes: Sequence[DAGNode],
                         lookahead_nodes: Sequence[DAGNode],
                         forced: bool) -> bool:
-        """Execute one move chain; returns False if no chain could be built."""
-        chain = None
-        if not forced:
+        """Execute one move chain; returns False if no chain could be built.
+
+        A stalled (``forced``) step first tries the greedy chain of the
+        oldest gate alone.  When the whole-front ``best_chain`` finds
+        nothing, every front gate had no candidate chain — the oldest
+        included — so the step goes straight to the forced chain.
+        """
+        oldest = min(shuttle_nodes, key=lambda node: node.index)
+        if forced:
+            chain = self.shuttling_router.best_chain(state, [oldest], lookahead_nodes)
+        else:
             chain = self.shuttling_router.best_chain(state, shuttle_nodes, lookahead_nodes)
         if chain is None:
-            oldest = min(shuttle_nodes, key=lambda node: node.index)
-            chain = self.shuttling_router.best_chain(state, [oldest], lookahead_nodes)
-        if chain is None:
-            oldest = min(shuttle_nodes, key=lambda node: node.index)
             chain = self.shuttling_router.forced_chain(state, oldest)
         if chain is None:
             return False

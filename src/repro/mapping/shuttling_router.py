@@ -36,6 +36,21 @@ tweaks are pure caching — chain selection is unchanged.  Site geometry
 :class:`~repro.hardware.topology.Topology` caches, which the gate-based
 router uses as well.
 
+Screening: a round applies a single chain, so on fronts wider than
+``_SCREEN_FRONT_WIDTH`` nodes :meth:`ShuttlingRouter.best_chain` does not
+build every candidate.  :class:`~repro.mapping.chain_screen.ChainScreen`
+bounds the cost of every (two-qubit gate, anchor) candidate from below in
+one numpy pass — the 2q kernel's own destination or move-away, the exact
+partner distances and ``C_t_parallel``, minus a rigorous float slack.  The
+node with the smallest bound is built and costed exactly; only nodes whose
+bound does not exceed that incumbent's cost are built and ranked.  Every
+dropped chain costs strictly more than the incumbent, so it could neither
+win nor tie, and the unchanged ``(cost, length)`` loop over the survivors
+selects exactly the chain of the full scan.  Gates on three or more qubits
+are never screened, nor are zoned topologies or ``incremental=False`` (the
+reference).  Narrow fronts skip the screen because its fixed per-round
+cost exceeds what it saves there.
+
 Zoned topologies: entangling gates only execute inside entangling zones
 (the zone-filtered connectivity encodes that), so a gate whose anchor qubit
 is stranded in a storage zone cannot gather partners around its current
@@ -58,12 +73,18 @@ from ..circuit.gate import Gate
 from ..hardware.architecture import NeutralAtomArchitecture
 from ..shuttling.aod import _ordering_preserved
 from ..shuttling.moves import Move, MoveChain
+from .chain_screen import ChainScreen, time_penalties
 from .layers import build_qubit_node_index
 from .state import MappingState
 
 __all__ = ["ShuttlingRouter"]
 
 _EPSILON = 1e-9
+
+#: ``best_chain`` screens a round only when its front holds more nodes than
+#: this.  Screening costs a fixed numpy pass per round, which narrow fronts
+#: do not repay (measured on the perfbench workloads, see CHANGES.md).
+_SCREEN_FRONT_WIDTH = 16
 
 
 @dataclass
@@ -106,6 +127,9 @@ class ShuttlingRouter:
         self._zone_aware = not topology.all_sites_entangling
         self._has_travel_penalty = topology.has_travel_penalties
         self._gate_capable_cache: Optional[frozenset] = None
+        # The exact best_chain screen (unzoned grids; built on first use).
+        self._screenable = ChainScreen.supports(topology)
+        self._screen: Optional[ChainScreen] = None
         self._gate_capable_array = None
         # Per-round construction memos.  best_chain scores every candidate
         # chain against one frozen occupancy (moves are applied only after
@@ -657,16 +681,12 @@ class ShuttlingRouter:
         """Batched :meth:`move_time_penalty` for one round.
 
         Pre-fills ``_penalty_cache`` for every distinct candidate move of
-        the round in one numpy batch instead of one scalar history walk per
-        move.  Bit-identity with :meth:`_compute_time_penalty` holds
-        because every elementwise operation mirrors the scalar term
-        exactly: the compatibility predicate and the row/column checks are
-        boolean, the durations compose left-to-right in the scalar
-        evaluation order, ``rectangular_distance`` is gathered from the
-        move objects (never recomputed), and the history accumulates in
-        order with ``x + 0.0 == x`` covering the scalar zero-term skip.
+        the round in one numpy batch (:func:`~repro.mapping.chain_screen.time_penalties`)
+        instead of one scalar history walk per move; the batch is
+        bit-identical to :meth:`_compute_time_penalty`, with
+        ``rectangular_distance`` gathered from the move objects (never
+        recomputed).
         """
-        recents = self._recent_moves
         cache = self._penalty_cache
         batch: Dict[Tuple[int, int, int], Move] = {}
         for _node, chains in chains_by_node:
@@ -678,42 +698,16 @@ class ShuttlingRouter:
         if not batch:
             return
         moves = list(batch.values())
-        atom = _np.array([m.atom for m in moves], dtype=_np.int64)
-        src = _np.array([m.source for m in moves], dtype=_np.int64)
-        dst = _np.array([m.destination for m in moves], dtype=_np.int64)
-        sx = _np.array([m.source_position[0] for m in moves])
-        sy = _np.array([m.source_position[1] for m in moves])
-        ex = _np.array([m.destination_position[0] for m in moves])
-        ey = _np.array([m.destination_position[1] for m in moves])
-        full = _np.array([m.rectangular_distance for m in moves])
-        durations = self.architecture.durations
-        activation = durations.aod_activation
-        deactivation = durations.aod_deactivation
-        # Scalar order: (activation + distance / speed) + deactivation.
-        full = (activation + full / self.architecture.shuttling_speed) \
-            + deactivation
-        shared = activation + deactivation
-        penalty = _np.zeros(len(moves))
-        for recent in recents:
-            r_sx, r_sy = recent.source_position
-            r_ex, r_ey = recent.destination_position
-            sdx = sx - r_sx
-            sdy = sy - r_sy
-            edx = ex - r_ex
-            edy = ey - r_ey
-            near_sx = abs(sdx) < _EPSILON
-            near_sy = abs(sdy) < _EPSILON
-            ordering = ((near_sx | (abs(edx) < _EPSILON)
-                         | ((sdx > 0) == (edx > 0)))
-                        & (near_sy | (abs(edy) < _EPSILON)
-                           | ((sdy > 0) == (edy > 0))))
-            compatible = ((atom != recent.atom)
-                          & (dst != recent.destination)
-                          & (dst != recent.source)
-                          & (src != recent.destination)
-                          & ordering)
-            penalty += _np.where(compatible, 0.0,
-                                 _np.where(near_sy | near_sx, shared, full))
+        penalty = time_penalties(
+            self.architecture, self._recent_moves,
+            _np.array([m.atom for m in moves], dtype=_np.int64),
+            _np.array([m.source for m in moves], dtype=_np.int64),
+            _np.array([m.destination for m in moves], dtype=_np.int64),
+            _np.array([m.source_position[0] for m in moves]),
+            _np.array([m.source_position[1] for m in moves]),
+            _np.array([m.destination_position[0] for m in moves]),
+            _np.array([m.destination_position[1] for m in moves]),
+            _np.array([m.rectangular_distance for m in moves]))
         for index, key in enumerate(batch):
             cache[key] = float(penalty[index])
 
@@ -945,7 +939,10 @@ class ShuttlingRouter:
         Equivalent to ranking every candidate chain by :meth:`chain_cost`;
         the qubit → node indices and the per-move distance-term memo (the
         same physical move appears in many candidate chains within one
-        round) only avoid recomputation.
+        round) only avoid recomputation.  On fronts wider than
+        ``_SCREEN_FRONT_WIDTH`` the incremental engine first screens the
+        two-qubit gates (:meth:`_screened_candidates`) and builds chains
+        only for those that can still win.
         """
         if self.incremental:
             front_index = build_qubit_node_index(front_nodes)
@@ -957,43 +954,97 @@ class ShuttlingRouter:
         else:
             front_index = lookahead_index = change_cache = None
             front_partners = lookahead_partners = distance_groups = None
+
+        def rank_of(chain: MoveChain) -> Tuple[float, int]:
+            moves = chain.moves
+            contribution = None
+            if change_cache is not None and len(moves) == 1:
+                move = moves[0]
+                contribution = change_cache.get(
+                    (move.atom, move.source, move.destination))
+            if contribution is not None:
+                # Single-move chain with a memoised contribution — the
+                # dominant case once the round's caches are warm.  The
+                # sum mirrors chain_cost exactly: ``0.0 + c`` equals
+                # ``c + 0.0`` bit-for-bit, so the fast path never
+                # changes a cost.
+                cost = contribution + 0.25 * chain.num_move_aways
+            else:
+                cost = self.chain_cost(state, chain, front_nodes,
+                                       lookahead_nodes, front_index,
+                                       lookahead_index, change_cache,
+                                       front_partners, lookahead_partners,
+                                       distance_groups)
+            return (cost, len(moves))
+
         # Construction first, scoring second: the state is frozen across the
         # round, so gathering every candidate chain up front lets the
         # per-move time penalties be pre-filled as one numpy batch.  Node and
         # chain order are unchanged, so the (cost, length) running minimum
         # selects exactly the chain the interleaved walk selected.
-        chains_by_node = [(node, self.candidate_chains(state, node))
-                          for node in front_nodes]
+        if (self.incremental and self._screenable
+                and len(front_nodes) > _SCREEN_FRONT_WIDTH):
+            chains_by_node = self._screened_candidates(
+                state, front_nodes, lookahead_nodes, rank_of)
+        else:
+            chains_by_node = [(node, self.candidate_chains(state, node))
+                              for node in front_nodes]
         if self.incremental and self._recent_moves:
             self._batch_time_penalties(chains_by_node)
         best_chain: Optional[MoveChain] = None
         best_rank: Optional[Tuple[float, int]] = None
         for node, chains in chains_by_node:
             for chain in chains:
-                moves = chain.moves
-                contribution = None
-                if change_cache is not None and len(moves) == 1:
-                    move = moves[0]
-                    contribution = change_cache.get(
-                        (move.atom, move.source, move.destination))
-                if contribution is not None:
-                    # Single-move chain with a memoised contribution — the
-                    # dominant case once the round's caches are warm.  The
-                    # sum mirrors chain_cost exactly: ``0.0 + c`` equals
-                    # ``c + 0.0`` bit-for-bit, so the fast path never
-                    # changes a cost.
-                    cost = contribution + 0.25 * chain.num_move_aways
-                else:
-                    cost = self.chain_cost(state, chain, front_nodes,
-                                           lookahead_nodes, front_index,
-                                           lookahead_index, change_cache,
-                                           front_partners, lookahead_partners,
-                                           distance_groups)
-                rank = (cost, len(moves))
+                rank = rank_of(chain)
                 if best_rank is None or rank < best_rank:
                     best_chain = chain
                     best_rank = rank
         return best_chain
+
+    def screen_bounds(self, state: MappingState, front_nodes: Sequence,
+                      lookahead_nodes: Sequence):
+        """The screen's ``(positions, bounds)`` for one round (see
+        :meth:`ChainScreen.bounds <repro.mapping.chain_screen.ChainScreen.bounds>`)."""
+        if self._screen is None:
+            self._screen = ChainScreen(self.architecture)
+        return self._screen.bounds(
+            state, front_nodes, lookahead_nodes,
+            lookahead_weight=self.lookahead_weight,
+            time_weight=self.time_weight, recent_moves=self._recent_moves)
+
+    def _screened_candidates(self, state: MappingState, front_nodes: Sequence,
+                             lookahead_nodes: Sequence, rank_of) -> List:
+        """``(node, chains)`` for the front nodes that can hold the best chain.
+
+        The screen bounds every two-qubit candidate from below.  The node
+        with the smallest bound is built and costed exactly, and its
+        cheapest chain is the incumbent.  A two-qubit node whose bounds
+        all exceed the incumbent's cost only has chains strictly more
+        expensive than the incumbent: they can neither win nor tie, so
+        the node is dropped.  Every other node — wider gates included —
+        keeps its chains, in front order, for the unchanged ranking loop.
+        """
+        positions, bounds = self.screen_bounds(state, front_nodes,
+                                               lookahead_nodes)
+        node_bounds = bounds.min(axis=1)
+        built: Dict[int, List[MoveChain]] = {}
+        incumbent = _np.inf
+        if node_bounds.size:
+            best = int(node_bounds.argmin())
+            if node_bounds[best] < _np.inf:
+                position = positions[best]
+                chains = self.candidate_chains(state, front_nodes[position])
+                built[position] = chains
+                for chain in chains:
+                    incumbent = min(incumbent, rank_of(chain)[0])
+        # Strictly above only: a node whose bound equals the incumbent's
+        # cost may hold a chain that ties it and wins on front order.
+        pruned = {positions[index]
+                  for index in (node_bounds > incumbent).nonzero()[0]}
+        return [(node, built[position] if position in built
+                 else self.candidate_chains(state, node))
+                for position, node in enumerate(front_nodes)
+                if position not in pruned]
 
     # ------------------------------------------------------------------
     # Deterministic fallback

@@ -185,6 +185,20 @@ class MappingState:
         """
         return self._free_mask
 
+    def placement_arrays(self):
+        """The placement maps as fresh int64 arrays, for batched gathers.
+
+        Returns ``(qubit_atoms, qubit_sites, site_atoms, atom_qubits)``,
+        indexed by circuit qubit, circuit qubit, site and atom; an empty
+        site and an atom without a circuit qubit read ``-1``.  A snapshot:
+        it does not follow later SWAPs or moves.
+        """
+        qubit_atoms = _np.array(self._qubit_to_atom, dtype=_np.int64)
+        atom_sites = _np.array(self._atom_to_site, dtype=_np.int64)
+        return (qubit_atoms, atom_sites[qubit_atoms],
+                _np.array(self._site_to_atom, dtype=_np.int64),
+                _np.array(self._atom_to_qubit, dtype=_np.int64))
+
     def neighbourhoods_unchanged_since(self, sites: Iterable[int], epoch: int) -> bool:
         """True if the closed interaction neighbourhood of every given site is
         occupancy-unchanged since ``epoch``.

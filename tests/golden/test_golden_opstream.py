@@ -17,6 +17,7 @@ import pytest
 
 from golden_cases import (CASES, DIGEST_FIELDS, SCHEMA, case_key,
                           compile_case, compute_digest, load_committed)
+from repro.mapping import shuttling_router
 from repro.scheduling import validate_schedule
 
 DIFF_PATH = Path("golden-digest-diff.json")
@@ -65,6 +66,18 @@ def test_op_stream_digest_matches_committed(case, committed):
         f"the committed golden digest (see {DIFF_PATH}); if intentional, "
         "regenerate via "
         "'PYTHONPATH=src python tests/golden/regenerate.py'")
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_key)
+def test_digest_unchanged_with_the_chain_screen_forced(case, committed,
+                                                       monkeypatch):
+    """The ``best_chain`` screen only engages on fronts wider than its
+    width constant, which these small circuits rarely reach.  Forced on in
+    every round, it must reproduce every committed digest."""
+    monkeypatch.setattr(shuttling_router, "_SCREEN_FRONT_WIDTH", 0)
+    expected_entry = committed[case_key(case)]
+    expected = {field: expected_entry[field] for field in DIGEST_FIELDS}
+    assert compute_digest(case) == expected, case_key(case)
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_key)

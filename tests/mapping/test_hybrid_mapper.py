@@ -267,3 +267,57 @@ class TestBenchmarks:
         for architecture in (shuttling_architecture, gate_architecture, mixed_architecture):
             result = HybridMapper(architecture, MapperConfig.hybrid(1.0)).map(small_qft_circuit)
             assert_valid_result(result, small_qft_circuit)
+
+
+class TestShuttlingStepFallback:
+    """``_shuttling_step`` falls back to the forced chain without a retry.
+
+    On a 1x12 line with only the last trap free, no atom near the gates can
+    be cleared within the move-away radius of four spacings, so no front
+    gate has a greedy chain.  A whole-front ``best_chain`` of None implies
+    that the oldest gate alone has none either, so the step must not ask
+    again.
+    """
+
+    @staticmethod
+    def _setup():
+        from repro.circuit import CircuitDAG
+        from repro.hardware import NeutralAtomArchitecture, SquareLattice
+        from repro.mapping import MappingState
+        architecture = NeutralAtomArchitecture(
+            name="line", lattice=SquareLattice(1, 12, 3.0), num_atoms=11,
+            interaction_radius=1.0, restriction_radius=1.0)
+        mapper = HybridMapper(architecture, MapperConfig.shuttling_only())
+        state = MappingState(architecture, 11)
+        circuit = QuantumCircuit(11)
+        circuit.cz(0, 5)
+        circuit.cz(1, 4)
+        nodes = CircuitDAG(circuit).nodes
+        calls = {"best_chain": [], "forced_chain": []}
+        router = mapper.shuttling_router
+        for name in calls:
+            original = getattr(router, name)
+
+            def counted(state, nodes_or_node, *rest, _original=original,
+                        _name=name):
+                calls[_name].append(nodes_or_node)
+                return _original(state, nodes_or_node, *rest)
+
+            setattr(router, name, counted)
+        return mapper, state, circuit, nodes, calls
+
+    def test_unforced_step_goes_straight_to_forced_chain(self):
+        mapper, state, circuit, nodes, calls = self._setup()
+        result = MappingResult(circuit=circuit)
+        assert mapper._shuttling_step(result, state, nodes, [], forced=False)
+        assert calls["best_chain"] == [nodes]
+        assert calls["forced_chain"] == [nodes[0]]
+        assert result.num_moves > 0
+
+    def test_forced_step_tries_the_oldest_gate_first(self):
+        mapper, state, circuit, nodes, calls = self._setup()
+        result = MappingResult(circuit=circuit)
+        assert mapper._shuttling_step(result, state, nodes[::-1], [],
+                                      forced=True)
+        assert calls["best_chain"] == [[nodes[0]]]
+        assert calls["forced_chain"] == [nodes[0]]
