@@ -40,8 +40,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
-                    Sequence, Tuple, Type, Union)
+from typing import (Any, Callable, Dict, FrozenSet, Iterator, List,
+                    Optional, Sequence, Tuple, Type, Union)
 
 import numpy as _np
 
@@ -293,6 +293,7 @@ class GridTopology(Topology):
         self._sites_within_cache: Dict[Tuple[int, float], List[int]] = {}
         self._sites_within_set_cache: Dict[Tuple[int, float], frozenset] = {}
         self._radius_offsets_cache: Dict[float, List[Tuple[int, int]]] = {}
+        self._offset_arrays_cache: Dict[float, Tuple[Any, Any]] = {}
         self._neighbour_table_cache: Dict[float, List[Tuple[int, ...]]] = {}
         self._euclidean_rows: List[Optional[List[float]]] = [None] * self._num_sites
         self._rectangular_rows: List[Optional[List[float]]] = [None] * self._num_sites
@@ -481,16 +482,14 @@ class GridTopology(Topology):
         so a batch of neighbourhoods can be gathered without a per-site
         table.  Returned by reference; callers must not mutate them.
         """
-        cache = getattr(self, "_offset_arrays", None)
-        if cache is None:
-            cache = {}
-            self._offset_arrays = cache
-        arrays = cache.get(radius)
+        arrays = self._offset_arrays_cache.get(radius)
         if arrays is None:
             offsets = self._radius_offsets(radius) if radius > 0 else []
-            arrays = (_np.array([o[0] for o in offsets], dtype=_np.int64),
-                      _np.array([o[1] for o in offsets], dtype=_np.int64))
-            cache[radius] = arrays
+            arrays = (_np.fromiter((o[0] for o in offsets), dtype=_np.int64,
+                                   count=len(offsets)),
+                      _np.fromiter((o[1] for o in offsets), dtype=_np.int64,
+                                   count=len(offsets)))
+            self._offset_arrays_cache[radius] = arrays
         return arrays
 
     def sites_within(self, site: int, radius: float) -> List[int]:
@@ -527,12 +526,8 @@ class GridTopology(Topology):
         cached = self._neighbour_table_cache.get(radius)
         if cached is not None:
             return cached
-        offsets = self._radius_offsets(radius) if radius > 0 else []
-        if offsets:
-            drs = _np.fromiter((o[0] for o in offsets), dtype=_np.int64,
-                               count=len(offsets))
-            dcs = _np.fromiter((o[1] for o in offsets), dtype=_np.int64,
-                               count=len(offsets))
+        drs, dcs = self.radius_offset_arrays(radius)
+        if drs.size:
             sites = _np.arange(self._num_sites, dtype=_np.int64)
             r = sites[:, None] // self.cols + drs[None, :]
             c = sites[:, None] % self.cols + dcs[None, :]

@@ -13,7 +13,7 @@ The bound is the candidate's cost itself, evaluated in batch:
   argmin over the anchor's interaction zone (ascending site order, so the
   first minimum is the kernel's ``(distance, site)`` tie-break) — and, when
   the zone is full, the first blocked zone site in the same order that has
-  a free trap within ``max_radius`` lattice spacings, cleared by a
+  a free trap within ``MOVE_AWAY_RADIUS`` lattice spacings, cleared by a
   move-away onto the nearest such trap (innermost disc first, as
   ``_nearest_free_site`` scans);
 * the distance terms sum the front and lookahead partner distances of each
@@ -44,11 +44,15 @@ import numpy as _np
 
 from ..hardware.topology import GridTopology, ZonedTopology
 
-__all__ = ["ChainScreen", "time_penalties"]
+__all__ = ["ChainScreen", "MOVE_AWAY_RADIUS", "time_penalties"]
 
 _EPSILON = 1e-9
 #: Eight times float64's unit roundoff ``2**-53`` (see the module docstring).
 _SLACK_PER_TERM = 2.0 ** -50
+#: How far, in lattice spacings, a move-away may carry a blocking atom: the
+#: shuttling router's ``_nearest_free_site`` scan and the screen's model of
+#: it share this value.
+MOVE_AWAY_RADIUS = 4
 
 
 def time_penalties(architecture, recent_moves: Sequence, atom, src, dst,
@@ -61,7 +65,8 @@ def time_penalties(architecture, recent_moves: Sequence, atom, src, dst,
     in the scalar evaluation order, and the history accumulates in order
     (``x + 0.0 == x`` covers the scalar zero-term skip), so each entry is
     bit-identical to the scalar sum.  ``distance`` is each move's
-    ``rectangular_distance``; ``recent_moves`` must not be empty.
+    ``rectangular_distance``.  One pass per recent move keeps the
+    temporaries ``O(len(atom))`` however long the history is.
     """
     durations = architecture.durations
     activation = durations.aod_activation
@@ -70,29 +75,27 @@ def time_penalties(architecture, recent_moves: Sequence, atom, src, dst,
     full = (activation + distance / architecture.shuttling_speed) \
         + deactivation
     shared = activation + deactivation
-    # One column per recent move.
-    r_atom, r_src, r_dst = (_np.array(values, dtype=_np.int64) for values in zip(
-        *((m.atom, m.source, m.destination) for m in recent_moves)))
-    r_sx, r_sy, r_ex, r_ey = (_np.array(values) for values in zip(
-        *(m.source_position + m.destination_position for m in recent_moves)))
-    sdx = sx[:, None] - r_sx
-    sdy = sy[:, None] - r_sy
-    edx = ex[:, None] - r_ex
-    edy = ey[:, None] - r_ey
-    near_sx = abs(sdx) < _EPSILON
-    near_sy = abs(sdy) < _EPSILON
-    ordering = ((near_sx | (abs(edx) < _EPSILON) | ((sdx > 0) == (edx > 0)))
-                & (near_sy | (abs(edy) < _EPSILON) | ((sdy > 0) == (edy > 0))))
-    compatible = ((atom[:, None] != r_atom)
-                  & (dst[:, None] != r_dst)
-                  & (dst[:, None] != r_src)
-                  & (src[:, None] != r_dst)
-                  & ordering)
-    terms = _np.where(compatible, 0.0,
-                      _np.where(near_sy | near_sx, shared, full[:, None]))
     penalty = _np.zeros(len(atom))
-    for term in terms.T:
-        penalty += term
+    for recent in recent_moves:
+        r_sx, r_sy = recent.source_position
+        r_ex, r_ey = recent.destination_position
+        sdx = sx - r_sx
+        sdy = sy - r_sy
+        edx = ex - r_ex
+        edy = ey - r_ey
+        near_sx = abs(sdx) < _EPSILON
+        near_sy = abs(sdy) < _EPSILON
+        ordering = ((near_sx | (abs(edx) < _EPSILON)
+                     | ((sdx > 0) == (edx > 0)))
+                    & (near_sy | (abs(edy) < _EPSILON)
+                       | ((sdy > 0) == (edy > 0))))
+        compatible = ((atom != recent.atom)
+                      & (dst != recent.destination)
+                      & (dst != recent.source)
+                      & (src != recent.destination)
+                      & ordering)
+        penalty += _np.where(compatible, 0.0,
+                             _np.where(near_sy | near_sx, shared, full))
     return penalty
 
 
@@ -103,12 +106,9 @@ class ChainScreen:
     ----------
     architecture:
         The device; its topology must satisfy :meth:`supports`.
-    max_radius:
-        Move-away search radius in lattice spacings (the router's
-        ``_nearest_free_site`` default).
     """
 
-    def __init__(self, architecture, max_radius: int = 4) -> None:
+    def __init__(self, architecture) -> None:
         topology = architecture.topology
         if not self.supports(topology):
             raise ValueError("the chain screen needs an unzoned grid topology")
@@ -121,13 +121,12 @@ class ChainScreen:
         self.ys = _np.array([p[1] for p in positions])
         self.zone_offsets = topology.radius_offset_arrays(
             architecture.interaction_radius_um)
-        # The move-away disc of radius max_radius, each offset labelled with
-        # the innermost scan radius whose disc contains it.
+        # The move-away disc of radius MOVE_AWAY_RADIUS, each offset
+        # labelled with the innermost scan radius whose disc contains it.
         radii = [radius * self.spacing + _EPSILON
-                 for radius in range(1, max_radius + 1)]
+                 for radius in range(1, MOVE_AWAY_RADIUS + 1)]
         discs = [set(_offset_pairs(topology.radius_offset_arrays(radius)))
                  for radius in radii]
-        self.max_radius = max_radius
         self.disc_offsets = topology.radius_offset_arrays(radii[-1])
         self.disc_ring = _np.array(
             [next(ring for ring, disc in enumerate(discs, 1) if offset in disc)
@@ -248,7 +247,7 @@ class ChainScreen:
 
         Returns ``(rows, blocked, away)`` restricted to the candidates that
         have a clearable zone site: the first zone site in ``(distance,
-        site)`` order with a free trap within ``max_radius`` spacings, and
+        site)`` order with a free trap within ``MOVE_AWAY_RADIUS`` spacings, and
         that trap — the free site of the innermost non-empty disc nearest
         to the blocked site, lowest index first.
         """
@@ -261,8 +260,8 @@ class ChainScreen:
         disc, disc_valid = self._neighbourhoods(origins, self.disc_offsets)
         disc_free = disc_valid & (state.free_mask[disc] != 0)
         innermost = _np.where(disc_free, self.disc_ring,
-                              self.max_radius + 1).min(axis=1)
-        clearable = innermost <= self.max_radius
+                              MOVE_AWAY_RADIUS + 1).min(axis=1)
+        clearable = innermost <= MOVE_AWAY_RADIUS
         nearest = disc[_np.arange(origins.size),
                        _np.where(disc_free & (self.disc_ring == innermost[:, None]),
                                  self._rect(origins, disc), _np.inf).argmin(axis=1)]

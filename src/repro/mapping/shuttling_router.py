@@ -73,7 +73,7 @@ from ..circuit.gate import Gate
 from ..hardware.architecture import NeutralAtomArchitecture
 from ..shuttling.aod import _ordering_preserved
 from ..shuttling.moves import Move, MoveChain
-from .chain_screen import ChainScreen, time_penalties
+from .chain_screen import MOVE_AWAY_RADIUS, ChainScreen, time_penalties
 from .layers import build_qubit_node_index
 from .state import MappingState
 
@@ -545,7 +545,7 @@ class ShuttlingRouter:
 
     def _nearest_free_site(self, state: MappingState, connectivity, lattice,
                            origin: int, occupied: Set[int], forbidden: Set[int],
-                           max_radius: int = 4) -> Optional[int]:
+                           max_radius: int = MOVE_AWAY_RADIUS) -> Optional[int]:
         """Closest free site to ``origin`` outside ``forbidden`` (for move-aways).
 
         Against the live occupancy each disc is scanned as one masked
