@@ -1,4 +1,4 @@
-"""Scaling benchmark: per-stage compile wall time, emitting BENCH_scaling.json.
+"""Scaling benchmark: per-pass compile wall time, emitting BENCH_scaling.json.
 
 Runs the hybrid mapper on the ``qft``/``graph`` benchmarks over all three
 hardware presets at ``REPRO_BENCH_SCALE`` and records where the time goes
@@ -61,14 +61,8 @@ def test_scaling_case(benchmark, hardware, circuit_name):
                                               BENCH_SCALE),
                               rounds=1, iterations=1, warmup_rounds=0)
     benchmark.extra_info.update(
-        {key: value for key, value in case.items()
-         if key not in ("stage_seconds", "pass_seconds")})
-    benchmark.extra_info.update(
-        {f"stage_{stage}_s": seconds
-         for stage, seconds in case["stage_seconds"].items()})
+        {key: value for key, value in case.items() if key != "pass_seconds"})
     _CASES.append(case)
-    assert set(case["stage_seconds"]) == {"execute", "decide",
-                                          "gate_route", "shuttle_route"}
     assert set(case["pass_seconds"]) == {"decompose", "initial_layout",
                                          "routing", "schedule", "evaluate"}
     # At tiny smoke scales a case may need no routing at all, so only sanity
@@ -77,7 +71,7 @@ def test_scaling_case(benchmark, hardware, circuit_name):
     assert case["mapper_seconds"] >= 0
     print(f"\n[{case['hardware']:9s}] {case['circuit']:10s} "
           f"wall={case['wall_seconds']:7.2f}s "
-          f"stages={case['stage_seconds']} "
+          f"passes={case['pass_seconds']} "
           f"swaps={case['num_swaps']} moves={case['num_moves']}")
 
 
@@ -91,8 +85,7 @@ def test_zoned_smoke_case(benchmark):
                               kwargs={"topology": "zoned"},
                               rounds=1, iterations=1, warmup_rounds=0)
     benchmark.extra_info.update(
-        {key: value for key, value in case.items()
-         if key not in ("stage_seconds", "pass_seconds")})
+        {key: value for key, value in case.items() if key != "pass_seconds"})
     _CASES.append(case)
     assert case["topology"] == "zoned"
     # Zoned routing must shuttle gate qubits into the entangling band.

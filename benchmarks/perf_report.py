@@ -1,4 +1,4 @@
-"""Perf-report helper: track compile wall time per stage across scales.
+"""Perf-report helper: track compile wall time per pass across scales.
 
 Emits ``BENCH_scaling.json`` so the performance trajectory of the mapper is
 recorded from PR 1 onward (schema ``repro-bench-scaling/v1``):
@@ -16,11 +16,8 @@ recorded from PR 1 onward (schema ``repro-bench-scaling/v1``):
           "scale": 0.3, "num_qubits": 60,
           "wall_seconds": 1.22,      // full run: pipeline compile (map + evaluate)
           "mapper_seconds": 1.19,    // HybridMapper.map wall time (RT column)
-          "stage_seconds": {         // accumulated inside the routing loop
-            "execute": 0.05, "decide": 0.11,
-            "gate_route": 0.98, "shuttle_route": 0.0
-          },
-          "pass_seconds": {          // per pipeline pass (decompose/.../evaluate)
+          "pass_seconds": {          // summed pass.<name> span durations
+            "decompose": 0.0, "initial_layout": 0.0,
             "routing": 1.19, "schedule": 0.02, "evaluate": 0.01
           },
           "num_swaps": 46, "num_moves": 0,
@@ -108,6 +105,7 @@ else:  # executed as a plain script: python benchmarks/perf_report.py
 
 from repro.pipeline import compile_circuit
 from repro.service import ARCHITECTURE_CACHE, BatchCompiler, CompilationTask
+from repro.telemetry import tracing
 
 SCHEMA = "repro-bench-scaling/v1"
 DEFAULT_CIRCUITS: Tuple[str, ...] = ("qft", "graph")
@@ -137,17 +135,37 @@ def peak_rss_mb() -> Optional[float]:
     return round(peak / divisor, 1)
 
 
+def pass_seconds(spans: Iterable[tracing.Span]) -> Dict[str, float]:
+    """Seconds per pipeline pass, summed over its ``pass.<name>`` spans."""
+    seconds: Dict[str, float] = {}
+    for record in spans:
+        if record.name.startswith("pass."):
+            name = record.name[len("pass."):]
+            seconds[name] = seconds.get(name, 0.0) + record.duration_s
+    return seconds
+
+
 def run_case(hardware: str, circuit_name: str, mode: str, scale: float,
-             *, alpha: float = 1.0, topology: str = "square") -> Dict:
-    """Run one benchmark configuration and return its report case."""
+             *, alpha: float = 1.0, topology: str = "square",
+             span_sink: Optional[List[tracing.Span]] = None) -> Dict:
+    """Run one benchmark configuration and return its report case.
+
+    The compile runs under a ``perf_report.case`` trace; the case's
+    ``pass_seconds`` are read off its ``pass.*`` spans.  With
+    ``span_sink`` the trace's spans are also appended there (``--trace``).
+    """
     architecture, connectivity = _architecture(hardware, scale, topology)
     circuit = build_circuit(circuit_name, scale)
     config = config_for_mode(mode, alpha)
-    start = time.perf_counter()
-    context = compile_circuit(circuit, architecture, config,
-                              connectivity=connectivity,
-                              alpha_ratio=alpha if mode == "hybrid" else None)
-    wall = time.perf_counter() - start
+    with tracing.start_trace("perf_report.case", hardware=hardware,
+                             circuit=circuit_name, mode=mode) as handle:
+        start = time.perf_counter()
+        context = compile_circuit(circuit, architecture, config,
+                                  connectivity=connectivity,
+                                  alpha_ratio=alpha if mode == "hybrid" else None)
+        wall = time.perf_counter() - start
+    if span_sink is not None:
+        span_sink.extend(handle.spans)
     result = context.require_result()
     metrics = context.require_metrics()
     case = {
@@ -161,10 +179,8 @@ def run_case(hardware: str, circuit_name: str, mode: str, scale: float,
         "available_cpus": os.cpu_count(),
         "wall_seconds": round(wall, 4),
         "mapper_seconds": round(result.runtime_seconds, 4),
-        "stage_seconds": {stage: round(seconds, 4)
-                          for stage, seconds in result.stage_seconds.items()},
-        "pass_seconds": {name: round(seconds, 4)
-                         for name, seconds in context.pass_seconds.items()},
+        "pass_seconds": {name: round(seconds, 4) for name, seconds
+                         in pass_seconds(handle.spans).items()},
         "num_swaps": result.num_swaps,
         "num_moves": result.num_moves,
         "delta_cz": metrics.delta_cz,
@@ -245,8 +261,9 @@ def run_telemetry_overhead_case(scale: float, *, hardware: str = "shuttling",
                                 rounds: int = 3) -> Dict:
     """Measure the cost of the telemetry registry on the compile hot path.
 
-    Compiles the shuttle_route-dominated configuration (``qft`` in
-    shuttling mode — the hottest instrumented loop) ``rounds`` times with
+    Compiles a routing-dominated configuration (``qft`` in shuttling
+    mode, where the registry is touched once per pass and once per sharded
+    run, never inside the routing loop) ``rounds`` times with
     the process-global registry disabled and ``rounds`` times enabled,
     recording the best wall time of each leg (best-of-N discards scheduler
     noise).  The legs are interleaved round by round — running one leg to
@@ -493,10 +510,9 @@ def profile_matrix(scale: float,
     """Profile the routing pass per matrix case (``--profile``).
 
     For each (hardware, circuit, mode) the full pipeline compile runs under
-    ``cProfile``; the dump shows the per-stage wall-clock split recorded by
-    the mapper, the top-``top`` functions by cumulative time, and the same
-    view restricted to ``repro/mapping`` so the routing hot spots are not
-    drowned out by evaluation/scheduling frames.
+    ``cProfile``; the dump shows the top-``top`` functions by cumulative
+    time, and the same view restricted to ``repro/mapping`` so the routing
+    hot spots are not drowned out by evaluation/scheduling frames.
     """
     import cProfile
     import pstats
@@ -511,20 +527,14 @@ def profile_matrix(scale: float,
                 config = config_for_mode(mode, 1.0)
                 profiler = cProfile.Profile()
                 profiler.enable()
-                context = compile_circuit(
+                compile_circuit(
                     circuit, architecture, config,
                     connectivity=connectivity,
                     alpha_ratio=1.0 if mode == "hybrid" else None)
                 profiler.disable()
-                result = context.require_result()
                 header = (f"{hardware}/{circuit_name}/{mode} "
                           f"@ scale {scale} ({topology})")
                 print(f"\n=== profile: {header} ===", file=stream)
-                print("stage_seconds: "
-                      + ", ".join(f"{stage}={seconds:.4f}s"
-                                  for stage, seconds
-                                  in sorted(result.stage_seconds.items())),
-                      file=stream)
                 stats = pstats.Stats(profiler, stream=stream)
                 stats.sort_stats("cumulative")
                 print(f"-- top {top} by cumulative time --", file=stream)
@@ -606,8 +616,8 @@ def build_parser(description: str) -> argparse.ArgumentParser:
                              "(kind shard_routing) for the selected matrix")
     parser.add_argument("--profile", action="store_true",
                         help="run the selected matrix under cProfile and "
-                             "dump a per-stage summary plus the top-20 "
-                             "functions by cumulative time (no report write)")
+                             "dump the top-20 functions by cumulative time "
+                             "(no report write)")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="run the selected matrix under structured "
                              "tracing and write the span timeline as Chrome "
@@ -692,21 +702,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if case["num_failures"] == 0 else 1
 
     if args.trace:
-        from repro.telemetry import tracing
-
-        spans = []
-        traced_cases = []
-        for hardware in args.hardware:
-            for circuit_name in args.circuits:
-                for mode in args.modes:
-                    with tracing.start_trace(
-                            "perf_report.case", hardware=hardware,
-                            circuit=circuit_name, mode=mode) as handle:
-                        traced_cases.append(run_case(
-                            hardware, circuit_name, mode, args.scale,
-                            topology=args.topology))
-                    spans.extend(handle.spans)
-                    spans.extend(tracing.TRACER.drain(handle.trace_id))
+        spans: List[tracing.Span] = []
+        traced_cases = [run_case(hardware, circuit_name, mode, args.scale,
+                                 topology=args.topology, span_sink=spans)
+                        for hardware in args.hardware
+                        for circuit_name in args.circuits
+                        for mode in args.modes]
         report = collect_report(args.scale, args.circuits, args.hardware,
                                 args.modes, cases=traced_cases,
                                 topology=args.topology)

@@ -39,7 +39,6 @@ from ..circuit.gate import GateKind
 from ..hardware.architecture import NeutralAtomArchitecture
 from ..hardware.connectivity import SiteConnectivity
 from ..telemetry import tracing
-from ..telemetry.registry import get_registry
 from .config import MapperConfig
 from .decision import CapabilityDecider, DecisionMemo
 from .gate_router import GateRouter, SwapCandidate
@@ -148,21 +147,16 @@ class HybridMapper:
         max_steps = self._max_routing_steps(circuit)
         routing_steps = 0
         steps_since_execution = 0
-        stage_seconds = {"execute": 0.0, "decide": 0.0,
-                         "gate_route": 0.0, "shuttle_route": 0.0}
 
         while not layers.is_finished():
-            tick = time.perf_counter()
             # (1) Forward gates that need no routing.
             for node in layers.drain_trivial_gates():
                 self._emit_circuit_gate(result, state, node)
             if layers.is_finished():
-                stage_seconds["execute"] += time.perf_counter() - tick
                 break
 
             front = layers.front_layer()
             if not front:
-                stage_seconds["execute"] += time.perf_counter() - tick
                 continue
 
             # Execute every front gate that is already satisfied.
@@ -180,12 +174,10 @@ class HybridMapper:
                     else:
                         result.num_trivially_executable += 1
                     executed_any = True
-            stage_seconds["execute"] += time.perf_counter() - tick
             if executed_any:
                 steps_since_execution = 0
                 continue
 
-            tick = time.perf_counter()
             lookahead = layers.lookahead_layer()
 
             # (2) Decide the mapping capability per gate.
@@ -202,18 +194,15 @@ class HybridMapper:
                 routed_by.setdefault(node.index, "gate")
             for node in shuttle_nodes:
                 routed_by[node.index] = "shuttle"
-            stage_seconds["decide"] += time.perf_counter() - tick
 
             forced = steps_since_execution >= stall_threshold
 
             # (3) Gate-based mapping has priority; (4) shuttling runs only when
             # the gate-based front layer is empty.
             if gate_nodes:
-                tick = time.perf_counter()
                 progressed = self._gate_based_step(
                     result, state, gate_nodes, gate_lookahead, positions, forced,
                     qubit_index=layers.qubit_node_index())
-                stage_seconds["gate_route"] += time.perf_counter() - tick
                 if not progressed:
                     # No SWAP candidate at all (isolated atom): re-route the
                     # offending gates via shuttling on the next iteration.
@@ -221,10 +210,8 @@ class HybridMapper:
                         shuttle_forced.add(node.index)
                         result.num_fallback_reroutes += 1
             elif shuttle_nodes:
-                tick = time.perf_counter()
                 progressed = self._shuttling_step(
                     result, state, shuttle_nodes, shuttle_lookahead, forced)
-                stage_seconds["shuttle_route"] += time.perf_counter() - tick
                 if not progressed:
                     raise MappingError(
                         "shuttling router could not construct any move chain; "
@@ -242,14 +229,7 @@ class HybridMapper:
         result.verify_complete()
         result.final_qubit_map = state.qubit_mapping()
         result.final_atom_map = state.atom_mapping()
-        result.stage_seconds = stage_seconds
         result.runtime_seconds = time.perf_counter() - start_time
-        registry = get_registry()
-        for stage, seconds in stage_seconds.items():
-            registry.histogram(
-                "repro_mapper_stage_seconds",
-                help="Wall time per hybrid-mapper stage, accumulated per run",
-                labels={"stage": stage}).observe(seconds)
         return result
 
     # ------------------------------------------------------------------

@@ -77,11 +77,8 @@ class MappingResult:
         ``num_trivially_executable``).
     runtime_seconds:
         Wall-clock time of the mapping process (the RT column of Table 1a).
-    stage_seconds:
-        Wall-clock time per mapping stage (``execute``, ``decide``,
-        ``gate_route``, ``shuttle_route``), accumulated over all routing
-        rounds.  Consumed by the perf harness (``benchmarks/perf_report.py``)
-        to track where mapping time goes as the system scales.
+        The only clock the mapper reads; finer breakdowns come from
+        telemetry spans (``mapper.map``, ``shard.partition``, ...).
     initial_qubit_map / final_qubit_map:
         The qubit mapping before and after the run.
     initial_atom_map / final_atom_map:
@@ -90,7 +87,8 @@ class MappingResult:
         Sharded-routing bookkeeping (:mod:`repro.mapping.shard`): the
         partition summary (``num_slices``, ``slice_sizes``, ``cut_qubits``),
         ``tree_depth`` (height of the hierarchical partition tree; 1 for a
-        flat plan), ``partition_seconds`` and ``hierarchical_partition``.
+        flat plan) and ``hierarchical_partition``.  Partition time is the
+        ``shard.partition`` telemetry span.
         Empty for serial runs, including sharded configs that fell back to
         the serial path.
     """
@@ -104,7 +102,6 @@ class MappingResult:
     num_trivially_executable: int = 0
     num_fallback_reroutes: int = 0
     runtime_seconds: float = 0.0
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
     initial_qubit_map: Dict[int, int] = field(default_factory=dict)
     final_qubit_map: Dict[int, int] = field(default_factory=dict)
     initial_atom_map: Dict[int, int] = field(default_factory=dict)

@@ -109,24 +109,22 @@ class ShardedRouter:
             # Nothing to route — the serial path is pure emission; slicing
             # it would add overhead for a workload with no routing at all.
             return None
-        tick = time.perf_counter()
         partition = (partition_circuit_tree if self.config.hierarchical_partition
                      else partition_circuit)
-        plan = partition(
-            circuit,
-            min_slice=self.config.shard_min_slice,
-            max_slice=self.config.resolved_shard_max_slice,
-            max_cut_qubits=self.config.shard_max_cut_qubits,
-        )
-        partition_seconds = time.perf_counter() - tick
+        with tracing.span("shard.partition", circuit=circuit.name):
+            plan = partition(
+                circuit,
+                min_slice=self.config.shard_min_slice,
+                max_slice=self.config.resolved_shard_max_slice,
+                max_cut_qubits=self.config.shard_max_cut_qubits,
+            )
         if plan.num_slices < 2:
             return None
         state = initial_state or MappingState(
             self.architecture, circuit.num_qubits,
             connectivity=self.connectivity)
         return StitchStream(self, plan, state, retain=retain,
-                            start_time=start_time,
-                            partition_seconds=partition_seconds)
+                            start_time=start_time)
 
 
 class StitchStream:
@@ -139,8 +137,8 @@ class StitchStream:
     """
 
     def __init__(self, router: ShardedRouter, plan: PartitionPlan,
-                 state: MappingState, *, retain: bool, start_time: float,
-                 partition_seconds: float) -> None:
+                 state: MappingState, *, retain: bool,
+                 start_time: float) -> None:
         self._router = router
         self._plan = plan
         self._state = state
@@ -158,13 +156,10 @@ class StitchStream:
                 initial_qubit_map=self.initial_qubit_map,
                 initial_atom_map=self.initial_atom_map,
             )
-            self.stage_seconds = self.result.stage_seconds
             self._coverage: Optional[bytearray] = None
         else:
-            self.stage_seconds: Dict[str, float] = {}
             self._coverage = bytearray(len(plan.circuit))
         self.stats: Dict[str, object] = {
-            "partition_seconds": partition_seconds,
             "hierarchical_partition": router.config.hierarchical_partition,
         }
         self.stats.update(plan.summary())
@@ -206,29 +201,19 @@ class StitchStream:
                 yield self._emit(op)
             if self.result is not None:
                 _merge_counters(self.result, slice_result)
-            _merge_stage_seconds(self.stage_seconds,
-                                 slice_result.stage_seconds)
         self._finalise()
 
     def _finalise(self) -> None:
-        stats = self.stats
         self.final_qubit_map = self._state.qubit_mapping()
         self.final_atom_map = self._state.atom_mapping()
-        self.stage_seconds["partition"] = stats["partition_seconds"]
-        registry = get_registry()
-        registry.counter(
+        get_registry().counter(
             "repro_shard_runs_total",
             help="Sharded mapping runs completed").inc()
-        registry.histogram(
-            "repro_shard_stage_seconds",
-            help="Wall time per sharded-routing stage",
-            labels={"stage": "partition"}).observe(
-                float(stats["partition_seconds"]))
         if self.result is not None:
             self.result.verify_complete()
             self.result.final_qubit_map = self.final_qubit_map
             self.result.final_atom_map = self.final_atom_map
-            self.result.shard_stats = stats
+            self.result.shard_stats = self.stats
             self.result.runtime_seconds = time.perf_counter() - self._start_time
         else:
             missing = [index for index, gate in enumerate(self._plan.circuit)
@@ -250,9 +235,3 @@ def _merge_counters(result: MappingResult, part: MappingResult) -> None:
     result.num_shuttle_routed += part.num_shuttle_routed
     result.num_trivially_executable += part.num_trivially_executable
     result.num_fallback_reroutes += part.num_fallback_reroutes
-
-
-def _merge_stage_seconds(target: Dict[str, float],
-                         source: Dict[str, float]) -> None:
-    for key, value in source.items():
-        target[key] = target.get(key, 0.0) + value

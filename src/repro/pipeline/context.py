@@ -51,9 +51,10 @@ class CompilationContext:
         Products of the routing, scheduling and evaluation passes.
     artifacts:
         Free-form side channel for custom passes.
-    pass_seconds:
-        Wall-clock seconds spent in each pass, keyed by pass name and
-        accumulated in execution order.
+
+    Pass timing is not stored here: :class:`~repro.pipeline.manager.PassManager`
+    records it as ``pass.<name>`` spans and in the ``repro_pass_seconds``
+    histogram.
     """
 
     circuit: QuantumCircuit
@@ -68,7 +69,6 @@ class CompilationContext:
     reference_schedule: Optional[Schedule] = None
     metrics: Optional[EvaluationMetrics] = None
     artifacts: Dict[str, Any] = field(default_factory=dict)
-    pass_seconds: Dict[str, float] = field(default_factory=dict)
 
     def ensure_connectivity(self) -> SiteConnectivity:
         """The shared :class:`SiteConnectivity`, building it on first use."""

@@ -1,4 +1,4 @@
-"""The pass manager: ordered pass execution with per-pass timing.
+"""The pass manager: ordered pass execution with per-pass telemetry.
 
 :func:`compile_circuit` is the canonical single-circuit entry point of the
 reproduction — every harness (Table-1 regeneration, pytest benchmarks, perf
@@ -41,16 +41,13 @@ class PassManager:
         self.passes: List[CompilationPass] = list(passes)
 
     def run(self, context: CompilationContext) -> CompilationContext:
-        """Execute every pass in order, accumulating wall time per pass name.
+        """Execute every pass in order, timing each one.
 
-        Timing is recorded in a ``finally`` block so a raising pass still
-        books its own elapsed time under its own name — otherwise the time
-        spent in a failing ``evaluate`` pass would be invisible and harness
-        reports would mis-attribute it to the preceding stages.
-
-        Each pass additionally records into the telemetry substrate: a
-        ``pass.<name>`` span when a trace is active, and an observation in
-        the ``repro_pass_seconds`` histogram (labelled by pass name).
+        Pass time is recorded in exactly two places: a ``pass.<name>`` span
+        when a trace is active, and an observation in the always-on
+        ``repro_pass_seconds`` histogram (labelled by pass name).  Both
+        close in a ``finally`` block, so a raising pass still books its own
+        elapsed time under its own name instead of vanishing from reports.
         Telemetry reads the clock and nothing else — it cannot influence
         the passes, so op streams are identical with it on or off.
         """
@@ -61,13 +58,11 @@ class PassManager:
                 with tracing.span(f"pass.{pipeline_pass.name}"):
                     pipeline_pass.run(context)
             finally:
-                elapsed = time.perf_counter() - tick
-                context.pass_seconds[pipeline_pass.name] = (
-                    context.pass_seconds.get(pipeline_pass.name, 0.0) + elapsed)
                 registry.histogram(
                     "repro_pass_seconds",
                     help="Wall time per compilation pass",
-                    labels={"pass": pipeline_pass.name}).observe(elapsed)
+                    labels={"pass": pipeline_pass.name}).observe(
+                        time.perf_counter() - tick)
         return context
 
     def pass_names(self) -> List[str]:

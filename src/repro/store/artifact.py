@@ -4,9 +4,8 @@ A :class:`CompiledArtifact` captures the products of one pipeline run that
 are cheap to persist and sufficient to *serve* the compilation without
 re-running it: the canonical op-stream text (the bit-identity contract of
 the differential harness), its SHA-256 digest, the headline counts, the
-Table-1a metrics, and the per-stage/per-pass timings of the original
-compile (kept for observability — a store hit reports what the compile
-originally cost).
+Table-1a metrics, and the original compile's ``runtime_seconds`` (a store
+hit reports what the mapping originally cost).
 
 The JSON encoding is self-verifying: :func:`CompiledArtifact.from_json`
 recomputes the op-stream SHA-256 and refuses payloads whose stored digest
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from ..evaluation.metrics import EvaluationMetrics
@@ -50,8 +49,6 @@ class CompiledArtifact:
     num_swaps: int
     num_moves: int
     runtime_seconds: float
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
-    pass_seconds: Dict[str, float] = field(default_factory=dict)
     metrics: Optional[EvaluationMetrics] = None
 
     # ------------------------------------------------------------------
@@ -72,8 +69,6 @@ class CompiledArtifact:
             num_swaps=result.num_swaps,
             num_moves=result.num_moves,
             runtime_seconds=result.runtime_seconds,
-            stage_seconds=dict(result.stage_seconds),
-            pass_seconds=dict(context.pass_seconds),
             metrics=context.metrics,
         )
 
@@ -119,8 +114,6 @@ class CompiledArtifact:
             "num_swaps": self.num_swaps,
             "num_moves": self.num_moves,
             "runtime_seconds": self.runtime_seconds,
-            "stage_seconds": self.stage_seconds,
-            "pass_seconds": self.pass_seconds,
             "metrics": None if self.metrics is None else asdict(self.metrics),
             "op_stream": list(self.op_stream),
         }
@@ -136,7 +129,10 @@ class CompiledArtifact:
         Raises :class:`ArtifactError` when the payload is not valid JSON,
         not this schema, fails the op-stream SHA-256 integrity check, or —
         with ``expected_key`` given — was stored under a different key
-        (a hash-collision/misplaced-file guard).
+        (a hash-collision/misplaced-file guard), including when the stored
+        ``key`` itself is malformed.  Keys this class no longer writes —
+        the timing dicts ``stage_seconds`` and ``pass_seconds`` of older v1
+        payloads — are ignored.
         """
         try:
             payload = json.loads(text)
@@ -160,10 +156,6 @@ class CompiledArtifact:
                 num_swaps=int(payload["num_swaps"]),
                 num_moves=int(payload["num_moves"]),
                 runtime_seconds=float(payload["runtime_seconds"]),
-                stage_seconds={str(k): float(v)
-                               for k, v in payload["stage_seconds"].items()},
-                pass_seconds={str(k): float(v)
-                              for k, v in payload["pass_seconds"].items()},
                 metrics=None if metrics_data is None
                 else EvaluationMetrics(**metrics_data),
             )
@@ -175,7 +167,10 @@ class CompiledArtifact:
                 f"op-stream integrity failure: stored sha256 {stored_sha[:12]}… "
                 f"but payload hashes to {actual_sha[:12]}…")
         if expected_key is not None and "key" in payload:
-            stored_key = StoreKey.from_dict(payload["key"])
+            try:
+                stored_key = StoreKey.from_dict(payload["key"])
+            except (KeyError, TypeError) as exc:
+                raise ArtifactError(f"malformed artifact key: {exc}") from None
             if stored_key != expected_key:
                 raise ArtifactError(
                     "artifact was stored under a different key "

@@ -1,7 +1,9 @@
 """Unified telemetry: metrics registry, structured tracing, timeline export.
 
-The observability substrate of the serving system (ROADMAP item 1's fleet
-mode scrapes and correlates through it):
+The observability substrate of the compiler and the serving system; it is
+also the only clock compile time is read from (``pass.<name>`` /
+``mapper.map`` / ``shard.*`` spans and the ``repro_pass_seconds``
+histogram):
 
 * :mod:`repro.telemetry.registry` — process-global counters / gauges /
   histograms with JSON-snapshot and Prometheus-text exporters, plus the

@@ -37,6 +37,7 @@ from repro.mapping import (
     assert_stream_valid,
     validate_stream,
 )
+from repro.telemetry import tracing
 
 MAPPING_SRC = Path(__file__).resolve().parents[2] / "src" / "repro" / "mapping"
 
@@ -107,12 +108,16 @@ class TestChainedScheduler:
                       + result.num_trivially_executable)
         assert attributed == circuit.num_entangling_gates()
 
-    def test_stage_seconds_include_partition(self, mixed_architecture):
+    def test_partition_span_once_per_sharded_map(self, mixed_architecture):
         circuit = random_layered_circuit(16, 10, seed=7)
         config = MapperConfig.sharded(shard_min_slice=12)
-        result = _map(mixed_architecture, circuit, config)
-        assert "partition" in result.stage_seconds
-        assert "shuttle_route" in result.stage_seconds
+        with tracing.start_trace("test") as handle:
+            result = _map(mixed_architecture, circuit, config)
+        names = [record.name for record in handle.spans]
+        assert names.count("shard.partition") == 1
+        assert names.count("shard.map") == 1
+        # The outer map plus one serial mapper run per slice.
+        assert names.count("mapper.map") == 1 + result.shard_stats["num_slices"]
 
 
 class TestThousandQubitStreaming:

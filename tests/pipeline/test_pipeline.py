@@ -29,6 +29,7 @@ from repro.pipeline import (
     default_passes,
     default_pipeline,
 )
+from repro.telemetry import get_registry, tracing
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +52,27 @@ def reversible_circuit():
     return get_benchmark("gray", num_qubits=12, seed=9)
 
 
+def _pass_spans(spans):
+    """The ``pass.<name>`` spans of a trace, in the order the passes ran."""
+    return sorted((record for record in spans
+                   if record.name.startswith("pass.")),
+                  key=lambda record: record.start_s)
+
+
+def _pass_names(spans):
+    return [record.name[len("pass."):] for record in _pass_spans(spans)]
+
+
+class ExplodingEvaluatePass(CompilationPass):
+    """An ``evaluate`` pass that burns 10 ms and then raises."""
+
+    name = "evaluate"
+
+    def run(self, context):
+        time.sleep(0.01)
+        raise RuntimeError("boom")
+
+
 class TestDefaultPipeline:
     def test_pass_order(self):
         names = default_pipeline().pass_names()
@@ -59,27 +81,34 @@ class TestDefaultPipeline:
 
     def test_routing_only_pipeline_skips_evaluation(self, architecture,
                                                     connectivity, graph_circuit):
-        context = compile_circuit(graph_circuit, architecture,
-                                  MapperConfig.hybrid(1.0),
-                                  connectivity=connectivity, evaluate=False)
+        with tracing.start_trace("test") as handle:
+            context = compile_circuit(graph_circuit, architecture,
+                                      MapperConfig.hybrid(1.0),
+                                      connectivity=connectivity, evaluate=False)
         assert context.result is not None
         assert context.metrics is None
         assert context.mapped_schedule is None
-        assert set(context.pass_seconds) == {"decompose", "initial_layout",
-                                             "routing"}
+        assert _pass_names(handle.spans) == ["decompose", "initial_layout",
+                                             "routing"]
 
     def test_context_products_all_populated(self, architecture, connectivity,
                                             graph_circuit):
-        context = compile_circuit(graph_circuit, architecture,
-                                  MapperConfig.hybrid(1.0),
-                                  connectivity=connectivity, alpha_ratio=1.0)
+        with tracing.start_trace("test") as handle:
+            context = compile_circuit(graph_circuit, architecture,
+                                      MapperConfig.hybrid(1.0),
+                                      connectivity=connectivity,
+                                      alpha_ratio=1.0)
         assert context.source_circuit is graph_circuit
         assert context.initial_state is not None
         context.result.verify_complete()
         assert context.reference_schedule is not None
         assert context.mapped_schedule is not None
         assert context.metrics.alpha_ratio == pytest.approx(1.0)
-        assert all(seconds >= 0 for seconds in context.pass_seconds.values())
+        spans = _pass_spans(handle.spans)
+        assert _pass_names(spans) == default_pipeline().pass_names()
+        assert all(record.status == "ok" and record.duration_s >= 0
+                   and record.parent_id == handle.root.span_id
+                   for record in spans)
 
     def test_connectivity_is_built_once_and_shared(self, architecture,
                                                    graph_circuit):
@@ -130,13 +159,15 @@ class TestPassComposition:
 
         passes = default_passes(evaluate=False)
         passes.insert(1, CountEntanglingPass())
-        context = compile_circuit(graph_circuit, architecture,
-                                  MapperConfig.hybrid(1.0),
-                                  connectivity=connectivity,
-                                  pass_manager=PassManager(passes))
+        with tracing.start_trace("test") as handle:
+            context = compile_circuit(graph_circuit, architecture,
+                                      MapperConfig.hybrid(1.0),
+                                      connectivity=connectivity,
+                                      pass_manager=PassManager(passes))
         assert context.artifacts["entangling"] == \
             graph_circuit.num_entangling_gates()
-        assert "count_entangling" in context.pass_seconds
+        assert _pass_names(handle.spans) == ["decompose", "count_entangling",
+                                             "initial_layout", "routing"]
 
     def test_caller_supplied_initial_state_is_respected(self, architecture,
                                                         connectivity,
@@ -162,33 +193,54 @@ class TestPassComposition:
         context = CompilationContext(
             circuit=graph_circuit, architecture=architecture,
             config=MapperConfig.hybrid(1.0), connectivity=connectivity)
-        manager.run(context)
-        assert list(context.pass_seconds) == ["decompose"]
+        with tracing.start_trace("test") as handle:
+            manager.run(context)
+        assert _pass_names(handle.spans) == ["decompose", "decompose"]
 
     def test_raising_pass_still_books_its_own_time(self, architecture,
                                                    connectivity,
                                                    graph_circuit):
         """A failing pass must record its wall time under its own name.
 
-        Previously the timing was only written after a successful run, so
-        the time burnt in a raising ``evaluate`` pass vanished and harness
-        reports mis-attributed the compile time to the routing stage.
+        If the span were only closed after a successful run, the time burnt
+        in a raising ``evaluate`` pass would vanish and harness reports
+        would mis-attribute the compile time to the routing pass.
         """
-        class ExplodingEvaluatePass(CompilationPass):
-            name = "evaluate"
-
-            def run(self, context):
-                time.sleep(0.01)
-                raise RuntimeError("boom")
-
         passes = default_passes(evaluate=False) + [ExplodingEvaluatePass()]
+        context = CompilationContext(
+            circuit=graph_circuit, architecture=architecture,
+            config=MapperConfig.hybrid(1.0), connectivity=connectivity)
+        with tracing.start_trace("test") as handle:
+            with pytest.raises(RuntimeError, match="boom"):
+                PassManager(passes).run(context)
+        spans = {record.name: record for record in _pass_spans(handle.spans)}
+        assert spans["pass.evaluate"].status == "error"
+        assert spans["pass.evaluate"].duration_s >= 0.01
+        assert spans["pass.routing"].status == "ok"
+
+    def test_pass_histogram_counts_every_run(self, architecture,
+                                             connectivity, graph_circuit):
+        """The always-on ``repro_pass_seconds`` clock needs no trace: each
+        pass run adds one observation under its name, a raising one too."""
+        passes = [DecomposePass(), DecomposePass(), InitialLayoutPass(),
+                  RoutingPass(), ExplodingEvaluatePass()]
+        registry = get_registry()
+
+        def counts():
+            return {name: registry.histogram(
+                "repro_pass_seconds", labels={"pass": name}).count
+                for name in ("decompose", "initial_layout", "routing",
+                             "evaluate")}
+
+        before = counts()
         context = CompilationContext(
             circuit=graph_circuit, architecture=architecture,
             config=MapperConfig.hybrid(1.0), connectivity=connectivity)
         with pytest.raises(RuntimeError, match="boom"):
             PassManager(passes).run(context)
-        assert context.pass_seconds["evaluate"] >= 0.01
-        assert "routing" in context.pass_seconds
+        after = counts()
+        assert {name: after[name] - before[name] for name in after} == {
+            "decompose": 2, "initial_layout": 1, "routing": 1, "evaluate": 1}
 
 
 class TestPassOrderingErrors:

@@ -7,9 +7,12 @@ payload — integrity failures quarantine the file and report a miss.
 
 import json
 import threading
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from repro.circuit import QuantumCircuit
 from repro.mapping import MapperConfig
 from repro.pipeline import compile_circuit
 from repro.service import ARCHITECTURE_CACHE, ArchitectureSpec
@@ -22,6 +25,10 @@ from repro.store import (
 )
 
 SPEC = ArchitectureSpec("mixed", lattice_rows=7, num_atoms=30)
+
+#: A v1 artifact exactly as written before the timing dicts were dropped:
+#: it still carries ``stage_seconds`` and ``pass_seconds``.
+LEGACY_ARTIFACT = Path(__file__).with_name("legacy_v1_artifact.json")
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +83,6 @@ class TestRoundTrip:
     def test_require_metrics_treats_metricless_entry_as_miss(self, tmp_path,
                                                              compiled):
         key, artifact, _ = compiled
-        from dataclasses import replace
         store = ResultStore(tmp_path)
         store.put(key, replace(artifact, metrics=None))
         assert store.get(key, require_metrics=True) is None
@@ -122,6 +128,20 @@ class TestCorruption:
         assert store.get(other) is None
         assert store.stats.corruptions == 1
 
+    @pytest.mark.parametrize("stored_key", [{}, "x"])
+    def test_malformed_key_is_quarantined_miss(self, tmp_path, compiled,
+                                               stored_key):
+        key, artifact, _ = compiled
+        store = ResultStore(tmp_path)
+        path = store.put(key, artifact)
+        data = json.loads(path.read_text())
+        data["key"] = stored_key
+        path.write_text(json.dumps(data))
+
+        assert store.get(key) is None
+        assert store.stats.corruptions == 1
+        assert [p.name for p in store.quarantined()] == [path.name + ".corrupt"]
+
     def test_recompile_after_quarantine_overwrites(self, tmp_path, compiled):
         key, artifact, _ = compiled
         store = ResultStore(tmp_path)
@@ -141,6 +161,49 @@ class TestCorruption:
             tampered = json.loads(artifact.to_json())
             tampered["op_stream"] = list(tampered["op_stream"]) + ["M extra"]
             CompiledArtifact.from_json(json.dumps(tampered))
+
+
+class TestLegacyPayload:
+    @staticmethod
+    def _legacy_compile():
+        circuit = QuantumCircuit(8, name="legacy")
+        circuit.h(0).cz(0, 7).cz(1, 6).h(3).cz(2, 5, 7).cz(0, 4)
+        architecture, connectivity = ARCHITECTURE_CACHE.get(SPEC)
+        config = MapperConfig.for_mode("hybrid", 1.0)
+        context = compile_circuit(circuit, architecture, config,
+                                  connectivity=connectivity, alpha_ratio=1.0)
+        return compute_store_key(circuit, SPEC, config), context
+
+    def test_legacy_payload_with_timing_dicts_still_loads(self, tmp_path):
+        text = LEGACY_ARTIFACT.read_text()
+        payload = json.loads(text)
+        assert {"stage_seconds", "pass_seconds"} <= set(payload)
+        key, context = self._legacy_compile()
+        assert key.as_dict() == payload["key"]
+
+        store = ResultStore(tmp_path)
+        store.path_for(key).write_text(text)
+        loaded = store.get(key)
+        assert loaded is not None and store.stats.hits == 1
+
+        fresh = context.require_result()
+        assert list(loaded.op_stream) == payload["op_stream"]
+        assert list(loaded.op_stream) == fresh.op_stream_lines()
+        assert loaded.op_stream_sha256 == payload["op_stream_sha256"]
+        assert loaded.op_stream_digest() == fresh.op_stream_digest()
+        assert loaded.runtime_seconds == payload["runtime_seconds"]
+        assert loaded.metrics == replace(
+            context.require_metrics(),
+            runtime_seconds=payload["metrics"]["runtime_seconds"])
+
+    def test_fresh_payload_omits_timing_dicts_and_round_trips(self):
+        key, context = self._legacy_compile()
+        artifact = CompiledArtifact.from_context(context)
+        text = artifact.to_json(key)
+        payload = json.loads(text)
+        assert "stage_seconds" not in payload
+        assert "pass_seconds" not in payload
+        assert CompiledArtifact.from_json(text, expected_key=key) == artifact
 
 
 class TestConcurrentWriters:
@@ -182,7 +245,6 @@ class TestConcurrentWriters:
 
 class TestEviction:
     def _padded(self, artifact, label: str) -> CompiledArtifact:
-        from dataclasses import replace
         return replace(artifact, circuit_name=label)
 
     def test_lru_eviction_under_tiny_budget(self, tmp_path, compiled):
