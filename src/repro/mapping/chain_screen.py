@@ -18,7 +18,8 @@ The bound is the candidate's cost itself, evaluated in batch:
   ``_nearest_free_site`` scans);
 * the distance terms sum the front and lookahead partner distances of each
   moved qubit, and the ``C_t_parallel`` penalty is batched against the
-  recent-move history exactly as ``_batch_time_penalties`` does;
+  recent-move history bit for bit as the scalar ``move_time_penalty``
+  walks it;
 * a rigorous float slack is subtracted: the scalar cost and the batched one
   evaluate the same real-valued sum of ``n`` partner terms in a different
   order, and each differs from it by at most ``(n + 8) u A`` with

@@ -9,6 +9,7 @@ defaults reproduce the parameter set of the paper's evaluation (Section 4.1):
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
@@ -103,10 +104,14 @@ class MapperConfig:
         # Normalise numeric field types so equal-valued configs are identical
         # objects: MapperConfig(alpha_gate=2) and MapperConfig(alpha_gate=2.0)
         # must produce the same canonical key/fingerprint (repr(2) != repr(2.0)
-        # even though the values compare equal).
+        # even though the values compare equal).  NaN slips through every
+        # ``< 0`` check below, so non-finite weights are rejected here.
         for name in ("alpha_gate", "alpha_shuttling", "lookahead_weight",
                      "decay_rate", "time_weight"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
         for name in ("lookahead_depth", "history_window", "shard_min_slice"):
             object.__setattr__(self, name, int(getattr(self, name)))
         for name in ("stall_threshold", "max_routing_steps", "shard_max_slice",

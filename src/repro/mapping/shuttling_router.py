@@ -23,15 +23,15 @@ last ``history_window`` moves depending on whether it can share their AOD
 batch (parallel loading and shuttling), only their activation window
 (parallel loading), or nothing.
 
-Incremental cost evaluation: only gates acting on the moved atom's circuit
-qubit can change their distance, so :meth:`ShuttlingRouter.best_chain` builds
-a qubit → node index over the layers once per routing round and the per-move
-distance terms walk just the touched gates.  The parallelism penalty of a
-move depends only on the move itself and the recent-move history, so it is
-memoised per ``(atom, source, destination)`` and the cache is dropped
-whenever the history changes (``note_moves_applied``/``reset``).  Both
-tweaks are pure caching — chain selection is unchanged.  Site geometry
-(neighbourhood rings, hop-distance rows) comes from the shared
+Cost evaluation: :meth:`ShuttlingRouter.chain_cost` is the one scoring
+path.  Only gates acting on the moved atom's circuit qubit can change their
+distance, so :meth:`ShuttlingRouter.best_chain` builds a qubit → node index
+over both layers once per routing round and the per-move distance terms walk
+just the touched gates, in node order; ``C_t_parallel`` is the scalar walk
+over the recent-move history.  Nothing is memoised across chains or rounds:
+once the screen below drops the chains that cannot win, a round scores too
+few moves for a cost memo to pay.  Site geometry (neighbourhood rings,
+hop-distance rows) comes from the shared
 :class:`~repro.hardware.connectivity.SiteConnectivity` /
 :class:`~repro.hardware.topology.Topology` caches, which the gate-based
 router uses as well.
@@ -73,7 +73,7 @@ from ..circuit.gate import Gate
 from ..hardware.architecture import NeutralAtomArchitecture
 from ..shuttling.aod import _ordering_preserved
 from ..shuttling.moves import Move, MoveChain
-from .chain_screen import MOVE_AWAY_RADIUS, ChainScreen, time_penalties
+from .chain_screen import MOVE_AWAY_RADIUS, ChainScreen
 from .layers import build_qubit_node_index
 from .state import MappingState
 
@@ -99,11 +99,12 @@ class _ChainProposal:
 class ShuttlingRouter:
     """Move-chain router with lookahead and AOD-parallelism awareness.
 
-    ``incremental`` enables the qubit → node index walk and the per-round /
-    per-history memos in :meth:`best_chain` and :meth:`move_time_penalty`;
-    disabling it restores the naive full recomputation (identical chain
-    selections, only slower — kept as the reference implementation for the
-    equivalence tests).
+    ``incremental`` enables the two shortcuts of :meth:`best_chain`: the
+    qubit → node index that restricts the distance terms to the touched
+    gates, and the screen on wide fronts.  Disabling it scores every
+    candidate chain with a plain walk over both layers — identical chain
+    selections, only slower — and is kept as the reference for the
+    equivalence tests.
     """
 
     def __init__(self, architecture: NeutralAtomArchitecture, *,
@@ -131,63 +132,18 @@ class ShuttlingRouter:
         self._screenable = ChainScreen.supports(topology)
         self._screen: Optional[ChainScreen] = None
         self._gate_capable_array = None
-        # Per-round construction memos.  best_chain scores every candidate
-        # chain against one frozen occupancy (moves are applied only after
-        # selection), so sub-results that are pure functions of the
-        # occupancy — the free candidates of an anchor's interaction zone,
-        # the nearest free site of a move-away origin — are shared across
-        # all of the round's constructions and dropped on the first
-        # construction after any occupancy change.
-        self._round_state: Optional[MappingState] = None
-        self._round_epoch = -1
-        self._round_free_zone: Dict[int, object] = {}
-        self._round_nearest: Dict[int, Optional[int]] = {}
         self._recent_moves: List[Move] = []
-        # move_time_penalty depends only on the move and the recent-move
-        # history; memoised per move identity until the history changes.
-        self._penalty_cache: Dict[Tuple[int, int, int], float] = {}
-        # The per-(move, recent-move) penalty term is pure geometry of the
-        # two moves, so it survives history rotation; memoised across rounds
-        # by both moves' identities.
-        self._pair_penalty_cache: Dict[Tuple[Tuple[int, int, int],
-                                             Tuple[int, int, int]], float] = {}
         # Moves are immutable values fully determined by (atom, source,
         # destination, is_move_away); the same candidate move is rebuilt
         # thousands of times across rounds, so instances are pooled.
         self._move_pool: Dict[Tuple[int, int, int, bool], Move] = {}
-        # Cross-round cache of the distance part of a move's cost
-        # contribution (front term + lookahead-weighted term), grouped per
-        # moved qubit.  The part depends only on the qubit's partner-site
-        # entries over both layers, so it is reused while those entries
-        # compare equal to the snapshot taken when the group was filled.
-        self._distance_parts: Dict[int, Dict[Tuple[int, int, int], float]] = {}
-        self._prev_front_entries: Dict[int, List] = {}
-        self._prev_lookahead_entries: Dict[int, List] = {}
 
     # ------------------------------------------------------------------
     # History bookkeeping
     # ------------------------------------------------------------------
     def reset(self) -> None:
         self._recent_moves.clear()
-        self._penalty_cache.clear()
-        self._pair_penalty_cache.clear()
         self._move_pool.clear()
-        self._distance_parts.clear()
-        self._prev_front_entries.clear()
-        self._prev_lookahead_entries.clear()
-        self._round_state = None
-        self._round_epoch = -1
-        self._round_free_zone.clear()
-        self._round_nearest.clear()
-
-    def _sync_round(self, state: MappingState) -> None:
-        """Invalidate the per-round memos after any occupancy change."""
-        if state is not self._round_state \
-                or state.occupancy_epoch != self._round_epoch:
-            self._round_state = state
-            self._round_epoch = state.occupancy_epoch
-            self._round_free_zone.clear()
-            self._round_nearest.clear()
 
     def note_moves_applied(self, moves: Sequence[Move]) -> None:
         """Record executed moves for the parallelism term of the cost function."""
@@ -196,7 +152,6 @@ class ShuttlingRouter:
         self._recent_moves.extend(moves)
         if self.history_window and len(self._recent_moves) > self.history_window:
             self._recent_moves = self._recent_moves[-self.history_window:]
-        self._penalty_cache.clear()
 
     # ------------------------------------------------------------------
     # Chain construction
@@ -457,14 +412,8 @@ class ShuttlingRouter:
         row = lattice.rectangular_row_array(current_site)
         # ndarray methods throughout: the np.* free functions route through
         # python dispatch (numpy's _wrapfunc), which dominates on zones this
-        # small.  The free candidates of a zone depend only on the
-        # occupancy, so they are shared across the round's constructions
-        # (both gate sites are occupied, hence never among them).
-        self._sync_round(state)
-        candidates = self._round_free_zone.get(anchor_site)
-        if candidates is None:
-            candidates = zone[state.free_mask[zone].nonzero()[0]]
-            self._round_free_zone[anchor_site] = candidates
+        # small.  Both gate sites are occupied, hence never candidates.
+        candidates = zone[state.free_mask[zone].nonzero()[0]]
         if candidates.size:
             destination = int(candidates[row[candidates].argmin()])
             move = self._pooled_move(state.atom_of_qubit(qubit), current_site,
@@ -558,36 +507,21 @@ class ShuttlingRouter:
             free_mask = state.free_mask
             spacing = lattice.spacing
             # Every live call site passes the gate sites as ``forbidden``
-            # and those host the gate atoms, so the forbidden sites are
-            # occupied and can never appear among the free candidates: the
-            # result is a pure function of (origin, occupancy), shared
-            # across the round's constructions.  A free forbidden site
-            # (defensive; no current caller produces one) bypasses the memo
-            # and filters explicitly.
-            memoisable = not any(free_mask[site] for site in forbidden)
-            if memoisable:
-                self._sync_round(state)
-                if origin in self._round_nearest:
-                    return self._round_nearest[origin]
+            # and those host the gate atoms, so only a free forbidden site
+            # (defensive; no current caller produces one) needs filtering.
+            free_forbidden = [site for site in forbidden if free_mask[site]]
             origin_row = lattice.rectangular_row_array(origin)
-            best = None
             for radius in range(1, max_radius + 1):
                 disc = lattice.sites_within_array(
                     origin, radius * spacing + _EPSILON)
                 if not disc.size:
                     continue
                 candidates = disc[free_mask[disc].nonzero()[0]]
-                if candidates.size and not memoisable:
-                    keep = _np.ones(candidates.size, dtype=bool)
-                    for site in forbidden:
-                        keep &= candidates != site
-                    candidates = candidates[keep]
+                for site in free_forbidden:
+                    candidates = candidates[candidates != site]
                 if candidates.size:
-                    best = int(candidates[origin_row[candidates].argmin()])
-                    break
-            if memoisable:
-                self._round_nearest[origin] = best
-            return best
+                    return int(candidates[origin_row[candidates].argmin()])
+            return None
 
         origin_row = lattice.rectangular_row(origin)
         for radius in range(1, max_radius + 1):
@@ -636,80 +570,15 @@ class ShuttlingRouter:
     def move_time_penalty(self, move: Move) -> float:
         """``C_t_parallel`` contribution of one move against the recent-move history.
 
-        Memoised per ``(atom, source, destination)``: the same physical move
-        shows up in many candidate chains within one routing round, and the
-        penalty only changes when the recent-move history does.
+        The per-recent-move terms of :meth:`_pair_penalty_term` are summed
+        in history order; the screen's batch
+        (:func:`~repro.mapping.chain_screen.time_penalties`) reproduces this
+        sum bit for bit.
         """
-        if not self._recent_moves:
-            return 0.0
-        if not self.incremental:
-            return self._compute_time_penalty(move)
-        key = (move.atom, move.source, move.destination)
-        cached = self._penalty_cache.get(key)
-        if cached is not None:
-            return cached
-        penalty = self._compute_time_penalty(move)
-        self._penalty_cache[key] = penalty
-        return penalty
-
-    def _compute_time_penalty(self, move: Move) -> float:
-        """Sum of the per-recent-move penalty terms, in history order.
-
-        Each term is pure geometry of the two moves, so with the incremental
-        engine it is memoised across rounds by both moves' identities (the
-        history rotates by a few moves per round; most pairs recur).  Zero
-        terms are skipped — adding ``0.0`` to a non-negative float is exact,
-        so the sum is bit-identical to the naive accumulation.
-        """
-        pair_cache = self._pair_penalty_cache if self.incremental else None
-        move_key = (move.atom, move.source, move.destination)
         penalty = 0.0
         for recent in self._recent_moves:
-            if pair_cache is not None:
-                pair = (move_key, (recent.atom, recent.source, recent.destination))
-                term = pair_cache.get(pair)
-                if term is None:
-                    term = self._pair_penalty_term(move, recent)
-                    pair_cache[pair] = term
-            else:
-                term = self._pair_penalty_term(move, recent)
-            if term:
-                penalty += term
+            penalty += self._pair_penalty_term(move, recent)
         return penalty
-
-    def _batch_time_penalties(self, chains_by_node: Sequence) -> None:
-        """Batched :meth:`move_time_penalty` for one round.
-
-        Pre-fills ``_penalty_cache`` for every distinct candidate move of
-        the round in one numpy batch (:func:`~repro.mapping.chain_screen.time_penalties`)
-        instead of one scalar history walk per move; the batch is
-        bit-identical to :meth:`_compute_time_penalty`, with
-        ``rectangular_distance`` gathered from the move objects (never
-        recomputed).
-        """
-        cache = self._penalty_cache
-        batch: Dict[Tuple[int, int, int], Move] = {}
-        for _node, chains in chains_by_node:
-            for chain in chains:
-                for move in chain:
-                    key = (move.atom, move.source, move.destination)
-                    if key not in cache and key not in batch:
-                        batch[key] = move
-        if not batch:
-            return
-        moves = list(batch.values())
-        penalty = time_penalties(
-            self.architecture, self._recent_moves,
-            _np.array([m.atom for m in moves], dtype=_np.int64),
-            _np.array([m.source for m in moves], dtype=_np.int64),
-            _np.array([m.destination for m in moves], dtype=_np.int64),
-            _np.array([m.source_position[0] for m in moves]),
-            _np.array([m.source_position[1] for m in moves]),
-            _np.array([m.destination_position[0] for m in moves]),
-            _np.array([m.destination_position[1] for m in moves]),
-            _np.array([m.rectangular_distance for m in moves]))
-        for index, key in enumerate(batch):
-            cache[key] = float(penalty[index])
 
     def _pair_penalty_term(self, move: Move, recent: Move) -> float:
         """``C_t_parallel`` contribution of ``move`` against one recent move.
@@ -745,20 +614,16 @@ class ShuttlingRouter:
                 + durations.aod_deactivation)
 
     def _distance_change(self, state: MappingState, move: Move, nodes: Sequence,
-                         node_index: Optional[Dict[int, Sequence]] = None,
-                         partner_cache: Optional[Dict[int, List]] = None) -> float:
+                         node_index: Optional[Dict[int, Sequence]] = None) -> float:
         """Summed change in gate distance over ``nodes`` caused by ``move``.
 
         Only gates involving the moved atom's circuit qubit can change their
         direct distance; the (rarer) indirect conflicts of Example 6 are
         handled by re-validating cached positions in the mapper rather than
         inside this per-move cost.  ``node_index`` (qubit → nodes, in node
-        order) lets the walk skip straight to the touched gates, and
-        ``partner_cache`` memoises each qubit's partner sites for the round
-        (the state does not mutate while candidate chains are ranked, and a
-        hot qubit appears in many candidate moves).  Both keep the node
-        order and per-node float arithmetic of the plain walk, so the sum is
-        bit-identical.
+        order) lets the walk skip straight to the touched gates; it keeps
+        the node order and per-node float arithmetic of the plain walk, so
+        the sum is bit-identical.
         """
         moved_qubit = state.qubit_of_atom(move.atom)
         if moved_qubit is None:
@@ -766,24 +631,6 @@ class ShuttlingRouter:
         lattice = self.architecture.lattice
         source_row = lattice.euclidean_row(move.source)
         destination_row = lattice.euclidean_row(move.destination)
-        if partner_cache is not None and node_index is not None:
-            entries = partner_cache.get(moved_qubit)
-            if entries is None:
-                entries = self._partner_entries(
-                    state, node_index.get(moved_qubit, ()), moved_qubit)
-                partner_cache[moved_qubit] = entries
-            change = 0.0
-            for entry in entries:
-                if type(entry) is int:
-                    change += destination_row[entry] - source_row[entry]
-                else:
-                    before = 0.0
-                    after = 0.0
-                    for other_site in entry:
-                        before += source_row[other_site]
-                        after += destination_row[other_site]
-                    change += after - before
-            return change / max(lattice.spacing, _EPSILON)
         if node_index is not None:
             nodes = node_index.get(moved_qubit, ())
         site_of_qubit = state.site_of_qubit
@@ -804,130 +651,32 @@ class ShuttlingRouter:
             change += after - before
         return change / max(lattice.spacing, _EPSILON)
 
-    @staticmethod
-    def _partner_entries(state: MappingState, nodes: Sequence,
-                         moved_qubit: int) -> List:
-        """Per-node partner sites of ``moved_qubit`` over ``nodes``.
-
-        Two-qubit gates collapse to a bare site index (their before/after
-        sums are single terms); wider gates keep their partner list so the
-        accumulation order matches the plain walk exactly.
-        """
-        site_of_qubit = state.site_of_qubit
-        entries: List = []
-        for node in nodes:
-            qubits = node.gate.qubits
-            if moved_qubit not in qubits:
-                continue
-            if len(qubits) == 2:
-                entries.append(site_of_qubit(
-                    qubits[1] if qubits[0] == moved_qubit else qubits[0]))
-            else:
-                entries.append([site_of_qubit(other) for other in qubits
-                                if other != moved_qubit])
-        return entries
-
     def chain_cost(self, state: MappingState, chain: MoveChain,
                    front_nodes: Sequence, lookahead_nodes: Sequence,
                    front_index: Optional[Dict[int, Sequence]] = None,
-                   lookahead_index: Optional[Dict[int, Sequence]] = None,
-                   change_cache: Optional[Dict[Tuple[int, int, int],
-                                               float]] = None,
-                   front_partners: Optional[Dict[int, List]] = None,
-                   lookahead_partners: Optional[Dict[int, List]] = None,
-                   distance_groups: Optional[Dict[int, Dict]] = None) -> float:
+                   lookahead_index: Optional[Dict[int, Sequence]] = None
+                   ) -> float:
         """Total cost of a chain according to Eq. (4)/(5).
 
-        The optional qubit → node indices restrict the distance terms to the
-        gates a move can actually affect, and ``change_cache`` memoises the
-        complete per-move cost contribution — distance terms plus weighted
-        parallelism penalty — across chains of one routing round (keyed by
-        ``(atom, source, destination)``; the same physical move appears in
-        many candidate chains).  ``distance_groups`` additionally carries the
-        distance part across rounds (see :meth:`_distance_part`).  The
-        per-move contribution is composed from the same floats either way,
-        so the summed cost is identical.
+        Each move contributes its front distance change, plus ``w_l`` times
+        its lookahead distance change, plus ``w_t`` times its
+        ``C_t_parallel`` penalty, summed in that order; the optional qubit →
+        node indices (see :meth:`_distance_change`) restrict the distance
+        walks to the gates a move can affect without changing a float.
+        This is the only cost composition the router has, so the screen's
+        bound and the golden op streams both pin its evaluation order.
         """
         total = 0.0
         for move in chain:
-            contribution = None
-            move_key = (move.atom, move.source, move.destination)
-            if change_cache is not None:
-                contribution = change_cache.get(move_key)
-            if contribution is None:
-                if distance_groups is not None:
-                    distance_part = self._distance_part(
-                        state, move, move_key, front_index, lookahead_index,
-                        front_partners, lookahead_partners, distance_groups)
-                else:
-                    distance_part = (
-                        self._distance_change(state, move, front_nodes,
-                                              front_index, front_partners)
-                        + self.lookahead_weight * self._distance_change(
-                            state, move, lookahead_nodes, lookahead_index,
-                            lookahead_partners))
-                contribution = (distance_part
-                                + self.time_weight * self.move_time_penalty(move))
-                if change_cache is not None:
-                    change_cache[move_key] = contribution
-            total += contribution
+            total += (self._distance_change(state, move, front_nodes,
+                                            front_index)
+                      + self.lookahead_weight * self._distance_change(
+                          state, move, lookahead_nodes, lookahead_index)
+                      + self.time_weight * self.move_time_penalty(move))
         # Move-aways carry no distance benefit of their own; penalise longer
         # chains slightly so that, all else equal, minimal chains win.
         total += 0.25 * chain.num_move_aways
         return total
-
-    def _distance_part(self, state: MappingState, move: Move,
-                       move_key: Tuple[int, int, int],
-                       front_index: Dict[int, Sequence],
-                       lookahead_index: Dict[int, Sequence],
-                       front_partners: Dict[int, List],
-                       lookahead_partners: Dict[int, List],
-                       distance_groups: Dict[int, Dict]) -> float:
-        """Front + weighted lookahead distance term of one move, cached
-        across rounds.
-
-        The term is a pure function of the moved qubit's partner-site
-        entries over both layers and of the move's endpoints, so the cached
-        value is reused while the entries compare equal to the snapshot
-        taken when the qubit's cache group was (re)filled — the float
-        composition is unchanged, keeping costs bit-identical.
-        ``distance_groups`` memoises the per-qubit group resolution for the
-        current round.
-        """
-        moved_qubit = state.qubit_of_atom(move.atom)
-        if moved_qubit is None:
-            # Mirrors the plain computation: both distance terms are 0.0.
-            return 0.0 + self.lookahead_weight * 0.0
-        group = distance_groups.get(moved_qubit)
-        if group is None:
-            front_entries = front_partners.get(moved_qubit)
-            if front_entries is None:
-                front_entries = self._partner_entries(
-                    state, front_index.get(moved_qubit, ()), moved_qubit)
-                front_partners[moved_qubit] = front_entries
-            lookahead_entries = lookahead_partners.get(moved_qubit)
-            if lookahead_entries is None:
-                lookahead_entries = self._partner_entries(
-                    state, lookahead_index.get(moved_qubit, ()), moved_qubit)
-                lookahead_partners[moved_qubit] = lookahead_entries
-            if (self._prev_front_entries.get(moved_qubit) == front_entries
-                    and self._prev_lookahead_entries.get(moved_qubit)
-                    == lookahead_entries):
-                group = self._distance_parts.setdefault(moved_qubit, {})
-            else:
-                group = {}
-                self._distance_parts[moved_qubit] = group
-                self._prev_front_entries[moved_qubit] = front_entries
-                self._prev_lookahead_entries[moved_qubit] = lookahead_entries
-            distance_groups[moved_qubit] = group
-        part = group.get(move_key)
-        if part is None:
-            part = (self._distance_change(state, move, (), front_index,
-                                          front_partners)
-                    + self.lookahead_weight * self._distance_change(
-                        state, move, (), lookahead_index, lookahead_partners))
-            group[move_key] = part
-        return part
 
     # ------------------------------------------------------------------
     # Selection
@@ -936,66 +685,36 @@ class ShuttlingRouter:
                    lookahead_nodes: Sequence) -> Optional[MoveChain]:
         """Best move chain over all front-layer shuttling gates.
 
-        Equivalent to ranking every candidate chain by :meth:`chain_cost`;
-        the qubit → node indices and the per-move distance-term memo (the
-        same physical move appears in many candidate chains within one
-        round) only avoid recomputation.  On fronts wider than
-        ``_SCREEN_FRONT_WIDTH`` the incremental engine first screens the
-        two-qubit gates (:meth:`_screened_candidates`) and builds chains
-        only for those that can still win.
+        Ranks the candidate chains of every front node, in front order, by
+        ``(chain_cost, length)`` and returns the first minimum.  With the
+        incremental engine the distance terms walk the round's qubit → node
+        indices, and on fronts wider than ``_SCREEN_FRONT_WIDTH`` the
+        two-qubit gates are screened first (:meth:`_screened_candidates`),
+        so chains are built and costed only for the nodes that can still
+        win.  Neither shortcut changes the selected chain.
         """
         if self.incremental:
             front_index = build_qubit_node_index(front_nodes)
             lookahead_index = build_qubit_node_index(lookahead_nodes)
-            change_cache: Optional[Dict[Tuple[int, int, int], float]] = {}
-            front_partners: Optional[Dict[int, List]] = {}
-            lookahead_partners: Optional[Dict[int, List]] = {}
-            distance_groups: Optional[Dict[int, Dict]] = {}
         else:
-            front_index = lookahead_index = change_cache = None
-            front_partners = lookahead_partners = distance_groups = None
+            front_index = lookahead_index = None
 
-        def rank_of(chain: MoveChain) -> Tuple[float, int]:
-            moves = chain.moves
-            contribution = None
-            if change_cache is not None and len(moves) == 1:
-                move = moves[0]
-                contribution = change_cache.get(
-                    (move.atom, move.source, move.destination))
-            if contribution is not None:
-                # Single-move chain with a memoised contribution — the
-                # dominant case once the round's caches are warm.  The
-                # sum mirrors chain_cost exactly: ``0.0 + c`` equals
-                # ``c + 0.0`` bit-for-bit, so the fast path never
-                # changes a cost.
-                cost = contribution + 0.25 * chain.num_move_aways
-            else:
-                cost = self.chain_cost(state, chain, front_nodes,
-                                       lookahead_nodes, front_index,
-                                       lookahead_index, change_cache,
-                                       front_partners, lookahead_partners,
-                                       distance_groups)
-            return (cost, len(moves))
+        def cost_of(chain: MoveChain) -> float:
+            return self.chain_cost(state, chain, front_nodes, lookahead_nodes,
+                                   front_index, lookahead_index)
 
-        # Construction first, scoring second: the state is frozen across the
-        # round, so gathering every candidate chain up front lets the
-        # per-move time penalties be pre-filled as one numpy batch.  Node and
-        # chain order are unchanged, so the (cost, length) running minimum
-        # selects exactly the chain the interleaved walk selected.
         if (self.incremental and self._screenable
                 and len(front_nodes) > _SCREEN_FRONT_WIDTH):
             chains_by_node = self._screened_candidates(
-                state, front_nodes, lookahead_nodes, rank_of)
+                state, front_nodes, lookahead_nodes, cost_of)
         else:
-            chains_by_node = [(node, self.candidate_chains(state, node))
-                              for node in front_nodes]
-        if self.incremental and self._recent_moves:
-            self._batch_time_penalties(chains_by_node)
+            chains_by_node = (self.candidate_chains(state, node)
+                              for node in front_nodes)
         best_chain: Optional[MoveChain] = None
         best_rank: Optional[Tuple[float, int]] = None
-        for node, chains in chains_by_node:
+        for chains in chains_by_node:
             for chain in chains:
-                rank = rank_of(chain)
+                rank = (cost_of(chain), len(chain.moves))
                 if best_rank is None or rank < best_rank:
                     best_chain = chain
                     best_rank = rank
@@ -1013,8 +732,9 @@ class ShuttlingRouter:
             time_weight=self.time_weight, recent_moves=self._recent_moves)
 
     def _screened_candidates(self, state: MappingState, front_nodes: Sequence,
-                             lookahead_nodes: Sequence, rank_of) -> List:
-        """``(node, chains)`` for the front nodes that can hold the best chain.
+                             lookahead_nodes: Sequence, cost_of
+                             ) -> List[List[MoveChain]]:
+        """Candidate chains of the front nodes that can hold the best chain.
 
         The screen bounds every two-qubit candidate from below.  The node
         with the smallest bound is built and costed exactly, and its
@@ -1022,7 +742,7 @@ class ShuttlingRouter:
         all exceed the incumbent's cost only has chains strictly more
         expensive than the incumbent: they can neither win nor tie, so
         the node is dropped.  Every other node — wider gates included —
-        keeps its chains, in front order, for the unchanged ranking loop.
+        keeps its chains, in front order, for the ranking loop.
         """
         positions, bounds = self.screen_bounds(state, front_nodes,
                                                lookahead_nodes)
@@ -1036,13 +756,13 @@ class ShuttlingRouter:
                 chains = self.candidate_chains(state, front_nodes[position])
                 built[position] = chains
                 for chain in chains:
-                    incumbent = min(incumbent, rank_of(chain)[0])
+                    incumbent = min(incumbent, cost_of(chain))
         # Strictly above only: a node whose bound equals the incumbent's
         # cost may hold a chain that ties it and wins on front order.
         pruned = {positions[index]
                   for index in (node_bounds > incumbent).nonzero()[0]}
-        return [(node, built[position] if position in built
-                 else self.candidate_chains(state, node))
+        return [built[position] if position in built
+                else self.candidate_chains(state, node)
                 for position, node in enumerate(front_nodes)
                 if position not in pruned]
 

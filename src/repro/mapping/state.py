@@ -91,8 +91,7 @@ class MappingState:
         self._free: Set[int] = {site for site in range(self.num_sites)
                                 if site not in self._occupied}
 
-        # Occupancy-change tracking for the cross-round memos (the
-        # decision memo and the router's per-round memos).
+        # Occupancy-change tracking for the capability decision memo.
         # ``_occupancy_epoch`` counts occupancy mutations (moves; SWAPs
         # leave occupancy untouched) and ``_neigh_stamp[s]`` is the epoch of
         # the last mutation anywhere in the closed interaction neighbourhood
@@ -169,7 +168,7 @@ class MappingState:
         return self._free
 
     # ------------------------------------------------------------------
-    # Occupancy-change tracking (cross-round memos)
+    # Occupancy-change tracking (decision memo)
     # ------------------------------------------------------------------
     @property
     def occupancy_epoch(self) -> int:

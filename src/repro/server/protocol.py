@@ -144,7 +144,7 @@ def task_from_wire(payload: Dict[str, Any]) -> CompilationTask:
     if "task_id" not in payload or "architecture" not in payload:
         raise ProtocolError("task needs 'task_id' and 'architecture' fields")
     try:
-        return CompilationTask(
+        task = CompilationTask(
             task_id=str(payload["task_id"]),
             architecture=spec_from_wire(payload["architecture"]),
             circuit_name=payload.get("circuit_name"),
@@ -155,8 +155,12 @@ def task_from_wire(payload: Dict[str, Any]) -> CompilationTask:
             mode=str(payload.get("mode", "hybrid")),
             alpha=float(payload.get("alpha", 1.0)),
         )
+        # Building the config rejects an unknown mode or a bad alpha
+        # (Python's json accepts the NaN and Infinity literals).
+        task.build_config()
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"invalid task: {exc}") from None
+    return task
 
 
 # ----------------------------------------------------------------------

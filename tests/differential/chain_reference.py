@@ -268,8 +268,8 @@ def patched_router() -> Iterator[None]:
     """Route with the scalar reference builders while the context is open.
 
     Chain construction, anchor relocation and the move-away search run the
-    scalar loops above; the batched time penalties are switched off, so
-    every penalty comes from the scalar history walk.
+    scalar loops above.  Chain costs need no patch: the router scores every
+    move with the scalar history walk ``move_time_penalty``.
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ShuttlingRouter, "_build_chain", _build_chain)
@@ -277,6 +277,4 @@ def patched_router() -> Iterator[None]:
                       _anchor_relocation)
         patch.setattr(ShuttlingRouter, "_nearest_free_site",
                       _nearest_free_site)
-        patch.setattr(ShuttlingRouter, "_batch_time_penalties",
-                      lambda self, chains_by_node: None)
         yield

@@ -18,7 +18,7 @@ from repro.circuit.library import get_benchmark
 from repro.evaluation import evaluate, run_mode_comparison
 from repro.hardware import SiteConnectivity
 from repro.hardware.presets import gate_optimised, mixed, shuttling_optimised
-from repro.mapping import HybridMapper, MapperConfig
+from repro.mapping import HybridMapper, MapperConfig, shuttling_router
 from repro.scheduling import Scheduler, validate_schedule
 
 
@@ -115,14 +115,19 @@ class TestIncrementalCostEngineEquivalence:
     Perf PRs are only allowed to make the mapper faster: the SWAP/chain
     selections — and therefore the entire operation stream and every Table-1
     metric derived from it — have to stay bit-identical to the naive
-    full-recomputation scoring.
+    full-recomputation scoring.  The ``forced`` screen arm runs the exact
+    ``best_chain`` screen on every round, not only on wide fronts, and must
+    still match the unscreened ``incremental=False`` reference.
     """
 
+    @pytest.mark.parametrize("screen", ["default", "forced"])
     @pytest.mark.parametrize("mode", ["hybrid", "gate_only", "shuttling_only"])
     @pytest.mark.parametrize("circuit_fixture",
                              ["graph_circuit", "reversible_circuit"])
     def test_operation_stream_bit_identical_without_engine(
-            self, request, mode, circuit_fixture):
+            self, request, monkeypatch, mode, circuit_fixture, screen):
+        if screen == "forced":
+            monkeypatch.setattr(shuttling_router, "_SCREEN_FRONT_WIDTH", 0)
         circuit = request.getfixturevalue(circuit_fixture)
         architecture = mixed(lattice_rows=7, num_atoms=30)
         connectivity = SiteConnectivity(architecture)

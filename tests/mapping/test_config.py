@@ -24,6 +24,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             MapperConfig(lookahead_depth=-1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("name", ["alpha_gate", "alpha_shuttling",
+                                      "lookahead_weight", "decay_rate",
+                                      "time_weight"])
+    def test_non_finite_weights_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            MapperConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_hybrid_ratio_rejected(self, value):
+        with pytest.raises(ValueError):
+            MapperConfig.hybrid(value)
+
     def test_both_capabilities_disabled_rejected(self):
         with pytest.raises(ValueError):
             MapperConfig(alpha_gate=0.0, alpha_shuttling=0.0)

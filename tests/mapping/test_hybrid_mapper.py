@@ -124,6 +124,24 @@ class TestEmittedStreams:
                 assert emitted_order[predecessor] < emitted_order[node.index]
 
 
+class TestMapperReuse:
+    def test_second_circuit_maps_as_on_a_fresh_mapper(self, mixed_architecture,
+                                                      small_qft_circuit,
+                                                      small_graph_circuit):
+        # ``reset()`` must clear every router state that outlives a map
+        # call (the shuttling history above all): a reused mapper's stream
+        # for circuit B may not depend on having mapped circuit A first.
+        reused = HybridMapper(mixed_architecture, MapperConfig.hybrid(1.0))
+        first = reused.map(small_qft_circuit)
+        assert first.num_moves > 0
+        second = reused.map(small_graph_circuit)
+        fresh = HybridMapper(mixed_architecture,
+                             MapperConfig.hybrid(1.0)).map(small_graph_circuit)
+        assert second.operations == fresh.operations
+        assert second.final_qubit_map == fresh.final_qubit_map
+        assert second.final_atom_map == fresh.final_atom_map
+
+
 class TestMultiQubitGates:
     @pytest.mark.parametrize("mode", ["gate_only", "shuttling_only", "hybrid"])
     def test_multiqubit_circuit_maps_in_every_mode(self, small_architecture,

@@ -239,9 +239,9 @@ class TestTwoQubitChainSpecialisation:
 
 
 class TestBatchedTimePenalty:
-    """`_batch_time_penalties` pre-fills `_penalty_cache` with values equal
-    bit for bit to the scalar history walk `_compute_time_penalty`, on
-    inexact spacings and on corridor-penalised zoned travel."""
+    """The screen's `chain_screen.time_penalties` batch equals the scalar
+    history walk `move_time_penalty` bit for bit, on inexact spacings and
+    on corridor-penalised zoned travel (the screen's bound relies on it)."""
 
     @pytest.mark.parametrize("hardware, spacing, topology_kwargs", (
         ("mixed", 3.0, {}),
@@ -253,7 +253,10 @@ class TestBatchedTimePenalty:
                                           topology_kwargs):
         import random
 
+        import numpy as np
+
         from repro.hardware.presets import preset
+        from repro.mapping.chain_screen import time_penalties
 
         architecture = preset(hardware, lattice_rows=5, spacing=spacing,
                               num_atoms=12, **topology_kwargs)
@@ -274,15 +277,20 @@ class TestBatchedTimePenalty:
         for _round in range(40):
             router.note_moves_applied(
                 [random_move() for _ in range(rng.randint(1, 3))])
-            chains = [[random_move() for _ in range(rng.randint(1, 4))]
-                      for _ in range(rng.randint(1, 6))]
-            assert not router._penalty_cache
-            router._batch_time_penalties([(None, chains)])
-            moves = {(move.atom, move.source, move.destination): move
-                     for chain in chains for move in chain}
-            assert router._penalty_cache.keys() == moves.keys()
-            for key, batched in router._penalty_cache.items():
-                scalar = router._compute_time_penalty(moves[key])
-                assert batched.hex() == scalar.hex(), (key, batched, scalar)
+            moves = [random_move() for _ in range(rng.randint(1, 24))]
+            batched = time_penalties(
+                architecture, router._recent_moves,
+                np.array([m.atom for m in moves], dtype=np.int64),
+                np.array([m.source for m in moves], dtype=np.int64),
+                np.array([m.destination for m in moves], dtype=np.int64),
+                np.array([m.source_position[0] for m in moves]),
+                np.array([m.source_position[1] for m in moves]),
+                np.array([m.destination_position[0] for m in moves]),
+                np.array([m.destination_position[1] for m in moves]),
+                np.array([m.rectangular_distance for m in moves]))
+            assert batched.shape == (len(moves),)
+            for move, value in zip(moves, batched.tolist()):
+                scalar = router.move_time_penalty(move)
+                assert value.hex() == scalar.hex(), (move, value, scalar)
                 filled += 1
         assert filled > 200

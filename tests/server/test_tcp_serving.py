@@ -5,6 +5,7 @@ background thread — the same harness ``python -m repro.server`` uses) and
 drives it with blocking clients, exactly like CI's serving smoke job.
 """
 
+import json
 import socket
 
 import pytest
@@ -62,6 +63,22 @@ class TestWireForms:
             spec_from_wire({"hardware": "mixed", "bogus_field": 1})
         with pytest.raises(ProtocolError):
             spec_from_wire({"lattice_rows": 7})  # no hardware
+
+    @pytest.mark.parametrize("alpha", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_alpha_raises(self, alpha):
+        # Python's json accepts these literals, so they reach the decoder.
+        line = ('{"task_id": "t-nan", "circuit_name": "qft", '
+                '"num_qubits": 6, "alpha": %s, "architecture": %s}'
+                % (alpha, json.dumps(spec_to_wire(SPEC))))
+        payload = json.loads(line)
+        with pytest.raises(ProtocolError, match="alpha"):
+            task_from_wire(payload)
+
+    def test_unknown_mode_raises(self):
+        task = CompilationTask("t-3", SPEC, circuit_name="qft", num_qubits=6)
+        payload = dict(task_to_wire(task), mode="bogus")
+        with pytest.raises(ProtocolError, match="mode"):
+            task_from_wire(payload)
 
 
 class TestTcpServing:
