@@ -4,7 +4,6 @@ from .config import MapperConfig
 from .decision import (
     CapabilityDecider,
     CapabilityDecision,
-    DecisionMemo,
     GateCostEstimate,
 )
 from .gate_router import GateRouter, SwapCandidate, SwapCostCache
@@ -52,7 +51,6 @@ __all__ = [
     "LayerManager",
     "CapabilityDecider",
     "CapabilityDecision",
-    "DecisionMemo",
     "GateCostEstimate",
     "GateRouter",
     "SwapCandidate",

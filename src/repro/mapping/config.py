@@ -46,11 +46,13 @@ class MapperConfig:
         Whether layer creation may exploit gate commutation rules.
     stall_threshold:
         Number of consecutive routing operations without executing a gate
-        after which the mapper switches to deterministic fallback routing.
+        after which the mapper switches to deterministic fallback routing
+        (``>= 0``; 0 forces fallback routing from the first round).
         ``None`` derives a threshold from the lattice diameter.
     max_routing_steps:
-        Hard safety bound on the total number of routing operations; mapping
-        aborts with an error beyond it (should never trigger in practice).
+        Hard safety bound on the total number of routing operations
+        (``>= 1``); mapping aborts with an error beyond it (should never
+        trigger in practice).  ``None`` derives it from the circuit size.
     shard_routing:
         Enable sharded intra-circuit routing (``repro.mapping.shard``): the
         circuit DAG is partitioned into weakly-coupled slices at
@@ -132,6 +134,10 @@ class MapperConfig:
             raise ValueError("cost weights must be non-negative")
         if self.history_window < 0:
             raise ValueError("history window cannot be negative")
+        if self.stall_threshold is not None and self.stall_threshold < 0:
+            raise ValueError("stall_threshold cannot be negative")
+        if self.max_routing_steps is not None and self.max_routing_steps < 1:
+            raise ValueError("max_routing_steps must be at least 1")
         if self.shard_min_slice < 1:
             raise ValueError("shard_min_slice must be at least 1")
         if self.shard_max_slice is not None and \

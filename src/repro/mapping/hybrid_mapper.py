@@ -40,7 +40,7 @@ from ..hardware.architecture import NeutralAtomArchitecture
 from ..hardware.connectivity import SiteConnectivity
 from ..telemetry import tracing
 from .config import MapperConfig
-from .decision import CapabilityDecider, DecisionMemo
+from .decision import CapabilityDecider
 from .gate_router import GateRouter, SwapCandidate
 from .layers import LayerManager
 from .multiqubit import GatePosition, find_gate_position
@@ -91,9 +91,9 @@ class HybridMapper:
             time_weight=self.config.time_weight,
             history_window=self.config.history_window,
         )
-        # The decider's cross-round decision memo, under the name the
-        # layer probes read its hit/miss counters from.
-        self.region_cache: DecisionMemo = self.decider.memo
+        # No cross-round cache: the layer probes read hit/miss counters
+        # from this attribute and skip it while it is None.
+        self.region_cache = None
 
     # ------------------------------------------------------------------
     # Public entry point
@@ -181,8 +181,8 @@ class HybridMapper:
             lookahead = layers.lookahead_layer()
 
             # (2) Decide the mapping capability per gate.
-            gate_nodes, shuttle_nodes, _ = self.decider.split_layers(state, front)
-            gate_lookahead, shuttle_lookahead, _ = self.decider.split_layers(state, lookahead)
+            gate_nodes, shuttle_nodes = self.decider.split_layers(state, front)
+            gate_lookahead, shuttle_lookahead = self.decider.split_layers(state, lookahead)
             gate_nodes, shuttle_nodes = self._apply_forced_shuttle(
                 gate_nodes, shuttle_nodes, shuttle_forced)
 

@@ -16,7 +16,7 @@ everything consistent.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as _np
 
@@ -91,14 +91,15 @@ class MappingState:
         self._free: Set[int] = {site for site in range(self.num_sites)
                                 if site not in self._occupied}
 
-        # Occupancy-change tracking for the capability decision memo.
-        # ``_occupancy_epoch`` counts occupancy mutations (moves; SWAPs
-        # leave occupancy untouched) and ``_neigh_stamp[s]`` is the epoch of
-        # the last mutation anywhere in the closed interaction neighbourhood
-        # of ``s``, so "is the neighbourhood of this site untouched since
-        # epoch e" is an O(1) stamp read.
-        self._occupancy_epoch = 0
-        self._neigh_stamp: List[int] = [0] * self.num_sites
+        # Free traps inside each site's interaction neighbourhood, for the
+        # capability decision's O(1) reads.  Adjacency is symmetric, so the
+        # count of ``s`` changes exactly when a move frees or fills one of
+        # ``s``'s neighbours; move_atom applies those +-1 updates.
+        interaction_neighbours = self.connectivity.interaction_neighbours
+        self._free_near: List[int] = [0] * self.num_sites
+        for free_site in self._free:
+            for neighbour in interaction_neighbours(free_site):
+                self._free_near[neighbour] += 1
 
         # Vectorised free-site mask (1 = free), maintained alongside the
         # incremental sets.  Used by the chain kernel for batched
@@ -167,14 +168,6 @@ class MappingState:
         """Set of all empty trap sites (live read-only view, see above)."""
         return self._free
 
-    # ------------------------------------------------------------------
-    # Occupancy-change tracking (decision memo)
-    # ------------------------------------------------------------------
-    @property
-    def occupancy_epoch(self) -> int:
-        """Monotonic counter of occupancy mutations (one tick per move)."""
-        return self._occupancy_epoch
-
     @property
     def free_mask(self):
         """Vectorised free-site mask (uint8, 1 = free).
@@ -197,16 +190,6 @@ class MappingState:
         return (qubit_atoms, atom_sites[qubit_atoms],
                 _np.array(self._site_to_atom, dtype=_np.int64),
                 _np.array(self._atom_to_qubit, dtype=_np.int64))
-
-    def neighbourhoods_unchanged_since(self, sites: Iterable[int], epoch: int) -> bool:
-        """True if the closed interaction neighbourhood of every given site is
-        occupancy-unchanged since ``epoch``.
-
-        Backed by the per-site neighbourhood stamps, so the check is O(1) per
-        site instead of O(coordination number).
-        """
-        stamps = self._neigh_stamp
-        return all(stamps[site] <= epoch for site in sites)
 
     def qubit_mapping(self) -> Dict[int, int]:
         """Copy of the qubit mapping ``f_q`` (circuit qubit -> atom)."""
@@ -257,10 +240,10 @@ class MappingState:
     def num_free_sites_near(self, site: int) -> int:
         """Number of free sites within the interaction radius of ``site``.
 
-        One C-level set intersection against the incremental free-site set —
-        equal to ``len(free_sites_near(site))`` without building the list.
+        An O(1) read of the per-site counts that :meth:`move_atom` keeps,
+        equal to ``len(free_sites_near(site))``.
         """
-        return len(self.connectivity.interaction_set(site) & self._free)
+        return self._free_near[site]
 
     def swap_distance(self, qubit_a: int, qubit_b: int, *, exact: bool = False) -> int:
         """Estimated number of SWAPs needed to make two qubits adjacent.
@@ -361,16 +344,11 @@ class MappingState:
         self._free_mask[source] = 1
         self._free_mask[destination] = 0
         self.num_moves_applied += 1
-        # Stamp every site whose interaction neighbourhood the mutation
-        # belongs to (adjacency is symmetric), so the decision memo can
-        # validate with O(1) stamp reads.
-        self._occupancy_epoch += 1
-        epoch = self._occupancy_epoch
-        neigh_stamp = self._neigh_stamp
-        for changed in (source, destination):
-            neigh_stamp[changed] = epoch
-            for neighbour in self.connectivity.interaction_neighbours(changed):
-                neigh_stamp[neighbour] = epoch
+        free_near = self._free_near
+        for neighbour in self.connectivity.interaction_neighbours(source):
+            free_near[neighbour] += 1
+        for neighbour in self.connectivity.interaction_neighbours(destination):
+            free_near[neighbour] -= 1
 
     def make_move(self, atom: int, destination: int, *, is_move_away: bool = False) -> Move:
         """Construct (but do not apply) a :class:`Move` for ``atom`` to ``destination``."""
@@ -421,6 +399,11 @@ class MappingState:
         mask_free = {site for site in range(self.num_sites) if self._free_mask[site]}
         if mask_free != self._free:
             raise AssertionError("free-site mask drifted from the incremental sets")
+        for site in range(self.num_sites):
+            if self._free_near[site] != len(
+                    self.connectivity.interaction_set(site) & self._free):
+                raise AssertionError(
+                    f"free-neighbour count of site {site} drifted from the maps")
         for qubit, atom in enumerate(self._qubit_to_atom):
             if self._atom_to_qubit[atom] != qubit:
                 raise AssertionError(f"qubit {qubit} / atom {atom} maps are inconsistent")

@@ -38,6 +38,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             MapperConfig.hybrid(value)
 
+    @pytest.mark.parametrize("bounds", [
+        {"stall_threshold": -1}, {"stall_threshold": -3},
+        {"max_routing_steps": 0}, {"max_routing_steps": -1},
+    ])
+    def test_out_of_range_routing_bounds_rejected(self, bounds):
+        # A negative stall threshold maps like 0 under another fingerprint;
+        # a step bound below 1 fails every compile late.
+        with pytest.raises(ValueError, match=next(iter(bounds))):
+            MapperConfig(**bounds)
+
+    def test_smallest_routing_bounds_accepted(self):
+        config = MapperConfig(stall_threshold=0, max_routing_steps=1)
+        assert (config.stall_threshold, config.max_routing_steps) == (0, 1)
+
     def test_both_capabilities_disabled_rejected(self):
         with pytest.raises(ValueError):
             MapperConfig(alpha_gate=0.0, alpha_shuttling=0.0)

@@ -39,6 +39,19 @@ class TestEstimates:
         assert estimate.estimated_move_distance_um > 0
 
 
+    def test_success_table_keys_on_register_size(self, decider, small_architecture,
+                                                 small_connectivity, small_state):
+        # Eq. (1) charges idle qubits, so the same gate on the same sites
+        # must not reuse a success pair computed for another register size.
+        gate = controlled_z((0, 11))
+        decider.estimate(small_state, gate, 0)
+        wider = MappingState(small_architecture, 18, connectivity=small_connectivity)
+        fresh = CapabilityDecider(small_architecture)
+        assert decider.estimate(wider, gate, 0) == fresh.estimate(wider, gate, 0)
+        assert (decider.estimate(wider, gate, 0).success_gate_based
+                < decider.estimate(small_state, gate, 0).success_gate_based)
+
+
 class TestDecisions:
     def test_alpha_shuttling_zero_forces_gate_based(self, small_architecture, small_state):
         decider = CapabilityDecider(small_architecture, alpha_gate=1.0, alpha_shuttling=0.0)
@@ -56,6 +69,18 @@ class TestDecisions:
         with pytest.raises(ValueError):
             CapabilityDecider(small_architecture, alpha_gate=-1.0)
 
+    @pytest.mark.parametrize("weights", [
+        {"alpha_gate": float("nan")},
+        {"alpha_shuttling": float("nan")},
+        {"alpha_gate": float("inf")},
+        {"alpha_shuttling": float("-inf")},
+    ])
+    def test_non_finite_weights_rejected(self, small_architecture, weights):
+        # NaN passes every ``< 0`` comparison and would send every gate to
+        # shuttling.
+        with pytest.raises(ValueError, match="finite"):
+            CapabilityDecider(small_architecture, **weights)
+
     def test_extreme_alpha_overrides_estimates(self, small_architecture, small_state):
         gate = controlled_z((0, 11))
         gate_leaning = CapabilityDecider(small_architecture, alpha_gate=1e6,
@@ -70,104 +95,10 @@ class TestDecisions:
         circuit.cz(0, 11).cz(1, 2).cz(3, 9)
         manager = LayerManager(circuit)
         front, _ = manager.layers()
-        gate_nodes, shuttle_nodes, decisions = decider.split_layers(small_state, front)
+        gate_nodes, shuttle_nodes = decider.split_layers(small_state, front)
         assert len(gate_nodes) + len(shuttle_nodes) == len(front)
-        assert len(decisions) == len(front)
-        decided_indices = {d.gate_index for d in decisions}
-        assert decided_indices == {node.index for node in front}
-
-
-class TestDecisionMemo:
-    """The decider's cross-round memo: replay on an unchanged neighbourhood,
-    recompute after a nearby occupancy change or a SWAP of a gate qubit."""
-
-    @pytest.fixture()
-    def state(self, small_architecture, small_connectivity):
-        return MappingState(small_architecture, 12,
-                            connectivity=small_connectivity)
-
-    def test_unchanged_state_replays_decision(self, decider, state):
-        gate = controlled_z((0, 5))
-        first = decider.decide(state, gate, 0)
-        second = decider.decide(state, gate, 0)
-        assert second is first
-        assert decider.memo.stats() == {"decision_hits": 1,
-                                        "decision_misses": 1}
-
-    def test_far_move_keeps_decision_memoised(self, decider, state):
-        gate = controlled_z((0, 1))
-        first = decider.decide(state, gate, 0)
-        # Move an atom far away from both gate qubits: no neighbourhood of
-        # the gate sites changes its free count, so the verdict replays.
-        far_site = state.num_sites - 1
-        assert state.site_is_free(far_site)
-        far_atom = 11
-        assert all(far_site not in
-                   state.connectivity.interaction_neighbours(state.site_of_qubit(q))
-                   for q in gate.qubits)
-        source = state.site_of_atom(far_atom)
-        assert all(source not in
-                   state.connectivity.interaction_neighbours(state.site_of_qubit(q))
-                   for q in gate.qubits)
-        state.move_atom(far_atom, far_site)
-        assert decider.decide(state, gate, 0) is first
-
-    def test_nearby_move_with_equal_free_count_replays(self, decider, state):
-        """A move inside the neighbourhood fails the stamp fast path, but
-        an unchanged free count still revalidates the entry."""
-        gate = controlled_z((0, 5))
-        first = decider.decide(state, gate, 0)
-        sites = [state.site_of_qubit(q) for q in gate.qubits]
-        epoch = state.occupancy_epoch
-        # Take a spare atom out of qubit 0's neighbourhood and put it back.
-        near = state.connectivity.interaction_set(sites[0])
-        spare = next(atom for atom in range(state.num_atoms)
-                     if state.qubit_of_atom(atom) is None
-                     and state.site_of_atom(atom) in near)
-        origin = state.site_of_atom(spare)
-        state.move_atom(spare, max(state.free_sites()))
-        state.move_atom(spare, origin)
-        assert not state.neighbourhoods_unchanged_since(sites, epoch)
-        assert decider.decide(state, gate, 0) is first
-        assert decider.memo.stats()["decision_hits"] == 1
-
-    def test_nearby_occupancy_change_recomputes(self, decider, state):
-        gate = controlled_z((0, 5))
-        first = decider.decide(state, gate, 0)
-        # Free a trap inside a gate qubit's interaction neighbourhood: the
-        # free count changes, so the memoised verdict must not replay.
-        anchor_site = state.site_of_qubit(0)
-        neighbour_atoms = [state.atom_at_site(s)
-                           for s in state.connectivity.interaction_neighbours(anchor_site)
-                           if state.atom_at_site(s) is not None
-                           and state.qubit_of_atom(state.atom_at_site(s)) is None]
-        far_free = max(s for s in state.free_sites()
-                       if s not in state.connectivity.interaction_neighbours(anchor_site))
-        state.move_atom(neighbour_atoms[0], far_free)
-        second = decider.decide(state, gate, 0)
-        assert second is not first
-        assert decider.memo.stats()["decision_hits"] == 0
-
-    def test_swap_of_gate_qubit_misses_on_sites(self, decider, state):
-        gate = controlled_z((0, 5))
-        first = decider.decide(state, gate, 0)
-        # Swapping qubit 0 with an adjacent qubit changes its site: the
-        # stored sites no longer match even though occupancy is untouched.
-        state.apply_swap(0, 1)
-        assert decider.decide(state, gate, 0) is not first
-
-    def test_new_state_drops_entries(self, decider, state):
-        gate = controlled_z((0, 5))
-        decider.decide(state, gate, 0)
-        decider.decide(state.copy(), gate, 0)
-        decider.decide(state, gate, 0)
-        assert decider.memo.stats()["decision_hits"] == 0
-
-    def test_other_gate_at_same_index_misses(self, decider, state):
-        """One state mapped with two circuits: an index that names another
-        gate never replays, even one on a subset of the stored sites."""
-        decider.decide(state, controlled_z((0, 5, 11)), 0)
-        narrow = controlled_z((0, 5))
-        decision = decider.decide(state, narrow, 0)
-        assert decider.memo.stats()["decision_hits"] == 0
-        assert decision.estimate == decider.estimate(state, narrow, 0)
+        assert ({node.index for node in gate_nodes + shuttle_nodes}
+                == {node.index for node in front})
+        for node in front:
+            verdict = decider.decide(small_state, node.gate, node.index)
+            assert (node in gate_nodes) == verdict.use_gate_based

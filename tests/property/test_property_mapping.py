@@ -3,7 +3,14 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.circuit import QuantumCircuit
-from repro.hardware import NeutralAtomArchitecture, SiteConnectivity, SquareLattice
+import pytest
+
+from repro.hardware import (
+    NeutralAtomArchitecture,
+    SiteConnectivity,
+    SquareLattice,
+    preset,
+)
 from repro.mapping import HybridMapper, MapperConfig, MappingState
 from repro.mapping.result import CircuitGateOp, ShuttleOp, SwapOp
 
@@ -13,6 +20,16 @@ ARCHITECTURE = NeutralAtomArchitecture(
     interaction_radius=2.0, restriction_radius=2.0)
 CONNECTIVITY = SiteConnectivity(ARCHITECTURE)
 NUM_QUBITS = 10
+
+#: One small device per hardware preset, zoned included (storage traps have
+#: no interaction neighbours).
+def _device(name: str):
+    architecture = preset(name, lattice_rows=9, num_atoms=24)
+    return architecture, SiteConnectivity(architecture)
+
+
+PRESET_DEVICES = {name: _device(name)
+                  for name in ("gate", "mixed", "shuttling", "zoned")}
 
 
 @st.composite
@@ -61,6 +78,35 @@ class TestMappingStateInvariants:
         sites = [state.site_of_qubit(q) for q in range(NUM_QUBITS)]
         assert len(set(sites)) == NUM_QUBITS
         assert len(state.occupied_sites()) == ARCHITECTURE.num_atoms
+
+
+class TestFreeNeighbourCounts:
+    """``MappingState.num_free_sites_near`` reads per-site counts updated by
+    +-1 per move over the source's and the destination's neighbours, which
+    equals a recount only if interaction adjacency is symmetric."""
+
+    @pytest.mark.parametrize("name", sorted(PRESET_DEVICES))
+    def test_interaction_adjacency_is_symmetric(self, name):
+        _architecture, connectivity = PRESET_DEVICES[name]
+        for site in range(connectivity.num_sites):
+            for neighbour in connectivity.interaction_neighbours(site):
+                assert connectivity.are_adjacent(neighbour, site)
+
+    @given(st.sampled_from(sorted(PRESET_DEVICES)),
+           st.lists(st.integers(0, 10_000), max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_counts_follow_random_moves(self, name, seeds):
+        architecture, connectivity = PRESET_DEVICES[name]
+        state = MappingState(architecture, 12, connectivity=connectivity)
+        for seed in seeds:
+            free = sorted(state.free_sites())
+            state.move_atom(seed % architecture.num_atoms,
+                            free[seed % len(free)])
+            # Recounts every site against interaction_set & free_sites().
+            state.consistency_check()
+        for site in range(state.num_sites):
+            assert (state.num_free_sites_near(site)
+                    == len(state.free_sites_near(site)))
 
 
 class TestMapperInvariants:
