@@ -27,30 +27,28 @@ set, ranking by remaining distance and ranking by difference are equivalent;
 the implementation uses the remaining distance so that the cost is
 non-negative and the exponential damping acts in the intended direction.
 
-Incremental cost engine
------------------------
-Scoring a candidate naively walks the whole front + lookahead layer, although
-a SWAP only changes the sites of ``qubit_a`` and ``qubit_b``.
-:class:`SwapCostCache` therefore computes each layer's baseline distance
-*once per routing round* and scores every candidate as ``baseline +
-delta(candidate)``, where the delta re-evaluates only the gates touching the
-two swapped qubits — found through the qubit → node inverted index that
-:class:`~repro.mapping.layers.LayerManager` maintains (or one built on the
-fly from the node lists).  All per-gate distances are integers, so
-``baseline + delta`` is *bit-identical* to the full recomputation; the final
-weighting ``C_f + w_l * C_l`` uses the exact same float expression as
-:meth:`GateRouter.swap_cost`, which is kept as the naive reference
-implementation (and is what the property tests compare against).
+Cost engine
+-----------
+A SWAP only changes the sites of ``qubit_a`` and ``qubit_b``, so
+:class:`SwapCostCache` is the one scoring path: it computes each layer's
+baseline distance *once per routing round* and scores every candidate as
+``baseline + delta(candidate)``, where the delta re-evaluates only the gates
+touching the two swapped qubits — found through the qubit → node inverted
+index that :class:`~repro.mapping.layers.LayerManager` maintains (or one
+built on the fly from the node lists).  All per-gate distances are integers,
+so ``baseline + delta`` is *bit-identical* to re-walking both layers in
+full; ``tests/differential/routing_reference.py`` keeps that naive walk as
+the test-only reference.
 
 Cache invalidation: a :class:`SwapCostCache` is valid for one routing round
 only — it snapshots per-node baseline distances against the current mapping
 state and the current ``positions`` dict, and is discarded after the round's
 SWAP is chosen.  Within the round it memoises, per qubit, the nodes acting
-on it (with their gate, position, layer and baseline), so each qubit's
-inverted-index lookup and filtering happen once however many candidates
-move it.  The site-level adjacency and hop-distance tables it leans on
-live in :class:`~repro.hardware.connectivity.SiteConnectivity` and are
-immutable.
+on it (with their gate, position, baseline and per-layer counts), so each
+qubit's inverted-index lookup and filtering happen once however many
+candidates move it.  The site-level adjacency and hop-distance tables it
+leans on live in :class:`~repro.hardware.connectivity.SiteConnectivity` and
+are immutable.
 
 Candidate generation stays cheap because a round produces one candidate
 per (front qubit, occupied neighbour site) pair: :class:`SwapCandidate` is a
@@ -112,7 +110,7 @@ class SwapCostCache:
     """
 
     __slots__ = ("_router", "_state", "_nodes", "_qubit_index", "_touched",
-                 "baseline_front", "baseline_lookahead", "exact")
+                 "baseline_front", "baseline_lookahead")
 
     def __init__(self, router: "GateRouter", state: MappingState,
                  front_nodes: Sequence, lookahead_nodes: Sequence,
@@ -120,25 +118,24 @@ class SwapCostCache:
                  qubit_index: Optional[Dict[int, Sequence]] = None) -> None:
         self._router = router
         self._state = state
-        # node index -> (gate, position, slot, baseline distance); slot 0 is
-        # the front layer, 1 the lookahead layer.
-        self._nodes: Dict[int, Tuple[Gate, Optional[GatePosition], int, int]] = {}
-        # The delta formulation attributes every node's distance exactly once;
-        # a node listed twice (possible only with hand-crafted layer inputs,
-        # never with LayerManager) voids that, and best_swap falls back to the
-        # naive scorer.
-        self.exact = True
+        # node index -> [gate, position, baseline distance, front count,
+        # lookahead count].  LayerManager lists a node once in one layer;
+        # hand-crafted layers may list it more often, and the counts weigh
+        # its delta once per listed occurrence, as a full walk counts it.
+        self._nodes: Dict[int, list] = {}
         baselines = [0, 0]
         gate_distance = router._gate_distance
         for slot, nodes in ((0, front_nodes), (1, lookahead_nodes)):
             for node in nodes:
-                index = node.index
-                if index in self._nodes:
-                    self.exact = False
-                position = positions.get(index)
-                distance = gate_distance(state, node.gate, None, position)
-                baselines[slot] += distance
-                self._nodes[index] = (node.gate, position, slot, distance)
+                entry = self._nodes.get(node.index)
+                if entry is None:
+                    position = positions.get(node.index)
+                    entry = [node.gate, position,
+                             gate_distance(state, node.gate, None, position),
+                             0, 0]
+                    self._nodes[node.index] = entry
+                entry[3 + slot] += 1
+                baselines[slot] += entry[2]
         self.baseline_front, self.baseline_lookahead = baselines
         # Without an externally maintained index, build one over the given
         # layers; either way lookups are filtered against the known nodes
@@ -146,9 +143,9 @@ class SwapCostCache:
         self._qubit_index = (qubit_index if qubit_index is not None
                              else build_qubit_node_index(front_nodes,
                                                          lookahead_nodes))
-        self._touched: Dict[int, Dict[int, Tuple]] = {}
+        self._touched: Dict[int, Dict[int, list]] = {}
 
-    def _touched_nodes(self, qubit: int) -> Dict[int, Tuple]:
+    def _touched_nodes(self, qubit: int) -> Dict[int, list]:
         """This round's nodes acting on ``qubit``, memoised per qubit."""
         touched = self._touched.get(qubit)
         if touched is None:
@@ -160,20 +157,22 @@ class SwapCostCache:
         return touched
 
     def cost(self, candidate: SwapCandidate) -> float:
-        """Cost of ``candidate``, bit-identical to :meth:`GateRouter.swap_cost`."""
+        """Cost of ``candidate`` according to Eq. (2)/(3)."""
         touched = self._touched_nodes(candidate.qubit_a)
         if candidate.qubit_b is not None:
             touched_b = self._touched_nodes(candidate.qubit_b)
             if touched_b:
                 touched = {**touched, **touched_b}
-        deltas = [0, 0]
+        front_delta = lookahead_delta = 0
         state = self._state
         router = self._router
         gate_distance = router._gate_distance
-        for gate, position, slot, base in touched.values():
-            deltas[slot] += gate_distance(state, gate, candidate, position) - base
-        front_cost = self.baseline_front + deltas[0]
-        lookahead_cost = self.baseline_lookahead + deltas[1]
+        for gate, position, base, in_front, in_lookahead in touched.values():
+            delta = gate_distance(state, gate, candidate, position) - base
+            front_delta += in_front * delta
+            lookahead_delta += in_lookahead * delta
+        front_cost = self.baseline_front + front_delta
+        lookahead_cost = self.baseline_lookahead + lookahead_delta
         base = front_cost + router.lookahead_weight * lookahead_cost
         if router.decay_rate == 0.0:
             return base
@@ -183,26 +182,25 @@ class SwapCostCache:
 class GateRouter:
     """SWAP-insertion router with lookahead and recency damping.
 
-    ``incremental`` selects the delta-cost engine (:class:`SwapCostCache`)
-    for candidate scoring in :meth:`best_swap`; disabling it restores the
-    naive full-layer recomputation (same selections, only slower — kept as
-    the reference implementation for the equivalence tests).
+    :meth:`best_swap` scores every candidate of a round through one
+    :class:`SwapCostCache`.
     """
 
     def __init__(self, architecture: NeutralAtomArchitecture, *,
                  lookahead_weight: float = 0.1, decay_rate: float = 0.0,
-                 recency_window: int = 4, incremental: bool = True) -> None:
-        if lookahead_weight < 0:
-            raise ValueError("lookahead weight must be non-negative")
-        if decay_rate < 0:
-            raise ValueError("decay rate must be non-negative")
+                 recency_window: int = 4) -> None:
+        # A NaN weight passes a ``< 0`` check and makes every cost
+        # comparison false, so the first candidate would win silently.
+        if not math.isfinite(lookahead_weight) or lookahead_weight < 0:
+            raise ValueError("lookahead weight must be finite and non-negative")
+        if not math.isfinite(decay_rate) or decay_rate < 0:
+            raise ValueError("decay rate must be finite and non-negative")
         if recency_window < 0:
             raise ValueError("recency window must be non-negative")
         self.architecture = architecture
         self.lookahead_weight = lookahead_weight
         self.decay_rate = decay_rate
         self.recency_window = recency_window
-        self.incremental = incremental
         self._step = 0
         self._last_used: Dict[int, int] = {}
         self._last_swap_key: Optional[Tuple[int, int]] = None
@@ -373,41 +371,6 @@ class GateRouter:
                 total += max(hop_row(site_a)[site_b] - 1, 0)
         return total
 
-    def layer_distance(self, state: MappingState, nodes: Sequence,
-                       positions: Dict[int, GatePosition],
-                       candidate: Optional[SwapCandidate] = None) -> int:
-        """Summed remaining routing distance of a layer (front or lookahead)."""
-        total = 0
-        for node in nodes:
-            position = positions.get(node.index)
-            total += self._gate_distance(state, node.gate, candidate, position)
-        return total
-
-    def swap_cost(self, state: MappingState, candidate: SwapCandidate,
-                  front_nodes: Sequence, lookahead_nodes: Sequence,
-                  positions: Dict[int, GatePosition]) -> float:
-        """Cost of one SWAP candidate according to Eq. (2)/(3).
-
-        This is the naive reference implementation: it re-walks both layers
-        in full.  :meth:`best_swap` scores candidates through the incremental
-        :class:`SwapCostCache`, whose results are bit-identical.
-        """
-        front_cost = self.layer_distance(state, front_nodes, positions, candidate)
-        lookahead_cost = self.layer_distance(state, lookahead_nodes, positions, candidate)
-        base = front_cost + self.lookahead_weight * lookahead_cost
-        if self.decay_rate == 0.0:
-            return base
-        return base * math.exp(self.decay_rate * self.recency(candidate))
-
-    def cost_cache(self, state: MappingState, front_nodes: Sequence,
-                   lookahead_nodes: Sequence,
-                   positions: Dict[int, GatePosition],
-                   qubit_index: Optional[Dict[int, Sequence]] = None
-                   ) -> SwapCostCache:
-        """Build this round's incremental scorer (see :class:`SwapCostCache`)."""
-        return SwapCostCache(self, state, front_nodes, lookahead_nodes,
-                             positions, qubit_index)
-
     def best_swap(self, state: MappingState, front_nodes: Sequence,
                   lookahead_nodes: Sequence,
                   positions: Dict[int, GatePosition], *,
@@ -421,7 +384,7 @@ class GateRouter:
 
         ``qubit_index`` is the optional qubit → node inverted index from
         :meth:`~repro.mapping.layers.LayerManager.qubit_node_index`; it lets
-        the cost engine skip building its own per-round index.
+        :class:`SwapCostCache` skip building its own per-round index.
         """
         candidates = self.candidate_swaps(state, front_nodes)
         if not candidates:
@@ -434,21 +397,13 @@ class GateRouter:
                         if c.site_a not in last or c.site_b not in last]
             if filtered:
                 candidates = filtered
-        cache: Optional[SwapCostCache] = None
-        if self.incremental:
-            cache = self.cost_cache(state, front_nodes, lookahead_nodes,
-                                    positions, qubit_index)
-            if not cache.exact:
-                cache = None
+        cost_of = SwapCostCache(self, state, front_nodes, lookahead_nodes,
+                                positions, qubit_index).cost
         best_candidate = None
         # (cost, lower site, higher site): the cost, then candidate.key().
         best_key: Optional[Tuple[float, int, int]] = None
         for candidate in candidates:
-            if cache is not None:
-                cost = cache.cost(candidate)
-            else:
-                cost = self.swap_cost(state, candidate, front_nodes,
-                                      lookahead_nodes, positions)
+            cost = cost_of(candidate)
             site_a = candidate.site_a
             site_b = candidate.site_b
             key = ((cost, site_a, site_b) if site_a < site_b

@@ -47,9 +47,10 @@ bound does not exceed that incumbent's cost are built and ranked.  Every
 dropped chain costs strictly more than the incumbent, so it could neither
 win nor tie, and the unchanged ``(cost, length)`` loop over the survivors
 selects exactly the chain of the full scan.  Gates on three or more qubits
-are never screened, nor are zoned topologies or ``incremental=False`` (the
-reference).  Narrow fronts skip the screen because its fixed per-round
-cost exceeds what it saves there.
+are never screened, nor are zoned topologies.  Narrow fronts skip the
+screen because its fixed per-round cost exceeds what it saves there.  The
+unscreened scan over plain layer walks lives on as the test-only reference
+in ``tests/differential/routing_reference.py``.
 
 Zoned topologies: entangling gates only execute inside entangling zones
 (the zone-filtered connectivity encodes that), so a gate whose anchor qubit
@@ -64,7 +65,7 @@ historical square-lattice behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as _np
@@ -87,38 +88,27 @@ _EPSILON = 1e-9
 _SCREEN_FRONT_WIDTH = 16
 
 
-@dataclass
-class _ChainProposal:
-    """A move chain together with the gate it serves and its cost."""
-
-    chain: MoveChain
-    gate_index: int
-    cost: float
-
-
 class ShuttlingRouter:
     """Move-chain router with lookahead and AOD-parallelism awareness.
 
-    ``incremental`` enables the two shortcuts of :meth:`best_chain`: the
-    qubit → node index that restricts the distance terms to the touched
-    gates, and the screen on wide fronts.  Disabling it scores every
-    candidate chain with a plain walk over both layers — identical chain
-    selections, only slower — and is kept as the reference for the
-    equivalence tests.
+    :meth:`best_chain` scores chains through the round's qubit → node
+    indices and screens wide fronts on unzoned grids.
     """
 
     def __init__(self, architecture: NeutralAtomArchitecture, *,
                  lookahead_weight: float = 0.1, time_weight: float = 0.1,
-                 history_window: int = 4, incremental: bool = True) -> None:
-        if lookahead_weight < 0 or time_weight < 0:
-            raise ValueError("cost weights must be non-negative")
+                 history_window: int = 4) -> None:
+        # A NaN weight passes a ``< 0`` check and makes every cost
+        # comparison false, so the first chain would win silently.
+        if not (math.isfinite(lookahead_weight) and math.isfinite(time_weight)
+                and lookahead_weight >= 0 and time_weight >= 0):
+            raise ValueError("cost weights must be finite and non-negative")
         if history_window < 0:
             raise ValueError("history window must be non-negative")
         self.architecture = architecture
         self.lookahead_weight = lookahead_weight
         self.time_weight = time_weight
         self.history_window = history_window
-        self.incremental = incremental
         # Zone capability of the trap topology: on zoned devices anchors
         # stranded in storage zones are relocated into an entangling zone
         # first, and pooled moves carry the corridor-penalised travel
@@ -613,17 +603,16 @@ class ShuttlingRouter:
                 + self.architecture.shuttle_move_duration(move.rectangular_distance)
                 + durations.aod_deactivation)
 
-    def _distance_change(self, state: MappingState, move: Move, nodes: Sequence,
-                         node_index: Optional[Dict[int, Sequence]] = None) -> float:
-        """Summed change in gate distance over ``nodes`` caused by ``move``.
+    def _distance_change(self, state: MappingState, move: Move,
+                         node_index: Dict[int, Sequence]) -> float:
+        """Summed change in gate distance caused by ``move`` over a layer.
 
         Only gates involving the moved atom's circuit qubit can change their
         direct distance; the (rarer) indirect conflicts of Example 6 are
         handled by re-validating cached positions in the mapper rather than
-        inside this per-move cost.  ``node_index`` (qubit → nodes, in node
-        order) lets the walk skip straight to the touched gates; it keeps
-        the node order and per-node float arithmetic of the plain walk, so
-        the sum is bit-identical.
+        inside this per-move cost.  ``node_index`` is the layer's qubit →
+        nodes index (:func:`~repro.mapping.layers.build_qubit_node_index`),
+        so the walk visits just the touched gates, in layer order.
         """
         moved_qubit = state.qubit_of_atom(move.atom)
         if moved_qubit is None:
@@ -631,15 +620,10 @@ class ShuttlingRouter:
         lattice = self.architecture.lattice
         source_row = lattice.euclidean_row(move.source)
         destination_row = lattice.euclidean_row(move.destination)
-        if node_index is not None:
-            nodes = node_index.get(moved_qubit, ())
         site_of_qubit = state.site_of_qubit
         change = 0.0
-        for node in nodes:
-            gate = node.gate
-            qubits = gate.qubits
-            if moved_qubit not in qubits:
-                continue
+        for node in node_index.get(moved_qubit, ()):
+            qubits = node.gate.qubits
             before = 0.0
             after = 0.0
             for other in qubits:
@@ -652,26 +636,22 @@ class ShuttlingRouter:
         return change / max(lattice.spacing, _EPSILON)
 
     def chain_cost(self, state: MappingState, chain: MoveChain,
-                   front_nodes: Sequence, lookahead_nodes: Sequence,
-                   front_index: Optional[Dict[int, Sequence]] = None,
-                   lookahead_index: Optional[Dict[int, Sequence]] = None
-                   ) -> float:
+                   front_index: Dict[int, Sequence],
+                   lookahead_index: Dict[int, Sequence]) -> float:
         """Total cost of a chain according to Eq. (4)/(5).
 
         Each move contributes its front distance change, plus ``w_l`` times
         its lookahead distance change, plus ``w_t`` times its
-        ``C_t_parallel`` penalty, summed in that order; the optional qubit →
-        node indices (see :meth:`_distance_change`) restrict the distance
-        walks to the gates a move can affect without changing a float.
-        This is the only cost composition the router has, so the screen's
-        bound and the golden op streams both pin its evaluation order.
+        ``C_t_parallel`` penalty, summed in that order.  The layers come as
+        their qubit → node indices (see :meth:`_distance_change`).  This is
+        the only cost composition the router has, so the screen's bound and
+        the golden op streams both pin its evaluation order.
         """
         total = 0.0
         for move in chain:
-            total += (self._distance_change(state, move, front_nodes,
-                                            front_index)
+            total += (self._distance_change(state, move, front_index)
                       + self.lookahead_weight * self._distance_change(
-                          state, move, lookahead_nodes, lookahead_index)
+                          state, move, lookahead_index)
                       + self.time_weight * self.move_time_penalty(move))
         # Move-aways carry no distance benefit of their own; penalise longer
         # chains slightly so that, all else equal, minimal chains win.
@@ -686,25 +666,20 @@ class ShuttlingRouter:
         """Best move chain over all front-layer shuttling gates.
 
         Ranks the candidate chains of every front node, in front order, by
-        ``(chain_cost, length)`` and returns the first minimum.  With the
-        incremental engine the distance terms walk the round's qubit → node
-        indices, and on fronts wider than ``_SCREEN_FRONT_WIDTH`` the
-        two-qubit gates are screened first (:meth:`_screened_candidates`),
-        so chains are built and costed only for the nodes that can still
-        win.  Neither shortcut changes the selected chain.
+        ``(chain_cost, length)`` and returns the first minimum.  The distance
+        terms walk the round's qubit → node indices, and on fronts wider
+        than ``_SCREEN_FRONT_WIDTH`` the two-qubit gates are screened first
+        (:meth:`_screened_candidates`), so chains are built and costed only
+        for the nodes that can still win.  Neither shortcut changes the
+        selected chain.
         """
-        if self.incremental:
-            front_index = build_qubit_node_index(front_nodes)
-            lookahead_index = build_qubit_node_index(lookahead_nodes)
-        else:
-            front_index = lookahead_index = None
+        front_index = build_qubit_node_index(front_nodes)
+        lookahead_index = build_qubit_node_index(lookahead_nodes)
 
         def cost_of(chain: MoveChain) -> float:
-            return self.chain_cost(state, chain, front_nodes, lookahead_nodes,
-                                   front_index, lookahead_index)
+            return self.chain_cost(state, chain, front_index, lookahead_index)
 
-        if (self.incremental and self._screenable
-                and len(front_nodes) > _SCREEN_FRONT_WIDTH):
+        if self._screenable and len(front_nodes) > _SCREEN_FRONT_WIDTH:
             chains_by_node = self._screened_candidates(
                 state, front_nodes, lookahead_nodes, cost_of)
         else:

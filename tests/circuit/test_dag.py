@@ -66,6 +66,19 @@ class TestConstruction:
         node = dag.nodes[2]
         assert 1 in node.predecessors
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "the wire walk stops at the nearest non-commuting gate, and cz(0,2) "
+        "commutes with cx(0,1), so no path orders h(0) after cx(0,1)"))
+    def test_gate_behind_a_commuting_blocker_waits(self):
+        circuit = QuantumCircuit(3)
+        circuit.cx(0, 1)   # 0
+        circuit.cz(0, 2)   # 1 commutes with 0 (both diagonal on qubit 0)
+        circuit.h(0)       # 2 commutes with neither
+        dag = CircuitDAG(circuit, use_commutation=True)
+        assert {node.index for node in dag.front_layer()} == {0, 1}
+        dag.execute(1)
+        assert 2 not in {node.index for node in dag.front_layer()}
+
 
 class TestExecution:
     def test_execute_releases_successors(self):
@@ -98,19 +111,10 @@ class TestExecution:
         circuit.cz(0, 1)
         dag = CircuitDAG(circuit)
         assert not dag.is_finished()
-        dag.execute_many([0])
-        dag.execute_many([1])
-        assert dag.is_finished()
-
-    def test_reset_restores_initial_front(self):
-        circuit = QuantumCircuit(2)
-        circuit.h(0)
-        circuit.cz(0, 1)
-        dag = CircuitDAG(circuit)
         dag.execute(0)
-        dag.reset()
-        assert {node.index for node in dag.front_layer()} == {0}
-        assert dag.num_executed == 0
+        assert not dag.is_finished()
+        dag.execute(1)
+        assert dag.is_finished()
 
 
 class TestLayers:
@@ -132,16 +136,6 @@ class TestLayers:
         dag = CircuitDAG(circuit)
         assert dag.lookahead_layer(0) == []
 
-    def test_layers_partition_all_gates(self):
-        circuit = QuantumCircuit(4)
-        circuit.h(0).h(1).cx(0, 1).cx(1, 2).cx(2, 3).h(3)
-        dag = CircuitDAG(circuit)
-        layers = dag.layers()
-        indices = sorted(node.index for layer in layers for node in layer)
-        assert indices == list(range(len(circuit)))
-        # layers() must not consume the execution state
-        assert dag.num_executed == 0
-
     def test_entangling_front_filters_single_qubit_gates(self):
         circuit = QuantumCircuit(3)
         circuit.h(0)
@@ -153,8 +147,10 @@ class TestLayers:
     def test_successor_predecessor_queries(self, small_qft_circuit):
         dag = CircuitDAG(small_qft_circuit)
         for node in dag.nodes:
-            for succ in dag.successors_of(node.index):
-                assert node.index in {p.index for p in dag.predecessors_of(succ.index)}
+            for succ in node.successors:
+                assert node.index in dag.nodes[succ].predecessors
+            for pred in node.predecessors:
+                assert node.index in dag.nodes[pred].successors
 
 
 class TestLargerCircuits:

@@ -7,6 +7,9 @@ different gate arities.  Everything is deterministic.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.circuit import QuantumCircuit
@@ -20,6 +23,12 @@ from repro.hardware import (
 )
 from repro.hardware.presets import gate_optimised, mixed, shuttling_optimised
 from repro.mapping import MappingState
+
+# The test-only reference oracles live in tests/differential; make them
+# importable from every suite, not only from the tests collected beside them.
+_REFERENCES = str(Path(__file__).resolve().parent / "differential")
+if _REFERENCES not in sys.path:
+    sys.path.insert(0, _REFERENCES)
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,8 @@ On fronts wider than ``_SCREEN_FRONT_WIDTH`` the shuttling router bounds
 every two-qubit candidate from below in one numpy pass and builds chains
 only for the gates whose bound can still reach the incumbent's exact cost
 (:mod:`repro.mapping.chain_screen`).  The selection must stay exactly the
-one of the ``incremental=False`` reference, which builds and scores every
-candidate.  These tests force the screen on in every round (width constant
+one of the unscreened reference scan (``routing_reference.best_chain``),
+which builds and scores every candidate with plain layer walks.  These tests force the screen on in every round (width constant
 0) and draw routing rounds with:
 
 * the hostile lattice spacings of the kernel differential, whose float
@@ -30,6 +30,7 @@ from repro.hardware import NeutralAtomArchitecture, SquareLattice
 from repro.hardware.presets import preset
 from repro.mapping import LayerManager, MappingState, ShuttlingRouter
 
+import routing_reference
 from test_differential_kernel import HOSTILE_SPACINGS
 
 SPACINGS = HOSTILE_SPACINGS + (3.0,)
@@ -88,15 +89,12 @@ def routing_round(draw):
     return arch, state, front, lookahead, history, weights
 
 
-def routers(arch, history, weights):
+def make_router(arch, history, weights):
     lookahead_weight, time_weight = weights
-    pair = [ShuttlingRouter(arch, lookahead_weight=lookahead_weight,
-                            time_weight=time_weight, history_window=4,
-                            incremental=incremental)
-            for incremental in (True, False)]
-    for router in pair:
-        router.note_moves_applied(history)
-    return pair
+    router = ShuttlingRouter(arch, lookahead_weight=lookahead_weight,
+                             time_weight=time_weight, history_window=4)
+    router.note_moves_applied(history)
+    return router
 
 
 def assert_same_selection(screened, reference) -> None:
@@ -106,21 +104,20 @@ def assert_same_selection(screened, reference) -> None:
         assert screened.gate_index == reference.gate_index
 
 
-def exact_costs(reference, state, front, lookahead, positions):
+def exact_costs(router, state, front, lookahead, positions):
     """Reference cost of each screened candidate (``inf`` without a chain)."""
     costs = np.full((len(positions), 2), np.inf)
     for row, position in enumerate(positions):
         node = front[position]
         for column, anchor in enumerate(node.gate.qubits):
-            chain = reference._build_chain(state, node.gate, anchor,
-                                           node.index)
+            chain = router._build_chain(state, node.gate, anchor, node.index)
             if chain is None:
                 event("chainless anchor")
                 continue
             if chain.num_move_aways:
                 event("move-away chain")
-            costs[row, column] = reference.chain_cost(
-                state, chain, front, lookahead)
+            costs[row, column] = routing_reference.chain_cost(
+                router, state, chain, front, lookahead)
     return costs
 
 
@@ -129,22 +126,22 @@ class TestScreenedSelection:
     @settings(max_examples=150, deadline=None)
     def test_best_chain_matches_reference(self, scenario):
         arch, state, front, lookahead, history, weights = scenario
-        screened, reference = routers(arch, history, weights)
+        router = make_router(arch, history, weights)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(shuttling_router_module, "_SCREEN_FRONT_WIDTH", 0)
-            chain = screened.best_chain(state, front, lookahead)
-        assert_same_selection(chain,
-                              reference.best_chain(state, front, lookahead))
+            chain = router.best_chain(state, front, lookahead)
+        assert_same_selection(chain, routing_reference.best_chain(
+            router, state, front, lookahead))
 
     @given(routing_round())
     @settings(max_examples=150, deadline=None)
     def test_bounds_never_exceed_the_exact_cost(self, scenario):
         arch, state, front, lookahead, history, weights = scenario
-        screened, reference = routers(arch, history, weights)
-        positions, bounds = screened.screen_bounds(state, front, lookahead)
+        router = make_router(arch, history, weights)
+        positions, bounds = router.screen_bounds(state, front, lookahead)
         assert positions == [position for position, node in enumerate(front)
                              if node.gate.num_qubits == 2]
-        costs = exact_costs(reference, state, front, lookahead, positions)
+        costs = exact_costs(router, state, front, lookahead, positions)
         chained = np.isfinite(costs)
         # A bound is infinite exactly when its anchor has no chain ...
         assert np.array_equal(np.isfinite(bounds), chained)
@@ -158,17 +155,17 @@ class TestScreenedSelection:
         """Bounds equal to the exact costs: a node tying the incumbent must
         survive, or the incumbent's own node is dropped."""
         arch, state, front, lookahead, history, weights = scenario
-        screened, reference = routers(arch, history, weights)
-        positions, _ = screened.screen_bounds(state, front, lookahead)
+        router = make_router(arch, history, weights)
+        positions, _ = router.screen_bounds(state, front, lookahead)
         assume(positions)
-        tight = exact_costs(reference, state, front, lookahead, positions)
+        tight = exact_costs(router, state, front, lookahead, positions)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(shuttling_router_module, "_SCREEN_FRONT_WIDTH", 0)
-            patch.setattr(screened, "screen_bounds",
+            patch.setattr(router, "screen_bounds",
                           lambda *_args: (positions, tight))
-            chain = screened.best_chain(state, front, lookahead)
-        assert_same_selection(chain,
-                              reference.best_chain(state, front, lookahead))
+            chain = router.best_chain(state, front, lookahead)
+        assert_same_selection(chain, routing_reference.best_chain(
+            router, state, front, lookahead))
 
 
 def test_zoned_topologies_are_never_screened():

@@ -21,6 +21,8 @@ from repro.hardware.presets import gate_optimised, mixed, shuttling_optimised
 from repro.mapping import HybridMapper, MapperConfig, shuttling_router
 from repro.scheduling import Scheduler, validate_schedule
 
+from routing_reference import reference_routers
+
 
 QUICK_ALPHAS = (0.05, 1.0, 20.0)
 
@@ -115,9 +117,10 @@ class TestIncrementalCostEngineEquivalence:
     Perf PRs are only allowed to make the mapper faster: the SWAP/chain
     selections — and therefore the entire operation stream and every Table-1
     metric derived from it — have to stay bit-identical to the naive
-    full-recomputation scoring.  The ``forced`` screen arm runs the exact
-    ``best_chain`` screen on every round, not only on wide fronts, and must
-    still match the unscreened ``incremental=False`` reference.
+    full-recomputation scoring of ``tests/differential/routing_reference.py``.
+    The ``forced`` screen arm runs the exact ``best_chain`` screen on every
+    round, not only on wide fronts, and must still match the unscreened
+    reference scan.
     """
 
     @pytest.mark.parametrize("screen", ["default", "forced"])
@@ -137,11 +140,10 @@ class TestIncrementalCostEngineEquivalence:
 
         fast_mapper = HybridMapper(architecture, config, connectivity=connectivity)
         naive_mapper = HybridMapper(architecture, config, connectivity=connectivity)
-        naive_mapper.gate_router.incremental = False
-        naive_mapper.shuttling_router.incremental = False
 
         fast = fast_mapper.map(circuit)
-        naive = naive_mapper.map(circuit)
+        with reference_routers(naive_mapper):
+            naive = naive_mapper.map(circuit)
 
         assert fast.operations == naive.operations
         assert fast.num_swaps == naive.num_swaps

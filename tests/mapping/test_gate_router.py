@@ -3,7 +3,8 @@
 import pytest
 
 from repro.circuit import QuantumCircuit
-from repro.mapping import GateRouter, LayerManager, MappingState, find_gate_position
+from repro.mapping import (GateRouter, LayerManager, MappingState,
+                           SwapCostCache, find_gate_position)
 
 
 @pytest.fixture()
@@ -49,15 +50,15 @@ class TestCost:
         _, front, lookahead = front_for(circuit, small_state)
         best = router.best_swap(small_state, front, lookahead, {})
         assert best is not None
-        before = router.layer_distance(small_state, front, {})
-        after = router.layer_distance(small_state, front, {}, best)
-        assert after <= before
+        # Without a lookahead layer or decay the cost is the front distance.
+        front_only = SwapCostCache(router, small_state, front, [], {})
+        assert front_only.cost(best) <= front_only.baseline_front
 
     def test_layer_distance_zero_when_all_gates_satisfied(self, router, small_state):
         circuit = QuantumCircuit(12)
         circuit.cz(0, 1).cz(2, 3)
         _, front, _ = front_for(circuit, small_state)
-        assert router.layer_distance(small_state, front, {}) == 0
+        assert SwapCostCache(router, small_state, front, [], {}).baseline_front == 0
 
     def test_cost_includes_lookahead_with_weight(self, small_architecture, small_state):
         eager = GateRouter(small_architecture, lookahead_weight=1.0)
@@ -67,8 +68,10 @@ class TestCost:
         manager = LayerManager(circuit)
         front, lookahead = manager.layers()
         candidate = eager.candidate_swaps(small_state, front)[0]
-        cost_eager = eager.swap_cost(small_state, candidate, front, lookahead, {})
-        cost_lazy = lazy.swap_cost(small_state, candidate, front, lookahead, {})
+        cost_eager = SwapCostCache(eager, small_state, front, lookahead,
+                                   {}).cost(candidate)
+        cost_lazy = SwapCostCache(lazy, small_state, front, lookahead,
+                                  {}).cost(candidate)
         if lookahead:
             assert cost_eager != cost_lazy
 
@@ -80,8 +83,9 @@ class TestCost:
         node = front[0]
         position = find_gate_position(small_state, node.gate)
         assert position is not None
-        distance = router.layer_distance(small_state, front, {node.index: position})
-        assert distance >= 0
+        cache = SwapCostCache(router, small_state, front, lookahead,
+                              {node.index: position})
+        assert cache.baseline_front >= 0
 
     def test_invalid_parameters_rejected(self, small_architecture):
         with pytest.raises(ValueError):
@@ -90,6 +94,16 @@ class TestCost:
             GateRouter(small_architecture, decay_rate=-1)
         with pytest.raises(ValueError):
             GateRouter(small_architecture, recency_window=-1)
+
+    @pytest.mark.parametrize("weight", ["lookahead_weight", "decay_rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_weights_rejected(self, small_architecture, weight,
+                                         value):
+        # NaN passes a ``< 0`` check, and a NaN cost would make the first
+        # candidate SWAP win every round.
+        with pytest.raises(ValueError, match="finite"):
+            GateRouter(small_architecture, **{weight: value})
 
 
 class TestRecency:
@@ -108,9 +122,11 @@ class TestRecency:
         circuit.cz(0, 11)
         _, front, lookahead = front_for(circuit, small_state)
         candidate = router.candidate_swaps(small_state, front)[0]
-        fresh_cost = router.swap_cost(small_state, candidate, front, lookahead, {})
+        fresh_cost = SwapCostCache(router, small_state, front, lookahead,
+                                   {}).cost(candidate)
         router.note_swap_applied(small_state, candidate)
-        damped_cost = router.swap_cost(small_state, candidate, front, lookahead, {})
+        damped_cost = SwapCostCache(router, small_state, front, lookahead,
+                                    {}).cost(candidate)
         assert damped_cost >= fresh_cost
 
     def test_reset_clears_history(self, router, small_state):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.circuit import QuantumCircuit
 from repro.mapping import LayerManager, MappingState, ShuttlingRouter
+from repro.mapping.layers import build_qubit_node_index
 
 
 @pytest.fixture()
@@ -16,6 +17,11 @@ def layered(circuit):
     manager = LayerManager(circuit)
     front, lookahead = manager.layers()
     return manager, front, lookahead
+
+
+def indexed(front, lookahead):
+    """The layers as ``chain_cost`` takes them: qubit → node indices."""
+    return build_qubit_node_index(front), build_qubit_node_index(lookahead)
 
 
 class TestChainConstruction:
@@ -80,6 +86,16 @@ class TestChainConstruction:
         with pytest.raises(ValueError):
             ShuttlingRouter(small_architecture, history_window=-1)
 
+    @pytest.mark.parametrize("weight", ["lookahead_weight", "time_weight"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_weights_rejected(self, small_architecture, weight,
+                                         value):
+        # NaN passes a ``< 0`` check, and a NaN cost would make the first
+        # candidate chain win every round.
+        with pytest.raises(ValueError, match="finite"):
+            ShuttlingRouter(small_architecture, **{weight: value})
+
 
 class TestCost:
     def test_distance_reducing_chain_has_negative_cost(self, router, small_state):
@@ -87,7 +103,7 @@ class TestCost:
         circuit.cz(0, 11)
         _, front, lookahead = layered(circuit)
         chain = router.candidate_chains(small_state, front[0])[0]
-        cost = router.chain_cost(small_state, chain, front, lookahead)
+        cost = router.chain_cost(small_state, chain, *indexed(front, lookahead))
         assert cost < 0
 
     def test_parallel_compatible_history_is_cheaper(self, small_architecture, small_state):
@@ -96,12 +112,13 @@ class TestCost:
         circuit.cz(0, 11)
         _, front, lookahead = layered(circuit)
         chain = router_with_history.candidate_chains(small_state, front[0])[0]
-        base_cost = router_with_history.chain_cost(small_state, chain, front, lookahead)
+        base_cost = router_with_history.chain_cost(small_state, chain,
+                                                   *indexed(front, lookahead))
         # Record an incompatible move (opposite direction crossing) in history.
         blocker = small_state.make_move(19, sorted(small_state.free_sites())[-1])
         router_with_history.note_moves_applied([blocker])
-        cost_with_history = router_with_history.chain_cost(small_state, chain, front,
-                                                           lookahead)
+        cost_with_history = router_with_history.chain_cost(
+            small_state, chain, *indexed(front, lookahead))
         assert cost_with_history >= base_cost
 
     def test_history_window_is_bounded(self, router, small_state):

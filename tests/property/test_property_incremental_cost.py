@@ -4,8 +4,9 @@ The gate-based router scores candidates as ``baseline + delta``
 (:class:`repro.mapping.SwapCostCache`), re-evaluating only the gates that
 touch the two swapped qubits.  On random circuits, lattices, and scrambled
 mapping states the incremental cost of *every* candidate must equal the
-naive full recomputation bit-for-bit, and :meth:`GateRouter.best_swap` must
-pick the identical candidate with and without the engine.
+naive full recomputation of ``tests/differential/routing_reference.py``
+bit-for-bit, also on hand-crafted layers that list a node more than once,
+and :meth:`GateRouter.best_swap` must pick the reference's candidate.
 
 Candidate generation and selection are also checked against the original
 generator and selection loop, kept below unchanged as test-only references:
@@ -20,7 +21,9 @@ from hypothesis import given, settings, strategies as st
 from repro.circuit import QuantumCircuit
 from repro.hardware import NeutralAtomArchitecture, SiteConnectivity, SquareLattice
 from repro.mapping import (GateRouter, LayerManager, MappingState,
-                           SwapCandidate, find_gate_position)
+                           SwapCandidate, SwapCostCache, find_gate_position)
+
+import routing_reference
 
 
 ARCHITECTURE = NeutralAtomArchitecture(
@@ -93,8 +96,9 @@ def reference_best_swap(router: GateRouter, state: MappingState,
     best_candidate = None
     best_key: Optional[Tuple[float, Tuple[int, int]]] = None
     for candidate in candidates:
-        cost = router.swap_cost(state, candidate, front_nodes,
-                                lookahead_nodes, positions)
+        cost = routing_reference.swap_cost(router, state, candidate,
+                                           front_nodes, lookahead_nodes,
+                                           positions)
         key = (cost, candidate.key())
         if best_key is None or key < best_key:
             best_key = key
@@ -148,17 +152,16 @@ class TestDeltaCostExactness:
         candidates = router.candidate_swaps(state, front)
         # Once with the LayerManager-maintained index, once self-built.
         for qubit_index in (layers.qubit_node_index(), None):
-            cache = router.cost_cache(state, front, lookahead, positions,
-                                      qubit_index=qubit_index)
-            assert cache.exact
+            cache = SwapCostCache(router, state, front, lookahead, positions,
+                                  qubit_index=qubit_index)
             for candidate in candidates:
-                naive = router.swap_cost(state, candidate, front, lookahead,
-                                         positions)
+                naive = routing_reference.swap_cost(
+                    router, state, candidate, front, lookahead, positions)
                 assert cache.cost(candidate) == naive
 
     @given(routing_scenario())
     @settings(max_examples=60, deadline=None)
-    def test_best_swap_identical_with_and_without_engine(self, scenario):
+    def test_best_swap_matches_naive_reference(self, scenario):
         circuit, operations = scenario
         state, layers, front, lookahead, positions = routing_round(circuit, operations)
         if not front:
@@ -166,8 +169,8 @@ class TestDeltaCostExactness:
         router = GateRouter(ARCHITECTURE)
         fast = router.best_swap(state, front, lookahead, positions,
                                 qubit_index=layers.qubit_node_index())
-        router.incremental = False
-        naive = router.best_swap(state, front, lookahead, positions)
+        naive = routing_reference.best_swap(router, state, front, lookahead,
+                                            positions)
         assert fast == naive
 
     @given(routing_scenario(), st.integers(0, 3))
@@ -182,10 +185,11 @@ class TestDeltaCostExactness:
         candidates = router.candidate_swaps(state, front)
         for candidate in candidates[:num_applied]:
             router.note_swap_applied(state, candidate)
-        cache = router.cost_cache(state, front, lookahead, positions,
-                                  qubit_index=layers.qubit_node_index())
+        cache = SwapCostCache(router, state, front, lookahead, positions,
+                              qubit_index=layers.qubit_node_index())
         for candidate in candidates:
-            naive = router.swap_cost(state, candidate, front, lookahead, positions)
+            naive = routing_reference.swap_cost(router, state, candidate,
+                                                front, lookahead, positions)
             assert cache.cost(candidate) == naive
 
     @given(routing_scenario())
@@ -222,19 +226,51 @@ class TestDeltaCostExactness:
         fast = router.best_swap(state, front, lookahead, positions,
                                 qubit_index=layers.qubit_node_index())
         assert fast == expected
-        router.incremental = False
-        assert router.best_swap(state, front, lookahead, positions) == expected
+        assert routing_reference.best_swap(router, state, front, lookahead,
+                                           positions) == expected
 
-    def test_duplicate_nodes_disable_the_engine(self):
-        """Hand-crafted duplicate layers fall back to the naive scorer."""
+    @given(routing_scenario(), st.lists(st.integers(0, 10_000), max_size=6),
+           st.sampled_from([0.0, 0.1, 1.0]), st.sampled_from([0.0, 0.5]))
+    @settings(max_examples=60, deadline=None)
+    def test_duplicate_nodes_count_once_per_occurrence(
+            self, scenario, picks, lookahead_weight, decay_rate):
+        """Hand-crafted layers may list a node twice, in one layer or in
+        both: each listing weighs in as often as the full walk counts it."""
+        circuit, operations = scenario
+        state, layers, front, lookahead, positions = routing_round(circuit, operations)
+        if not front:
+            return
+        nodes = front + lookahead
+        front = front + [nodes[pick % len(nodes)] for pick in picks[::2]]
+        lookahead = lookahead + [nodes[pick % len(nodes)]
+                                 for pick in picks[1::2]]
+        router = GateRouter(ARCHITECTURE, lookahead_weight=lookahead_weight,
+                            decay_rate=decay_rate)
+        candidates = router.candidate_swaps(state, front)
+        if candidates:
+            router.note_swap_applied(state, candidates[0])
+        for qubit_index in (layers.qubit_node_index(), None):
+            cache = SwapCostCache(router, state, front, lookahead, positions,
+                                  qubit_index=qubit_index)
+            for candidate in candidates:
+                assert cache.cost(candidate) == routing_reference.swap_cost(
+                    router, state, candidate, front, lookahead, positions)
+            assert router.best_swap(
+                state, front, lookahead, positions,
+                qubit_index=qubit_index) == routing_reference.best_swap(
+                    router, state, front, lookahead, positions)
+
+    def test_duplicate_front_node_doubles_its_distance(self):
         circuit = QuantumCircuit(NUM_QUBITS)
         circuit.cz(0, 9)
         state = MappingState(ARCHITECTURE, NUM_QUBITS, connectivity=CONNECTIVITY)
-        layers = LayerManager(circuit)
-        front, _ = layers.layers()
+        front, _ = LayerManager(circuit).layers()
         router = GateRouter(ARCHITECTURE)
-        cache = router.cost_cache(state, front + front, [], {})
-        assert not cache.exact
-        best = router.best_swap(state, front + front, [], {})
-        router.incremental = False
-        assert best == router.best_swap(state, front + front, [], {})
+        single = SwapCostCache(router, state, front, [], {})
+        double = SwapCostCache(router, state, front + front, [], {})
+        assert single.baseline_front > 0
+        assert double.baseline_front == 2 * single.baseline_front
+        for candidate in router.candidate_swaps(state, front):
+            assert double.cost(candidate) == 2 * single.cost(candidate)
+        assert router.best_swap(state, front + front, [], {}) == \
+            routing_reference.best_swap(router, state, front + front, [], {})
