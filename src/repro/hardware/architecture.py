@@ -158,23 +158,6 @@ class NeutralAtomArchitecture:
         """``T_eff = T1 T2 / (T1 + T2)`` used in the success-probability model."""
         return self.t1 * self.t2 / (self.t1 + self.t2)
 
-    def _check_site(self, site: int) -> None:
-        if not 0 <= site < self.lattice.num_sites:  # negative would wrap
-            raise ValueError(f"site {site} outside topology with "
-                             f"{self.lattice.num_sites} sites")
-
-    def sites_interacting_with(self, site: int) -> list:
-        """Sites whose atoms could share a gate with an atom at ``site``."""
-        self._check_site(site)
-        return list(self.lattice.interaction_neighbour_table(
-            self.interaction_radius_um)[site])
-
-    def sites_restricted_by(self, site: int) -> list:
-        """Sites blocked by a gate executing at ``site``."""
-        self._check_site(site)
-        return list(self.lattice.restriction_neighbour_table(
-            self.restriction_radius_um)[site])
-
     def can_interact(self, site_a: int, site_b: int) -> bool:
         """True if atoms at the two sites can take part in the same gate.
 
@@ -240,10 +223,6 @@ class NeutralAtomArchitecture:
         if include_deactivation:
             duration += self.durations.aod_deactivation
         return duration
-
-    def shuttle_fidelity(self) -> float:
-        """Fidelity of a single shuttling move."""
-        return self.fidelities.shuttling
 
     def swap_cz_cost(self) -> int:
         """Number of native CZ gates one inserted SWAP decomposes into."""

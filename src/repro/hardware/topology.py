@@ -40,8 +40,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, FrozenSet, Iterator, List,
-                    Optional, Sequence, Tuple, Type, Union)
+from typing import (Any, Callable, Dict, Iterator, List, Optional,
+                    Sequence, Tuple, Type, Union)
 
 import numpy as _np
 
@@ -129,9 +129,6 @@ class Topology:
         raise NotImplementedError
 
     def sites_within(self, site: int, radius: float) -> List[int]:
-        raise NotImplementedError
-
-    def sites_within_set(self, site: int, radius: float) -> FrozenSet[int]:
         raise NotImplementedError
 
     def neighbour_table(self, radius: float) -> List[Tuple[int, ...]]:
@@ -291,7 +288,6 @@ class GridTopology(Topology):
             for site in range(self._num_sites)
         ]
         self._sites_within_cache: Dict[Tuple[int, float], List[int]] = {}
-        self._sites_within_set_cache: Dict[Tuple[int, float], frozenset] = {}
         self._radius_offsets_cache: Dict[float, List[Tuple[int, int]]] = {}
         self._offset_arrays_cache: Dict[float, Tuple[Any, Any]] = {}
         self._neighbour_table_cache: Dict[float, List[Tuple[int, ...]]] = {}
@@ -539,19 +535,6 @@ class GridTopology(Topology):
             table = [() for _ in range(self._num_sites)]
         self._neighbour_table_cache[radius] = table
         return table
-
-    def sites_within_set(self, site: int, radius: float) -> frozenset:
-        """The :meth:`sites_within` disc as a memoised frozenset.
-
-        Shared by reference for set algebra in hot loops (e.g. the chain
-        cache's occupancy-read recording), so no per-call copy is made.
-        """
-        key = (site, radius)
-        cached = self._sites_within_set_cache.get(key)
-        if cached is None:
-            cached = frozenset(self.sites_within(site, radius))
-            self._sites_within_set_cache[key] = cached
-        return cached
 
     def neighbourhood_size(self, radius: float) -> int:
         """Coordination number ``K_r`` of a bulk site for the given radius."""

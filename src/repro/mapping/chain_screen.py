@@ -9,9 +9,10 @@ gates whose bound can still reach the best exact cost.
 
 The bound is the candidate's cost itself, evaluated in batch:
 
-* the destination is the one the two-qubit chain kernel picks — a masked
-  argmin over the anchor's interaction zone (ascending site order, so the
-  first minimum is the kernel's ``(distance, site)`` tie-break) — and, when
+* the destination is the one the chain builder picks for a two-qubit gate
+  — a masked argmin over the anchor's interaction zone (ascending site
+  order, so the first minimum is the builder's ``(distance, site)``
+  tie-break) — and, when
   the zone is full, the first blocked zone site in the same order that has
   a free trap within ``MOVE_AWAY_RADIUS`` lattice spacings, cleared by a
   move-away onto the nearest such trap (innermost disc first, as

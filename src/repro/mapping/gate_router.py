@@ -295,15 +295,6 @@ class GateRouter:
     # ------------------------------------------------------------------
     # Cost evaluation
     # ------------------------------------------------------------------
-    def _effective_site(self, state: MappingState, qubit: int,
-                        candidate: SwapCandidate) -> int:
-        """Site of ``qubit`` after hypothetically applying ``candidate``."""
-        if qubit == candidate.qubit_a:
-            return candidate.site_b
-        if candidate.qubit_b is not None and qubit == candidate.qubit_b:
-            return candidate.site_a
-        return state.site_of_qubit(qubit)
-
     def _gate_distance(self, state: MappingState, gate: Gate,
                        candidate: Optional[SwapCandidate],
                        position: Optional[GatePosition]) -> int:

@@ -389,11 +389,6 @@ def _crossing_from_intervals(intervals: Dict[int, Tuple[int, int]],
         if first < position <= last))
 
 
-def _crossing_qubits(circuit: QuantumCircuit, position: int) -> Tuple[int, ...]:
-    """The crossing set of cut ``position`` (sorted qubit indices)."""
-    return _crossing_from_intervals(_qubit_intervals(circuit), position)
-
-
 def slice_subcircuit(circuit: QuantumCircuit,
                      piece: CircuitSlice) -> QuantumCircuit:
     """Full-width circuit holding exactly the slice's gates, in order.

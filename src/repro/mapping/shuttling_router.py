@@ -12,6 +12,7 @@ moving atoms.  Because considering every possible rearrangement is infeasible
 
 The moves for one gate form a *move chain* bounded by ``2 (m - 1)`` moves.
 Chains are built per anchor qubit — the gate qubit the others gather around —
+by one builder, :meth:`ShuttlingRouter._build_chain`, for every gate width m,
 and evaluated with the cost function of Eq. (4)/(5):
 
 ``C_s(M) = C_f_s(M) + w_l * C_l_s(M) + w_t * C_t_parallel(M)``
@@ -22,6 +23,11 @@ move, and ``C_t_parallel`` charges the extra time a move costs on top of the
 last ``history_window`` moves depending on whether it can share their AOD
 batch (parallel loading and shuttling), only their activation window
 (parallel loading), or nothing.
+
+Occupancy: a chain reads the state's free-site mask, then a private copy
+that its simulated moves update, so the later qubits of a wide gate see the
+earlier moves; the move-away search and :meth:`ShuttlingRouter.forced_chain`
+do the same.
 
 Cost evaluation: :meth:`ShuttlingRouter.chain_cost` is the one scoring
 path.  Only gates acting on the moved atom's circuit qubit can change their
@@ -40,7 +46,7 @@ Screening: a round applies a single chain, so on fronts wider than
 ``_SCREEN_FRONT_WIDTH`` nodes :meth:`ShuttlingRouter.best_chain` does not
 build every candidate.  :class:`~repro.mapping.chain_screen.ChainScreen`
 bounds the cost of every (two-qubit gate, anchor) candidate from below in
-one numpy pass — the 2q kernel's own destination or move-away, the exact
+one numpy pass — the chain builder's own destination or move-away, the exact
 partner distances and ``C_t_parallel``, minus a rigorous float slack.  The
 node with the smallest bound is built and costed exactly; only nodes whose
 bound does not exceed that incumbent's cost are built and ranked.  Every
@@ -86,6 +92,16 @@ _EPSILON = 1e-9
 #: this.  Screening costs a fixed numpy pass per round, which narrow fronts
 #: do not repay (measured on the perfbench workloads, see CHANGES.md).
 _SCREEN_FRONT_WIDTH = 16
+
+
+def _simulate(free_mask, live_mask, moves: Sequence[Move]):
+    """``free_mask`` after ``moves``; ``live_mask`` itself is copied, never written."""
+    if free_mask is live_mask:
+        free_mask = free_mask.copy()
+    for move in moves:
+        free_mask[move.source] = 1
+        free_mask[move.destination] = 0
+    return free_mask
 
 
 class ShuttlingRouter:
@@ -172,267 +188,111 @@ class ShuttlingRouter:
                     chain.validate(max_gate_width=gate.num_qubits,
                                    extra_moves=1 if relocated else 0)
                 chains.append(chain)
-        # One chain per anchor: two-qubit gates (the hot path) yield at most
-        # two, ordered and filtered without the sort/listcomp churn; wider
-        # gates keep the generic walk.  Both match ``sort(key=len)`` (it is
-        # stable) followed by the shortest+1 length filter.
-        if len(chains) == 2:
-            first, second = len(chains[0].moves), len(chains[1].moves)
-            if first > second:
-                chains.reverse()
-                first, second = second, first
-            if second > first + 1:
-                del chains[1]
-        elif len(chains) > 2:
-            chains.sort(key=len)
-            shortest = len(chains[0])
-            chains = [chain for chain in chains if len(chain) <= shortest + 1]
-        return chains
+        if not chains:
+            return chains
+        chains.sort(key=len)
+        shortest = len(chains[0])
+        return [chain for chain in chains if len(chain) <= shortest + 1]
 
     def _build_chain(self, state: MappingState, gate: Gate, anchor: int,
                      gate_index: int) -> Optional[MoveChain]:
         """Gather all gate qubits around ``anchor`` with direct/move-away moves.
 
-        Candidate zones are scored as numpy gathers whose argmin /
-        stable-argsort selections replicate the scalar ``(value, site)``
-        tie-breaks exactly; the scalar loops live on as the test-only
-        reference in ``tests/differential/chain_reference.py``, which the
-        kernel differential holds byte-identical on hostile spacings.
+        For every gate width, the other qubits, nearest to the anchor
+        first, stay put if they interact with every kept site, or else move
+        onto the nearest free site of the zone interacting with all of
+        them; a full zone's nearest site is cleared by a move-away first.
+        On a zoned topology a storage-stranded anchor is relocated first.
 
-        Two-qubit gates dispatch to :meth:`_build_chain_2q_kernel`; the
-        generic path handles them too (the specialisation is equivalence-
-        tested against it, see ``TestTwoQubitChainSpecialisation``).  On a
-        zoned topology an anchor stranded on a non-entangling site takes
-        the generic path, which relocates the anchor into an entangling
-        zone before gathering (the 2q specialisation assumes the anchor
-        stays put).
-        """
-        if len(gate.qubits) == 2:
-            if (not self._zone_aware
-                    or self.architecture.is_entangling_site(
-                        state.site_of_qubit(anchor))):
-                return self._build_chain_2q_kernel(state, gate, anchor,
-                                                   gate_index)
-        return self._build_chain_generic_kernel(state, gate, anchor,
-                                                gate_index)
-
-    def _build_chain_generic_kernel(self, state: MappingState, gate: Gate,
-                                    anchor: int, gate_index: int
-                                    ) -> Optional[MoveChain]:
-        """Anchor-gathering chain construction for any gate width.
-
-        The per-qubit candidate zone — the intersection of every kept
-        site's interaction neighbourhood — is reduced as a chain of
-        ``intersect1d`` gathers over the cached sorted neighbour arrays,
-        and the destination falls out of one argmin.  Bit-identity with
-        the scalar reference walk holds by the same arguments as
-        :meth:`_build_chain_2q_kernel` (``intersect1d`` keeps the arrays
-        sorted ascending, so argmin's first minimum is the scalar
-        ``(row[site], site)`` tie-break; the row arrays hold the scalar
-        rows' floats verbatim; the move-away order is a stable argsort
-        over the same values).  The extra ingredient is the *simulated*
-        occupancy of multi-move chains: the simulation only ever flips
-        sites in ``delta``, so the kernel corrects the live free-mask
-        gather with one vectorised equality mask per delta site instead
-        of re-materialising an occupancy array.
+        Each selection is a numpy gather that breaks ties as the scalar
+        loops of ``tests/differential/chain_reference.py`` do: the zone
+        arrays stay sorted ascending, so argmin's first minimum is the
+        scalar ``(row[site], site)`` tie-break; the row arrays hold the
+        scalar rows' floats verbatim; the move-away order is a stable
+        argsort over the same values.  Occupancy is ``state.free_mask``
+        until the chain's first simulated move, then a private copy.  The
+        last qubit's moves are not simulated (nothing reads them), so a
+        two-qubit chain never copies the mask.
         """
         connectivity = state.connectivity
         lattice = self.architecture.lattice
+        live_mask = state.free_mask
+        free_mask = live_mask
         anchor_site = state.site_of_qubit(anchor)
-
-        # Simulated occupancy, copy-on-write: the set view feeds
-        # _nearest_free_site (which takes its vectorised path only while
-        # the view is still the live one) and the membership probes of the
-        # delta corrections.
-        occupied: Set[int] = state.occupied_sites()
-        owns_occupied = False
-        delta: Set[int] = set()
         kept_sites: List[int] = [anchor_site]
         moves: List[Move] = []
-        gate_atom_sites = {state.site_of_qubit(q) for q in gate.qubits}
 
         if self._zone_aware and not self.architecture.is_entangling_site(anchor_site):
             relocation = self._anchor_relocation(state, anchor, anchor_site)
             if relocation is None:
                 return None
             moves.append(relocation)
-            occupied = set(occupied)
-            owns_occupied = True
-            occupied.discard(anchor_site)
-            occupied.add(relocation.destination)
-            delta.update((anchor_site, relocation.destination))
+            free_mask = _simulate(free_mask, live_mask, moves)
             anchor_site = relocation.destination
             kept_sites[0] = anchor_site
 
-        anchor_row = lattice.euclidean_row(anchor_site)
-        others = sorted(
-            (q for q in gate.qubits if q != anchor),
-            key=lambda q: anchor_row[state.site_of_qubit(q)])
+        others = [qubit for qubit in gate.qubits if qubit != anchor]
+        if len(others) > 1:
+            anchor_row = lattice.euclidean_row(anchor_site)
+            others.sort(key=lambda qubit: anchor_row[state.site_of_qubit(qubit)])
 
+        remaining = len(others)
         for qubit in others:
+            remaining -= 1
             current_site = state.site_of_qubit(qubit)
             if self._site_fits(connectivity, current_site, kept_sites):
                 kept_sites.append(current_site)
                 continue
 
-            # Candidate destinations: the intersection of every kept
-            # site's neighbourhood, minus the kept sites and the moving
-            # qubit's current site.
+            # No site neighbours itself and current_site misses some kept
+            # site's neighbourhood, so the zone holds neither.
             zone = connectivity.interaction_array(kept_sites[0])
             for kept in kept_sites[1:]:
                 if zone.size:
                     zone = _np.intersect1d(
                         zone, connectivity.interaction_array(kept),
                         assume_unique=True)
-            keep = zone != current_site
-            for site in kept_sites:
-                keep &= zone != site
-            zone = zone[keep]
             if not zone.size:
                 return None
 
             row = lattice.rectangular_row_array(current_site)
-            free = state.free_mask[zone] != 0
-            if owns_occupied:
-                # The simulation differs from the live occupancy only on
-                # delta sites; patch those entries of the gathered mask.
-                for site in delta:
-                    if site in occupied:
-                        free &= zone != site
-                    else:
-                        free |= zone == site
-            free_candidates = zone[free]
+            free_candidates = zone[free_mask[zone].nonzero()[0]]
             if free_candidates.size:
                 destination = int(
                     free_candidates[row[free_candidates].argmin()])
-                moves.append(self._make_move(state, qubit, current_site,
-                                             destination, lattice,
-                                             is_move_away=False))
-                if not owns_occupied:
-                    occupied = set(occupied)
-                    owns_occupied = True
-                occupied.discard(current_site)
-                occupied.add(destination)
-                delta.update((current_site, destination))
-                kept_sites.append(destination)
-                continue
-
-            # No free site in the zone: free one with a move-away first.
-            blocked_keep = ~free
-            for site in gate_atom_sites:
-                blocked_keep &= zone != site
-            blocked_candidates = zone[blocked_keep]
-            order = row[blocked_candidates].argsort(kind="stable")
-            move_away = None
-            freed_site = None
-            for index in order:
-                blocked = int(blocked_candidates[index])
-                blocking_atom = state.atom_at_site(blocked)
-                if blocking_atom is None:
-                    continue
-                away_destination = self._nearest_free_site(
-                    state, connectivity, lattice, blocked, occupied,
-                    forbidden=set(kept_sites) | {current_site})
-                if away_destination is None:
-                    continue
-                move_away = self._pooled_move(blocking_atom, blocked,
-                                              away_destination, lattice,
-                                              is_move_away=True)
-                freed_site = blocked
-                break
-            if move_away is None or freed_site is None:
-                return None
-            moves.append(move_away)
-            if not owns_occupied:
-                occupied = set(occupied)
-                owns_occupied = True
-            occupied.discard(freed_site)
-            occupied.add(move_away.destination)
-            delta.update((freed_site, move_away.destination))
-            moves.append(self._make_move(state, qubit, current_site, freed_site,
-                                         lattice, is_move_away=False))
-            occupied.discard(current_site)
-            occupied.add(freed_site)
-            delta.add(current_site)
-            kept_sites.append(freed_site)
+                new_moves: List[Move] = []
+            else:
+                # The zone is full: clear its nearest site that is not a
+                # gate qubit's with a move-away first.
+                gate_sites = {state.site_of_qubit(q) for q in gate.qubits}
+                forbidden = {current_site, *kept_sites}
+                for index in row[zone].argsort(kind="stable"):
+                    destination = int(zone[index])
+                    if destination in gate_sites:
+                        continue
+                    blocking_atom = state.atom_at_site(destination)
+                    if blocking_atom is None:
+                        continue
+                    away = self._nearest_free_site(free_mask, lattice,
+                                                   destination, forbidden)
+                    if away is not None:
+                        break
+                else:
+                    return None
+                new_moves = [self._pooled_move(blocking_atom, destination,
+                                               away, lattice,
+                                               is_move_away=True)]
+            new_moves.append(self._pooled_move(state.atom_of_qubit(qubit),
+                                               current_site, destination,
+                                               lattice, is_move_away=False))
+            moves.extend(new_moves)
+            kept_sites.append(destination)
+            if remaining:
+                free_mask = _simulate(free_mask, live_mask, new_moves)
 
         if not moves:
             return None
         return MoveChain(moves=moves, gate_index=gate_index)
-
-    def _build_chain_2q_kernel(self, state: MappingState, gate: Gate,
-                               anchor: int, gate_index: int
-                               ) -> Optional[MoveChain]:
-        """Two-qubit specialisation of :meth:`_build_chain` (numpy candidate batch).
-
-        With a single gathering qubit there is never a second iteration, so
-        no occupancy simulation is needed: the chain is either one direct
-        move into the anchor's free zone, or a move-away plus the direct
-        move onto the freed site.  The whole candidate set is gathered
-        through index arrays — the anchor's interaction zone (cached sorted
-        array), the moving qubit's travel-distance row (cached float64
-        array) and the incremental free-site mask — and the destination is
-        selected with one argmin.  Bit-identity with the scalar reference
-        loop holds because:
-
-        * the zone array is sorted ascending, so the *first* minimum
-          ``argmin`` returns is the smallest site — exactly the scalar
-          ``min(..., key=(row[site], site))`` tie-break;
-        * the row array holds the scalar rows' floats verbatim (no
-          recomputation, so no accumulation-order drift — the PR 3
-          euclidean pitfall cannot occur);
-        * the move-away order is a stable argsort over the same values,
-          matching ``sorted(zone, key=(row[site], site))``.
-        """
-        connectivity = state.connectivity
-        lattice = self.architecture.lattice
-        anchor_site = state.site_of_qubit(anchor)
-        qubit = gate.qubits[1] if gate.qubits[0] == anchor else gate.qubits[0]
-        current_site = state.site_of_qubit(qubit)
-        if connectivity.are_adjacent(current_site, anchor_site):
-            return None
-
-        # The neighbour table never contains its own site, and are_adjacent
-        # ruled out current_site, so the interaction set is already the
-        # zone minus both gate sites.
-        zone = connectivity.interaction_array(anchor_site)
-        if not zone.size:
-            return None
-
-        row = lattice.rectangular_row_array(current_site)
-        # ndarray methods throughout: the np.* free functions route through
-        # python dispatch (numpy's _wrapfunc), which dominates on zones this
-        # small.  Both gate sites are occupied, hence never candidates.
-        candidates = zone[state.free_mask[zone].nonzero()[0]]
-        if candidates.size:
-            destination = int(candidates[row[candidates].argmin()])
-            move = self._pooled_move(state.atom_of_qubit(qubit), current_site,
-                                     destination, lattice, is_move_away=False)
-            return MoveChain(moves=[move], gate_index=gate_index)
-
-        # No free site in the zone (the zone already excludes both gate
-        # sites, so every member is a blocking atom): free one with a
-        # move-away first.
-        order = row[zone].argsort(kind="stable")
-        occupied = state.occupied_sites()
-        forbidden = {anchor_site, current_site}
-        for index in order:
-            blocked = int(zone[index])
-            blocking_atom = state.atom_at_site(blocked)
-            if blocking_atom is None:
-                continue
-            away_destination = self._nearest_free_site(
-                state, connectivity, lattice, blocked, occupied,
-                forbidden=forbidden)
-            if away_destination is None:
-                continue
-            move_away = self._pooled_move(blocking_atom, blocked,
-                                          away_destination, lattice,
-                                          is_move_away=True)
-            direct = self._pooled_move(state.atom_of_qubit(qubit), current_site,
-                                       blocked, lattice, is_move_away=False)
-            return MoveChain(moves=[move_away, direct], gate_index=gate_index)
-        return None
 
     @staticmethod
     def _site_fits(connectivity, site: int, kept_sites: Sequence[int]) -> bool:
@@ -482,51 +342,30 @@ class ShuttlingRouter:
         return self._pooled_move(state.atom_of_qubit(anchor), anchor_site,
                                  destination, lattice, is_move_away=False)
 
-    def _nearest_free_site(self, state: MappingState, connectivity, lattice,
-                           origin: int, occupied: Set[int], forbidden: Set[int],
+    @staticmethod
+    def _nearest_free_site(free_mask, lattice, origin: int, forbidden: Set[int],
                            max_radius: int = MOVE_AWAY_RADIUS) -> Optional[int]:
         """Closest free site to ``origin`` outside ``forbidden`` (for move-aways).
 
-        Against the live occupancy each disc is scanned as one masked
-        gather (the disc arrays are sorted ascending, so argmin reproduces
-        the scalar ``(row[site], site)`` tie-break).  A simulated occupancy
-        (``occupied`` is a construction-local copy: multi-move chains and
-        the forced chain) takes the scalar scan below.
+        ``free_mask`` is the occupancy to search (uint8, 1 = free): the live
+        ``state.free_mask`` or a chain's simulated copy.  Discs of 1 to
+        ``max_radius`` lattice spacings are scanned innermost first, each as
+        one masked gather; the disc arrays are sorted ascending, so argmin
+        reproduces the scalar ``(row[site], site)`` tie-break.
         """
-        if occupied is state.occupied_sites():
-            free_mask = state.free_mask
-            spacing = lattice.spacing
-            # Every live call site passes the gate sites as ``forbidden``
-            # and those host the gate atoms, so only a free forbidden site
-            # (defensive; no current caller produces one) needs filtering.
-            free_forbidden = [site for site in forbidden if free_mask[site]]
-            origin_row = lattice.rectangular_row_array(origin)
-            for radius in range(1, max_radius + 1):
-                disc = lattice.sites_within_array(
-                    origin, radius * spacing + _EPSILON)
-                if not disc.size:
-                    continue
-                candidates = disc[free_mask[disc].nonzero()[0]]
-                for site in free_forbidden:
-                    candidates = candidates[candidates != site]
-                if candidates.size:
-                    return int(candidates[origin_row[candidates].argmin()])
-            return None
-
-        origin_row = lattice.rectangular_row(origin)
+        origin_row = lattice.rectangular_row_array(origin)
+        # Only forbidden sites that are free need filtering: the chain
+        # builder forbids occupied sites, forced_chain its target cluster.
+        free_forbidden = [site for site in forbidden if free_mask[site]]
         for radius in range(1, max_radius + 1):
-            disc = lattice.sites_within_set(origin, radius * lattice.spacing + _EPSILON)
-            candidates = {site for site in disc
-                          if site not in occupied and site not in forbidden}
-            if candidates:
-                return min(candidates,
-                           key=lambda site: (origin_row[site], site))
+            disc = lattice.sites_within_array(
+                origin, radius * lattice.spacing + _EPSILON)
+            candidates = disc[free_mask[disc].nonzero()[0]]
+            for site in free_forbidden:
+                candidates = candidates[candidates != site]
+            if candidates.size:
+                return int(candidates[origin_row[candidates].argmin()])
         return None
-
-    def _make_move(self, state: MappingState, qubit: int, source: int,
-                   destination: int, lattice, *, is_move_away: bool) -> Move:
-        return self._pooled_move(state.atom_of_qubit(qubit), source, destination,
-                                 lattice, is_move_away=is_move_away)
 
     def _pooled_move(self, atom: int, source: int, destination: int, lattice, *,
                      is_move_away: bool) -> Move:
@@ -751,22 +590,27 @@ class ShuttlingRouter:
         the nearest sites forming a mutually interacting set of the gate's
         width — and moves every gate qubit that is not already on a cluster
         site onto it, clearing occupied cluster sites with move-aways whose
-        destination may be anywhere on the lattice.  The resulting chain can
-        exceed the ``2 (m - 1)`` bound (it is only used as a safety valve) but
-        always exists as long as a single free trap remains.
+        destination may be anywhere on the lattice.  Each step sees the
+        occupancy the earlier steps leave, simulated on a copy of the free
+        mask.  The resulting chain can exceed the ``2 (m - 1)`` bound (it is
+        only used as a safety valve) but always exists as long as a single
+        free trap remains.
         """
         gate: Gate = node.gate
-        connectivity = state.connectivity
         lattice = self.architecture.lattice
+        # A move-away may reach every trap: the lattice diagonal, in
+        # spacings of the finer pitch.
+        reach = math.ceil(math.hypot((lattice.rows - 1) * lattice.spacing_y,
+                                     (lattice.cols - 1) * lattice.spacing_x)
+                          / lattice.spacing)
 
         for anchor in gate.qubits:
             anchor_site = state.site_of_qubit(anchor)
             cluster = self._find_target_cluster(state, anchor_site, gate.num_qubits)
             if cluster is None:
                 continue
-            occupied: Set[int] = set(state.occupied_sites())
             gate_sites = {state.site_of_qubit(q) for q in gate.qubits}
-            moves: List[Move] = []
+            forbidden = set(cluster) | gate_sites
 
             # Qubits already sitting on cluster sites keep their place.
             free_cluster_sites = [site for site in cluster if site not in gate_sites]
@@ -775,31 +619,29 @@ class ShuttlingRouter:
             if len(movers) > len(free_cluster_sites):
                 continue
 
-            feasible = True
+            free_mask = state.free_mask
+            moves: List[Move] = []
             for qubit, target in zip(movers, free_cluster_sites):
-                source = state.site_of_qubit(qubit)
-                if target in occupied:
+                step: List[Move] = []
+                if not free_mask[target]:
                     blocking_atom = state.atom_at_site(target)
                     if blocking_atom is None:
-                        feasible = False
                         break
-                    away = self._nearest_free_site(
-                        state, connectivity, lattice, target, occupied,
-                        forbidden=set(cluster) | gate_sites,
-                        max_radius=max(lattice.rows, lattice.cols))
+                    away = self._nearest_free_site(free_mask, lattice, target,
+                                                   forbidden, max_radius=reach)
                     if away is None:
-                        feasible = False
                         break
-                    moves.append(self._pooled_move(blocking_atom, target, away,
-                                                   lattice, is_move_away=True))
-                    occupied.discard(target)
-                    occupied.add(away)
-                moves.append(self._make_move(state, qubit, source, target, lattice,
-                                             is_move_away=False))
-                occupied.discard(source)
-                occupied.add(target)
-            if feasible and moves:
-                return MoveChain(moves=moves, gate_index=node.index)
+                    step.append(self._pooled_move(blocking_atom, target, away,
+                                                  lattice, is_move_away=True))
+                step.append(self._pooled_move(state.atom_of_qubit(qubit),
+                                              state.site_of_qubit(qubit),
+                                              target, lattice,
+                                              is_move_away=False))
+                moves.extend(step)
+                free_mask = _simulate(free_mask, state.free_mask, step)
+            else:
+                if moves:
+                    return MoveChain(moves=moves, gate_index=node.index)
         return None
 
     def _find_target_cluster(self, state: MappingState, anchor_site: int,

@@ -84,12 +84,11 @@ class MappingState:
         for atom, site in enumerate(initial_sites):
             self._site_to_atom[site] = atom
 
-        # Occupancy sets maintained incrementally by move_atom (SWAPs do not
-        # change occupancy).  Exposed as live read-only views so the routing
-        # loops never pay an O(num_sites) rebuild.
-        self._occupied: Set[int] = set(initial_sites)
-        self._free: Set[int] = {site for site in range(self.num_sites)
-                                if site not in self._occupied}
+        # Free-site mask (1 = free), updated by move_atom (SWAPs do not
+        # change occupancy): the one occupancy form besides the site map.
+        # The chain builder gathers it in batches.
+        self._free_mask = _np.ones(self.num_sites, dtype=_np.uint8)
+        self._free_mask[initial_sites] = 0
 
         # Free traps inside each site's interaction neighbourhood, for the
         # capability decision's O(1) reads.  Adjacency is symmetric, so the
@@ -97,15 +96,9 @@ class MappingState:
         # ``s``'s neighbours; move_atom applies those +-1 updates.
         interaction_neighbours = self.connectivity.interaction_neighbours
         self._free_near: List[int] = [0] * self.num_sites
-        for free_site in self._free:
+        for free_site in self._free_mask.nonzero()[0].tolist():
             for neighbour in interaction_neighbours(free_site):
                 self._free_near[neighbour] += 1
-
-        # Vectorised free-site mask (1 = free), maintained alongside the
-        # incremental sets.  Used by the chain kernel for batched
-        # free/occupied gathers.
-        self._free_mask = _np.ones(self.num_sites, dtype=_np.uint8)
-        self._free_mask[initial_sites] = 0
 
         # Qubit mapping f_q: circuit qubit -> atom, and the inverse.
         if initial_qubit_map is None:
@@ -158,15 +151,14 @@ class MappingState:
     def occupied_sites(self) -> Set[int]:
         """Set of all sites currently holding an atom.
 
-        Maintained incrementally (O(1) per move) and returned as a live
-        view: callers must not mutate it.  Derive modified sets with set
-        operators (``occupied - protected``), which copy.
+        A fresh snapshot derived from :attr:`free_mask` (O(num_sites)); it
+        does not follow later moves.
         """
-        return self._occupied
+        return set((self._free_mask == 0).nonzero()[0].tolist())
 
     def free_sites(self) -> Set[int]:
-        """Set of all empty trap sites (live read-only view, see above)."""
-        return self._free
+        """Set of all empty trap sites (a snapshot, see above)."""
+        return set(self._free_mask.nonzero()[0].tolist())
 
     @property
     def free_mask(self):
@@ -337,10 +329,6 @@ class MappingState:
         self._site_to_atom[source] = _UNOCCUPIED
         self._site_to_atom[destination] = atom
         self._atom_to_site[atom] = destination
-        self._occupied.discard(source)
-        self._occupied.add(destination)
-        self._free.discard(destination)
-        self._free.add(source)
         self._free_mask[source] = 1
         self._free_mask[destination] = 0
         self.num_moves_applied += 1
@@ -383,25 +371,21 @@ class MappingState:
         return clone
 
     def consistency_check(self) -> None:
-        """Raise if the forward and inverse maps disagree (used by tests)."""
+        """Raise if the maps, the free mask and the free-neighbour counts
+        disagree (used by tests)."""
         for atom, site in enumerate(self._atom_to_site):
             if self._site_to_atom[site] != atom:
                 raise AssertionError(f"atom {atom} / site {site} maps are inconsistent")
         occupied = sum(1 for atom in self._site_to_atom if atom != _UNOCCUPIED)
         if occupied != self.num_atoms:
             raise AssertionError("number of occupied sites does not match the atom count")
-        rebuilt_occupied = {site for site, atom in enumerate(self._site_to_atom)
-                            if atom != _UNOCCUPIED}
-        if self._occupied != rebuilt_occupied:
-            raise AssertionError("incremental occupied-site set drifted from the maps")
-        if self._free != set(range(self.num_sites)) - rebuilt_occupied:
-            raise AssertionError("incremental free-site set drifted from the maps")
-        mask_free = {site for site in range(self.num_sites) if self._free_mask[site]}
-        if mask_free != self._free:
-            raise AssertionError("free-site mask drifted from the incremental sets")
+        free = {site for site, atom in enumerate(self._site_to_atom)
+                if atom == _UNOCCUPIED}
+        if self.free_sites() != free:
+            raise AssertionError("free-site mask drifted from the maps")
         for site in range(self.num_sites):
             if self._free_near[site] != len(
-                    self.connectivity.interaction_set(site) & self._free):
+                    self.connectivity.interaction_set(site) & free):
                 raise AssertionError(
                     f"free-neighbour count of site {site} drifted from the maps")
         for qubit, atom in enumerate(self._qubit_to_atom):

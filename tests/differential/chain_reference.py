@@ -1,15 +1,20 @@
-"""Scalar chain construction: the test-only reference for the chain kernel.
+"""Scalar chain construction: the test-only reference for the chain builder.
 
-``ShuttlingRouter`` builds move chains with numpy gathers, ``argmin`` and
-stable ``argsort`` selections that must resolve every tie exactly as the
-scalar ``min``/``sorted`` loops below.  These loops are the original scalar
-builders, kept here unchanged as an independent oracle.  Each function takes
-the router as its first argument, so :func:`patched_router` can install
-them as methods for the reference arm of the kernel differential.
+``ShuttlingRouter`` builds every move chain with one numpy builder whose
+gathers, ``argmin`` and stable ``argsort`` selections must resolve every tie
+exactly as the scalar ``min``/``sorted`` loops below.  These loops are the
+original scalar builders, kept as an independent oracle: a two-qubit
+specialisation, the any-width gathering walk and the forced fallback chain,
+all simulating occupancy with site sets.  The builders and the anchor
+relocation take the router as their first argument, so
+:func:`patched_router` can install them as methods for the reference arm of
+the differentials; :func:`_nearest_free_site` is installed as a static
+method with the router's signature.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Iterator, List, Optional, Sequence, Set
 
@@ -26,10 +31,10 @@ def _build_chain(self, state: MappingState, gate: Gate, anchor: int,
     """Gather all gate qubits around ``anchor`` with direct/move-away moves.
 
     Two-qubit gates dispatch to :func:`_build_chain_2q`; the generic path
-    handles them too.  On a zoned topology an anchor stranded on a
-    non-entangling site takes the generic path, which relocates the anchor
-    into an entangling zone before gathering (the 2q specialisation assumes
-    the anchor stays put).
+    handles them too, and is the router's only one.  On a zoned topology an
+    anchor stranded on a non-entangling site takes the generic path, which
+    relocates the anchor into an entangling zone before gathering (the 2q
+    specialisation assumes the anchor stays put).
     """
     if len(gate.qubits) == 2:
         if (not self._zone_aware
@@ -43,19 +48,15 @@ def _build_chain_generic(self, state: MappingState, gate: Gate, anchor: int,
                          gate_index: int) -> Optional[MoveChain]:
     """Anchor-gathering chain construction for any gate width.
 
-    Scalar reference of ``ShuttlingRouter._build_chain_generic_kernel``.
+    Scalar reference of ``ShuttlingRouter._build_chain``.
     """
     connectivity = state.connectivity
     lattice = self.architecture.lattice
     anchor_site = state.site_of_qubit(anchor)
 
-    # Locally simulated occupancy so consecutive moves in the chain see
-    # the effects of earlier ones.  Copy-on-write: most candidate chains
-    # are rejected (or keep every qubit in place) before any simulated
-    # move, so the live occupancy view is only copied once the first
-    # move is recorded.
+    # Locally simulated occupancy (a snapshot the state does not share),
+    # so consecutive moves in the chain see the effects of earlier ones.
     occupied: Set[int] = state.occupied_sites()
-    owns_occupied = False
     kept_sites: List[int] = [anchor_site]
     moves: List[Move] = []
     gate_atom_sites = {state.site_of_qubit(q) for q in gate.qubits}
@@ -68,8 +69,6 @@ def _build_chain_generic(self, state: MappingState, gate: Gate, anchor: int,
         if relocation is None:
             return None
         moves.append(relocation)
-        occupied = set(occupied)
-        owns_occupied = True
         occupied.discard(anchor_site)
         occupied.add(relocation.destination)
         anchor_site = relocation.destination
@@ -96,20 +95,13 @@ def _build_chain_generic(self, state: MappingState, gate: Gate, anchor: int,
             return None
 
         current_row = lattice.rectangular_row(current_site)
-        if owns_occupied:
-            free_candidates = {site for site in zone if site not in occupied}
-        else:
-            # Occupancy is still the live view: one C-level difference
-            # against the incrementally maintained free-site set.
-            free_candidates = zone & state.free_sites()
+        free_candidates = {site for site in zone if site not in occupied}
         if free_candidates:
             destination = min(free_candidates,
                               key=lambda site: (current_row[site], site))
-            moves.append(self._make_move(state, qubit, current_site, destination,
-                                         lattice, is_move_away=False))
-            if not owns_occupied:
-                occupied = set(occupied)
-                owns_occupied = True
+            moves.append(self._pooled_move(state.atom_of_qubit(qubit),
+                                           current_site, destination, lattice,
+                                           is_move_away=False))
             occupied.discard(current_site)
             occupied.add(destination)
             kept_sites.append(destination)
@@ -127,7 +119,7 @@ def _build_chain_generic(self, state: MappingState, gate: Gate, anchor: int,
             if blocking_atom is None:
                 continue
             away_destination = _nearest_free_site(
-                self, state, connectivity, lattice, blocked, occupied,
+                _mask(state, occupied), lattice, blocked,
                 forbidden=set(kept_sites) | {current_site})
             if away_destination is None:
                 continue
@@ -139,13 +131,11 @@ def _build_chain_generic(self, state: MappingState, gate: Gate, anchor: int,
         if move_away is None or freed_site is None:
             return None
         moves.append(move_away)
-        if not owns_occupied:
-            occupied = set(occupied)
-            owns_occupied = True
         occupied.discard(freed_site)
         occupied.add(move_away.destination)
-        moves.append(self._make_move(state, qubit, current_site, freed_site,
-                                     lattice, is_move_away=False))
+        moves.append(self._pooled_move(state.atom_of_qubit(qubit),
+                                       current_site, freed_site, lattice,
+                                       is_move_away=False))
         occupied.discard(current_site)
         occupied.add(freed_site)
         kept_sites.append(freed_site)
@@ -163,8 +153,7 @@ def _build_chain_2q(self, state: MappingState, gate: Gate, anchor: int,
     no occupancy simulation is needed: the chain is either one direct
     move into the anchor's free zone, or a move-away plus the direct
     move onto the freed site.  Control flow and tie-breaking replicate
-    the generic path exactly.  Scalar reference of
-    ``ShuttlingRouter._build_chain_2q_kernel``.
+    the generic path exactly.
     """
     connectivity = state.connectivity
     lattice = self.architecture.lattice
@@ -176,7 +165,6 @@ def _build_chain_2q(self, state: MappingState, gate: Gate, anchor: int,
 
     zone = connectivity.interaction_set(anchor_site).difference(
         (current_site, anchor_site))
-    occupied = state.occupied_sites()
     if not zone:
         return None
 
@@ -200,8 +188,7 @@ def _build_chain_2q(self, state: MappingState, gate: Gate, anchor: int,
         if blocking_atom is None:
             continue
         away_destination = _nearest_free_site(
-            self, state, connectivity, lattice, blocked, occupied,
-            forbidden=forbidden)
+            state.free_mask, lattice, blocked, forbidden=forbidden)
         if away_destination is None:
             continue
         move_away = self._pooled_move(blocking_atom, blocked,
@@ -243,23 +230,81 @@ def _anchor_relocation(self, state: MappingState, anchor: int,
                              destination, lattice, is_move_away=False)
 
 
-def _nearest_free_site(self, state: MappingState, connectivity, lattice,
-                       origin: int, occupied: Set[int], forbidden: Set[int],
+def _nearest_free_site(free_mask, lattice, origin: int, forbidden: Set[int],
                        max_radius: int = 4) -> Optional[int]:
-    """Closest free site to ``origin`` outside ``forbidden`` (for move-aways)."""
-    live = occupied is state.occupied_sites()
+    """Closest free site to ``origin`` outside ``forbidden`` (for move-aways).
+
+    A scalar set scan of the discs, innermost first; ``free_mask[site]`` is
+    nonzero for a free site.
+    """
     origin_row = lattice.rectangular_row(origin)
-    live_free = state.free_sites() if live else None
     for radius in range(1, max_radius + 1):
-        disc = lattice.sites_within_set(origin, radius * lattice.spacing + _EPSILON)
-        if live_free is not None:
-            candidates = (disc & live_free) - forbidden
-        else:
-            candidates = {site for site in disc
-                          if site not in occupied and site not in forbidden}
+        disc = set(lattice.sites_within(origin, radius * lattice.spacing + _EPSILON))
+        candidates = {site for site in disc
+                      if free_mask[site] and site not in forbidden}
         if candidates:
             return min(candidates,
                        key=lambda site: (origin_row[site], site))
+    return None
+
+
+def _mask(state: MappingState, occupied: Set[int]) -> List[int]:
+    """The free mask of the simulated occupancy ``occupied``."""
+    return [0 if site in occupied else 1 for site in range(state.num_sites)]
+
+
+def forced_chain(self, state: MappingState, node) -> Optional[MoveChain]:
+    """Fallback chain onto an explicit target cluster.
+
+    Scalar reference of ``ShuttlingRouter.forced_chain``: the occupancy is
+    simulated with a site set, and move-aways may reach every trap.
+    """
+    gate: Gate = node.gate
+    lattice = self.architecture.lattice
+    reach = math.ceil(math.hypot((lattice.rows - 1) * lattice.spacing_y,
+                                 (lattice.cols - 1) * lattice.spacing_x)
+                      / lattice.spacing)
+
+    for anchor in gate.qubits:
+        anchor_site = state.site_of_qubit(anchor)
+        cluster = self._find_target_cluster(state, anchor_site, gate.num_qubits)
+        if cluster is None:
+            continue
+        occupied: Set[int] = state.occupied_sites()
+        gate_sites = {state.site_of_qubit(q) for q in gate.qubits}
+        moves: List[Move] = []
+
+        # Qubits already sitting on cluster sites keep their place.
+        free_cluster_sites = [site for site in cluster if site not in gate_sites]
+        movers = [q for q in gate.qubits
+                  if state.site_of_qubit(q) not in cluster]
+        if len(movers) > len(free_cluster_sites):
+            continue
+
+        feasible = True
+        for qubit, target in zip(movers, free_cluster_sites):
+            source = state.site_of_qubit(qubit)
+            if target in occupied:
+                blocking_atom = state.atom_at_site(target)
+                if blocking_atom is None:
+                    feasible = False
+                    break
+                away = _nearest_free_site(
+                    _mask(state, occupied), lattice, target,
+                    forbidden=set(cluster) | gate_sites, max_radius=reach)
+                if away is None:
+                    feasible = False
+                    break
+                moves.append(self._pooled_move(blocking_atom, target, away,
+                                               lattice, is_move_away=True))
+                occupied.discard(target)
+                occupied.add(away)
+            moves.append(self._pooled_move(state.atom_of_qubit(qubit), source,
+                                           target, lattice, is_move_away=False))
+            occupied.discard(source)
+            occupied.add(target)
+        if feasible and moves:
+            return MoveChain(moves=moves, gate_index=node.index)
     return None
 
 
@@ -267,14 +312,16 @@ def _nearest_free_site(self, state: MappingState, connectivity, lattice,
 def patched_router() -> Iterator[None]:
     """Route with the scalar reference builders while the context is open.
 
-    Chain construction, anchor relocation and the move-away search run the
-    scalar loops above.  Chain costs need no patch: the router scores every
-    move with the scalar history walk ``move_time_penalty``.
+    Chain construction, the forced fallback chain, anchor relocation and the
+    move-away search run the scalar loops above.  Chain costs need no patch:
+    the router scores every move with the scalar history walk
+    ``move_time_penalty``.
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ShuttlingRouter, "_build_chain", _build_chain)
+        patch.setattr(ShuttlingRouter, "forced_chain", forced_chain)
         patch.setattr(ShuttlingRouter, "_anchor_relocation",
                       _anchor_relocation)
         patch.setattr(ShuttlingRouter, "_nearest_free_site",
-                      _nearest_free_site)
+                      staticmethod(_nearest_free_site))
         yield

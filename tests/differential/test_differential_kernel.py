@@ -103,9 +103,9 @@ class TestKernelDifferentialHostileSpacings:
     @pytest.mark.parametrize("hardware", ("mixed", "shuttling"))
     @pytest.mark.parametrize("spacing", HOSTILE_SPACINGS)
     def test_multi_qubit_stream_identical(self, hardware, spacing):
-        """CCZ-promoted layers exercise the *generic* chain kernel — the
-        any-width gathering walk with its simulated-occupancy delta
-        corrections — which two-qubit-only workloads never reach."""
+        """CCZ-promoted layers drive the chain builder through gates of
+        three or more qubits, whose later qubits read the chain's simulated
+        occupancy, which two-qubit-only workloads never reach."""
         architecture = build_scaled_architecture(hardware, 0.12,
                                                  spacing=spacing)
         connectivity = SiteConnectivity(architecture)
@@ -117,7 +117,7 @@ class TestKernelDifferentialHostileSpacings:
 
     @pytest.mark.parametrize("spacing", HOSTILE_SPACINGS)
     def test_zoned_multi_qubit_stream_identical(self, spacing):
-        """Zoned topology + wide gates drive the generic kernel through the
+        """Zoned topology + wide gates drive the chain builder through the
         anchor-relocation prefix and travel-penalised pooled moves."""
         architecture = build_scaled_architecture("zoned", 0.12,
                                                  spacing=spacing)

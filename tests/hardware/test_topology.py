@@ -130,8 +130,6 @@ class TestTopologyProperties:
             for site in (0, topology.num_sites // 2, topology.num_sites - 1):
                 assert topology.neighbours_within(site, radius) == \
                     topology.sites_within(site, radius)
-                assert topology.sites_within_set(site, radius) == \
-                    frozenset(topology.sites_within(site, radius))
 
     def test_neighbour_table_rows_match_per_site_scan(self, topology):
         for radius in RADII:

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.circuit import QuantumCircuit
-from repro.mapping import LayerManager, MappingState, ShuttlingRouter
+from repro.hardware.presets import preset
+from repro.mapping import (HybridMapper, LayerManager, MapperConfig,
+                           MappingState, ShuttlingRouter)
 from repro.mapping.layers import build_qubit_node_index
+from repro.mapping.replay import validate_stream
 
 
 @pytest.fixture()
@@ -177,6 +180,24 @@ class TestForcedChain:
             state.apply_move(move)
         assert state.gate_executable(circuit[0])
 
+    @pytest.mark.parametrize("config", (MapperConfig.shuttling_only(),
+                                        MapperConfig.hybrid(1.0)),
+                             ids=("shuttling_only", "hybrid"))
+    def test_forced_chain_reaches_the_farthest_free_trap(self, config):
+        """81 traps, 80 atoms: the only free trap (80) lies about eleven
+        spacings from site 1, beyond ``max(rows, cols)`` spacings, so the
+        move-away must search up to the lattice diagonal."""
+        architecture = preset("shuttling", lattice_rows=9, num_atoms=80)
+        circuit = QuantumCircuit(4)
+        circuit.cz(0, 3)
+        result = HybridMapper(architecture, config).map(circuit)
+        assert validate_stream(result, architecture) == []
+        assert result.op_stream_lines() == [
+            "M a=1 1->80 away=1",
+            "M a=3 3->1 away=0",
+            "G 0 cz/cz q=(0, 3) p=[] a=(0, 3) s=(0, 1)",
+        ]
+
 
 class TestPairPenaltyCompatibilityParity:
     """The inlined AOD-compatibility test in ``_pair_penalty_term`` must
@@ -215,44 +236,6 @@ class TestPairPenaltyCompatibilityParity:
                 (move, recent)
             checked += 1
         assert checked == len(moves) ** 2
-
-
-class TestTwoQubitChainSpecialisation:
-    """`_build_chain_2q_kernel` must build the same chains as the generic
-    anchor-gathering path `_build_chain_generic_kernel` for two-qubit
-    gates — across fresh, shuffled and crowded occupancies."""
-
-    def test_specialised_path_matches_generic(self, small_architecture,
-                                              small_connectivity):
-        import random
-
-        from repro.circuit.dag import CircuitDAG
-
-        router = ShuttlingRouter(small_architecture)
-        state = MappingState(small_architecture, 12,
-                             connectivity=small_connectivity)
-        rng = random.Random(11)
-        for _step in range(30):
-            # Compare on the current occupancy for a spread of qubit pairs.
-            for qubit_a, qubit_b in ((0, 11), (3, 7), (2, 9), (5, 6)):
-                circuit = QuantumCircuit(12)
-                circuit.cz(qubit_a, qubit_b)
-                node = CircuitDAG(circuit).nodes[0]
-                gate = node.gate
-                for anchor in gate.qubits:
-                    fast = router._build_chain_2q_kernel(
-                        state, gate, anchor, node.index)
-                    generic = router._build_chain_generic_kernel(
-                        state, gate, anchor, node.index)
-                    if fast is None or generic is None:
-                        assert fast is None and generic is None
-                    else:
-                        assert fast.moves == generic.moves
-            # Random walk the occupancy (move a random atom to a random
-            # free site) so later iterations compare on crowded layouts.
-            atom = rng.randrange(state.num_atoms)
-            free = sorted(state.free_sites())
-            state.move_atom(atom, rng.choice(free))
 
 
 class TestBatchedTimePenalty:

@@ -63,6 +63,19 @@ class TestLookups:
         small_state.apply_swap(0, 1)
         assert qmap[0] == 0  # the copy does not change
 
+    def test_occupancy_sets_are_snapshots_of_the_mask(self, small_state):
+        occupied = small_state.occupied_sites()
+        free = small_state.free_sites()
+        destination = min(free)
+        occupied.clear()  # the caller owns the snapshot
+        small_state.move_atom(0, destination)
+        assert destination in free  # it does not follow the move
+        assert small_state.occupied_sites() == {
+            site for site in range(small_state.num_sites)
+            if not small_state.free_mask[site]}
+        assert 0 in small_state.free_sites()
+        small_state.consistency_check()
+
 
 class TestConnectivityQueries:
     def test_adjacent_qubits(self, small_state):
@@ -181,6 +194,18 @@ class TestMoves:
         state.move_atom(2, corner)
         assert not state.gate_executable(far_gate)
         assert state.atom_of_qubit(2) == 2
+
+
+class TestConsistencyCheck:
+    def test_detects_a_drifted_free_mask(self, small_state):
+        small_state.free_mask[0] = 1  # site 0 holds atom 0
+        with pytest.raises(AssertionError, match="free-site mask"):
+            small_state.consistency_check()
+
+    def test_detects_a_drifted_free_neighbour_count(self, small_state):
+        small_state._free_near[0] += 1
+        with pytest.raises(AssertionError, match="free-neighbour count"):
+            small_state.consistency_check()
 
 
 class TestCopy:
