@@ -158,7 +158,8 @@ def run_serving_case(scale: float, *, repeats: int = 5, clients: int = 4,
     # Record the *effective* topologies of the built specs, not a literal:
     # the "zoned" hardware preset normalises its topology, and mislabelled
     # cases would collide with the square matrix on regeneration.
-    effective = sorted({task.architecture.topology for task in stream})
+    effective = sorted({spec.topology
+                        for spec in (task.architecture for task in stream)})
     supervision = stats.get("supervision") or {}
     return {
         "kind": "serving_degraded" if degraded else "serving_throughput",

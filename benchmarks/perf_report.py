@@ -172,7 +172,7 @@ def run_case(hardware: str, circuit_name: str, mode: str, scale: float,
         "hardware": hardware,
         "circuit": circuit_name,
         "mode": mode,
-        "topology": architecture.topology.kind,
+        "topology": architecture.lattice.kind,
         "shard_routing": config.shard_routing,
         "scale": scale,
         "num_qubits": scaled_size(circuit_name, scale),
@@ -227,7 +227,7 @@ def run_shard_case(hardware: str, circuit_name: str, mode: str, scale: float,
         "hardware": hardware,
         "circuit": circuit_name,
         "mode": mode,
-        "topology": architecture.topology.kind,
+        "topology": architecture.lattice.kind,
         "scale": scale,
         "num_qubits": scaled_size(circuit_name, scale),
         "available_cpus": os.cpu_count(),
@@ -303,7 +303,7 @@ def run_telemetry_overhead_case(scale: float, *, hardware: str = "shuttling",
         "hardware": hardware,
         "circuit": circuit_name,
         "mode": mode,
-        "topology": architecture.topology.kind,
+        "topology": architecture.lattice.kind,
         "scale": scale,
         "num_qubits": scaled_size(circuit_name, scale),
         "rounds": rounds,
@@ -352,7 +352,8 @@ def run_batch_case(scale: float, num_workers: int,
                if batch.wall_seconds > 0 else 0.0)
     # Record the *effective* topologies of the built specs, not the request:
     # the "zoned" hardware preset normalises topology="square" to "zoned".
-    effective = sorted({task.architecture.topology for task in tasks})
+    effective = sorted({spec.topology
+                        for spec in (task.architecture for task in tasks)})
     case = {
         "kind": "batch_throughput",
         "hardware": "+".join(hardware_presets),

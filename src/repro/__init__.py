@@ -60,7 +60,6 @@ from .hardware import (
     RectangularLattice,
     SiteConnectivity,
     SquareLattice,
-    Topology,
     Zone,
     ZonedTopology,
     build_topology,
@@ -109,7 +108,7 @@ __all__ = [
     "get_benchmark", "BENCHMARK_NAMES",
     # hardware
     "NeutralAtomArchitecture", "SquareLattice", "SiteConnectivity",
-    "Topology", "GridTopology", "RectangularLattice", "Zone", "ZonedTopology",
+    "GridTopology", "RectangularLattice", "Zone", "ZonedTopology",
     "build_topology", "GateDurations", "Fidelities", "preset",
     # mapping
     "HybridMapper", "MapperConfig", "MappingResult", "MappingState", "MappingError",

@@ -2,17 +2,15 @@
 
 from .architecture import Fidelities, GateDurations, NeutralAtomArchitecture
 from .connectivity import SiteConnectivity
-from .lattice import SquareLattice
 from .topology import (
-    TOPOLOGY_REGISTRY,
+    TOPOLOGY_KINDS,
     GridTopology,
     RectangularLattice,
-    Topology,
+    SquareLattice,
     Zone,
     ZonedTopology,
     banded_zone_layout,
     build_topology,
-    register_topology,
 )
 from .presets import (
     ALL_PRESET_NAMES,
@@ -25,14 +23,12 @@ from .presets import (
 )
 
 __all__ = [
-    "Topology",
     "GridTopology",
     "SquareLattice",
     "RectangularLattice",
     "Zone",
     "ZonedTopology",
-    "TOPOLOGY_REGISTRY",
-    "register_topology",
+    "TOPOLOGY_KINDS",
     "build_topology",
     "banded_zone_layout",
     "NeutralAtomArchitecture",

@@ -24,8 +24,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
-from .lattice import SquareLattice
-from .topology import Topology
+from .topology import GridTopology, SquareLattice
 
 __all__ = ["NeutralAtomArchitecture", "GateDurations", "Fidelities"]
 
@@ -93,17 +92,16 @@ class NeutralAtomArchitecture:
     presentation in the paper); the properties :attr:`interaction_radius_um`
     and :attr:`restriction_radius_um` convert them to micrometres.
 
-    The trap layout is any :class:`~repro.hardware.topology.Topology`
-    implementation (square, rectangular, zoned, ...); the field keeps its
-    historical name ``lattice``, with :attr:`topology` as the
-    protocol-level alias.  Zone capabilities (which traps may host
-    entangling gates, corridor transit penalties) are part of the topology
-    and surface here through :meth:`is_entangling_site` /
-    :meth:`can_interact` / :meth:`within_restriction`.
+    The trap layout ``lattice`` is a
+    :class:`~repro.hardware.topology.GridTopology` (square, rectangular or
+    zoned).  Zone capabilities (which traps may host entangling gates,
+    corridor transit penalties) are part of the topology and surface here
+    through :meth:`is_entangling_site` / :meth:`can_interact` /
+    :meth:`within_restriction`.
     """
 
     name: str = "custom"
-    lattice: Topology = field(default_factory=lambda: SquareLattice(15, 15, 3.0))
+    lattice: GridTopology = field(default_factory=lambda: SquareLattice(15, 15, 3.0))
     num_atoms: int = 200
     interaction_radius: float = 2.5       # r_int, in units of d
     restriction_radius: float = 2.5       # r_restr >= r_int, in units of d
@@ -133,11 +131,6 @@ class NeutralAtomArchitecture:
     # ------------------------------------------------------------------
     # Derived geometry
     # ------------------------------------------------------------------
-    @property
-    def topology(self) -> Topology:
-        """The trap topology (protocol-level alias of :attr:`lattice`)."""
-        return self.lattice
-
     @property
     def interaction_radius_um(self) -> float:
         """Interaction radius in micrometres."""

@@ -4,9 +4,9 @@ For a fixed atom mapping, the paper defines the connectivity graph
 ``G = (P, E)`` over the *physical qubits*; two atoms are connected when their
 Euclidean distance is at most the interaction radius.  Because atoms move
 (shuttling) and swap logical assignments (SWAP gates), the reproduction keeps
-the *site-level* adjacency — which never changes — in this module and derives
-the atom-level graph from the current occupancy in
-:mod:`repro.mapping.state`.
+the *site-level* adjacency — which never changes — in this module; the
+routers read it against the current occupancy held by
+:class:`~repro.mapping.state.MappingState`.
 
 :class:`SiteConnectivity` precomputes, for every trap site, the neighbouring
 sites within the interaction radius and within the restriction radius, plus an
@@ -22,8 +22,7 @@ write-once and never invalidated:
 * ``are_adjacent`` is O(1) via a dense boolean adjacency matrix (one
   ``bytearray`` row per site) instead of scanning the neighbour tuple;
 * ``interaction_set`` exposes each neighbourhood as a ``frozenset`` for O(1)
-  membership tests and fast set intersections (used by the shuttling router's
-  target-zone computation);
+  membership tests (read by ``MappingState.consistency_check``);
 * the all-pairs hop-distance table is a preallocated list of per-source rows,
   each filled by a single BFS on first use (``hop_row``) and then shared by
   the gate-based router, the shuttling router, and the multi-qubit position
@@ -40,9 +39,8 @@ occupancy view maintained incrementally by
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as _np
 
 from .architecture import NeutralAtomArchitecture
@@ -61,7 +59,7 @@ class SiteConnectivity:
 
     def __init__(self, architecture: NeutralAtomArchitecture) -> None:
         self.architecture = architecture
-        topology = architecture.topology
+        topology = architecture.lattice
         self.num_sites = topology.num_sites
 
         # Neighbour tables come from the topology.  Unzoned topologies
@@ -248,27 +246,3 @@ class SiteConnectivity:
                     return path
                 queue.append(neighbour)
         return None
-
-    # ------------------------------------------------------------------
-    # Graph exports
-    # ------------------------------------------------------------------
-    def site_graph(self) -> nx.Graph:
-        """The full site-level interaction graph as a networkx graph."""
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.num_sites))
-        for site in range(self.num_sites):
-            for neighbour in self._interaction_neighbours[site]:
-                if neighbour > site:
-                    graph.add_edge(site, neighbour)
-        return graph
-
-    def occupied_subgraph(self, occupied_sites: Iterable[int]) -> nx.Graph:
-        """Atom-level connectivity graph ``G`` induced by the occupied sites."""
-        occupied = set(occupied_sites)
-        graph = nx.Graph()
-        graph.add_nodes_from(occupied)
-        for site in occupied:
-            for neighbour in self._interaction_neighbours[site]:
-                if neighbour in occupied and neighbour > site:
-                    graph.add_edge(site, neighbour)
-        return graph

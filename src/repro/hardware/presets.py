@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from .architecture import Fidelities, GateDurations, NeutralAtomArchitecture
-from .topology import Topology, Zone, ZoneLayout, build_topology
+from .topology import GridTopology, Zone, ZoneLayout, build_topology
 
 __all__ = [
     "shuttling_optimised",
@@ -72,7 +72,7 @@ def _build(name: str, *, r_int: float, f_cz: float, f_1q: float, f_shuttle: floa
            zone_layout: Optional[Union[Sequence[Zone], ZoneLayout]] = None,
            corridor_transit_um: Optional[float] = None
            ) -> NeutralAtomArchitecture:
-    trap_topology: Topology = build_topology(
+    trap_topology: GridTopology = build_topology(
         topology, lattice_rows, cols=lattice_cols, spacing=spacing,
         spacing_y=spacing_y, zone_layout=zone_layout,
         corridor_transit_um=corridor_transit_um)

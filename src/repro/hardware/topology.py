@@ -1,59 +1,55 @@
-"""Pluggable trap-topology layer.
+"""Trap topologies: row-major grids of optical traps.
 
 The paper evaluates the hybrid gate/shuttling trade-off on a regular square
-lattice (Section 2.1), but nothing in the mapping process depends on the
-traps forming a square: the routers only consume *geometric queries* — site
+lattice (Section 2.1).  The routers only consume *geometric queries* — site
 positions, distances, radius neighbourhoods — plus, for multi-zone systems,
 *zone capabilities* (which traps may host entangling gates, what extra
 transit a shuttle pays for crossing a zone corridor).
 
-This module defines that contract and its implementations:
+Every layout is a :class:`GridTopology`:
 
-* :class:`Topology` — the protocol every trap layout implements: ``num_sites``,
-  positions, ``neighbours_within(site, r)`` and distance rows (scalar +
-  numpy-kernel variants), plus zone hooks that default to the unzoned
-  single-region behaviour so square lattices are unaffected.
-* :class:`GridTopology` — the shared row-major grid implementation
-  (anisotropic ``spacing_x`` / ``spacing_y``), extracted from the historical
-  ``SquareLattice`` with its caches (positions, per-radius offset rings,
-  lazily filled distance rows, vectorised neighbour tables) intact.
+* :class:`GridTopology` — the row-major grid (anisotropic ``spacing_x`` /
+  ``spacing_y``) with its caches (positions, per-radius offset rings,
+  lazily filled distance rows, vectorised neighbour tables) and zone hooks
+  that default to the unzoned single-region behaviour.
+* :class:`SquareLattice` — the paper's ``l x l`` lattice with lattice
+  constant ``d``, kind ``"square"``.
 * :class:`RectangularLattice` — ``rows != cols`` grids with anisotropic
-  spacing, registered as ``"rectangular"``.
+  spacing, kind ``"rectangular"``.
 * :class:`Zone` / :class:`ZonedTopology` — storage + entangling bands with
   per-zone interaction/restriction radii and a configurable corridor transit
-  penalty, registered as ``"zoned"``.  Storage traps hold atoms but cannot
-  host entangling gates; the mapper shuttles gate qubits into an entangling
-  zone (cf. multi-zone trap systems such as the AQT multi-zone router).
+  penalty, kind ``"zoned"``.  Storage traps hold atoms but cannot host
+  entangling gates; the mapper shuttles gate qubits into an entangling zone
+  (cf. multi-zone trap systems such as the AQT multi-zone router).
 
-``SquareLattice`` (kind ``"square"``) lives in :mod:`repro.hardware.lattice`
-for backwards compatibility and registers itself here on import.
+:func:`build_topology` instantiates one of :data:`TOPOLOGY_KINDS` from flat
+parameters.
 
 Bit-identity contract
 ---------------------
 For isotropic grids every code path — offset rings, distance rows, the
 numpy kernels — is the exact code the square lattice always ran, so the
-golden op-stream digests of the square presets are unchanged by this layer.
-Anisotropic and zoned behaviour only engages through the new parameters.
+golden op-stream digests of the square presets are unchanged.  Anisotropic
+and zoned behaviour only engages through their own parameters.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, Iterator, List, Optional,
-                    Sequence, Tuple, Type, Union)
+from typing import (Any, Dict, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as _np
 
 __all__ = [
     "Position",
-    "Topology",
     "GridTopology",
+    "SquareLattice",
     "RectangularLattice",
     "Zone",
     "ZonedTopology",
-    "TOPOLOGY_REGISTRY",
-    "register_topology",
+    "TOPOLOGY_KINDS",
     "build_topology",
     "banded_zone_layout",
     "zones_from_layout",
@@ -70,184 +66,7 @@ _EPSILON = 1e-9
 ZoneLayout = Tuple[Tuple[str, int], ...]
 
 
-class Topology:
-    """Protocol for trap layouts the architecture and mapper consume.
-
-    Concrete classes provide the *geometry*: :attr:`num_sites`, positions,
-    ``neighbours_within`` / :meth:`sites_within` and the distance rows (with
-    scalar reference semantics; a numpy kernel may accelerate construction
-    as long as the rows stay bit-identical).  The *zone* hooks below have
-    single-region defaults, so unzoned topologies need not override them:
-
-    * every site may host entangling gates (:meth:`is_entangling_site`),
-    * the interaction/restriction neighbour tables are the plain geometric
-      radius neighbourhoods,
-    * travel distances carry no corridor penalties.
-    """
-
-    #: Registry key of the topology family (``"square"``, ``"rectangular"``,
-    #: ``"zoned"``); subclasses override.
-    kind: str = "abstract"
-
-    #: Grid shape and lattice constant — part of the protocol, not just of
-    #: :class:`GridTopology`: the mapper's safety bounds consume
-    #: ``rows``/``cols`` (stall threshold, max routing steps), the radius
-    #: conversions and move-away heuristics consume ``spacing`` (the
-    #: lattice constant ``d``), and the initial-layout strategies consume
-    #: :meth:`row_col`.  A non-grid implementation must still provide
-    #: meaningful values (e.g. the bounding-box shape and the minimum
-    #: trap pitch).
-    rows: int
-    cols: int
-    spacing: float
-
-    # -- geometry (must be implemented) --------------------------------
-    @property
-    def num_sites(self) -> int:
-        raise NotImplementedError
-
-    def row_col(self, site: int) -> Tuple[int, int]:
-        """Grid coordinates of a site (bounding-box coordinates off-grid)."""
-        raise NotImplementedError
-
-    def position(self, site: int) -> Position:
-        raise NotImplementedError
-
-    def positions(self) -> List[Position]:
-        raise NotImplementedError
-
-    def euclidean_distance(self, site_a: int, site_b: int) -> float:
-        raise NotImplementedError
-
-    def rectangular_distance(self, site_a: int, site_b: int) -> float:
-        raise NotImplementedError
-
-    def euclidean_row(self, site: int) -> List[float]:
-        raise NotImplementedError
-
-    def rectangular_row(self, site: int) -> List[float]:
-        raise NotImplementedError
-
-    def sites_within(self, site: int, radius: float) -> List[int]:
-        raise NotImplementedError
-
-    def neighbour_table(self, radius: float) -> List[Tuple[int, ...]]:
-        raise NotImplementedError
-
-    def neighbourhood_size(self, radius: float) -> int:
-        raise NotImplementedError
-
-    def cache_key(self) -> Tuple:
-        """Hashable identity of the topology (type + dims + spacing + zones)."""
-        raise NotImplementedError
-
-    # -- protocol conveniences -----------------------------------------
-    def neighbours_within(self, site: int, radius: float) -> List[int]:
-        """Protocol alias of :meth:`sites_within`."""
-        return self.sites_within(site, radius)
-
-    def rectangular_row_array(self, site: int):
-        """:meth:`rectangular_row` as a cached float64 numpy array.
-
-        Values are taken verbatim from the scalar row (bit-identical,
-        including zoned travel penalties via the subclass override), so
-        vectorised argmin/argsort selections over the array reproduce the
-        scalar comparisons exactly.  Returned by reference; callers must
-        not mutate it.
-        """
-        cache = getattr(self, "_rect_row_arrays", None)
-        if cache is None:
-            cache = {}
-            self._rect_row_arrays = cache
-        array = cache.get(site)
-        if array is None:
-            array = _np.asarray(self.rectangular_row(site), dtype=_np.float64)
-            cache[site] = array
-        return array
-
-    def sites_within_array(self, site: int, radius: float):
-        """:meth:`sites_within` as a cached int64 numpy array.
-
-        The scan order of :meth:`sites_within` is ascending site index, so
-        first-occurrence argmin over this array matches the scalar
-        ``min(..., key=(value, site))`` tie-break.  Returned by reference;
-        callers must not mutate it.
-        """
-        cache = getattr(self, "_sites_within_arrays", None)
-        if cache is None:
-            cache = {}
-            self._sites_within_arrays = cache
-        key = (site, radius)
-        array = cache.get(key)
-        if array is None:
-            array = _np.asarray(self.sites_within(site, radius),
-                                dtype=_np.int64)
-            cache[key] = array
-        return array
-
-    def __len__(self) -> int:
-        return self.num_sites
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self.num_sites))
-
-    # -- zone hooks (single-region defaults) ---------------------------
-    @property
-    def num_zones(self) -> int:
-        return 1
-
-    @property
-    def all_sites_entangling(self) -> bool:
-        """True when every trap may host entangling gates (unzoned default)."""
-        return True
-
-    @property
-    def has_travel_penalties(self) -> bool:
-        """True when travel distances exceed the plain rectangular metric."""
-        return False
-
-    def zone_of(self, site: int) -> int:
-        """Index of the zone containing ``site`` (0 for unzoned layouts)."""
-        return 0
-
-    def is_entangling_site(self, site: int) -> bool:
-        """True if entangling (2Q+) gates may execute at ``site``."""
-        return True
-
-    def entangling_sites(self) -> Tuple[int, ...]:
-        """All sites where entangling gates may execute, in index order."""
-        return tuple(range(self.num_sites))
-
-    def zone_partition(self) -> List[Tuple[int, ...]]:
-        """Sites grouped by zone; the groups partition ``range(num_sites)``."""
-        return [tuple(range(self.num_sites))]
-
-    def interaction_neighbour_table(self, radius_um: float
-                                    ) -> List[Tuple[int, ...]]:
-        """Per-site interaction partners under the device radius ``radius_um``.
-
-        The unzoned default is the plain geometric neighbourhood; zoned
-        topologies restrict pairs by their zones' capabilities.
-        """
-        return self.neighbour_table(radius_um)
-
-    def restriction_neighbour_table(self, radius_um: float
-                                    ) -> List[Tuple[int, ...]]:
-        """Per-site blocked partners when a gate executes at the site."""
-        return self.neighbour_table(radius_um)
-
-    def can_interact_within(self, site_a: int, site_b: int,
-                            radius_um: float) -> bool:
-        """True if atoms at the two sites may share a gate at ``radius_um``."""
-        return self.euclidean_distance(site_a, site_b) <= radius_um + _EPSILON
-
-    def within_restriction_of(self, site_a: int, site_b: int,
-                              radius_um: float) -> bool:
-        """True if an atom at ``site_b`` blocks a gate executing at ``site_a``."""
-        return self.euclidean_distance(site_a, site_b) <= radius_um + _EPSILON
-
-
-class GridTopology(Topology):
+class GridTopology:
     """Row-major ``rows x cols`` grid of optical traps.
 
     Coordinate indices run row-major: index ``alpha`` sits at row
@@ -256,8 +75,14 @@ class GridTopology(Topology):
     lattice constant ``d`` used for radius conversions) is the smaller of
     the two pitches; for isotropic grids all three coincide and every code
     path below is exactly the historical square-lattice implementation.
+
+    The zone hooks have single-region defaults, which :class:`ZonedTopology`
+    overrides: every site may host entangling gates, the interaction and
+    restriction neighbour tables are the plain geometric radius
+    neighbourhoods, and travel distances carry no corridor penalties.
     """
 
+    #: Topology family (one of :data:`TOPOLOGY_KINDS` for the subclasses).
     kind = "grid"
 
     def __init__(self, rows: int, cols: Optional[int] = None,
@@ -293,6 +118,8 @@ class GridTopology(Topology):
         self._neighbour_table_cache: Dict[float, List[Tuple[int, ...]]] = {}
         self._euclidean_rows: List[Optional[List[float]]] = [None] * self._num_sites
         self._rectangular_rows: List[Optional[List[float]]] = [None] * self._num_sites
+        self._rect_row_arrays: Dict[int, Any] = {}
+        self._sites_within_arrays: Dict[Tuple[int, float], Any] = {}
         # numpy row-vector kernel: per-axis coordinate arrays, used to fill
         # rectangular-distance rows in one vectorised expression (exact for
         # any spacing — see rectangular_row).  Euclidean rows intentionally
@@ -310,6 +137,12 @@ class GridTopology(Topology):
     def num_sites(self) -> int:
         """Total number of trap coordinates ``|C|``."""
         return self._num_sites
+
+    def __len__(self) -> int:
+        return self._num_sites
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(self._num_sites))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"{type(self).__name__}({self.rows}x{self.cols}, "
@@ -349,12 +182,6 @@ class GridTopology(Topology):
     def positions(self) -> List[Position]:
         """Positions of all sites in index order."""
         return list(self._positions)
-
-    def site_near(self, x: float, y: float) -> int:
-        """Site index closest to the physical position ``(x, y)``."""
-        col = min(max(round(x / self.spacing_x), 0), self.cols - 1)
-        row = min(max(round(y / self.spacing_y), 0), self.rows - 1)
-        return self.site_at(int(row), int(col))
 
     def _check_site(self, site: int) -> None:
         if not 0 <= site < self._num_sites:
@@ -425,11 +252,20 @@ class GridTopology(Topology):
             self._rectangular_rows[site] = row
         return row
 
-    def grid_distance(self, site_a: int, site_b: int) -> int:
-        """Chebyshev distance in lattice units (number of king moves)."""
-        ra, ca = self.row_col(site_a)
-        rb, cb = self.row_col(site_b)
-        return max(abs(ra - rb), abs(ca - cb))
+    def rectangular_row_array(self, site: int):
+        """:meth:`rectangular_row` as a cached float64 numpy array.
+
+        Values are taken verbatim from the scalar row (bit-identical,
+        including zoned travel penalties via the subclass override), so
+        vectorised argmin/argsort selections over the array reproduce the
+        scalar comparisons exactly.  Returned by reference; callers must
+        not mutate it.
+        """
+        array = self._rect_row_arrays.get(site)
+        if array is None:
+            array = _np.asarray(self.rectangular_row(site), dtype=_np.float64)
+            self._rect_row_arrays[site] = array
+        return array
 
     # ------------------------------------------------------------------
     # Neighbourhoods
@@ -542,26 +378,98 @@ class GridTopology(Topology):
             return 0
         return len(self._radius_offsets(radius))
 
-    def all_pairs_within(self, radius: float) -> Iterator[Tuple[int, int]]:
-        """Yield every unordered site pair within Euclidean ``radius``."""
-        for site in range(self.num_sites):
-            for other in self.sites_within(site, radius):
-                if other > site:
-                    yield (site, other)
+    def sites_within_array(self, site: int, radius: float):
+        """:meth:`sites_within` as a cached int64 numpy array.
 
-    def boundary_sites(self) -> List[int]:
-        """Sites on the outer rim of the lattice."""
-        rim = []
-        for site in range(self.num_sites):
-            row, col = self.row_col(site)
-            if row in (0, self.rows - 1) or col in (0, self.cols - 1):
-                rim.append(site)
-        return rim
+        The scan order of :meth:`sites_within` is ascending site index, so
+        first-occurrence argmin over this array matches the scalar
+        ``min(..., key=(value, site))`` tie-break.  Returned by reference;
+        callers must not mutate it.
+        """
+        key = (site, radius)
+        array = self._sites_within_arrays.get(key)
+        if array is None:
+            array = _np.asarray(self.sites_within(site, radius),
+                                dtype=_np.int64)
+            self._sites_within_arrays[key] = array
+        return array
 
-    def interior_sites(self) -> List[int]:
-        """Sites not on the outer rim."""
-        boundary = set(self.boundary_sites())
-        return [site for site in range(self.num_sites) if site not in boundary]
+    # ------------------------------------------------------------------
+    # Zone hooks (single-region defaults; ZonedTopology overrides them)
+    # ------------------------------------------------------------------
+    @property
+    def num_zones(self) -> int:
+        return 1
+
+    @property
+    def all_sites_entangling(self) -> bool:
+        """True when every trap may host entangling gates."""
+        return True
+
+    @property
+    def has_travel_penalties(self) -> bool:
+        """True when travel distances exceed the plain rectangular metric."""
+        return False
+
+    def zone_of(self, site: int) -> int:
+        """Index of the zone containing ``site`` (0 for unzoned layouts)."""
+        self._check_site(site)
+        return 0
+
+    def is_entangling_site(self, site: int) -> bool:
+        """True if entangling (2Q+) gates may execute at ``site``."""
+        self._check_site(site)
+        return True
+
+    def entangling_sites(self) -> Tuple[int, ...]:
+        """All sites where entangling gates may execute, in index order."""
+        return tuple(range(self._num_sites))
+
+    def zone_partition(self) -> List[Tuple[int, ...]]:
+        """Sites grouped by zone; the groups partition ``range(num_sites)``."""
+        return [tuple(range(self._num_sites))]
+
+    def interaction_neighbour_table(self, radius_um: float
+                                    ) -> List[Tuple[int, ...]]:
+        """Per-site interaction partners under the device radius ``radius_um``.
+
+        The unzoned default is the plain geometric neighbourhood; zoned
+        topologies restrict pairs by their zones' capabilities.
+        """
+        return self.neighbour_table(radius_um)
+
+    def restriction_neighbour_table(self, radius_um: float
+                                    ) -> List[Tuple[int, ...]]:
+        """Per-site blocked partners when a gate executes at the site."""
+        return self.neighbour_table(radius_um)
+
+    def can_interact_within(self, site_a: int, site_b: int,
+                            radius_um: float) -> bool:
+        """True if atoms at the two sites may share a gate at ``radius_um``."""
+        return self.euclidean_distance(site_a, site_b) <= radius_um + _EPSILON
+
+    def within_restriction_of(self, site_a: int, site_b: int,
+                              radius_um: float) -> bool:
+        """True if an atom at ``site_b`` blocks a gate executing at ``site_a``."""
+        return self.euclidean_distance(site_a, site_b) <= radius_um + _EPSILON
+
+
+class SquareLattice(GridTopology):
+    """The paper's regular ``rows x cols`` trap grid with spacing ``d``.
+
+    Section 2.1 assumes the static SLM traps form an ``l x l`` square
+    lattice with lattice constant ``d``; this is the isotropic grid
+    (``spacing_x == spacing_y == d``).
+    """
+
+    kind = "square"
+
+    def __init__(self, rows: int, cols: Optional[int] = None,
+                 spacing: float = 3.0) -> None:
+        super().__init__(rows, cols, spacing_x=spacing, spacing_y=spacing)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"SquareLattice({self.rows}x{self.cols}, d={self.spacing} um)"
 
 
 class RectangularLattice(GridTopology):
@@ -738,7 +646,7 @@ class ZonedTopology(GridTopology):
         return self.zones[self.zone_of(site)]
 
     def is_entangling_site(self, site: int) -> bool:
-        return self.zones[self._zone_of_site[site]].is_entangling
+        return self.zones[self.zone_of(site)].is_entangling
 
     def entangling_sites(self) -> Tuple[int, ...]:
         return self._entangling_sites
@@ -848,32 +756,15 @@ class ZonedTopology(GridTopology):
         return row
 
 
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-
-#: Topology kind -> class.  ``"square"`` is registered by
-#: :mod:`repro.hardware.lattice` on import (the class lives there for
-#: backwards compatibility); importing :mod:`repro.hardware` populates the
-#: full registry.
-TOPOLOGY_REGISTRY: Dict[str, Type[Topology]] = {}
-
-
-def register_topology(cls: Type[Topology]) -> Type[Topology]:
-    """Class decorator adding a topology family to :data:`TOPOLOGY_REGISTRY`."""
-    TOPOLOGY_REGISTRY[cls.kind] = cls
-    return cls
-
-
-register_topology(RectangularLattice)
-register_topology(ZonedTopology)
+#: The topology families :func:`build_topology` constructs.
+TOPOLOGY_KINDS: Tuple[str, ...] = ("square", "rectangular", "zoned")
 
 
 def build_topology(kind: str, rows: int, *, cols: Optional[int] = None,
                    spacing: float = 3.0, spacing_y: Optional[float] = None,
                    zone_layout: Optional[Union[Sequence[Zone], ZoneLayout]] = None,
-                   corridor_transit_um: Optional[float] = None) -> Topology:
-    """Instantiate a registered topology family from flat parameters.
+                   corridor_transit_um: Optional[float] = None) -> GridTopology:
+    """Instantiate one of :data:`TOPOLOGY_KINDS` from flat parameters.
 
     The flat signature mirrors :class:`~repro.service.cache.ArchitectureSpec`
     so specs stay picklable; ``corridor_transit_um`` defaults to one lattice
@@ -897,7 +788,6 @@ def build_topology(kind: str, rows: int, *, cols: Optional[int] = None,
             f"topology {lowered!r} is isotropic; it cannot honour "
             f"spacing_y={spacing_y} (use topology='rectangular')")
     if lowered == "square":
-        from .lattice import SquareLattice
         return SquareLattice(rows, cols if cols is not None else rows, spacing)
     if lowered == "rectangular":
         return RectangularLattice(rows, cols if cols is not None else rows,
@@ -916,5 +806,5 @@ def build_topology(kind: str, rows: int, *, cols: Optional[int] = None,
         corridor = corridor_transit_um if corridor_transit_um is not None else spacing
         return ZonedTopology(zones, cols, spacing=spacing,
                              corridor_transit_um=corridor)
-    known = sorted(set(TOPOLOGY_REGISTRY) | {"square"})
-    raise ValueError(f"unknown topology kind {kind!r}; choose from {known}")
+    raise ValueError(
+        f"unknown topology kind {kind!r}; choose from {list(TOPOLOGY_KINDS)}")

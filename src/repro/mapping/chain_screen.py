@@ -44,7 +44,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as _np
 
-from ..hardware.topology import GridTopology, ZonedTopology
+from ..hardware.topology import ZonedTopology
 
 __all__ = ["ChainScreen", "MOVE_AWAY_RADIUS", "time_penalties"]
 
@@ -111,7 +111,7 @@ class ChainScreen:
     """
 
     def __init__(self, architecture) -> None:
-        topology = architecture.topology
+        topology = architecture.lattice
         if not self.supports(topology):
             raise ValueError("the chain screen needs an unzoned grid topology")
         self.architecture = architecture
@@ -139,8 +139,7 @@ class ChainScreen:
     @staticmethod
     def supports(topology) -> bool:
         """True for the topologies the screen models exactly."""
-        return (isinstance(topology, GridTopology)
-                and not isinstance(topology, ZonedTopology))
+        return not isinstance(topology, ZonedTopology)
 
     def _neighbourhoods(self, sites, offsets):
         """Padded neighbourhoods of ``sites``: ``(site table, valid mask)``.

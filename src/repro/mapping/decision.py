@@ -128,7 +128,7 @@ class CapabilityDecider:
         """
         connectivity = state.connectivity
         adjacency_row = connectivity.adjacency_row
-        topology = self.architecture.topology
+        topology = self.architecture.lattice
         spacing = topology.spacing
         free_near = state.num_free_sites_near
         site_of_qubit = state.site_of_qubit

@@ -425,8 +425,8 @@ class GateRouter:
         connectivity = state.connectivity
         applied: List[SwapCandidate] = []
         if max_iterations is None:
-            max_iterations = 4 * (state.architecture.topology.rows
-                                  + state.architecture.topology.cols) * gate.num_qubits + 20
+            max_iterations = 4 * (state.architecture.lattice.rows
+                                  + state.architecture.lattice.cols) * gate.num_qubits + 20
 
         def targets() -> List:
             if position is not None:

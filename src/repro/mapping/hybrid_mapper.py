@@ -400,12 +400,12 @@ class HybridMapper:
     def _stall_threshold(self) -> int:
         if self.config.stall_threshold is not None:
             return self.config.stall_threshold
-        topology = self.architecture.topology
+        topology = self.architecture.lattice
         return (topology.rows + topology.cols) + 10
 
     def _max_routing_steps(self, circuit: QuantumCircuit) -> int:
         if self.config.max_routing_steps is not None:
             return self.config.max_routing_steps
-        topology = self.architecture.topology
+        topology = self.architecture.lattice
         per_gate = 8 * (topology.rows + topology.cols) + 50
         return max(per_gate * max(circuit.num_entangling_gates(), 1), 10_000)

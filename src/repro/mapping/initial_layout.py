@@ -35,7 +35,7 @@ __all__ = ["identity_layout", "compact_layout", "interaction_graph_layout",
 
 def _centred_block_sites(architecture: NeutralAtomArchitecture, count: int) -> List[int]:
     """The ``count`` sites closest to the grid centre (deterministic order)."""
-    topology = architecture.topology
+    topology = architecture.lattice
     centre_row = (topology.rows - 1) / 2.0
     centre_col = (topology.cols - 1) / 2.0
 

@@ -39,7 +39,7 @@ once the screen below drops the chains that cannot win, a round scores too
 few moves for a cost memo to pay.  Site geometry (neighbourhood rings,
 hop-distance rows) comes from the shared
 :class:`~repro.hardware.connectivity.SiteConnectivity` /
-:class:`~repro.hardware.topology.Topology` caches, which the gate-based
+:class:`~repro.hardware.topology.GridTopology` caches, which the gate-based
 router uses as well.
 
 Screening: a round applies a single chain, so on fronts wider than
@@ -130,7 +130,7 @@ class ShuttlingRouter:
         # first, and pooled moves carry the corridor-penalised travel
         # distance.  Both flags are False for unzoned topologies, keeping
         # every hot path byte-identical to the square-lattice behaviour.
-        topology = architecture.topology
+        topology = architecture.lattice
         self._zone_aware = not topology.all_sites_entangling
         self._has_travel_penalty = topology.has_travel_penalties
         self._gate_capable_cache: Optional[frozenset] = None
@@ -324,7 +324,7 @@ class ShuttlingRouter:
         tie-break).
         """
         candidates = self._gate_capable_sites(state.connectivity)
-        lattice = self.architecture.topology
+        lattice = self.architecture.lattice
         # Relocation is always the chain's first move, so the scan runs
         # against the live occupancy: one masked gather over the cached
         # sorted candidate array, with the ascending order making argmin

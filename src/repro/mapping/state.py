@@ -66,7 +66,7 @@ class MappingState:
         self.connectivity = connectivity or SiteConnectivity(architecture)
         self.num_circuit_qubits = num_circuit_qubits
         self.num_atoms = architecture.num_atoms
-        self.num_sites = architecture.topology.num_sites
+        self.num_sites = architecture.lattice.num_sites
 
         # Atom mapping f_a: atom -> site, and the inverse site -> atom.
         if initial_sites is None:
@@ -268,10 +268,6 @@ class MappingState:
                 total += self.swap_distance(qubit_a, qubit_b)
         return total
 
-    def connectivity_graph(self):
-        """The atom-level connectivity graph ``G`` induced by the occupancy."""
-        return self.connectivity.occupied_subgraph(self.occupied_sites())
-
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
@@ -340,7 +336,7 @@ class MappingState:
 
     def make_move(self, atom: int, destination: int, *, is_move_away: bool = False) -> Move:
         """Construct (but do not apply) a :class:`Move` for ``atom`` to ``destination``."""
-        topology = self.architecture.topology
+        topology = self.architecture.lattice
         source = self._atom_to_site[atom]
         travel = (topology.rectangular_row(source)[destination]
                   if topology.has_travel_penalties else None)

@@ -5,7 +5,7 @@ Serve mode (long-running)::
     PYTHONPATH=src python -m repro.server --port 7421 --store-dir ./store \
         --workers 4 --max-pending 32
 
-Self-test mode (used by the CI serving-smoke job): starts the gateway on an
+Self-test mode (used by the CI metrics-smoke job): starts the gateway on an
 ephemeral port, submits duplicate + distinct requests — including a QASM
 text document twice — through the synchronous client, asserts the
 store-hit/coalescing counters and the byte-identity of served digests

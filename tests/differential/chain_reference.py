@@ -220,7 +220,7 @@ def _anchor_relocation(self, state: MappingState, anchor: int,
     tie-break).
     """
     candidates = self._gate_capable_sites(state.connectivity)
-    lattice = self.architecture.topology
+    lattice = self.architecture.lattice
     free = candidates & state.free_sites()
     if not free:
         return None

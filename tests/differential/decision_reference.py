@@ -44,7 +44,7 @@ def _estimate_swaps(state: MappingState, qubits: Sequence[int]) -> int:
 def _estimate_moves(decider: CapabilityDecider, state: MappingState,
                     qubits: Sequence[int]) -> Tuple[int, float]:
     """Move count and summed rectangular travel distance of the best anchor."""
-    topology = decider.architecture.topology
+    topology = decider.architecture.lattice
     if len(qubits) == 2 and state.qubits_adjacent(qubits[0], qubits[1]):
         return (0, 0.0)
     best = None

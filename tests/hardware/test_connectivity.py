@@ -59,6 +59,18 @@ class TestDistances:
         # with r_int = 2d the maximum per-hop displacement is 2 in each axis
         assert 3 <= hops <= 5
 
+    def test_hop_distance_is_chebyshev_with_diagonal_reach(self):
+        # r_int = 1.5 d reaches the diagonal (sqrt(2) d) but not 2 d, so one
+        # hop moves at most one row and one column.
+        arch = NeutralAtomArchitecture(
+            lattice=SquareLattice(4, 4, 1.0), num_atoms=15,
+            interaction_radius=1.5, restriction_radius=1.5)
+        connectivity = SiteConnectivity(arch)
+        for a in range(16):
+            for b in range(16):
+                (ra, ca), (rb, cb) = arch.lattice.row_col(a), arch.lattice.row_col(b)
+                assert connectivity.hop_distance(a, b) == max(abs(ra - rb), abs(ca - cb))
+
     def test_hop_distance_symmetric(self, small_connectivity):
         assert small_connectivity.hop_distance(2, 33) == small_connectivity.hop_distance(33, 2)
 
@@ -92,19 +104,3 @@ class TestDistances:
                                                 lattice.site_at(0, 5), allowed=allowed)
         assert path is not None
         assert all(site in allowed for site in path)
-
-
-class TestGraphExports:
-    def test_site_graph_edge_count(self, small_connectivity, small_architecture):
-        graph = small_connectivity.site_graph()
-        assert graph.number_of_nodes() == small_architecture.lattice.num_sites
-        degrees = dict(graph.degree())
-        centre = small_architecture.lattice.site_at(3, 3)
-        assert degrees[centre] == 12
-
-    def test_occupied_subgraph(self, small_connectivity):
-        occupied = {0, 1, 2, 14, 15}
-        graph = small_connectivity.occupied_subgraph(occupied)
-        assert set(graph.nodes) == occupied
-        assert graph.has_edge(0, 1)
-        assert not graph.has_edge(0, 15) or small_connectivity.are_adjacent(0, 15)

@@ -37,12 +37,6 @@ class TestIndexing:
         assert lattice.position(4) == (3.0, 3.0)
         assert lattice.position(8) == (6.0, 6.0)
 
-    def test_site_near(self):
-        lattice = SquareLattice(3, 3, 3.0)
-        assert lattice.site_near(3.1, 2.9) == 4
-        assert lattice.site_near(-5.0, -5.0) == 0
-        assert lattice.site_near(100.0, 100.0) == 8
-
     def test_out_of_range_rejected(self):
         lattice = SquareLattice(2, 2, 1.0)
         with pytest.raises(ValueError):
@@ -66,11 +60,6 @@ class TestDistances:
         lattice = SquareLattice(3, 3, 3.0)
         assert lattice.rectangular_distance(0, 8) == pytest.approx(12.0)
         assert lattice.rectangular_distance(0, 1) == pytest.approx(3.0)
-
-    def test_grid_distance(self):
-        lattice = SquareLattice(4, 4, 1.0)
-        assert lattice.grid_distance(0, 5) == 1
-        assert lattice.grid_distance(0, 15) == 3
 
     def test_distance_symmetry(self):
         lattice = SquareLattice(4, 4, 2.0)
@@ -108,16 +97,9 @@ class TestNeighbourhoods:
         for radius in (3.0, 4.5, 6.0, 7.5):
             assert lattice.neighbourhood_size(radius) == len(lattice.sites_within(centre, radius))
 
-    def test_all_pairs_within(self):
+    def test_neighbour_table_pair_count(self):
         lattice = SquareLattice(3, 3, 1.0)
-        pairs = list(lattice.all_pairs_within(1.0))
+        table = lattice.neighbour_table(1.0)
+        pairs = {(site, other) for site, row in enumerate(table)
+                 for other in row if site < other}
         assert len(pairs) == 12  # grid edges of a 3x3 lattice
-        assert all(a < b for a, b in pairs)
-
-    def test_boundary_and_interior_partition(self):
-        lattice = SquareLattice(5, 5, 1.0)
-        boundary = set(lattice.boundary_sites())
-        interior = set(lattice.interior_sites())
-        assert boundary | interior == set(range(25))
-        assert boundary & interior == set()
-        assert len(interior) == 9

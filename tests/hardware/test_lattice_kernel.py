@@ -2,7 +2,7 @@
 
 The mapper's cost functions compare cached distance-row values against each
 other, and the op stream must stay bit-identical across engine revisions —
-so the numpy kernel in :mod:`repro.hardware.lattice` is only admissible if
+so the numpy kernel in :class:`repro.hardware.topology.GridTopology` is only admissible if
 its rows match the ``math.hypot`` / ``abs`` scalar formulas to the last
 bit, and the vectorised neighbour tables match the per-site scans exactly.
 These tests assert that on representative lattices and radii; on a platform

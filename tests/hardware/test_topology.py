@@ -1,8 +1,8 @@
-"""Property suite over every registered trap topology.
+"""Property suite over every trap topology kind.
 
 The topology layer promises a small set of structural invariants that the
-routing stack silently relies on; this suite pins them for *all* registered
-topology families at once, so a new family (or a regression in an existing
+routing stack silently relies on; this suite pins them for every kind in
+``TOPOLOGY_KINDS`` at once, so a new kind (or a regression in an existing
 one) fails loudly:
 
 * neighbour tables are symmetric (adjacency is an undirected relation),
@@ -19,7 +19,7 @@ import math
 import pytest
 
 from repro.hardware import (
-    TOPOLOGY_REGISTRY,
+    TOPOLOGY_KINDS,
     GridTopology,
     RectangularLattice,
     SquareLattice,
@@ -29,8 +29,8 @@ from repro.hardware import (
     build_topology,
 )
 
-#: Representative instances per registered family — every registered kind
-#: must appear here (enforced by test_every_registered_kind_is_covered).
+#: Representative instances per topology kind — every kind must appear
+#: here (enforced by TestTopologyKinds.test_every_kind_is_covered).
 SAMPLE_TOPOLOGIES = [
     SquareLattice(5, 5, 3.0),
     SquareLattice(7, 7, 0.3),
@@ -52,11 +52,11 @@ def _ids(topology):
     return repr(topology)
 
 
-class TestRegistry:
-    def test_every_registered_kind_is_covered(self):
+class TestTopologyKinds:
+    def test_every_kind_is_covered(self):
         covered = {type(topology).kind for topology in SAMPLE_TOPOLOGIES}
-        assert set(TOPOLOGY_REGISTRY) <= covered
-        assert {"square", "rectangular", "zoned"} <= set(TOPOLOGY_REGISTRY)
+        assert covered == set(TOPOLOGY_KINDS)
+        assert TOPOLOGY_KINDS == ("square", "rectangular", "zoned")
 
     def test_build_topology_round_trips_each_kind(self):
         square = build_topology("square", 6, spacing=2.0)
@@ -67,8 +67,26 @@ class TestRegistry:
         assert zoned.kind == "zoned" and zoned.rows == 9
         # Default corridor transit: one lattice constant per crossing.
         assert zoned.corridor_transit_um == 3.0
-        with pytest.raises(ValueError):
+        for kind in TOPOLOGY_KINDS:
+            assert build_topology(kind, 9).kind == kind
+        with pytest.raises(ValueError) as error:
             build_topology("hexagonal", 5)
+        assert str(error.value).endswith(
+            f"choose from {list(TOPOLOGY_KINDS)}")
+
+    @pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
+    def test_site_predicates_reject_sites_outside_the_lattice(self, kind):
+        # Negative sites must not wrap to the last band and huge ones must
+        # not slip through as entangling traps.
+        topology = build_topology(kind, 9)
+        for site in (-5, -1, topology.num_sites, 10**6):
+            with pytest.raises(ValueError, match="outside lattice"):
+                topology.is_entangling_site(site)
+            with pytest.raises(ValueError, match="outside lattice"):
+                topology.zone_of(site)
+        last = topology.num_sites - 1
+        assert topology.is_entangling_site(last) == (
+            last in topology.entangling_sites())
 
     def test_isotropic_kinds_reject_anisotropic_spacing(self):
         # Silently dropping spacing_y would let unequal specs describe the
@@ -124,12 +142,6 @@ class TestTopologyProperties:
             for site, neighbours in enumerate(table):
                 for other in neighbours:
                     assert site in table[other]
-
-    def test_neighbours_within_matches_sites_within(self, topology):
-        for radius in RADII:
-            for site in (0, topology.num_sites // 2, topology.num_sites - 1):
-                assert topology.neighbours_within(site, radius) == \
-                    topology.sites_within(site, radius)
 
     def test_neighbour_table_rows_match_per_site_scan(self, topology):
         for radius in RADII:
@@ -202,8 +214,22 @@ class TestTopologyProperties:
                     assert topology.can_interact_within(site, other, radius) == \
                         (other in members)
 
+    def test_restriction_predicate_matches_table(self, topology):
+        for radius in RADII:
+            table = topology.restriction_neighbour_table(radius)
+            assert len(table) == topology.num_sites
+            for site in range(topology.num_sites):
+                members = set(table[site])
+                for other in members:
+                    assert site in table[other]
+                for other in range(topology.num_sites):
+                    if other == site:
+                        continue
+                    assert topology.within_restriction_of(site, other, radius) == \
+                        (other in members)
 
-#: (kind, build_topology kwargs) per registered kind, at plain and
+
+#: (kind, build_topology kwargs) per topology kind, at plain and
 #: inexact spacings; the last zoned case overrides both radii per zone.
 TABLE_CASES = [
     ("square", dict(spacing=3.0)),
@@ -236,8 +262,8 @@ class TestNeighbourTables:
     """Vectorised neighbour tables and distance rows against per-site
     scans, zone rules and the scalar rectangular formula."""
 
-    def test_every_registered_kind_is_covered(self):
-        assert {kind for kind, _ in TABLE_CASES} == set(TOPOLOGY_REGISTRY)
+    def test_every_kind_is_covered(self):
+        assert {kind for kind, _ in TABLE_CASES} == set(TOPOLOGY_KINDS)
 
     @pytest.mark.parametrize("kind,kwargs", TABLE_CASES)
     def test_tables_match_per_site_scans(self, kind, kwargs):
@@ -291,11 +317,10 @@ class TestGridTopologyValidation:
         with pytest.raises(ValueError):
             GridTopology(5, 5, spacing_x=3.0, spacing_y=-1.0)
 
-    def test_anisotropic_positions_and_site_near(self):
+    def test_anisotropic_positions(self):
         grid = RectangularLattice(4, 6, spacing_x=2.0, spacing_y=5.0)
         assert grid.position(0) == (0.0, 0.0)
         assert grid.position(grid.site_at(2, 3)) == (6.0, 10.0)
-        assert grid.site_near(6.4, 9.0) == grid.site_at(2, 3)
         assert grid.spacing == 2.0  # lattice constant d = min pitch
 
     def test_anisotropic_offsets_use_per_axis_pitch(self):

@@ -63,7 +63,7 @@ class TestZonedCompileCircuit:
 
     def test_scaled_zoned_preset_compiles(self):
         architecture = build_scaled_architecture("mixed", 0.12, topology="zoned")
-        assert architecture.topology.kind == "zoned"
+        assert architecture.lattice.kind == "zoned"
         connectivity = SiteConnectivity(architecture)
         circuit = decompose_mcx_to_mcz(get_benchmark("qft", num_qubits=12, seed=2024))
         context = compile_circuit(circuit, architecture, MapperConfig.hybrid(1.0),
@@ -103,7 +103,7 @@ class TestZonedBatchCompiler:
 class TestZonedCorridorTransit:
     def test_moves_crossing_corridors_carry_the_penalty(self):
         architecture, connectivity = _zoned_architecture()
-        topology = architecture.topology
+        topology = architecture.lattice
         assert topology.has_travel_penalties
         circuit = decompose_mcx_to_mcz(get_benchmark("qft", num_qubits=10, seed=2024))
         mapper = HybridMapper(architecture, MapperConfig.hybrid(1.0),

@@ -8,7 +8,7 @@ forced router drives ``pending[0]`` first, so the order is observable in
 the op stream) and the same SWAP estimate — or ``None`` for both.
 
 The matrix covers gate widths 3-5, sparse and dense occupancies, every
-registered topology family, the hostile lattice constants of the kernel
+topology family, the hostile lattice constants of the kernel
 differential suite and architectures where no position exists.
 """
 
@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import pytest
 
 from repro.circuit.gate import Gate, controlled_z
-from repro.hardware import (TOPOLOGY_REGISTRY, NeutralAtomArchitecture,
+from repro.hardware import (TOPOLOGY_KINDS, NeutralAtomArchitecture,
                             SiteConnectivity, SquareLattice)
 from repro.hardware.presets import preset
 from repro.mapping import GatePosition, MappingState, find_gate_position
@@ -169,7 +169,7 @@ def assert_matches_reference(state: MappingState, gate: Gate, **kwargs):
 #: expansions are inexact, next to the presets' own 3 um pitch.
 SPACINGS = (3.0, 0.3, 1.1)
 
-#: (name, architecture factory) per registered topology family; the square
+#: (name, architecture factory) per topology family; the square
 #: family runs all three device presets, because the gate preset's radius
 #: gives every site more occupied neighbours than the 24-neighbour cap.
 ARCHITECTURES = {
@@ -198,7 +198,7 @@ def _random_state(architecture: NeutralAtomArchitecture,
                   connectivity: SiteConnectivity,
                   rng: random.Random) -> MappingState:
     """Random atom placement and qubit mapping, leaving a few aux atoms."""
-    num_sites = architecture.topology.num_sites
+    num_sites = architecture.lattice.num_sites
     sites = rng.sample(range(num_sites), architecture.num_atoms)
     num_qubits = max(5, architecture.num_atoms - 3)
     qubit_map = rng.sample(range(architecture.num_atoms), num_qubits)
@@ -207,15 +207,15 @@ def _random_state(architecture: NeutralAtomArchitecture,
 
 
 def test_every_topology_family_is_covered():
-    assert sorted(ARCHITECTURES) == sorted(TOPOLOGY_REGISTRY)
+    assert sorted(ARCHITECTURES) == sorted(TOPOLOGY_KINDS)
 
 
 @pytest.mark.parametrize("occupancy", sorted(OCCUPANCIES))
 @pytest.mark.parametrize("spacing", SPACINGS)
-@pytest.mark.parametrize("kind", sorted(TOPOLOGY_REGISTRY))
+@pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
 def test_position_search_matches_reference(kind, spacing, occupancy):
     for name, factory in ARCHITECTURES[kind]:
-        num_sites = factory(spacing, 8).topology.num_sites
+        num_sites = factory(spacing, 8).lattice.num_sites
         architecture = factory(spacing,
                                int(num_sites * OCCUPANCIES[occupancy]))
         connectivity = SiteConnectivity(architecture)
@@ -261,7 +261,7 @@ def test_storage_stranded_gate_matches_reference():
     position."""
     architecture = preset("zoned", lattice_rows=9, num_atoms=8)
     connectivity = SiteConnectivity(architecture)
-    storage = [site for site in range(architecture.topology.num_sites)
+    storage = [site for site in range(architecture.lattice.num_sites)
                if not connectivity.interaction_neighbours(site)]
     assert len(storage) >= 8
     state = MappingState(architecture, 5, connectivity=connectivity,

@@ -9,7 +9,7 @@ The sharding contract rests on three partition invariants:
 3. no cut ever crosses more qubits than the configured hard bound.
 
 The suite checks them across seeded random circuits and, end-to-end, across
-every registered topology family (``TOPOLOGY_REGISTRY``) by routing a
+every topology family (``TOPOLOGY_KINDS``) by routing a
 sharded map on one architecture per family and replaying the stream.
 """
 
@@ -23,7 +23,7 @@ from repro.circuit.library.random_circuits import (
     qaoa_maxcut_circuit,
     random_layered_circuit,
 )
-from repro.hardware import TOPOLOGY_REGISTRY
+from repro.hardware import TOPOLOGY_KINDS
 from repro.hardware.presets import mixed, zoned
 from repro.mapping import (
     HybridMapper,
@@ -293,7 +293,7 @@ class TestHierarchicalPartitionInvariants:
 
 
 class TestPartitionAcrossTopologies:
-    """End-to-end sharded routing on one architecture per registered family."""
+    """End-to-end sharded routing on one architecture per topology family."""
 
     ARCHITECTURES = {
         "square": lambda: mixed(lattice_rows=7, num_atoms=30),
@@ -305,12 +305,12 @@ class TestPartitionAcrossTopologies:
     def _architecture(self, kind):
         builder = self.ARCHITECTURES.get(kind)
         assert builder is not None, (
-            f"topology family {kind!r} is registered but has no architecture "
+            f"topology family {kind!r} is in TOPOLOGY_KINDS but has no architecture "
             "builder in this suite — extend ARCHITECTURES so the sharding "
             "invariants cover it")
         return builder()
 
-    @pytest.mark.parametrize("kind", sorted(TOPOLOGY_REGISTRY))
+    @pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
     def test_sharded_stream_valid_on_topology(self, kind):
         """Flat greedy partition, chained slices."""
         architecture = self._architecture(kind)
@@ -324,7 +324,7 @@ class TestPartitionAcrossTopologies:
         result.verify_complete()
         assert validate_stream(result, architecture) == []
 
-    @pytest.mark.parametrize("kind", sorted(TOPOLOGY_REGISTRY))
+    @pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
     def test_hierarchical_stream_valid_on_topology(self, kind):
         """Hierarchical tree partition, chained slices."""
         architecture = self._architecture(kind)

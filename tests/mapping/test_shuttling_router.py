@@ -260,7 +260,7 @@ class TestBatchedTimePenalty:
 
         architecture = preset(hardware, lattice_rows=5, spacing=spacing,
                               num_atoms=12, **topology_kwargs)
-        topology = architecture.topology
+        topology = architecture.lattice
         assert topology.has_travel_penalties == bool(topology_kwargs)
         router = ShuttlingRouter(architecture, history_window=4)
         rng = random.Random(2024)

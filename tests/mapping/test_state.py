@@ -114,10 +114,6 @@ class TestConnectivityQueries:
         free_nearby = small_state.free_sites_near(small_state.site_of_qubit(0))
         assert all(small_state.site_is_free(s) for s in free_nearby)
 
-    def test_connectivity_graph_nodes_are_occupied_sites(self, small_state):
-        graph = small_state.connectivity_graph()
-        assert set(graph.nodes) == small_state.occupied_sites()
-
 
 class TestSwaps:
     def test_apply_swap_exchanges_qubits_not_atoms(self, small_state):

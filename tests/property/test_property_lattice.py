@@ -22,8 +22,6 @@ class TestLatticeProperties:
         site = data.draw(st.integers(0, lattice.num_sites - 1))
         row, col = lattice.row_col(site)
         assert lattice.site_at(row, col) == site
-        x, y = lattice.position(site)
-        assert lattice.site_near(x, y) == site
 
     @given(lattice_strategy, st.data())
     @settings(max_examples=60, deadline=None)
@@ -55,7 +53,7 @@ class TestLatticeProperties:
 class TestConnectivityProperties:
     @given(st.integers(3, 7), st.floats(1.0, 3.0, allow_nan=False), st.data())
     @settings(max_examples=30, deadline=None)
-    def test_hop_distance_is_a_metric_on_the_site_graph(self, rows, radius_factor, data):
+    def test_hop_distance_is_a_metric_on_the_interaction_graph(self, rows, radius_factor, data):
         architecture = NeutralAtomArchitecture(
             name="prop", lattice=SquareLattice(rows, rows, 3.0),
             num_atoms=rows * rows - 1,

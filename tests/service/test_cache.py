@@ -50,8 +50,8 @@ class TestTopologyIdentityInCacheKey:
             ArchitectureSpec("mixed", lattice_rows=9, num_atoms=30,
                              topology="zoned"))
         assert len(cache) == 2
-        assert square_arch.topology.kind == "square"
-        assert zoned_arch.topology.kind == "zoned"
+        assert square_arch.lattice.kind == "square"
+        assert zoned_arch.lattice.kind == "zoned"
 
     def test_zone_layout_and_corridor_are_part_of_the_key(self):
         base = ArchitectureSpec("mixed", lattice_rows=9, num_atoms=30,
@@ -70,9 +70,9 @@ class TestTopologyIdentityInCacheKey:
                                 spacing_y=2.0)
         assert square != rect
         architecture = rect.build()
-        assert architecture.topology.kind == "rectangular"
-        assert architecture.topology.cols == 12
-        assert architecture.topology.spacing_y == 2.0
+        assert architecture.lattice.kind == "rectangular"
+        assert architecture.lattice.cols == 12
+        assert architecture.lattice.spacing_y == 2.0
 
     def test_isotropic_spellings_of_one_grid_share_one_entry(self):
         # spacing_y equal to spacing, and topology="rectangular" without

@@ -122,6 +122,21 @@ class TestConfigFingerprint:
         deliberate key change bumps the schema tag and updates these."""
         assert config.fingerprint() == expected
 
+    @pytest.mark.parametrize("spec, expected", [
+        (ArchitectureSpec("mixed", lattice_rows=9, num_atoms=30),
+         "617c97b4c53a6ad4c1e37a0a0758aed3fa26b57154f710b5d255207dcb5890c3"),
+        (ArchitectureSpec("gate", lattice_rows=7, lattice_cols=9,
+                          topology="rectangular", spacing_y=4.0,
+                          num_atoms=30),
+         "b6f6d3edf6e29991336539b048716b186a61de671b1d1158343e8d0477d4ccec"),
+        (ArchitectureSpec("zoned", lattice_rows=9, num_atoms=30),
+         "d815c4b289d0398e9ba168df70d9dbee30104ab31cba8ab693c8d93ebf6063f5"),
+    ], ids=["square", "rectangular", "zoned"])
+    def test_architecture_store_key_is_pinned(self, spec, expected):
+        """The device half of every store key: a change to the topology
+        classes behind ``cache_key()`` must not move it."""
+        assert spec.store_key() == "architecture/v2|sha256:" + expected
+
     def test_resolved_shard_max_slice_is_keyed(self):
         """None and its resolved value 4 * shard_min_slice partition and
         route identically, so they share a key; another value does not."""
