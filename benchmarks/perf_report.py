@@ -38,7 +38,7 @@ recorded from PR 1 onward (schema ``repro-bench-scaling/v1``):
           "kind": "shard_routing",      // serial-vs-sharded comparison (--shard)
           "hardware": "mixed", "circuit": "qft", "mode": "hybrid",
           "scale": 0.3, "num_qubits": 60, "available_cpus": 2,
-          "hierarchical_partition": true, "num_slices": 46,
+          "num_slices": 46, "tree_depth": 46,
           "serial_seconds": 4.42, "sharded_seconds": 1.04,
           "shard_speedup": 4.26, "shard_overhead_pct": -76.5,
           "serial_moves": 493, "sharded_moves": 693,
@@ -231,8 +231,8 @@ def run_shard_case(hardware: str, circuit_name: str, mode: str, scale: float,
         "scale": scale,
         "num_qubits": scaled_size(circuit_name, scale),
         "available_cpus": os.cpu_count(),
-        "hierarchical_partition": sharded_config.hierarchical_partition,
         "num_slices": sharded_result.shard_stats.get("num_slices", 1),
+        "tree_depth": sharded_result.shard_stats.get("tree_depth", 1),
         "serial_seconds": round(serial_wall, 4),
         "sharded_seconds": round(sharded_wall, 4),
         "shard_speedup": round(speedup, 2),

@@ -19,11 +19,9 @@ from .layers import LayerManager
 from .multiqubit import GatePosition, find_gate_position
 from .partition import (
     CircuitSlice,
-    PartitionNode,
     PartitionPlan,
     crossing_counts,
     partition_circuit,
-    partition_circuit_tree,
     slice_subcircuit,
 )
 from .replay import StreamValidator, assert_stream_valid, validate_stream
@@ -57,11 +55,9 @@ __all__ = [
     "SwapCostCache",
     "ShuttlingRouter",
     "CircuitSlice",
-    "PartitionNode",
     "PartitionPlan",
     "ShardedRouter",
     "partition_circuit",
-    "partition_circuit_tree",
     "crossing_counts",
     "slice_subcircuit",
     "validate_stream",

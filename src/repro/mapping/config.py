@@ -10,15 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 __all__ = ["MapperConfig"]
-
-#: Partition knobs; they shape sharded streams only.
-_PARTITION_FIELDS = frozenset({"shard_min_slice", "shard_max_slice",
-                               "shard_max_cut_qubits",
-                               "hierarchical_partition"})
 
 
 @dataclass(frozen=True)
@@ -50,40 +45,29 @@ class MapperConfig:
         (``>= 0``; 0 forces fallback routing from the first round).
         ``None`` derives a threshold from the lattice diameter.
     max_routing_steps:
-        Hard safety bound on the total number of routing operations
-        (``>= 1``); mapping aborts with an error beyond it (should never
-        trigger in practice).  ``None`` derives it from the circuit size.
+        Hard safety bound on the routing operations one mapper run may
+        insert (``>= 1``); mapping aborts with ``MappingError`` beyond it
+        (should never trigger in practice).  ``None`` derives it from the
+        circuit size.  Under ``shard_routing`` every slice is routed by its
+        own mapper with a fresh budget, so the bound holds per slice, not
+        for the whole circuit.
     shard_routing:
         Enable sharded intra-circuit routing (``repro.mapping.shard``): the
         circuit DAG is partitioned into weakly-coupled slices at
-        low-crossing frontiers and the slices are routed one after another,
-        each from the true mapping state its predecessor left behind.  The
+        low-crossing frontiers (``repro.mapping.partition``) and the slices
+        are routed one after another, each from the true mapping state its
+        predecessor left behind.  The
         emitted stream is **not** bit-identical to serial routing — the
         contract is *metrics parity* (ΔCZ/ΔT/move counts within bounds)
         plus full replay validity, enforced by
         ``tests/differential/test_differential_shard``.  ``False`` (the
         default) leaves the serial path byte-identical to the committed
-        goldens, and the four partition knobs below are then left out of
-        the fingerprint.
+        goldens, and ``shard_min_slice`` is then left out of the
+        fingerprint.
     shard_min_slice:
-        Minimum gates per slice; circuits with fewer than two minimum-size
-        slices silently take the serial path (bit-identical to goldens).
-    shard_max_slice:
-        Soft upper bound on slice size (``None`` = ``4 * shard_min_slice``);
-        a slice may exceed it only when no cut under ``shard_max_cut_qubits``
-        exists inside the window.
-    shard_max_cut_qubits:
-        Hard bound on the number of qubits crossing any slice cut; the
-        partitioner extends slices rather than cut above it.  ``None``
-        places cuts at the locally minimal crossing without a bound.
-    hierarchical_partition:
-        Whether the partitioner recursively re-cuts oversized slices at
-        their own minimum-crossing frontiers
-        (``repro.mapping.partition.partition_circuit_tree``), producing a
-        slice tree whose every level honours ``shard_max_cut_qubits`` and
-        whose leaves are routed in deterministic left-to-right order.
-        ``False`` keeps the flat greedy frontier sweep.  Affects sharded
-        streams only.
+        Minimum gates per slice; the partitioner splits any segment above
+        ``4 * shard_min_slice`` gates.  Circuits of at most that size
+        silently take the serial path (bit-identical to goldens).
     """
 
     alpha_gate: float = 1.0
@@ -98,9 +82,6 @@ class MapperConfig:
     max_routing_steps: Optional[int] = None
     shard_routing: bool = False
     shard_min_slice: int = 24
-    shard_max_slice: Optional[int] = None
-    shard_max_cut_qubits: Optional[int] = None
-    hierarchical_partition: bool = True
 
     def __post_init__(self) -> None:
         # Normalise numeric field types so equal-valued configs are identical
@@ -116,13 +97,11 @@ class MapperConfig:
             object.__setattr__(self, name, value)
         for name in ("lookahead_depth", "history_window", "shard_min_slice"):
             object.__setattr__(self, name, int(getattr(self, name)))
-        for name in ("stall_threshold", "max_routing_steps", "shard_max_slice",
-                     "shard_max_cut_qubits"):
+        for name in ("stall_threshold", "max_routing_steps"):
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, int(value))
-        for name in ("use_commutation", "shard_routing",
-                     "hierarchical_partition"):
+        for name in ("use_commutation", "shard_routing"):
             object.__setattr__(self, name, bool(getattr(self, name)))
         if self.alpha_gate < 0 or self.alpha_shuttling < 0:
             raise ValueError("alpha weights must be non-negative")
@@ -140,11 +119,6 @@ class MapperConfig:
             raise ValueError("max_routing_steps must be at least 1")
         if self.shard_min_slice < 1:
             raise ValueError("shard_min_slice must be at least 1")
-        if self.shard_max_slice is not None and \
-                self.shard_max_slice < self.shard_min_slice:
-            raise ValueError("shard_max_slice cannot be below shard_min_slice")
-        if self.shard_max_cut_qubits is not None and self.shard_max_cut_qubits < 0:
-            raise ValueError("shard_max_cut_qubits cannot be negative")
 
     # ------------------------------------------------------------------
     # Mode helpers
@@ -203,13 +177,6 @@ class MapperConfig:
         """Return a copy with selected fields replaced."""
         return replace(self, **kwargs)
 
-    @property
-    def resolved_shard_max_slice(self) -> int:
-        """Soft slice-size ceiling (``shard_max_slice`` or 4x the minimum)."""
-        if self.shard_max_slice is not None:
-            return self.shard_max_slice
-        return 4 * self.shard_min_slice
-
     # ------------------------------------------------------------------
     # Persistent identity
     # ------------------------------------------------------------------
@@ -222,16 +189,11 @@ class MapperConfig:
         process produce the identical string (regression-tested across a
         subprocess boundary in ``tests/store/test_keys.py``).  Fields that
         cannot change the emitted stream are left out, so configs that
-        produce identical streams share one store key: the partition knobs
-        are omitted whenever sharded routing is off.  ``shard_max_slice``
-        is keyed by its resolved value, so ``None`` and
-        ``4 * shard_min_slice`` share a key.
+        produce identical streams share one store key: ``shard_min_slice``
+        is omitted whenever sharded routing is off.
         """
-        omitted = frozenset() if self.shard_routing else _PARTITION_FIELDS
         values = {spec.name: getattr(self, spec.name) for spec in fields(self)
-                  if spec.name not in omitted}
-        if "shard_max_slice" in values:
-            values["shard_max_slice"] = self.resolved_shard_max_slice
+                  if self.shard_routing or spec.name != "shard_min_slice"}
         parts = [f"{name}={values[name]!r}" for name in sorted(values)]
         # v2: the sharding knobs joined the field set, so every fingerprint
         # shifted; the schema tag makes the break explicit (and repro 1.3.0
@@ -241,17 +203,23 @@ class MapperConfig:
         # shifted (cached store entries recompile once) but op streams did
         # not, so repro._version and the goldens stayed.  The switch has
         # since been removed; it was never keyed after v5, so no key moved.
-        # v4: hierarchical_partition and a since-removed seeding knob joined
-        # the field set; only sharded streams change, so again only the
-        # schema tag moved.
+        # v4: the flat/tree partition switch and a since-removed seeding
+        # knob joined the field set; only sharded streams change, so again
+        # only the schema tag moved.
         # v5: the speculative scheduler and its two knobs are gone, and
         # fields that cannot change the output (see above) are no longer
         # keyed.  shard_routing=False output is unchanged, so repro._version
         # and the goldens stay.
-        # v6: shard_max_slice is keyed by its resolved value; sharded keys
-        # with shard_max_slice=None shift, streams do not.  The
+        # v6: the soft slice-size ceiling is keyed by its resolved value;
+        # sharded keys with an unset ceiling shift, streams do not.  The
         # region-cache switch was removed later; it was never keyed after
-        # v5, so no key moved.
+        # v5, so no key moved.  Later still, the flat/tree partition
+        # switch, the slice-size ceiling and the cut-qubit bound were
+        # removed (one partitioner, ceiling fixed at 4 * shard_min_slice):
+        # serial keys never held them and did not move.  Sharded keys
+        # shift, but every earlier sharded key held the switch's field,
+        # which no key holds now, so no new key can equal an old one and
+        # the tag stays v6.
         return "mapper-config/v6|" + "|".join(parts)
 
     def fingerprint(self) -> str:

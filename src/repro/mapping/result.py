@@ -85,10 +85,9 @@ class MappingResult:
         The atom mapping before and after the run.
     shard_stats:
         Sharded-routing bookkeeping (:mod:`repro.mapping.shard`): the
-        partition summary (``num_slices``, ``slice_sizes``, ``cut_qubits``),
-        ``tree_depth`` (height of the hierarchical partition tree; 1 for a
-        flat plan) and ``hierarchical_partition``.  Partition time is the
-        ``shard.partition`` telemetry span.
+        partition summary (``num_slices``, ``slice_sizes``, ``cut_qubits``
+        and ``tree_depth``, the depth of the recursive split tree).
+        Partition time is the ``shard.partition`` telemetry span.
         Empty for serial runs, including sharded configs that fell back to
         the serial path.
     """

@@ -5,15 +5,13 @@ parallelise *across* circuits; one large circuit still routes in one pass.
 :class:`ShardedRouter` splits the pass *within* a circuit:
 
 1. **Partition** — :func:`repro.mapping.partition.partition_circuit` cuts the
-   gate list into weakly-coupled slices at low-crossing frontiers; with
-   ``hierarchical_partition`` the recursive variant
-   (:func:`~repro.mapping.partition.partition_circuit_tree`) re-cuts
-   oversized slices at their own min-crossing frontiers into a slice tree
-   whose every level honours the hard cut-qubit bound.
+   gate list into weakly-coupled slices by recursive min-cut: any segment
+   above ``4 * shard_min_slice`` gates is split at its minimum-crossing
+   frontier, and the split recurses into both halves.
 2. **Chained slice routing** — each slice is routed as a full-width
    subcircuit by an ordinary serial
    :class:`~repro.mapping.hybrid_mapper.HybridMapper`, one after another in
-   leaf order, each starting from the true mapping state its predecessor
+   circuit order, each starting from the true mapping state its predecessor
    left behind.  There is no speculation and no seam repair; slicing pays
    off because a slice caps the front layer the router scores every round.
 3. **Streaming emission** — each slice's operations are yielded (gate
@@ -45,8 +43,7 @@ from ..hardware.connectivity import SiteConnectivity
 from ..telemetry import tracing
 from ..telemetry.registry import get_registry
 from .config import MapperConfig
-from .partition import (PartitionPlan, partition_circuit,
-                        partition_circuit_tree, slice_subcircuit)
+from .partition import PartitionPlan, partition_circuit, slice_subcircuit
 from .result import CircuitGateOp, MappedOperation, MappingResult
 from .state import MappingState
 
@@ -109,15 +106,9 @@ class ShardedRouter:
             # Nothing to route — the serial path is pure emission; slicing
             # it would add overhead for a workload with no routing at all.
             return None
-        partition = (partition_circuit_tree if self.config.hierarchical_partition
-                     else partition_circuit)
         with tracing.span("shard.partition", circuit=circuit.name):
-            plan = partition(
-                circuit,
-                min_slice=self.config.shard_min_slice,
-                max_slice=self.config.resolved_shard_max_slice,
-                max_cut_qubits=self.config.shard_max_cut_qubits,
-            )
+            plan = partition_circuit(circuit,
+                                     min_slice=self.config.shard_min_slice)
         if plan.num_slices < 2:
             return None
         state = initial_state or MappingState(
@@ -159,10 +150,7 @@ class StitchStream:
             self._coverage: Optional[bytearray] = None
         else:
             self._coverage = bytearray(len(plan.circuit))
-        self.stats: Dict[str, object] = {
-            "hierarchical_partition": router.config.hierarchical_partition,
-        }
-        self.stats.update(plan.summary())
+        self.stats: Dict[str, object] = plan.summary()
 
     # ------------------------------------------------------------------
     def __iter__(self) -> Iterator[MappedOperation]:
@@ -180,8 +168,8 @@ class StitchStream:
 
     # ------------------------------------------------------------------
     def _run(self) -> Iterator[MappedOperation]:
-        """Route slices in leaf order, each from the state its predecessor
-        left behind.
+        """Route slices in circuit order, each from the state its
+        predecessor left behind.
 
         Each slice result is fully drained (and dropped) before the next
         slice routes, so exactly one lives at any moment.

@@ -32,6 +32,7 @@ from repro.hardware.presets import mixed
 from repro.mapping import (
     HybridMapper,
     MapperConfig,
+    MappingError,
     ShardedRouter,
     StreamValidator,
     assert_stream_valid,
@@ -164,19 +165,26 @@ class TestShardConfig:
         assert config.shard_routing is True
         assert config.shard_min_slice == 10
 
-    def test_resolved_shard_max_slice(self):
-        assert MapperConfig(shard_min_slice=10).resolved_shard_max_slice == 40
-        assert MapperConfig(shard_min_slice=10,
-                            shard_max_slice=15).resolved_shard_max_slice == 15
-
-    @pytest.mark.parametrize("kwargs", (
-        {"shard_min_slice": 0},
-        {"shard_min_slice": 10, "shard_max_slice": 5},
-        {"shard_max_cut_qubits": -1},
-    ))
-    def test_invalid_shard_parameters_rejected(self, kwargs):
+    def test_invalid_shard_min_slice_rejected(self):
         with pytest.raises(ValueError):
-            MapperConfig(**kwargs)
+            MapperConfig(shard_min_slice=0)
+
+    def test_max_routing_steps_budget_is_per_slice(self):
+        """Each slice mapper gets a fresh ``max_routing_steps`` budget: a
+        bound the serial mapper exceeds holds for every slice, while the
+        sharded stream as a whole inserts more routing operations."""
+        architecture = mixed(lattice_rows=7, num_atoms=30)
+        circuit = random_layered_circuit(16, 10, seed=7)
+        with pytest.raises(MappingError):
+            HybridMapper(architecture,
+                         MapperConfig(max_routing_steps=10)).map(circuit)
+        result = HybridMapper(
+            architecture,
+            MapperConfig.sharded(shard_min_slice=12,
+                                 max_routing_steps=10)).map(circuit)
+        assert result.shard_stats["num_slices"] == 9
+        assert result.num_swaps + result.num_moves == 52
+        result.verify_complete()
 
     def test_replay_validator_flags_corrupt_stream(self, mixed_architecture):
         """The validity replayer must actually catch broken streams."""

@@ -66,20 +66,13 @@ OUTPUT_AFFECTING = [
     (SERIAL, {"alpha_gate": 2.0}), (SERIAL, {"lookahead_depth": 2}),
     (SERIAL, {"history_window": 5}), (SERIAL, {"use_commutation": False}),
     (SERIAL, {"stall_threshold": 7}), (SERIAL, {"shard_routing": True}),
-    (SHARDED, {"shard_min_slice": 12}), (SHARDED, {"shard_max_slice": 120}),
-    (SHARDED, {"shard_max_cut_qubits": 6}),
-    (SHARDED, {"hierarchical_partition": False}),
+    (SHARDED, {"shard_min_slice": 12}),
 ]
 
 #: Overrides that cannot change the emitted stream: the key must not move.
-#: The partition knobs are inert while sharded routing is off, and an
-#: explicit shard_max_slice equal to its resolved default
-#: (4 * shard_min_slice) routes exactly like None.
+#: The partition knob is inert while sharded routing is off.
 INERT = [
-    (SERIAL, {"shard_min_slice": 12}), (SERIAL, {"shard_max_slice": 96}),
-    (SERIAL, {"shard_max_cut_qubits": 6}),
-    (SERIAL, {"hierarchical_partition": False}),
-    (SHARDED, {"shard_max_slice": 4 * SHARDED.shard_min_slice}),
+    (SERIAL, {"shard_min_slice": 12}),
 ]
 
 
@@ -114,12 +107,18 @@ class TestConfigFingerprint:
         (MapperConfig.shuttling_only(),
          "f84be5a78d757a83f3462713bb67946c116b9fe236f237fdaab66573064a4450"),
         (MapperConfig.sharded(),
-         "c89ef03f3f88322542d5fd66415a4e4cf623e517235d1f3778f55d9087930063"),
+         "0979149629d53e665cd5d24a099c4a98faab897983d0708e175c74aa59aa1472"),
     ], ids=["default", "gate_only", "shuttling_only", "sharded"])
     def test_fingerprint_is_pinned(self, config, expected):
         """Store entries written by earlier builds keep resolving: removing
         a field that was never keyed must not move any fingerprint.  A
-        deliberate key change bumps the schema tag and updates these."""
+        deliberate key change updates these and either bumps the schema tag
+        or shows why no new key can equal an old one.  The sharded pin
+        moved when the flat/tree partition switch, the slice-size ceiling
+        and the cut-qubit bound were removed: every earlier sharded key
+        carried the switch's field, so none can collide with a new key;
+        the serial pins did not move because serial keys never held those
+        fields."""
         assert config.fingerprint() == expected
 
     @pytest.mark.parametrize("spec, expected", [
@@ -136,17 +135,6 @@ class TestConfigFingerprint:
         """The device half of every store key: a change to the topology
         classes behind ``cache_key()`` must not move it."""
         assert spec.store_key() == "architecture/v2|sha256:" + expected
-
-    def test_resolved_shard_max_slice_is_keyed(self):
-        """None and its resolved value 4 * shard_min_slice partition and
-        route identically, so they share a key; another value does not."""
-        implicit = MapperConfig.sharded(shard_min_slice=10)
-        explicit = MapperConfig.sharded(shard_min_slice=10, shard_max_slice=40)
-        assert implicit.fingerprint() == explicit.fingerprint()
-        assert "shard_max_slice=40" in implicit.canonical_key()
-        assert (MapperConfig.sharded(shard_min_slice=10,
-                                     shard_max_slice=41).fingerprint()
-                != implicit.fingerprint())
 
     def test_canonical_key_sorted_by_field_name(self):
         names = [part.split("=")[0]
