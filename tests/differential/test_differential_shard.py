@@ -53,7 +53,8 @@ RANDOM_CIRCUITS = {
 #:
 #: * moves: 2.26x (shuttling/local/1234: 19 -> 43);
 #: * ΔT: 2.20x (mixed/local/7: 311 -> 684 µs);
-#: * swaps and ΔCZ: 1.5x (gate/layered/7: 2 -> 3 swaps, 6 -> 9 ΔCZ).
+#: * swaps and ΔCZ: 2.5x (gate/layered/1234: 2 -> 5 swaps, 6 -> 15 ΔCZ),
+#:   a small-count case the slacks absorb.
 #:
 #: Factors carry ~10% headroom over the ratios; the slacks only absorb
 #: small-count cases.  A stitching regression that, e.g., re-routes a slice
@@ -134,7 +135,7 @@ def assert_metrics_parity(case: str, circuit, architecture, connectivity,
 class TestShardMetricsParity:
     @pytest.mark.parametrize("hardware", HARDWARE_PRESETS)
     @pytest.mark.parametrize("workload", sorted(RANDOM_CIRCUITS))
-    @pytest.mark.parametrize("seed", (7, 1234))
+    @pytest.mark.parametrize("seed", (7, 42, 1234))
     def test_random_circuit_parity(self, hardware, workload, seed):
         architecture, connectivity = _architecture(hardware)
         circuit = RANDOM_CIRCUITS[workload](seed)
@@ -145,15 +146,16 @@ class TestShardMetricsParity:
             MapperConfig.hybrid(1.0, shard_routing=True, shard_min_slice=16),
         )
 
-    def test_gate_leaning_parity_exercises_swaps(self):
+    @pytest.mark.parametrize("seed", (7, 1234))
+    def test_gate_leaning_parity_exercises_swaps(self, seed):
         """A gate-leaning config on the gate preset yields nonzero SWAP/ΔCZ
         counts, keeping those parity axes non-vacuous."""
         architecture, connectivity = _architecture("gate")
-        circuit = random_layered_circuit(16, 10, seed=7)
+        circuit = random_layered_circuit(16, 10, seed=seed)
         serial = HybridMapper(architecture, MapperConfig.hybrid(8.0),
                               connectivity=connectivity).map(circuit)
         assert serial.num_swaps > 0, "expected a swap-exercising workload"
-        case = "gate/layered/seed7"
+        case = f"gate/layered/seed{seed}"
         assert_metrics_parity(
             case, circuit, architecture, connectivity,
             MapperConfig.hybrid(8.0),

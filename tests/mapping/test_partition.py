@@ -60,8 +60,9 @@ def _brute_force_crossing(circuit: QuantumCircuit, position: int) -> int:
 
 class TestCrossingCounts:
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    def test_matches_brute_force(self, workload):
-        circuit = WORKLOADS[workload](7)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_brute_force(self, workload, seed):
+        circuit = WORKLOADS[workload](seed)
         counts = crossing_counts(circuit)
         assert len(counts) == len(circuit) + 1
         for position in range(len(circuit) + 1):
@@ -90,6 +91,22 @@ def _reference_partition(circuit, min_slice):
     return split(0, len(circuit))
 
 
+def _prefix(circuit: QuantumCircuit, num_gates: int) -> QuantumCircuit:
+    prefix = QuantumCircuit(circuit.num_qubits,
+                            name=f"{circuit.name}[:{num_gates}]")
+    for gate in circuit.gates[:num_gates]:
+        prefix.append(gate)
+    return prefix
+
+
+def _two_qubit_chain(num_gates: int) -> QuantumCircuit:
+    """CZ chain on qubits 0 and 1: every interior cut crosses both."""
+    circuit = QuantumCircuit(2, name=f"chain{num_gates}")
+    for _ in range(num_gates):
+        circuit.cz(0, 1)
+    return circuit
+
+
 class TestPartitionInvariants:
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     @pytest.mark.parametrize("seed", SEEDS)
@@ -106,6 +123,19 @@ class TestPartitionInvariants:
         covered = [index for piece in plan.slices
                    for index in piece.gate_indices()]
         assert covered == list(range(len(circuit)))
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_slice_subcircuit_is_full_width_gate_range(self, workload, seed):
+        circuit = WORKLOADS[workload](seed)
+        plan = partition_circuit(circuit, min_slice=8)
+        for piece in plan.slices:
+            sub = slice_subcircuit(circuit, piece)
+            assert sub.num_qubits == circuit.num_qubits
+            assert sub.name == f"{circuit.name}[s{piece.index}]"
+            assert list(sub.gates) \
+                == list(circuit.gates[piece.start:piece.stop])
+            assert len(sub) == piece.num_gates
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     @pytest.mark.parametrize("seed", SEEDS)
@@ -207,10 +237,43 @@ class TestPartitionInvariants:
         assert plan.tree_depth == 1
         assert plan.summary()["cut_qubits"] == []
 
-    def test_invalid_parameters_rejected(self):
+    @pytest.mark.parametrize("min_slice", (1, 2, 5, 8))
+    def test_split_starts_just_above_ceiling(self, min_slice):
+        """``4 * min_slice`` gates stay one slice; one gate more splits the
+        circuit into two slices of at least ``min_slice`` gates."""
+        source = WORKLOADS["local"](7)
+        at_ceiling = partition_circuit(_prefix(source, 4 * min_slice),
+                                       min_slice=min_slice)
+        assert at_ceiling.num_slices == 1
+        assert at_ceiling.tree_depth == 1
+        above = partition_circuit(_prefix(source, 4 * min_slice + 1),
+                                  min_slice=min_slice)
+        assert above.num_slices == 2
+        assert above.tree_depth == 2
+        assert all(piece.num_gates >= min_slice for piece in above.slices)
+
+    @pytest.mark.parametrize("num_gates, cut", ((34, 17), (33, 16)))
+    def test_equal_crossings_cut_at_midpoint_then_earlier(self, num_gates,
+                                                          cut):
+        """With every admissible cut crossing equally, the balanced midpoint
+        wins, and of two equally balanced positions the earlier one."""
+        plan = partition_circuit(_two_qubit_chain(num_gates), min_slice=8)
+        assert [(piece.start, piece.stop) for piece in plan.slices] \
+            == [(0, cut), (cut, num_gates)]
+        assert plan.slices[1].cut_qubits == (0, 1)
+
+    def test_empty_circuit_is_one_empty_slice(self):
+        plan = partition_circuit(QuantumCircuit(3, name="empty"), min_slice=1)
+        assert [(piece.start, piece.stop) for piece in plan.slices] \
+            == [(0, 0)]
+        assert plan.slices[0].cut_qubits == ()
+        assert plan.tree_depth == 1
+
+    @pytest.mark.parametrize("min_slice", (0, -3))
+    def test_invalid_parameters_rejected(self, min_slice):
         circuit = WORKLOADS["layered"](7)
         with pytest.raises(ValueError):
-            partition_circuit(circuit, min_slice=0)
+            partition_circuit(circuit, min_slice=min_slice)
 
 
 class TestPartitionAcrossTopologies:
@@ -232,10 +295,11 @@ class TestPartitionAcrossTopologies:
         return builder()
 
     @pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
-    def test_sharded_stream_valid_on_topology(self, kind):
+    @pytest.mark.parametrize("min_slice", (8, 12))
+    def test_sharded_stream_valid_on_topology(self, kind, min_slice):
         architecture = self._architecture(kind)
         circuit = random_layered_circuit(16, 10, seed=7)
-        config = MapperConfig.sharded(shard_min_slice=12)
+        config = MapperConfig.sharded(shard_min_slice=min_slice)
         result = HybridMapper(architecture, config).map(circuit)
         assert result.shard_stats, "expected the sharded path to engage"
         assert result.shard_stats["num_slices"] >= 2

@@ -165,9 +165,10 @@ class TestShardConfig:
         assert config.shard_routing is True
         assert config.shard_min_slice == 10
 
-    def test_invalid_shard_min_slice_rejected(self):
+    @pytest.mark.parametrize("min_slice", (0, -1))
+    def test_invalid_shard_min_slice_rejected(self, min_slice):
         with pytest.raises(ValueError):
-            MapperConfig(shard_min_slice=0)
+            MapperConfig(shard_min_slice=min_slice)
 
     def test_max_routing_steps_budget_is_per_slice(self):
         """Each slice mapper gets a fresh ``max_routing_steps`` budget: a
