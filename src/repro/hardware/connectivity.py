@@ -27,7 +27,13 @@ write-once and never invalidated:
   each filled by a single BFS on first use (``hop_row``) and then shared by
   the gate-based router, the shuttling router, and the multi-qubit position
   finder.  Hot loops fetch a whole row once and index it directly rather than
-  calling :meth:`hop_distance` per pair.
+  calling :meth:`hop_distance` per pair;
+* ``swap_row`` is the SWAP-distance row ``max(hop - 1, 0)`` derived from a
+  hop row on first use: the one definition of "SWAPs needed to make two
+  sites adjacent", read by the gate-based router's cost engine and the
+  capability decider.  It is 0 exactly for the site itself and its
+  interaction neighbours, since both tables come from the same neighbour
+  lists (adjacent ⇔ hop 1).
 
 Only the *site-level* structure is cached here; anything that depends on the
 mutable atom occupancy (BFS over occupied sites, shortest paths with an
@@ -93,6 +99,8 @@ class SiteConnectivity:
         # Preallocated all-pairs hop-distance table; each row is filled by a
         # single BFS on first use (see hop_row) and reused forever after.
         self._hop_rows: List[Optional[List[int]]] = [None] * self.num_sites
+        # Lazy SWAP-distance rows, derived from the hop rows (see swap_row).
+        self._swap_rows: List[Optional[List[int]]] = [None] * self.num_sites
 
         # Lazy per-site interaction neighbourhoods as sorted int64 arrays,
         # for the vectorised chain kernel.
@@ -183,6 +191,20 @@ class SiteConnectivity:
         row = self._hop_rows[source]
         if row is None:
             row = self._bfs_row(source)
+        return row
+
+    def swap_row(self, source: int) -> List[int]:
+        """SWAP-distance row of ``source``: ``max(hop - 1, 0)`` per target.
+
+        The number of SWAPs that makes the atoms at ``source`` and at the
+        target adjacent along a shortest site path: 0 for ``source`` itself
+        and for its interaction neighbours.  Built lazily from
+        :meth:`hop_row` and returned by reference; read-only.
+        """
+        row = self._swap_rows[source]
+        if row is None:
+            row = [hops - 1 if hops > 1 else 0 for hops in self.hop_row(source)]
+            self._swap_rows[source] = row
         return row
 
     def _bfs_row(self, source: int) -> List[int]:

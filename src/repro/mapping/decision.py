@@ -138,7 +138,7 @@ class CapabilityDecider:
             if adjacency_row(site_a)[site_b]:
                 # Already within the interaction radius: nothing to route.
                 return 0, 0, 0.0
-            swaps = max(connectivity.hop_row(site_a)[site_b] - 1, 0)
+            swaps = connectivity.swap_row(site_a)[site_b]
             # Adjacency is symmetric, so either anchor moves the other
             # qubit, plus one move-away when its vicinity has no free trap.
             away_a = 0 if free_near(site_a) else 1
@@ -150,9 +150,9 @@ class CapabilityDecider:
             return swaps, 1 + away_a, distance_a
 
         sites = [site_of_qubit(q) for q in qubits]
-        hop_row = connectivity.hop_row
-        swaps = min((sum(max(hop_row(anchor)[other] - 1, 0)
-                         for other in sites if other != anchor)
+        swap_row = connectivity.swap_row
+        # swap_row(anchor)[anchor] is 0, so the anchor adds nothing.
+        swaps = min((sum(swap_row(anchor)[other] for other in sites)
                      for anchor in sites), default=0)
         best = None
         for anchor in sites:

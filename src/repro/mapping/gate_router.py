@@ -30,32 +30,42 @@ non-negative and the exponential damping acts in the intended direction.
 Cost engine
 -----------
 A SWAP only changes the sites of ``qubit_a`` and ``qubit_b``, so
-:class:`SwapCostCache` is the one scoring path: it computes each layer's
-baseline distance *once per routing round* and scores every candidate as
-``baseline + delta(candidate)``, where the delta re-evaluates only the gates
-touching the two swapped qubits — found through the qubit → node inverted
-index that :class:`~repro.mapping.layers.LayerManager` maintains (or one
-built on the fly from the node lists).  All per-gate distances are integers,
-so ``baseline + delta`` is *bit-identical* to re-walking both layers in
-full; ``tests/differential/routing_reference.py`` keeps that naive walk as
-the test-only reference.
+:class:`SwapCostCache` is the one scoring path: once per routing round it
+computes each layer's baseline distance and, for every qubit a front or
+lookahead gate acts on, that qubit's *per-qubit terms*:
+
+* the sites of its partners in two-qubit and position-less multi-qubit
+  gates, read against :meth:`~repro.hardware.connectivity.SiteConnectivity.swap_row`
+  (``max(hop - 1, 0)``, the two-qubit distance rule);
+* the assigned target sites of its positioned multi-qubit gates
+  (:class:`~repro.mapping.multiqubit.GatePosition`), read against
+  ``hop_row``;
+* both sums ``S_q(site)`` evaluated at the qubit's current site.
+
+Each node is counted once per listing in the front or lookahead layer
+(hand-crafted layers may list a node twice), so a SWAP moving ``a`` from
+``s_a`` to ``s_b`` and ``b`` from ``s_b`` to ``s_a`` changes a layer's
+distance by exactly ``[S_a(s_b) - S_a(s_a)] + [S_b(s_a) - S_b(s_b)]``.
+A gate pair holding both swapped qubits contributes ``0 - 0`` to each
+side, because candidate sites are adjacent, and position terms are
+additive per qubit.  Every term is an integer, so ``baseline + delta`` is
+*bit-identical* to re-walking both layers in full;
+``tests/differential/routing_reference.py`` keeps that naive walk, with its
+own candidate generator, as the test-only reference.
 
 Cache invalidation: a :class:`SwapCostCache` is valid for one routing round
-only — it snapshots per-node baseline distances against the current mapping
-state and the current ``positions`` dict, and is discarded after the round's
-SWAP is chosen.  Within the round it memoises, per qubit, the nodes acting
-on it (with their gate, position, baseline and per-layer counts), so each
-qubit's inverted-index lookup and filtering happen once however many
-candidates move it.  The site-level adjacency and hop-distance tables it
-leans on live in :class:`~repro.hardware.connectivity.SiteConnectivity` and
-are immutable.
+only — it snapshots the per-qubit terms against the current mapping state
+and the current ``positions`` dict, and is discarded after the round's SWAP
+is chosen.  The row tables it reads live in
+:class:`~repro.hardware.connectivity.SiteConnectivity` and are immutable.
 
-Candidate generation stays cheap because a round produces one candidate
-per (front qubit, occupied neighbour site) pair: :class:`SwapCandidate` is a
-named tuple, :meth:`GateRouter.candidate_swaps` visits each front qubit
-once (a qubit shared by commuting front gates yields no new site pair), and
-:meth:`GateRouter.best_swap` compares ``(cost, lower site, higher site)``
-tuples built inline — the same order as ``(cost, candidate.key())``.
+Fused scan: :meth:`GateRouter.best_swap` walks the front qubits (each once,
+first occurrence in layer order) and then their occupied neighbour sites
+in neighbour order, skips site pairs already seen and the inverse of the
+last SWAP in line, and scores each pair as it goes.  It compares
+``(cost, lower site, higher site)`` tuples and builds a
+:class:`SwapCandidate` only for the winner (and, with ``lambda_t > 0``, for
+the recency score).
 """
 
 from __future__ import annotations
@@ -65,7 +75,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..circuit.gate import Gate
 from ..hardware.architecture import NeutralAtomArchitecture
-from .layers import build_qubit_node_index
 from .multiqubit import GatePosition
 from .state import MappingState
 
@@ -94,86 +103,121 @@ class SwapCandidate(NamedTuple):
 
 
 class SwapCostCache:
-    """One routing round's incremental scorer for SWAP candidates.
+    """One routing round's per-qubit scorer for SWAP candidates.
 
-    Snapshots the per-gate baseline distances of the front and lookahead
-    layers against the current state, then scores each candidate as
-    ``baseline + delta``, re-evaluating only the gates that touch the two
-    swapped qubits.  Valid for a single routing round: discard after the
-    round's SWAP has been applied (the state, layers, or positions may have
-    changed).
-
-    ``qubit_index`` may be the (possibly larger) inverted index maintained by
-    :class:`~repro.mapping.layers.LayerManager`; nodes it lists that are not
-    part of the given layers are ignored.  Without it, an index over the
-    given nodes is built on the fly.
+    Snapshots the baseline distances of the front and lookahead layers and
+    every touched qubit's per-qubit terms (see the module docstring), then
+    scores a candidate from the terms of its two qubits alone.  Valid for a
+    single routing round: discard after the round's SWAP has been applied
+    (the state, layers, or positions may have changed).
     """
 
-    __slots__ = ("_router", "_state", "_nodes", "_qubit_index", "_touched",
+    __slots__ = ("_router", "_swap_row", "_hop_row", "_terms",
                  "baseline_front", "baseline_lookahead")
 
     def __init__(self, router: "GateRouter", state: MappingState,
                  front_nodes: Sequence, lookahead_nodes: Sequence,
-                 positions: Dict[int, GatePosition],
-                 qubit_index: Optional[Dict[int, Sequence]] = None) -> None:
+                 positions: Dict[int, GatePosition]) -> None:
         self._router = router
-        self._state = state
-        # node index -> [gate, position, baseline distance, front count,
-        # lookahead count].  LayerManager lists a node once in one layer;
-        # hand-crafted layers may list it more often, and the counts weigh
-        # its delta once per listed occurrence, as a full walk counts it.
-        self._nodes: Dict[int, list] = {}
-        baselines = [0, 0]
-        gate_distance = router._gate_distance
-        for slot, nodes in ((0, front_nodes), (1, lookahead_nodes)):
-            for node in nodes:
-                entry = self._nodes.get(node.index)
+        connectivity = state.connectivity
+        self._swap_row = swap_row = connectivity.swap_row
+        self._hop_row = hop_row = connectivity.hop_row
+        # node index -> [gate, position, front count, lookahead count]: a
+        # node listed more than once weighs in once per listing, as a full
+        # walk of the layers counts it.
+        nodes: Dict[int, list] = {}
+        for slot, layer in ((2, front_nodes), (3, lookahead_nodes)):
+            for node in layer:
+                entry = nodes.get(node.index)
                 if entry is None:
-                    position = positions.get(node.index)
-                    entry = [node.gate, position,
-                             gate_distance(state, node.gate, None, position),
-                             0, 0]
-                    self._nodes[node.index] = entry
-                entry[3 + slot] += 1
-                baselines[slot] += entry[2]
-        self.baseline_front, self.baseline_lookahead = baselines
-        # Without an externally maintained index, build one over the given
-        # layers; either way lookups are filtered against the known nodes
-        # (the LayerManager index may list shuttle-assigned nodes too).
-        self._qubit_index = (qubit_index if qubit_index is not None
-                             else build_qubit_node_index(front_nodes,
-                                                         lookahead_nodes))
-        self._touched: Dict[int, Dict[int, list]] = {}
+                    entry = [node.gate, positions.get(node.index), 0, 0]
+                    nodes[node.index] = entry
+                entry[slot] += 1
 
-    def _touched_nodes(self, qubit: int) -> Dict[int, list]:
-        """This round's nodes acting on ``qubit``, memoised per qubit."""
-        touched = self._touched.get(qubit)
-        if touched is None:
-            known = self._nodes
-            touched = {node.index: known[node.index]
-                       for node in self._qubit_index.get(qubit, ())
-                       if node.index in known}
-            self._touched[qubit] = touched
-        return touched
+        site_of_qubit = state.site_of_qubit
+        # qubit -> (front partner sites, front target sites,
+        #           lookahead partner sites, lookahead target sites)
+        lists: Dict[int, Tuple[list, list, list, list]] = {}
+        baseline_front = baseline_lookahead = 0
+        for gate, position, in_front, in_lookahead in nodes.values():
+            distance = 0
+            if position is not None:
+                for qubit, target in position.assignment.items():
+                    distance += hop_row(site_of_qubit(qubit))[target]
+                    terms = lists.get(qubit)
+                    if terms is None:
+                        terms = lists[qubit] = ([], [], [], [])
+                    terms[1].extend((target,) * in_front)
+                    terms[3].extend((target,) * in_lookahead)
+            else:
+                qubits = gate.qubits
+                sites = [site_of_qubit(qubit) for qubit in qubits]
+                for i, qubit in enumerate(qubits):
+                    row = swap_row(sites[i])
+                    for other in sites[i + 1:]:
+                        distance += row[other]
+                    partners = sites[:i] + sites[i + 1:]
+                    terms = lists.get(qubit)
+                    if terms is None:
+                        terms = lists[qubit] = ([], [], [], [])
+                    terms[0].extend(partners * in_front)
+                    terms[2].extend(partners * in_lookahead)
+            baseline_front += in_front * distance
+            baseline_lookahead += in_lookahead * distance
+        self.baseline_front = baseline_front
+        self.baseline_lookahead = baseline_lookahead
+
+        # qubit -> (front partners, front targets, front sum here,
+        #           lookahead partners, lookahead targets, lookahead sum here)
+        site_sum = self._site_sum
+        self._terms: Dict[int, tuple] = {}
+        for qubit, (front_p, front_t, look_p, look_t) in lists.items():
+            here = site_of_qubit(qubit)
+            self._terms[qubit] = (
+                front_p, front_t, site_sum(front_p, front_t, here),
+                look_p, look_t, site_sum(look_p, look_t, here))
+
+    def _site_sum(self, partners: List[int], targets: List[int],
+                  site: int) -> int:
+        """``S_q(site)``: one qubit's summed distance terms were it at ``site``."""
+        total = 0
+        if partners:
+            row = self._swap_row(site)
+            for partner in partners:
+                total += row[partner]
+        if targets:
+            row = self._hop_row(site)
+            for target in targets:
+                total += row[target]
+        return total
+
+    def layer_costs(self, qubit_a: int, qubit_b: Optional[int], site_a: int,
+                    site_b: int) -> Tuple[int, int]:
+        """Front and lookahead distances after swapping the atoms at
+        ``site_a`` (holding ``qubit_a``) and ``site_b`` (holding ``qubit_b``,
+        ``None`` for an auxiliary atom)."""
+        front = self.baseline_front
+        lookahead = self.baseline_lookahead
+        terms = self._terms
+        site_sum = self._site_sum
+        for qubit, there in ((qubit_a, site_b), (qubit_b, site_a)):
+            entry = terms.get(qubit)
+            if entry is None:
+                continue
+            front_p, front_t, front_here, look_p, look_t, look_here = entry
+            if front_p or front_t:
+                front += site_sum(front_p, front_t, there) - front_here
+            if look_p or look_t:
+                lookahead += site_sum(look_p, look_t, there) - look_here
+        return front, lookahead
 
     def cost(self, candidate: SwapCandidate) -> float:
         """Cost of ``candidate`` according to Eq. (2)/(3)."""
-        touched = self._touched_nodes(candidate.qubit_a)
-        if candidate.qubit_b is not None:
-            touched_b = self._touched_nodes(candidate.qubit_b)
-            if touched_b:
-                touched = {**touched, **touched_b}
-        front_delta = lookahead_delta = 0
-        state = self._state
+        front, lookahead = self.layer_costs(candidate.qubit_a,
+                                            candidate.qubit_b,
+                                            candidate.site_a, candidate.site_b)
         router = self._router
-        gate_distance = router._gate_distance
-        for gate, position, base, in_front, in_lookahead in touched.values():
-            delta = gate_distance(state, gate, candidate, position) - base
-            front_delta += in_front * delta
-            lookahead_delta += in_lookahead * delta
-        front_cost = self.baseline_front + front_delta
-        lookahead_cost = self.baseline_lookahead + lookahead_delta
-        base = front_cost + router.lookahead_weight * lookahead_cost
+        base = front + router.lookahead_weight * lookahead
         if router.decay_rate == 0.0:
             return base
         return base * math.exp(router.decay_rate * router.recency(candidate))
@@ -252,16 +296,26 @@ class GateRouter:
         return score
 
     # ------------------------------------------------------------------
-    # Candidate generation
+    # Selection
     # ------------------------------------------------------------------
-    def candidate_swaps(self, state: MappingState,
-                        front_nodes: Sequence) -> List[SwapCandidate]:
-        """All SWAPs acting on a front-layer gate qubit and an adjacent atom.
+    def best_swap(self, state: MappingState, front_nodes: Sequence,
+                  lookahead_nodes: Sequence,
+                  positions: Dict[int, GatePosition]
+                  ) -> Optional[SwapCandidate]:
+        """Return the lowest-cost SWAP candidate (ties broken deterministically).
 
-        Candidates are listed by front qubit (first occurrence in layer
-        order), then by partner site in neighbour order; each site pair
-        appears once, under the front qubit visited first.
+        Candidates are all SWAPs between a front-layer gate qubit and an
+        atom at an adjacent site, each site pair once, under the front
+        qubit visited first.  The exact inverse of the most recently
+        applied SWAP is excluded (as long as another candidate exists):
+        with ``lambda_t = 0`` a cost tie between doing and undoing a SWAP
+        would otherwise ping-pong forever.
         """
+        layer_costs = SwapCostCache(self, state, front_nodes, lookahead_nodes,
+                                    positions).layer_costs
+        lookahead_weight = self.lookahead_weight
+        decay_rate = self.decay_rate
+        last = self._last_swap_key
         interaction_neighbours = state.connectivity.interaction_neighbours
         atom_of_qubit = state.atom_of_qubit
         site_of_atom = state.site_of_atom
@@ -269,7 +323,10 @@ class GateRouter:
         qubit_of_atom = state.qubit_of_atom
         visited: Set[int] = set()
         seen: Set[Tuple[int, int]] = set()
-        candidates: List[SwapCandidate] = []
+        # (cost, lower site, higher site): the cost, then candidate.key().
+        best_key: Optional[Tuple[float, int, int]] = None
+        best: Optional[SwapCandidate] = None
+        inverse: Optional[SwapCandidate] = None
         for node in front_nodes:
             for qubit in node.gate.qubits:
                 # A qubit shared by commuting front gates adds nothing the
@@ -283,126 +340,29 @@ class GateRouter:
                     atom_b = atom_at_site(site_b)
                     if atom_b is None:
                         continue
-                    key = (site_a, site_b) if site_a < site_b else (site_b, site_a)
-                    if key in seen:
+                    pair = (site_a, site_b) if site_a < site_b else (site_b, site_a)
+                    if pair in seen:
                         continue
-                    seen.add(key)
-                    candidates.append(SwapCandidate(
-                        qubit, qubit_of_atom(atom_b), atom_a, atom_b,
-                        site_a, site_b))
-        return candidates
-
-    # ------------------------------------------------------------------
-    # Cost evaluation
-    # ------------------------------------------------------------------
-    def _gate_distance(self, state: MappingState, gate: Gate,
-                       candidate: Optional[SwapCandidate],
-                       position: Optional[GatePosition]) -> int:
-        """Remaining routing distance of one gate, optionally after a SWAP."""
-        connectivity = state.connectivity
-        site_of_qubit = state.site_of_qubit
-        if candidate is None:
-            swapped_a = swapped_b = None
-            swap_site_a = swap_site_b = -1
-        else:
-            swapped_a = candidate.qubit_a
-            swapped_b = candidate.qubit_b
-            swap_site_a = candidate.site_a
-            swap_site_b = candidate.site_b
-
-        if position is not None:
-            total = 0
-            hop_row = connectivity.hop_row
-            for qubit, target in position.assignment.items():
-                if qubit == swapped_a:
-                    origin = swap_site_b
-                elif swapped_b is not None and qubit == swapped_b:
-                    origin = swap_site_a
-                else:
-                    origin = site_of_qubit(qubit)
-                if origin != target:
-                    total += hop_row(origin)[target]
-            return total
-
-        qubits = gate.qubits
-        if len(qubits) == 2:
-            qubit_a, qubit_b = qubits
-            if qubit_a == swapped_a:
-                site_a = swap_site_b
-            elif swapped_b is not None and qubit_a == swapped_b:
-                site_a = swap_site_a
-            else:
-                site_a = site_of_qubit(qubit_a)
-            if qubit_b == swapped_a:
-                site_b = swap_site_b
-            elif swapped_b is not None and qubit_b == swapped_b:
-                site_b = swap_site_a
-            else:
-                site_b = site_of_qubit(qubit_b)
-            if site_a == site_b or connectivity.adjacency_row(site_a)[site_b]:
-                return 0
-            return max(connectivity.hop_row(site_a)[site_b] - 1, 0)
-
-        sites = []
-        for qubit in qubits:
-            if qubit == swapped_a:
-                sites.append(swap_site_b)
-            elif swapped_b is not None and qubit == swapped_b:
-                sites.append(swap_site_a)
-            else:
-                sites.append(site_of_qubit(qubit))
-        total = 0
-        hop_row = connectivity.hop_row
-        adjacency_row = connectivity.adjacency_row
-        for i, site_a in enumerate(sites):
-            adjacent = adjacency_row(site_a)
-            for site_b in sites[i + 1:]:
-                if site_a == site_b or adjacent[site_b]:
-                    continue
-                total += max(hop_row(site_a)[site_b] - 1, 0)
-        return total
-
-    def best_swap(self, state: MappingState, front_nodes: Sequence,
-                  lookahead_nodes: Sequence,
-                  positions: Dict[int, GatePosition], *,
-                  qubit_index: Optional[Dict[int, Sequence]] = None
-                  ) -> Optional[SwapCandidate]:
-        """Return the lowest-cost SWAP candidate (ties broken deterministically).
-
-        The exact inverse of the most recently applied SWAP is excluded (as
-        long as another candidate exists): with ``lambda_t = 0`` a cost tie
-        between doing and undoing a SWAP would otherwise ping-pong forever.
-
-        ``qubit_index`` is the optional qubit → node inverted index from
-        :meth:`~repro.mapping.layers.LayerManager.qubit_node_index`; it lets
-        :class:`SwapCostCache` skip building its own per-round index.
-        """
-        candidates = self.candidate_swaps(state, front_nodes)
-        if not candidates:
-            return None
-        last = self._last_swap_key
-        if last is not None and len(candidates) > 1:
-            # A candidate's key equals the sorted ``last`` pair exactly when
-            # both of its (distinct) sites are in it.
-            filtered = [c for c in candidates
-                        if c.site_a not in last or c.site_b not in last]
-            if filtered:
-                candidates = filtered
-        cost_of = SwapCostCache(self, state, front_nodes, lookahead_nodes,
-                                positions, qubit_index).cost
-        best_candidate = None
-        # (cost, lower site, higher site): the cost, then candidate.key().
-        best_key: Optional[Tuple[float, int, int]] = None
-        for candidate in candidates:
-            cost = cost_of(candidate)
-            site_a = candidate.site_a
-            site_b = candidate.site_b
-            key = ((cost, site_a, site_b) if site_a < site_b
-                   else (cost, site_b, site_a))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_candidate = candidate
-        return best_candidate
+                    seen.add(pair)
+                    qubit_b = qubit_of_atom(atom_b)
+                    if pair == last:
+                        inverse = SwapCandidate(qubit, qubit_b, atom_a, atom_b,
+                                                site_a, site_b)
+                        continue
+                    front, lookahead = layer_costs(qubit, qubit_b, site_a, site_b)
+                    cost = front + lookahead_weight * lookahead
+                    candidate = None
+                    if decay_rate != 0.0:
+                        candidate = SwapCandidate(qubit, qubit_b, atom_a,
+                                                  atom_b, site_a, site_b)
+                        cost *= math.exp(decay_rate * self.recency(candidate))
+                    key = (cost, pair[0], pair[1])
+                    if best_key is None or key < best_key:
+                        best_key = key
+                        best = candidate or SwapCandidate(
+                            qubit, qubit_b, atom_a, atom_b, site_a, site_b)
+        # The inverse of the last SWAP stands only when it is the one candidate.
+        return best if best is not None else inverse
 
     # ------------------------------------------------------------------
     # Deterministic fallback routing

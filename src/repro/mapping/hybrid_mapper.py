@@ -201,8 +201,7 @@ class HybridMapper:
             # the gate-based front layer is empty.
             if gate_nodes:
                 progressed = self._gate_based_step(
-                    result, state, gate_nodes, gate_lookahead, positions, forced,
-                    qubit_index=layers.qubit_node_index())
+                    result, state, gate_nodes, gate_lookahead, positions, forced)
                 if not progressed:
                     # No SWAP candidate at all (isolated atom): re-route the
                     # offending gates via shuttling on the next iteration.
@@ -328,14 +327,10 @@ class HybridMapper:
                          gate_nodes: Sequence[DAGNode],
                          lookahead_nodes: Sequence[DAGNode],
                          positions: Dict[int, GatePosition],
-                         forced: bool, *,
-                         qubit_index: Optional[Dict[int, List[DAGNode]]] = None
-                         ) -> bool:
+                         forced: bool) -> bool:
         """Insert one SWAP (or, when forced, a whole deterministic SWAP path).
 
-        ``qubit_index`` is the layer manager's qubit → node inverted index,
-        forwarded to the router's incremental cost engine.  Returns False if
-        no candidate exists at all.
+        Returns False if no candidate exists at all.
         """
         if forced:
             oldest = min(gate_nodes, key=lambda node: node.index)
@@ -347,7 +342,7 @@ class HybridMapper:
                     self._record_swap(result, candidate)
                 return True
         candidate = self.gate_router.best_swap(
-            state, gate_nodes, lookahead_nodes, positions, qubit_index=qubit_index)
+            state, gate_nodes, lookahead_nodes, positions)
         if candidate is None:
             return False
         state.apply_swap_with_atom(candidate.qubit_a, candidate.atom_b)

@@ -12,18 +12,16 @@ Non-entangling gates (single-qubit gates, barriers, measurements) never need
 routing; the manager drains them from the DAG automatically and reports them
 so the mapper can forward them to the output stream in order.
 
-The manager additionally maintains the *routing view* consumed by the
-incremental cost engine of :class:`~repro.mapping.gate_router.GateRouter`:
-the front layer, the lookahead layer, and a qubit → node inverted index over
-both are computed lazily and cached until a gate is executed.  During long
+The manager additionally caches the *routing view*: the front and lookahead
+layers are computed lazily and kept until a gate is executed.  During long
 SWAP sequences (many routing rounds without an execution) the layers do not
-change, so the cached view makes repeated layer queries and index lookups
-O(1) instead of re-walking the DAG every round.
+change, so the cached view makes repeated layer queries O(1) instead of
+re-walking the DAG every round.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.dag import CircuitDAG, DAGNode
@@ -31,18 +29,18 @@ from ..circuit.dag import CircuitDAG, DAGNode
 __all__ = ["LayerManager", "build_qubit_node_index"]
 
 
-def build_qubit_node_index(*node_groups) -> Dict[int, List[DAGNode]]:
+def build_qubit_node_index(nodes: Sequence[DAGNode]
+                           ) -> Dict[int, List[DAGNode]]:
     """Inverted index: circuit qubit → nodes acting on it, in node order.
 
     Node order is preserved so float sums taken over a qubit's nodes are
-    bit-identical to iterating the original layer lists.  Shared by the
-    layer manager and both routers' cost engines.
+    bit-identical to iterating the original layer list.  Read by the
+    shuttling router's cost terms.
     """
     index: Dict[int, List[DAGNode]] = {}
-    for nodes in node_groups:
-        for node in nodes:
-            for qubit in node.gate.qubits:
-                index.setdefault(qubit, []).append(node)
+    for node in nodes:
+        for qubit in node.gate.qubits:
+            index.setdefault(qubit, []).append(node)
     return index
 
 
@@ -68,12 +66,10 @@ class LayerManager:
         self.dag = CircuitDAG(circuit, use_commutation=use_commutation)
         self._cached_front: Optional[List[DAGNode]] = None
         self._cached_lookahead: Optional[List[DAGNode]] = None
-        self._cached_qubit_index: Optional[Dict[int, List[DAGNode]]] = None
 
     def _invalidate_routing_view(self) -> None:
         self._cached_front = None
         self._cached_lookahead = None
-        self._cached_qubit_index = None
 
     # ------------------------------------------------------------------
     # State
@@ -125,21 +121,6 @@ class LayerManager:
                 node for node in self.dag.lookahead_layer(self.lookahead_depth)
                 if node.gate.is_entangling]
         return self._cached_lookahead
-
-    def qubit_node_index(self) -> Dict[int, List[DAGNode]]:
-        """Inverted index: circuit qubit → front/lookahead nodes acting on it.
-
-        The index is what lets the gate-based cost engine score a SWAP
-        candidate by re-evaluating only the gates that touch the two swapped
-        qubits.  It covers the *entire* front and lookahead layers; consumers
-        routing a subset (e.g. after the capability split) filter the listed
-        nodes against their own node set.  Cached until the next execution;
-        treat it as read-only.
-        """
-        if self._cached_qubit_index is None:
-            self._cached_qubit_index = build_qubit_node_index(
-                self.front_layer(), self.lookahead_layer())
-        return self._cached_qubit_index
 
     def layers(self) -> Tuple[List[DAGNode], List[DAGNode]]:
         """Return ``(front, lookahead)`` after draining trivial gates."""

@@ -28,10 +28,17 @@ then towards the earlier position — fully deterministic), and the
 recursion continues inside both halves.  The leaves of that binary split
 tree, read left to right, are the plan's slices; the tree's depth is
 reported as :attr:`PartitionPlan.tree_depth`.
+
+Each split costs O(log n), not a scan of its segment: a sparse table
+answers the minimum crossing count of a position range, and a bisect into
+the sorted positions holding that count finds the one nearest the
+midpoint.  qft-shaped circuits split into chains of depth ~n / min_slice,
+where a per-split scan made the whole partition quadratic.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -114,6 +121,8 @@ def partition_circuit(circuit: QuantumCircuit, *,
     spans = _use_spans(circuit)
     counts = _counts_from_spans(spans, num_gates)
 
+    cuts = _CutFinder(counts) if num_gates > max_slice else None
+
     # Iterative pre-order walk, left half first, so leaves arrive in
     # circuit order (the split tree can be deep on pathological inputs,
     # which would blow the recursion limit).
@@ -122,7 +131,7 @@ def partition_circuit(circuit: QuantumCircuit, *,
     stack: List[Tuple[int, int, int]] = [(0, num_gates, 1)]
     while stack:
         lo, hi, depth = stack.pop()
-        cut = (_best_cut(counts, lo, hi, min_slice)
+        cut = (cuts.best_cut(lo, hi, min_slice)
                if hi - lo > max_slice else None)
         if cut is None:
             starts.append(lo)
@@ -140,21 +149,53 @@ def partition_circuit(circuit: QuantumCircuit, *,
                          tree_depth=tree_depth)
 
 
-def _best_cut(counts: Sequence[int], lo: int, hi: int,
-              min_slice: int) -> Optional[int]:
-    """Best split of segment ``[lo, hi)``; ``None`` keeps it a leaf.
+class _CutFinder:
+    """Best-cut queries over one circuit's crossing counts.
 
-    The range ``[lo + min_slice, hi - min_slice]`` is scanned for the
-    minimum crossing count, ties broken by distance to the segment midpoint
-    (balance) and then by the earlier position (determinism).
+    ``_levels[k][i]`` is the minimum of ``counts[i : i + 2**k]`` (a sparse
+    table), and ``_positions[c]`` lists the positions with count ``c`` in
+    ascending order.
     """
-    range_lo, range_hi = lo + min_slice, hi - min_slice
-    if range_lo > range_hi:
-        return None
-    mid2 = lo + hi  # 2 * midpoint, keeps the distance tie-break integral
-    return min(range(range_lo, range_hi + 1),
-               key=lambda position: (counts[position],
-                                     abs(2 * position - mid2)))
+
+    __slots__ = ("_levels", "_positions")
+
+    def __init__(self, counts: Sequence[int]) -> None:
+        self._levels: List[List[int]] = [list(counts)]
+        span = 1
+        while 2 * span <= len(counts):
+            previous = self._levels[-1]
+            self._levels.append(list(map(
+                min, previous[:len(previous) - span], previous[span:])))
+            span *= 2
+        self._positions: Dict[int, List[int]] = {}
+        for position, count in enumerate(counts):
+            self._positions.setdefault(count, []).append(position)
+
+    def best_cut(self, lo: int, hi: int, min_slice: int) -> Optional[int]:
+        """Best split of segment ``[lo, hi)``; ``None`` keeps it a leaf.
+
+        The position in ``[lo + min_slice, hi - min_slice]`` with the
+        minimum crossing count, ties broken by distance to the segment
+        midpoint (balance) and then by the earlier position (determinism).
+        """
+        range_lo, range_hi = lo + min_slice, hi - min_slice
+        if range_lo > range_hi:
+            return None
+        level = (range_hi - range_lo + 1).bit_length() - 1
+        row = self._levels[level]
+        minimum = min(row[range_lo], row[range_hi - (1 << level) + 1])
+        positions = self._positions[minimum]
+        mid2 = lo + hi  # 2 * midpoint, keeps the distance tie-break integral
+        # The midpoint is also the centre of [range_lo, range_hi], so the
+        # minimum's position nearest to it lies in the range: ``before`` is
+        # the nearest at or below the midpoint, ``after`` the nearest above.
+        index = bisect_left(positions, mid2 // 2 + 1)
+        before = positions[index - 1] if index else None
+        after = positions[index] if index < len(positions) else None
+        if before is None or (after is not None
+                              and 2 * after - mid2 < mid2 - 2 * before):
+            return after
+        return before
 
 
 def _use_spans(circuit: QuantumCircuit) -> Dict[int, Tuple[int, int]]:

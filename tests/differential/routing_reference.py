@@ -1,15 +1,18 @@
 """Naive routing-cost scorers: the test-only reference for both routers.
 
-``GateRouter.best_swap`` scores every SWAP candidate of a round as
-``baseline + delta`` through one ``SwapCostCache``, and
+``GateRouter.best_swap`` scores every SWAP candidate of a round in one
+fused scan from the per-qubit terms of one ``SwapCostCache``, and
 ``ShuttlingRouter.best_chain`` walks per-round qubit → node indices and
 screens wide fronts.  The functions below are the original naive scorers,
-kept as an independent oracle: a SWAP's cost re-walks both layers in full,
-a chain's distance terms walk every node of both layers, and the chain scan
-builds and ranks the candidates of every front node.  Each function takes
-the router as its first argument; :func:`reference_routers` installs both
-selections on a mapper for the reference arm of the op-stream equivalence
-tests.
+kept as an independent oracle: SWAP candidates are listed by their own
+generator and each one's cost re-walks both layers gate by gate with the
+original distance rules (adjacency test, then ``max(hop - 1, 0)``), a
+chain's distance terms walk every node of both layers, and the chain scan
+builds and ranks the candidates of every front node.  Every function that
+reads router settings takes the router as its first argument;
+:func:`reference_routers` installs both selections on a mapper for the
+reference arm of the op-stream equivalence tests, and
+:func:`scanned_candidates` records what ``best_swap``'s fused scan scores.
 """
 
 from __future__ import annotations
@@ -17,26 +20,84 @@ from __future__ import annotations
 import functools
 import math
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import pytest
 
-from repro.mapping.gate_router import GateRouter, SwapCandidate
+from repro.circuit.gate import Gate
+from repro.mapping.gate_router import GateRouter, SwapCandidate, SwapCostCache
 from repro.mapping.multiqubit import GatePosition
 from repro.mapping.shuttling_router import _EPSILON, ShuttlingRouter
 from repro.mapping.state import MappingState
 from repro.shuttling.moves import Move, MoveChain
 
 
-def layer_distance(router: GateRouter, state: MappingState, nodes: Sequence,
+def candidate_swaps(state: MappingState,
+                    front_nodes: Sequence) -> List[SwapCandidate]:
+    """All SWAPs acting on a front-layer gate qubit and an adjacent atom.
+
+    Listed by front qubit (layer order), then by partner site in neighbour
+    order; each site pair appears once, under the front qubit visited
+    first.
+    """
+    seen: Set[Tuple[int, int]] = set()
+    candidates: List[SwapCandidate] = []
+    for node in front_nodes:
+        for qubit in node.gate.qubits:
+            atom_a = state.atom_of_qubit(qubit)
+            site_a = state.site_of_atom(atom_a)
+            for site_b in state.connectivity.interaction_neighbours(site_a):
+                atom_b = state.atom_at_site(site_b)
+                if atom_b is None:
+                    continue
+                key = (min(site_a, site_b), max(site_a, site_b))
+                if key in seen:
+                    continue
+                seen.add(key)
+                candidates.append(SwapCandidate(
+                    qubit_a=qubit, qubit_b=state.qubit_of_atom(atom_b),
+                    atom_a=atom_a, atom_b=atom_b, site_a=site_a,
+                    site_b=site_b))
+    return candidates
+
+
+def gate_distance(state: MappingState, gate: Gate,
+                  candidate: Optional[SwapCandidate],
+                  position: Optional[GatePosition]) -> int:
+    """Remaining routing distance of one gate, optionally after a SWAP."""
+    connectivity = state.connectivity
+
+    def site_after(qubit: int) -> int:
+        if candidate is not None:
+            if qubit == candidate.qubit_a:
+                return candidate.site_b
+            if candidate.qubit_b is not None and qubit == candidate.qubit_b:
+                return candidate.site_a
+        return state.site_of_qubit(qubit)
+
+    total = 0
+    if position is not None:
+        for qubit, target in position.assignment.items():
+            origin = site_after(qubit)
+            if origin != target:
+                total += connectivity.hop_distance(origin, target)
+        return total
+    sites = [site_after(qubit) for qubit in gate.qubits]
+    for i, site_a in enumerate(sites):
+        for site_b in sites[i + 1:]:
+            if site_a == site_b or connectivity.are_adjacent(site_a, site_b):
+                continue
+            total += max(connectivity.hop_distance(site_a, site_b) - 1, 0)
+    return total
+
+
+def layer_distance(state: MappingState, nodes: Sequence,
                    positions: Dict[int, GatePosition],
                    candidate: Optional[SwapCandidate] = None) -> int:
     """Summed remaining routing distance of a layer (front or lookahead)."""
-    total = 0
-    for node in nodes:
-        position = positions.get(node.index)
-        total += router._gate_distance(state, node.gate, candidate, position)
-    return total
+    return sum(gate_distance(state, node.gate, candidate,
+                             positions.get(node.index))
+               for node in nodes)
 
 
 def swap_cost(router: GateRouter, state: MappingState,
@@ -45,9 +106,8 @@ def swap_cost(router: GateRouter, state: MappingState,
               positions: Dict[int, GatePosition]) -> float:
     """Cost of one SWAP candidate according to Eq. (2)/(3), walking both
     layers in full."""
-    front_cost = layer_distance(router, state, front_nodes, positions,
-                                candidate)
-    lookahead_cost = layer_distance(router, state, lookahead_nodes, positions,
+    front_cost = layer_distance(state, front_nodes, positions, candidate)
+    lookahead_cost = layer_distance(state, lookahead_nodes, positions,
                                     candidate)
     base = front_cost + router.lookahead_weight * lookahead_cost
     if router.decay_rate == 0.0:
@@ -56,11 +116,11 @@ def swap_cost(router: GateRouter, state: MappingState,
 
 
 def best_swap(router: GateRouter, state: MappingState, front_nodes: Sequence,
-              lookahead_nodes: Sequence, positions: Dict[int, GatePosition],
-              *, qubit_index=None) -> Optional[SwapCandidate]:
-    """``GateRouter.best_swap`` over :func:`swap_cost` (``qubit_index`` is
-    accepted for call compatibility and ignored)."""
-    candidates = router.candidate_swaps(state, front_nodes)
+              lookahead_nodes: Sequence, positions: Dict[int, GatePosition]
+              ) -> Optional[SwapCandidate]:
+    """``GateRouter.best_swap`` over :func:`candidate_swaps` and
+    :func:`swap_cost`."""
+    candidates = candidate_swaps(state, front_nodes)
     if not candidates:
         return None
     last = router._last_swap_key
@@ -79,6 +139,29 @@ def best_swap(router: GateRouter, state: MappingState, front_nodes: Sequence,
             best_key = key
             best_candidate = candidate
     return best_candidate
+
+
+def scanned_candidates(router: GateRouter, state: MappingState,
+                       front_nodes: Sequence, lookahead_nodes: Sequence = (),
+                       positions: Optional[Dict[int, GatePosition]] = None
+                       ) -> Tuple[list, Optional[SwapCandidate]]:
+    """Run ``router.best_swap`` and record what its fused scan scores.
+
+    Returns the ``(qubit_a, qubit_b, site_a, site_b)`` of every scored
+    candidate, in scan order, and the selected SWAP.
+    """
+    scanned = []
+    layer_costs = SwapCostCache.layer_costs
+
+    def recording(cache, qubit_a, qubit_b, site_a, site_b):
+        scanned.append((qubit_a, qubit_b, site_a, site_b))
+        return layer_costs(cache, qubit_a, qubit_b, site_a, site_b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SwapCostCache, "layer_costs", recording)
+        best = router.best_swap(state, front_nodes, lookahead_nodes,
+                                positions or {})
+    return scanned, best
 
 
 def distance_change(router: ShuttlingRouter, state: MappingState, move: Move,

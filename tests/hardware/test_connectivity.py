@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.hardware import NeutralAtomArchitecture, SiteConnectivity, SquareLattice
+from repro.hardware import (TOPOLOGY_KINDS, NeutralAtomArchitecture,
+                            SiteConnectivity, SquareLattice)
+from repro.hardware.presets import gate_optimised, mixed, zoned
 
 
 class TestAdjacency:
@@ -104,3 +106,36 @@ class TestDistances:
                                                 lattice.site_at(0, 5), allowed=allowed)
         assert path is not None
         assert all(site in allowed for site in path)
+
+
+class TestSwapRow:
+    """``swap_row`` is the one SWAP-distance definition: the router's cost
+    engine and the capability decider read it where they once applied the
+    adjacency test and ``max(hop - 1, 0)`` by hand."""
+
+    ARCHITECTURES = {
+        "square": lambda: [mixed(lattice_rows=7, num_atoms=30),
+                           gate_optimised(lattice_rows=7, num_atoms=30)],
+        "rectangular": lambda: [mixed(lattice_rows=7, num_atoms=30,
+                                      topology="rectangular", spacing_y=4.0)],
+        "zoned": lambda: [zoned(lattice_rows=9, num_atoms=30)],
+    }
+
+    @pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
+    def test_equals_adjacency_and_hop_rule(self, kind):
+        assert kind in self.ARCHITECTURES, (
+            f"topology family {kind!r} has no architecture in this suite")
+        for architecture in self.ARCHITECTURES[kind]():
+            connectivity = SiteConnectivity(architecture)
+            for a in range(connectivity.num_sites):
+                row = connectivity.swap_row(a)
+                assert connectivity.swap_row(a) is row
+                for b in range(connectivity.num_sites):
+                    if a == b or connectivity.are_adjacent(a, b):
+                        expected = 0
+                    else:
+                        expected = max(connectivity.hop_distance(a, b) - 1, 0)
+                    assert row[b] == expected
+                    # The per-qubit SWAP scorer reads a moved qubit's row,
+                    # where a full walk reads its partner's.
+                    assert row[b] == connectivity.swap_row(b)[a]

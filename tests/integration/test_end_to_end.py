@@ -11,6 +11,8 @@ workloads and assert the *qualitative* claims of Section 4.2:
   the better of the two pure strategies.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.circuit import decompose_mcx_to_mcz
@@ -123,6 +125,12 @@ class TestIncrementalCostEngineEquivalence:
     reference scan.
     """
 
+    @staticmethod
+    def _config(mode):
+        return {"hybrid": MapperConfig.hybrid(1.0),
+                "gate_only": MapperConfig.gate_only(),
+                "shuttling_only": MapperConfig.shuttling_only()}[mode]
+
     @pytest.mark.parametrize("screen", ["default", "forced"])
     @pytest.mark.parametrize("mode", ["hybrid", "gate_only", "shuttling_only"])
     @pytest.mark.parametrize("circuit_fixture",
@@ -132,12 +140,26 @@ class TestIncrementalCostEngineEquivalence:
         if screen == "forced":
             monkeypatch.setattr(shuttling_router, "_SCREEN_FRONT_WIDTH", 0)
         circuit = request.getfixturevalue(circuit_fixture)
+        self._assert_streams_match(circuit, self._config(mode))
+
+    @pytest.mark.parametrize("mode,circuit_fixture", [
+        ("gate_only", "graph_circuit"), ("gate_only", "reversible_circuit"),
+        ("hybrid", "reversible_circuit")])
+    def test_lookahead_and_recency_terms_bit_identical(
+            self, request, mode, circuit_fixture):
+        """Without commutation the lookahead layer is populated, and with
+        ``decay_rate > 0`` the recency factor of Eq. (2) scales every cost:
+        the two terms no perfbench workload or golden case exercises.
+        (hybrid routes graph_circuit by shuttling alone, so it is left out.)"""
+        circuit = request.getfixturevalue(circuit_fixture)
+        config = dataclasses.replace(self._config(mode),
+                                     use_commutation=False, decay_rate=0.5)
+        assert self._assert_streams_match(circuit, config).num_swaps > 0
+
+    @staticmethod
+    def _assert_streams_match(circuit, config):
         architecture = mixed(lattice_rows=7, num_atoms=30)
         connectivity = SiteConnectivity(architecture)
-        config = {"hybrid": MapperConfig.hybrid(1.0),
-                  "gate_only": MapperConfig.gate_only(),
-                  "shuttling_only": MapperConfig.shuttling_only()}[mode]
-
         fast_mapper = HybridMapper(architecture, config, connectivity=connectivity)
         naive_mapper = HybridMapper(architecture, config, connectivity=connectivity)
 
@@ -150,3 +172,4 @@ class TestIncrementalCostEngineEquivalence:
         assert fast.num_moves == naive.num_moves
         assert fast.final_qubit_map == naive.final_qubit_map
         assert fast.final_atom_map == naive.final_atom_map
+        return fast

@@ -9,7 +9,8 @@ The sharding contract rests on these partition invariants:
 3. each slice's ``cut_qubits`` is exactly the crossing set of its cut,
 4. every slice of a multi-slice plan holds between ``min_slice`` and
    ``4 * min_slice`` gates, and the plan is a deterministic function of the
-   circuit (checked against a plain recursive min-cut reference).
+   circuit (checked against a plain recursive min-cut reference), and each
+   split's range-min cut equals the per-split linear scan.
 
 The suite checks them across seeded random circuits and, end-to-end, across
 every topology family (``TOPOLOGY_KINDS``) by routing a
@@ -17,6 +18,8 @@ sharded map on one architecture per family and replaying the stream.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -36,6 +39,7 @@ from repro.mapping import (
     slice_subcircuit,
     validate_stream,
 )
+from repro.mapping.partition import _CutFinder
 
 WORKLOADS = {
     "layered": lambda seed: random_layered_circuit(16, 10, seed=seed),
@@ -75,14 +79,50 @@ class TestCrossingCounts:
         assert counts[len(circuit)] == 0
 
 
+def _linear_best_cut(counts, lo, hi, min_slice):
+    """The per-split scan the range-min cut finder replaces."""
+    if lo + min_slice > hi - min_slice:
+        return None
+    return min(range(lo + min_slice, hi - min_slice + 1),
+               key=lambda p: (counts[p], abs(2 * p - lo - hi), p))
+
+
+class TestCutFinder:
+    """The sparse-table cut equals the linear scan on random segments."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_linear_scan_on_random_counts(self, seed):
+        rng = random.Random(seed)
+        # Few distinct values, so minima repeat and the midpoint and
+        # earlier-position tie-breaks decide.
+        counts = [rng.randrange(1 + seed % 4)
+                  for _ in range(rng.randrange(1, 300))]
+        finder = _CutFinder(counts)
+        for _ in range(300):
+            lo = rng.randrange(len(counts))
+            hi = rng.randrange(lo, len(counts))
+            min_slice = rng.randrange(1, 40)
+            assert finder.best_cut(lo, hi, min_slice) \
+                == _linear_best_cut(counts, lo, hi, min_slice)
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_matches_linear_scan_on_circuit_counts(self, workload):
+        counts = crossing_counts(WORKLOADS[workload](7))
+        finder = _CutFinder(counts)
+        for lo in range(0, len(counts), 7):
+            for hi in range(lo, len(counts), 11):
+                for min_slice in (1, 4, 9):
+                    assert finder.best_cut(lo, hi, min_slice) \
+                        == _linear_best_cut(counts, lo, hi, min_slice)
+
+
 def _reference_partition(circuit, min_slice):
     """Plain recursive restatement of the partitioner: ``(bounds, depth)``."""
     counts = crossing_counts(circuit)
 
     def split(lo, hi):
         if hi - lo > 4 * min_slice:
-            cut = min(range(lo + min_slice, hi - min_slice + 1),
-                      key=lambda p: (counts[p], abs(2 * p - lo - hi), p))
+            cut = _linear_best_cut(counts, lo, hi, min_slice)
             left, left_depth = split(lo, cut)
             right, right_depth = split(cut, hi)
             return left + right, 1 + max(left_depth, right_depth)

@@ -1,21 +1,27 @@
-"""Property tests: the incremental delta-cost SWAP engine is exact.
+"""Property tests: the per-qubit SWAP cost engine is exact.
 
 The gate-based router scores candidates as ``baseline + delta``
-(:class:`repro.mapping.SwapCostCache`), re-evaluating only the gates that
-touch the two swapped qubits.  On random circuits, lattices, and scrambled
-mapping states the incremental cost of *every* candidate must equal the
-naive full recomputation of ``tests/differential/routing_reference.py``
-bit-for-bit, also on hand-crafted layers that list a node more than once,
-and :meth:`GateRouter.best_swap` must pick the reference's candidate.
+(:class:`repro.mapping.SwapCostCache`), where the delta reads only the
+per-qubit site terms of the two swapped qubits.  On random circuits,
+lattices, and scrambled mapping states the cost of *every* candidate must
+equal the naive full recomputation of
+``tests/differential/routing_reference.py`` bit-for-bit, also on
+hand-crafted layers that list a node more than once, and
+:meth:`GateRouter.best_swap` must pick the reference's candidate.
 
-Candidate generation and selection are also checked against the original
-generator and selection loop, kept below unchanged as test-only references:
-the candidate list must match element by element and in order, and the
-selected SWAP must match with the inverse of the last SWAP excluded.
+The fused scan of ``best_swap`` is also checked against the reference
+generator (``routing_reference.candidate_swaps``): it must score exactly the
+reference's candidates, in order and with the same orientation, skipping
+only the inverse of the last SWAP; and the selection must match the original
+selection loop, kept below unchanged as a test-only reference.  Hand-picked
+rounds pin the cases random draws rarely reach: a round whose only candidate
+is the last SWAP, and 3-qubit gates (positioned, or position-less in the
+lookahead layer) that hold both swapped qubits.
 """
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Tuple
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuit import QuantumCircuit
@@ -49,34 +55,6 @@ def routing_scenario(draw):
     return circuit, operations
 
 
-def reference_candidate_swaps(state: MappingState,
-                              front_nodes: Sequence) -> List[SwapCandidate]:
-    """All SWAPs acting on a front-layer gate qubit and an adjacent atom."""
-    seen: Set[Tuple[int, int]] = set()
-    candidates: List[SwapCandidate] = []
-    for node in front_nodes:
-        for qubit in node.gate.qubits:
-            atom_a = state.atom_of_qubit(qubit)
-            site_a = state.site_of_atom(atom_a)
-            for site_b in state.connectivity.interaction_neighbours(site_a):
-                atom_b = state.atom_at_site(site_b)
-                if atom_b is None:
-                    continue
-                key = (min(site_a, site_b), max(site_a, site_b))
-                if key in seen:
-                    continue
-                seen.add(key)
-                candidates.append(SwapCandidate(
-                    qubit_a=qubit,
-                    qubit_b=state.qubit_of_atom(atom_b),
-                    atom_a=atom_a,
-                    atom_b=atom_b,
-                    site_a=site_a,
-                    site_b=site_b,
-                ))
-    return candidates
-
-
 def _fields(candidate: SwapCandidate) -> Tuple:
     return (candidate.qubit_a, candidate.qubit_b, candidate.atom_a,
             candidate.atom_b, candidate.site_a, candidate.site_b)
@@ -86,7 +64,7 @@ def reference_best_swap(router: GateRouter, state: MappingState,
                         front_nodes: Sequence, lookahead_nodes: Sequence,
                         positions) -> Optional[SwapCandidate]:
     """The original selection loop over the naive scorer."""
-    candidates = reference_candidate_swaps(state, front_nodes)
+    candidates = routing_reference.candidate_swaps(state, front_nodes)
     if not candidates:
         return None
     if router._last_swap_key is not None and len(candidates) > 1:
@@ -136,7 +114,7 @@ def routing_round(circuit, operations):
             position = find_gate_position(state, node.gate)
             if position is not None:
                 positions[node.index] = position
-    return state, layers, front, lookahead, positions
+    return state, front, lookahead, positions
 
 
 class TestDeltaCostExactness:
@@ -145,30 +123,25 @@ class TestDeltaCostExactness:
     def test_incremental_cost_equals_naive_for_every_candidate(
             self, scenario, lookahead_weight):
         circuit, operations = scenario
-        state, layers, front, lookahead, positions = routing_round(circuit, operations)
+        state, front, lookahead, positions = routing_round(circuit, operations)
         if not front:
             return
         router = GateRouter(ARCHITECTURE, lookahead_weight=lookahead_weight)
-        candidates = router.candidate_swaps(state, front)
-        # Once with the LayerManager-maintained index, once self-built.
-        for qubit_index in (layers.qubit_node_index(), None):
-            cache = SwapCostCache(router, state, front, lookahead, positions,
-                                  qubit_index=qubit_index)
-            for candidate in candidates:
-                naive = routing_reference.swap_cost(
-                    router, state, candidate, front, lookahead, positions)
-                assert cache.cost(candidate) == naive
+        cache = SwapCostCache(router, state, front, lookahead, positions)
+        for candidate in routing_reference.candidate_swaps(state, front):
+            naive = routing_reference.swap_cost(
+                router, state, candidate, front, lookahead, positions)
+            assert cache.cost(candidate) == naive
 
     @given(routing_scenario())
     @settings(max_examples=60, deadline=None)
     def test_best_swap_matches_naive_reference(self, scenario):
         circuit, operations = scenario
-        state, layers, front, lookahead, positions = routing_round(circuit, operations)
+        state, front, lookahead, positions = routing_round(circuit, operations)
         if not front:
             return
         router = GateRouter(ARCHITECTURE)
-        fast = router.best_swap(state, front, lookahead, positions,
-                                qubit_index=layers.qubit_node_index())
+        fast = router.best_swap(state, front, lookahead, positions)
         naive = routing_reference.best_swap(router, state, front, lookahead,
                                             positions)
         assert fast == naive
@@ -178,32 +151,43 @@ class TestDeltaCostExactness:
     def test_exactness_holds_under_recency_damping(self, scenario, num_applied):
         """decay_rate > 0 exercises the exponential recency factor."""
         circuit, operations = scenario
-        state, layers, front, lookahead, positions = routing_round(circuit, operations)
+        state, front, lookahead, positions = routing_round(circuit, operations)
         if not front:
             return
         router = GateRouter(ARCHITECTURE, decay_rate=0.5, recency_window=4)
-        candidates = router.candidate_swaps(state, front)
+        candidates = routing_reference.candidate_swaps(state, front)
         for candidate in candidates[:num_applied]:
             router.note_swap_applied(state, candidate)
-        cache = SwapCostCache(router, state, front, lookahead, positions,
-                              qubit_index=layers.qubit_node_index())
+        cache = SwapCostCache(router, state, front, lookahead, positions)
         for candidate in candidates:
             naive = routing_reference.swap_cost(router, state, candidate,
                                                 front, lookahead, positions)
             assert cache.cost(candidate) == naive
 
-    @given(routing_scenario())
+    @given(routing_scenario(), st.integers(0, 10_000), st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_candidates_match_reference_generator(self, scenario):
+    def test_candidates_match_reference_generator(self, scenario, pick,
+                                                  after_swap):
+        """The fused scan scores the reference's candidates, in order and
+        with the same orientation, skipping only the last SWAP's inverse."""
         circuit, operations = scenario
-        state, layers, front, lookahead, positions = routing_round(circuit, operations)
+        state, front, lookahead, positions = routing_round(circuit, operations)
+        expected = routing_reference.candidate_swaps(state, front)
         router = GateRouter(ARCHITECTURE)
-        candidates = router.candidate_swaps(state, front)
-        expected = reference_candidate_swaps(state, front)
-        assert len(candidates) == len(expected)
-        for candidate, reference in zip(candidates, expected):
-            assert _fields(candidate) == _fields(reference)
-            assert candidate.key() == reference.key()
+        if after_swap and expected:
+            router.note_swap_applied(state, expected[pick % len(expected)])
+            if len(expected) > 1:
+                expected = [candidate for candidate in expected
+                            if candidate.key() != router._last_swap_key]
+        scored, best = routing_reference.scanned_candidates(
+            router, state, front, lookahead, positions)
+        if len(expected) == 1 and after_swap:
+            # The lone inverse stands without being scored.
+            assert scored == [] and _fields(best) == _fields(expected[0])
+            return
+        assert scored == [(c.qubit_a, c.qubit_b, c.site_a, c.site_b)
+                          for c in expected]
+        assert best is None or _fields(best) in {_fields(c) for c in expected}
 
     @given(routing_scenario(), st.integers(0, 10_000),
            st.sampled_from([0.0, 0.5]))
@@ -212,8 +196,8 @@ class TestDeltaCostExactness:
             self, scenario, pick, decay_rate):
         """With ``_last_swap_key`` set, the inverse-SWAP filter engages."""
         circuit, operations = scenario
-        state, layers, front, lookahead, positions = routing_round(circuit, operations)
-        candidates = reference_candidate_swaps(state, front)
+        state, front, lookahead, positions = routing_round(circuit, operations)
+        candidates = routing_reference.candidate_swaps(state, front)
         if not candidates:
             return
         router = GateRouter(ARCHITECTURE, decay_rate=decay_rate)
@@ -223,8 +207,7 @@ class TestDeltaCostExactness:
         assert expected is not None
         if len(candidates) > 1:
             assert expected.key() != router._last_swap_key
-        fast = router.best_swap(state, front, lookahead, positions,
-                                qubit_index=layers.qubit_node_index())
+        fast = router.best_swap(state, front, lookahead, positions)
         assert fast == expected
         assert routing_reference.best_swap(router, state, front, lookahead,
                                            positions) == expected
@@ -237,7 +220,7 @@ class TestDeltaCostExactness:
         """Hand-crafted layers may list a node twice, in one layer or in
         both: each listing weighs in as often as the full walk counts it."""
         circuit, operations = scenario
-        state, layers, front, lookahead, positions = routing_round(circuit, operations)
+        state, front, lookahead, positions = routing_round(circuit, operations)
         if not front:
             return
         nodes = front + lookahead
@@ -246,19 +229,16 @@ class TestDeltaCostExactness:
                                  for pick in picks[1::2]]
         router = GateRouter(ARCHITECTURE, lookahead_weight=lookahead_weight,
                             decay_rate=decay_rate)
-        candidates = router.candidate_swaps(state, front)
+        candidates = routing_reference.candidate_swaps(state, front)
         if candidates:
             router.note_swap_applied(state, candidates[0])
-        for qubit_index in (layers.qubit_node_index(), None):
-            cache = SwapCostCache(router, state, front, lookahead, positions,
-                                  qubit_index=qubit_index)
-            for candidate in candidates:
-                assert cache.cost(candidate) == routing_reference.swap_cost(
-                    router, state, candidate, front, lookahead, positions)
-            assert router.best_swap(
-                state, front, lookahead, positions,
-                qubit_index=qubit_index) == routing_reference.best_swap(
-                    router, state, front, lookahead, positions)
+        cache = SwapCostCache(router, state, front, lookahead, positions)
+        for candidate in candidates:
+            assert cache.cost(candidate) == routing_reference.swap_cost(
+                router, state, candidate, front, lookahead, positions)
+        assert router.best_swap(state, front, lookahead, positions) == \
+            routing_reference.best_swap(router, state, front, lookahead,
+                                        positions)
 
     def test_duplicate_front_node_doubles_its_distance(self):
         circuit = QuantumCircuit(NUM_QUBITS)
@@ -270,7 +250,92 @@ class TestDeltaCostExactness:
         double = SwapCostCache(router, state, front + front, [], {})
         assert single.baseline_front > 0
         assert double.baseline_front == 2 * single.baseline_front
-        for candidate in router.candidate_swaps(state, front):
+        for candidate in routing_reference.candidate_swaps(state, front):
             assert double.cost(candidate) == 2 * single.cost(candidate)
         assert router.best_swap(state, front + front, [], {}) == \
             routing_reference.best_swap(router, state, front + front, [], {})
+
+
+def assert_round_matches_reference(router, state, front, lookahead, positions):
+    """Every candidate's cost and the selection equal the naive reference."""
+    cache = SwapCostCache(router, state, front, lookahead, positions)
+    for candidate in routing_reference.candidate_swaps(state, front):
+        assert cache.cost(candidate) == routing_reference.swap_cost(
+            router, state, candidate, front, lookahead, positions)
+    best = router.best_swap(state, front, lookahead, positions)
+    assert best == routing_reference.best_swap(router, state, front,
+                                               lookahead, positions)
+    return best
+
+
+def swaps_both(state, front, qubits) -> bool:
+    """True if some candidate swaps two of ``qubits`` with each other."""
+    return any(candidate.qubit_b is not None
+               and {candidate.qubit_a, candidate.qubit_b} <= set(qubits)
+               for candidate in routing_reference.candidate_swaps(state, front))
+
+
+class TestHandPickedRounds:
+    """Rounds that random draws reach rarely or never."""
+
+    def test_lone_candidate_is_the_last_swap(self):
+        sparse = NeutralAtomArchitecture(
+            name="prop-sparse", lattice=SquareLattice(6, 6, 3.0), num_atoms=4,
+            interaction_radius=1.0, restriction_radius=1.0)
+        # Qubits 0 and 1 sit on adjacent sites 0 and 1; the two auxiliary
+        # atoms are out of reach, so the pair is the round's one candidate.
+        state = MappingState(sparse, 2, initial_sites=[0, 1, 34, 35])
+        circuit = QuantumCircuit(2)
+        circuit.cz(0, 1)
+        front, lookahead = LayerManager(circuit).layers()
+        (only,) = routing_reference.candidate_swaps(state, front)
+        router = GateRouter(sparse)
+        router.note_swap_applied(state, only)
+        assert router._last_swap_key == only.key()
+        assert assert_round_matches_reference(
+            router, state, front, lookahead, {}) == only
+
+    @pytest.mark.parametrize("decay_rate", [0.0, 0.5])
+    def test_positioned_three_qubit_gate_holding_both_swapped_qubits(
+            self, decay_rate):
+        circuit = QuantumCircuit(NUM_QUBITS)
+        circuit.ccz(0, 1, 9).cz(2, 8)
+        state = MappingState(ARCHITECTURE, NUM_QUBITS, connectivity=CONNECTIVITY)
+        front, lookahead = LayerManager(circuit).layers()
+        ccz = next(node for node in front if node.gate.num_qubits == 3)
+        position = find_gate_position(state, ccz.gate)
+        assert position is not None
+        assert swaps_both(state, front, ccz.gate.qubits)
+        router = GateRouter(ARCHITECTURE, lookahead_weight=1.0,
+                            decay_rate=decay_rate)
+        assert_round_matches_reference(router, state, front, lookahead,
+                                       {ccz.index: position})
+
+    @pytest.mark.parametrize("decay_rate", [0.0, 0.5])
+    def test_positionless_lookahead_gate_holding_both_swapped_qubits(
+            self, decay_rate):
+        circuit = QuantumCircuit(NUM_QUBITS)
+        # cx does not commute with the diagonal ccz on its target, so the
+        # ccz waits in the lookahead layer.
+        circuit.cx(0, 9).ccz(0, 1, 9)
+        state = MappingState(ARCHITECTURE, NUM_QUBITS, connectivity=CONNECTIVITY)
+        front, lookahead = LayerManager(circuit).layers()
+        assert [node.gate.num_qubits for node in lookahead] == [3]
+        assert swaps_both(state, front, lookahead[0].gate.qubits)
+        router = GateRouter(ARCHITECTURE, lookahead_weight=1.0,
+                            decay_rate=decay_rate)
+        assert_round_matches_reference(router, state, front, lookahead, {})
+
+    def test_duplicate_front_listings_of_mixed_widths(self):
+        circuit = QuantumCircuit(NUM_QUBITS)
+        circuit.ccz(0, 1, 9).cz(2, 8).ccz(3, 4, 7)
+        state = MappingState(ARCHITECTURE, NUM_QUBITS, connectivity=CONNECTIVITY)
+        front, _ = LayerManager(circuit).layers()
+        assert len(front) == 3
+        positioned = front[0]
+        position = find_gate_position(state, positioned.gate)
+        assert position is not None
+        router = GateRouter(ARCHITECTURE, lookahead_weight=0.5)
+        listed = front + front[::-1] + [positioned]
+        assert_round_matches_reference(router, state, listed, front[1:],
+                                       {positioned.index: position})
