@@ -1,49 +1,36 @@
-"""Shared fixtures and helpers for the benchmark harness.
+"""Shared sizing helpers for the benchmark harness.
 
-Every benchmark regenerates a block of the paper's Table 1 (or an ablation of
-one of the design choices listed in DESIGN.md §4) on scaled-down instances so
-that the whole suite completes in minutes on a laptop.  The scale factor can
-be raised via the ``REPRO_BENCH_SCALE`` environment variable; ``1.0`` reruns
-the paper's original 200-qubit / 15x15 configuration (slow in pure Python).
+The perf CLI (``perf_report.py``), its pytest wrapper (``bench_scaling.py``)
+and the serving benchmark (``bench_serving.py``) run scaled-down instances of
+the paper's benchmarks so that a run completes in minutes on a laptop.  The
+scale factor can be raised via the ``REPRO_BENCH_SCALE`` environment
+variable; ``1.0`` reruns the paper's original 200-qubit / 15x15
+configuration (slow in pure Python).
 
 The sizing rules live in :mod:`repro.workloads` (shared with the Table-1
-harness and the batch service); compilation goes through the standard
-:func:`repro.pipeline.compile_circuit` pipeline, and architectures are cached
-in the process-global :data:`repro.service.ARCHITECTURE_CACHE`.
-
-Each benchmark stores the Table-1a columns (ΔCZ, ΔT, δF, mapper runtime) in
-``benchmark.extra_info`` so that ``--benchmark-json`` output contains the full
-reproduced table, and prints a compact row so the numbers are visible in the
-console run as well.
+harness and the batch service); architectures are cached in the
+process-global :data:`repro.service.ARCHITECTURE_CACHE` through
+:func:`bench_spec`.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Tuple
-
-import pytest
 
 from repro.circuit import QuantumCircuit, decompose_mcx_to_mcz
 from repro.circuit.library import get_benchmark
-from repro.evaluation import EvaluationMetrics
-from repro.hardware import NeutralAtomArchitecture, SiteConnectivity
+from repro.hardware import NeutralAtomArchitecture
 from repro.mapping import MapperConfig
-from repro.pipeline import compile_circuit
-from repro.service import ARCHITECTURE_CACHE, ArchitectureSpec
+from repro.service import ArchitectureSpec
 from repro.workloads import (
     PAPER_SIZES,
     build_scaled_architecture,
-    lattice_rows_for,
     scaled_register_size,
 )
 from repro import workloads
 
 #: Fraction of the paper's register sizes the benchmarks run by default.
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.15"))
-
-#: Compiler settings (A), (B), (C) of Table 1a.
-MODES = ("shuttling_only", "gate_only", "hybrid")
 
 
 def scaled_size(name: str, scale: float = BENCH_SCALE) -> int:
@@ -54,10 +41,6 @@ def scaled_size(name: str, scale: float = BENCH_SCALE) -> int:
 def scaled_atom_count(scale: float = BENCH_SCALE) -> int:
     return workloads.scaled_atom_count(
         scale, (scaled_size(name, scale) for name in PAPER_SIZES))
-
-
-def scaled_lattice_rows(scale: float = BENCH_SCALE) -> int:
-    return lattice_rows_for(scaled_atom_count(scale))
 
 
 def bench_spec(hardware: str, scale: float = BENCH_SCALE,
@@ -77,45 +60,3 @@ def build_circuit(name: str, scale: float = BENCH_SCALE, seed: int = 2024) -> Qu
 
 def config_for_mode(mode: str, alpha: float = 1.0) -> MapperConfig:
     return MapperConfig.for_mode(mode, alpha)
-
-
-def architecture_and_connectivity(hardware: str) -> Tuple[NeutralAtomArchitecture,
-                                                          SiteConnectivity]:
-    """Cache architectures/connectivity across benchmarks (construction is costly)."""
-    return ARCHITECTURE_CACHE.get(bench_spec(hardware))
-
-
-def run_mapping(hardware: str, circuit_name: str, mode: str,
-                alpha: float = 1.0) -> EvaluationMetrics:
-    """Compile one benchmark circuit and return the Table-1a metrics."""
-    architecture, connectivity = architecture_and_connectivity(hardware)
-    circuit = build_circuit(circuit_name)
-    context = compile_circuit(circuit, architecture, config_for_mode(mode, alpha),
-                              connectivity=connectivity,
-                              alpha_ratio=alpha if mode == "hybrid" else None)
-    return context.require_metrics()
-
-
-def record_metrics(benchmark, metrics: EvaluationMetrics) -> None:
-    """Attach the reproduced Table-1a columns to the pytest-benchmark record."""
-    benchmark.extra_info.update({
-        "hardware": metrics.hardware_name,
-        "circuit": metrics.circuit_name,
-        "mode": metrics.mode,
-        "n_qubits": metrics.num_qubits,
-        "delta_cz": metrics.delta_cz,
-        "delta_t_us": round(metrics.delta_t_us, 2),
-        "delta_fidelity": round(metrics.delta_fidelity, 4),
-        "mapper_runtime_s": round(metrics.runtime_seconds, 3),
-        "num_swaps": metrics.num_swaps,
-        "num_moves": metrics.num_moves,
-        "alpha": metrics.alpha_ratio,
-    })
-    print(f"\n[{metrics.hardware_name:9s}] {metrics.circuit_name:10s} {metrics.mode:15s} "
-          f"dCZ={metrics.delta_cz:5d}  dT={metrics.delta_t_us:9.1f} us  "
-          f"dF={metrics.delta_fidelity:8.4f}  RT={metrics.runtime_seconds:6.2f} s")
-
-
-@pytest.fixture(scope="session")
-def bench_scale() -> float:
-    return BENCH_SCALE

@@ -46,17 +46,21 @@ class FidelityBreakdown:
 
 
 def analyse(schedule: Schedule, architecture: NeutralAtomArchitecture) -> FidelityBreakdown:
-    """Compute the fidelity breakdown of a schedule."""
+    """Compute the fidelity breakdown of a schedule.
+
+    The makespan is scanned once and shared with the idle time.
+    """
     log_fidelity = 0.0
     for operation in schedule:
         log_fidelity += math.log(operation.fidelity)
-    idle = schedule.idle_time()
+    makespan = schedule.makespan
+    idle = schedule.idle_time(makespan=makespan)
     t_eff = architecture.effective_decoherence_time
     return FidelityBreakdown(
         log_operation_fidelity=log_fidelity,
         log_idle_factor=-idle / t_eff,
         idle_time_us=idle,
-        makespan_us=schedule.makespan,
+        makespan_us=makespan,
         num_operations=len(schedule),
     )
 

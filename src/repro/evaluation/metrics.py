@@ -22,7 +22,7 @@ from ..hardware.architecture import NeutralAtomArchitecture
 from ..hardware.connectivity import SiteConnectivity
 from ..mapping.result import MappingResult
 from ..scheduling.scheduler import Scheduler
-from .fidelity import analyse, fidelity_decrease
+from .fidelity import analyse
 
 __all__ = ["EvaluationMetrics", "evaluate", "metrics_from_schedules"]
 
@@ -94,14 +94,18 @@ def metrics_from_schedules(circuit: QuantumCircuit, result: MappingResult,
 
     Used by the compilation pipeline's evaluate pass, which owns the schedule
     construction (so timing attribution per pass stays accurate) and only
-    needs the metric arithmetic from this module.
+    needs the metric arithmetic from this module.  Each schedule is analysed
+    once: ΔT and both makespans come from the two breakdowns, and ΔF is
+    :func:`~repro.evaluation.fidelity.fidelity_decrease`'s
+    ``log P_original - log P_mapped`` taken from them.
     """
     original_breakdown = analyse(original_schedule, architecture)
     mapped_breakdown = analyse(mapped_schedule, architecture)
 
     delta_cz = mapped_schedule.num_cz_gates() - original_schedule.num_cz_gates()
-    delta_t = mapped_schedule.makespan - original_schedule.makespan
-    delta_f = fidelity_decrease(mapped_schedule, original_schedule, architecture)
+    delta_t = mapped_breakdown.makespan_us - original_breakdown.makespan_us
+    delta_f = (original_breakdown.log_success_probability
+               - mapped_breakdown.log_success_probability)
 
     return EvaluationMetrics(
         circuit_name=circuit.name,
@@ -114,8 +118,8 @@ def metrics_from_schedules(circuit: QuantumCircuit, result: MappingResult,
         runtime_seconds=result.runtime_seconds,
         num_swaps=result.num_swaps,
         num_moves=result.num_moves,
-        mapped_makespan_us=mapped_schedule.makespan,
-        original_makespan_us=original_schedule.makespan,
+        mapped_makespan_us=mapped_breakdown.makespan_us,
+        original_makespan_us=original_breakdown.makespan_us,
         mapped_log_success=mapped_breakdown.log_success_probability,
         original_log_success=original_breakdown.log_success_probability,
         alpha_ratio=alpha_ratio,

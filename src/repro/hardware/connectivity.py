@@ -33,7 +33,24 @@ write-once and never invalidated:
   sites adjacent", read by the gate-based router's cost engine and the
   capability decider.  It is 0 exactly for the site itself and its
   interaction neighbours, since both tables come from the same neighbour
-  lists (adjacent ⇔ hop 1).
+  lists (adjacent ⇔ hop 1);
+* ``common_interaction_array`` is the sorted zone interacting with every
+  site of a kept set, read by the shuttling chain builder.  It is cached
+  per unordered site pair (the first two kept sites, which are adjacent,
+  so the cache is bounded by the adjacency size); further sites are
+  intersected on top;
+* ``move_away_order`` lists, per (origin, radius), the sites of the
+  move-away discs ordered as the innermost-disc-first scan visits them:
+  innermost disc, then the topology's ``rectangular_row`` travel distance,
+  then site index.  The first free, non-forbidden site of the order is the
+  move-away destination;
+* ``later_adjacent_bits`` holds, per anchor, one bitset per interaction
+  neighbour marking the *later* neighbours (neighbour-table order) adjacent
+  to it: O(coordination) ints per anchor, the whole table the multi-qubit
+  position finder's clique search needs.
+
+Every table is built on first use, never in ``__init__``, and every array
+it hands out is read-only.
 
 Only the *site-level* structure is cached here; anything that depends on the
 mutable atom occupancy (BFS over occupied sites, shortest paths with an
@@ -50,6 +67,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 import numpy as _np
 
 from .architecture import NeutralAtomArchitecture
+from .topology import _EPSILON
 
 __all__ = ["SiteConnectivity"]
 
@@ -105,6 +123,11 @@ class SiteConnectivity:
         # Lazy per-site interaction neighbourhoods as sorted int64 arrays,
         # for the vectorised chain kernel.
         self._interaction_arrays: List = [None] * self.num_sites
+        # Lazy multi-qubit routing tables (see the module docstring).
+        self._pair_zones: Dict[Tuple[int, int], _np.ndarray] = {}
+        self._move_away_orders: Dict[Tuple[int, int], _np.ndarray] = {}
+        self._later_adjacent: List[Optional[Tuple[int, ...]]] = \
+            [None] * self.num_sites
 
     # ------------------------------------------------------------------
     # Adjacency queries
@@ -126,15 +149,106 @@ class SiteConnectivity:
 
         Lazily built from the neighbour tuple (which the topology emits in
         ascending site order — the scan order of ``sites_within``) and cached
-        forever; returned by reference, callers must not mutate it.  Used by
-        the vectorised chain kernel for batched occupancy gathers.
+        forever; returned by reference and read-only.  Used by the
+        vectorised chain kernel for batched occupancy gathers.
         """
         array = self._interaction_arrays[site]
         if array is None:
             array = _np.asarray(self._interaction_neighbours[site],
                                 dtype=_np.int64)
+            array.flags.writeable = False
             self._interaction_arrays[site] = array
         return array
+
+    def common_interaction_array(self, sites: Sequence[int]):
+        """Sorted sites interacting with *every* site of ``sites`` (read-only).
+
+        The intersection of the sites' :meth:`interaction_array` — the zone
+        a gathering chain may move the next gate qubit into.  One site reads
+        its own array.  The zone of the first two sites is cached per
+        unordered pair; any further site is intersected on top, uncached.
+        The intersection is order-independent and the arrays are sorted and
+        unique, so the result is the same set in the same ascending order
+        as any fold of ``numpy.intersect1d`` over the sites.
+        """
+        first = sites[0]
+        if len(sites) == 1:
+            return self.interaction_array(first)
+        second = sites[1]
+        key = (first, second) if first < second else (second, first)
+        zone = self._pair_zones.get(key)
+        if zone is None:
+            zone = _np.intersect1d(self.interaction_array(first),
+                                   self.interaction_array(second),
+                                   assume_unique=True)
+            zone.flags.writeable = False
+            self._pair_zones[key] = zone
+        for site in sites[2:]:
+            if not zone.size:
+                break
+            zone = _np.intersect1d(zone, self.interaction_array(site),
+                                   assume_unique=True)
+            zone.flags.writeable = False
+        return zone
+
+    def move_away_order(self, origin: int, radius: int):
+        """Move-away destinations of ``origin`` in scan order (read-only).
+
+        The sites within ``radius`` lattice spacings of ``origin`` (origin
+        excluded), ordered by the innermost disc of ``1 .. radius`` spacings
+        that holds them, then by the topology's ``rectangular_row`` travel
+        distance from ``origin``, then by site index.  The scan "innermost
+        non-empty disc first, nearest site, lowest index" over any set of
+        admissible sites therefore returns the first admissible site of this
+        order.  Discs are the topology's ``sites_within`` discs of radius
+        ``r * spacing + 1e-9``.  Built once per (origin, radius).
+        """
+        key = (origin, radius)
+        order = self._move_away_orders.get(key)
+        if order is None:
+            lattice = self.architecture.lattice
+            row, col = divmod(origin, lattice.cols)
+            # Outermost disc first, so each site keeps its innermost label.
+            disc_of = _np.zeros(self.num_sites, dtype=_np.int64)
+            for disc in range(radius, 0, -1):
+                rows, cols = lattice.radius_offset_arrays(
+                    disc * lattice.spacing + _EPSILON)
+                rows = rows + row
+                cols = cols + col
+                inside = ((rows >= 0) & (rows < lattice.rows)
+                          & (cols >= 0) & (cols < lattice.cols))
+                disc_of[rows[inside] * lattice.cols + cols[inside]] = disc
+            sites = disc_of.nonzero()[0]
+            travel = lattice.rectangular_row_array(origin)[sites]
+            order = sites[_np.lexsort((sites, travel, disc_of[sites]))]
+            order.flags.writeable = False
+            self._move_away_orders[key] = order
+        return order
+
+    def later_adjacent_bits(self, anchor: int) -> Tuple[int, ...]:
+        """Per interaction neighbour of ``anchor``, its later adjacent neighbours.
+
+        Entry ``j`` has bit ``k`` set exactly when ``k > j`` and the
+        anchor's ``j``-th and ``k``-th interaction neighbours (neighbour-table
+        order) interact.  The multi-qubit clique search extends a partial
+        set by the candidates of one such bitset.  Built on first use.
+        """
+        bits = self._later_adjacent[anchor]
+        if bits is None:
+            neighbours = self._interaction_neighbours[anchor]
+            count = len(neighbours)
+            if count:
+                adjacent = _np.frombuffer(
+                    b"".join(self._adjacent_rows[site] for site in neighbours),
+                    dtype=_np.uint8).reshape(count, self.num_sites)
+                later = _np.triu(adjacent[:, list(neighbours)], 1)
+                packed = _np.packbits(later, axis=1, bitorder="little")
+                bits = tuple(int.from_bytes(row.tobytes(), "little")
+                             for row in packed)
+            else:
+                bits = ()
+            self._later_adjacent[anchor] = bits
+        return bits
 
     def adjacency_row(self, site: int) -> bytearray:
         """Dense boolean adjacency row of ``site`` (index by partner site).

@@ -15,8 +15,9 @@ The bound is the candidate's cost itself, evaluated in batch:
   tie-break) — and, when
   the zone is full, the first blocked zone site in the same order that has
   a free trap within ``MOVE_AWAY_RADIUS`` lattice spacings, cleared by a
-  move-away onto the nearest such trap (innermost disc first, as
-  ``_nearest_free_site`` scans);
+  move-away onto the nearest such trap (innermost disc first, then travel
+  distance, then site: the order of the connectivity's ``move_away_order``
+  that the router's ``_nearest_free_site`` reads);
 * the distance terms sum the front and lookahead partner distances of each
   moved qubit, and the ``C_t_parallel`` penalty is batched against the
   recent-move history bit for bit as the scalar ``move_time_penalty``
@@ -52,7 +53,7 @@ _EPSILON = 1e-9
 #: Eight times float64's unit roundoff ``2**-53`` (see the module docstring).
 _SLACK_PER_TERM = 2.0 ** -50
 #: How far, in lattice spacings, a move-away may carry a blocking atom: the
-#: shuttling router's ``_nearest_free_site`` scan and the screen's model of
+#: shuttling router's ``_nearest_free_site`` lookup and the screen's model of
 #: it share this value.
 MOVE_AWAY_RADIUS = 4
 
@@ -61,12 +62,12 @@ def time_penalties(architecture, recent_moves: Sequence, atom, src, dst,
                    sx, sy, ex, ey, distance):
     """``C_t_parallel`` of a batch of moves against the recent-move history.
 
-    Every elementwise operation mirrors the scalar
-    ``ShuttlingRouter._pair_penalty_term``: the compatibility predicate and
+    Every elementwise operation mirrors the scalar history walk
+    ``ShuttlingRouter.move_time_penalty``: the compatibility predicate and
     the row/column checks are boolean, the durations compose left-to-right
     in the scalar evaluation order, and the history accumulates in order
-    (``x + 0.0 == x`` covers the scalar zero-term skip), so each entry is
-    bit-identical to the scalar sum.  ``distance`` is each move's
+    (``x + 0.0 == x`` covers the scalar walk skipping compatible moves), so
+    each entry is bit-identical to the scalar sum.  ``distance`` is each move's
     ``rectangular_distance``.  One pass per recent move keeps the
     temporaries ``O(len(atom))`` however long the history is.
     """

@@ -20,28 +20,41 @@ an anchor's priority reaches the incumbent's estimate plus ``2 m``.
 For each occupied anchor, the candidate positions are the ``m``-sets made of
 the anchor and ``m - 1`` of its first 24 occupied interaction neighbours
 (neighbour-table order) that are mutually interacting; at most 8 of them
-are taken per anchor.  Each set is scored by a greedy matching, which is
-cheap and within one SWAP of an optimal one in practice: all (qubit, site)
-pairs in qubit-major, then set order, stably sorted by hop distance, are
-taken whenever both ends are still unmatched.  The estimate
-is the summed distance of the matched pairs, and ``assignment`` keeps the
-order in which qubits were matched (the forced router drives the first
-pending qubit first, so that order reaches the op stream).  A set replaces
-the incumbent only with a strictly smaller estimate; an estimate of 0
-returns at once.
+are taken per anchor.  The candidates are a bitset over the anchor's
+neighbour-table positions, and the clique search extends a partial set
+through the connectivity's per-anchor ``later_adjacent_bits`` (one bitset
+per neighbour, marking the later neighbours adjacent to it), built once
+per site on first use.  Each set is first checked against the incumbent
+with a per-set lower bound (below), summed qubit by qubit and abandoned as
+soon as it reaches the incumbent's estimate; only a set that survives gets
+a distance matrix and a greedy matching, which is cheap and within one SWAP
+of an optimal one in practice: all (qubit, site) pairs in qubit-major, then
+set order, stably sorted by hop distance, are taken whenever both ends are
+still unmatched.  The estimate is the summed distance of the matched pairs,
+and ``assignment`` keeps the order in which qubits were matched (the forced
+router drives the first pending qubit first, so that order reaches the op
+stream).  A set replaces the incumbent only with a strictly smaller
+estimate; an estimate of 0 returns at once.
 
 Why the pruned search returns what the exhaustive one did
 ---------------------------------------------------------
-* The sets are found by a depth-first clique search over the neighbour list:
-  a partial set is extended only by later neighbours adjacent to every
-  site chosen so far, trying them in list order.  That visits index
-  combinations in lexicographic order, i.e. in ``itertools.combinations``
-  order, and it drops only combinations with a non-adjacent pair — exactly
-  those the filter "every pair interacts" rejects.  The first 8 sets, and
-  their order, are therefore the same.
+* The sets are found by a depth-first clique search over the candidate
+  bitset: the lowest remaining position is taken first, and a partial set
+  is extended only by the remaining candidates that are later neighbours
+  adjacent to the site just chosen — ANDed into the parent's candidates, so
+  adjacent to every site chosen so far.  That visits index combinations in
+  lexicographic order, i.e. in ``itertools.combinations`` order, and it
+  drops only combinations with a non-adjacent pair — exactly those the
+  filter "every pair interacts" rejects.  The 24-neighbour cap clears the
+  candidate bits after the 24th occupied neighbour, so the first 8 sets,
+  and their order, are the same.  Per-anchor clique lists are deliberately
+  not stored: with the gate preset's ``r_int = 4.5`` a site has about 60
+  neighbours, and its 4- and 5-cliques explode.
 * A set is skipped, unscored, when the sum over qubits of the minimum hop
   distance to its sites is at least the incumbent's estimate: every matching
   pays at least that, so the set could not have replaced the incumbent.
+  Stopping the sum once it reaches the estimate skips the same sets, since
+  every term is non-negative.
 * An anchor's sets are not searched at all when its priority is at least
   the incumbent's estimate plus ``m``: every site of such a set is the
   anchor or one hop from it, so each qubit is at most one hop closer to the
@@ -56,6 +69,8 @@ from __future__ import annotations
 
 import heapq
 from typing import Dict, List, Optional, Set, Tuple
+
+import numpy as _np
 
 from ..circuit.gate import Gate
 from .state import MappingState
@@ -101,43 +116,69 @@ class GatePosition:
         return (f"GatePosition(sites={self.sites}, swaps={self.estimated_swaps})")
 
 
+def _popcount(bits: int) -> int:
+    """Number of set bits (``int.bit_count`` needs Python 3.10)."""
+    return bin(bits).count("1")
+
+
 def _interacting_subsets(state: MappingState, anchor: int,
                          size: int) -> List[Tuple[int, ...]]:
     """Occupied, mutually interacting site sets of ``size`` containing ``anchor``.
 
     A depth-first clique search over the first ``_MAX_NEIGHBOURS`` occupied
-    interaction neighbours of ``anchor``, extending a partial set only by
-    later neighbours adjacent to every site chosen so far; at most
-    ``_MAX_SUBSETS`` sets are returned (see the module docstring for why the
-    order is that of ``itertools.combinations``).
+    interaction neighbours of ``anchor``, as bitsets over the anchor's
+    neighbour-table positions: a partial set is extended, lowest position
+    first, by the remaining candidates that are later neighbours adjacent
+    to every site chosen so far (the candidate set ANDed with
+    :meth:`~repro.hardware.connectivity.SiteConnectivity.later_adjacent_bits`).
+    At most ``_MAX_SUBSETS`` sets are returned (see the module docstring for
+    why the order is that of ``itertools.combinations``).
     """
     connectivity = state.connectivity
-    site_is_free = state.site_is_free
-    neighbours = [site for site in connectivity.interaction_neighbours(anchor)
-                  if not site_is_free(site)][:_MAX_NEIGHBOURS]
-    if len(neighbours) < size - 1:
+    occupied = state.free_mask[connectivity.interaction_array(anchor)] == 0
+    positions = occupied.nonzero()[0]
+    if positions.size < size - 1:
         return []
-    adjacency_row = connectivity.adjacency_row
+    if positions.size > _MAX_NEIGHBOURS:
+        occupied[positions[_MAX_NEIGHBOURS]:] = False
+    candidates = int.from_bytes(
+        _np.packbits(occupied, bitorder="little").tobytes(), "little")
+    neighbours = connectivity.interaction_neighbours(anchor)
+    later_adjacent = connectivity.later_adjacent_bits(anchor)
     subsets: List[Tuple[int, ...]] = []
 
-    def extend(chosen: Tuple[int, ...], candidates: List[int]) -> bool:
+    def extend(chosen: Tuple[int, ...], candidates: int, missing: int) -> bool:
         """Append completions of ``chosen``; True once the cap is reached."""
-        missing = size - len(chosen)
-        for index, site in enumerate(candidates):
-            extended = chosen + (site,)
+        while candidates:
+            lowest = candidates & -candidates
+            candidates ^= lowest
+            position = lowest.bit_length() - 1
+            extended = chosen + (neighbours[position],)
             if missing == 1:
                 subsets.append(extended)
                 if len(subsets) >= _MAX_SUBSETS:
                     return True
                 continue
-            row = adjacency_row(site)
-            later = [other for other in candidates[index + 1:] if row[other]]
-            if len(later) >= missing - 1 and extend(extended, later):
+            later = candidates & later_adjacent[position]
+            if _popcount(later) >= missing - 1 and \
+                    extend(extended, later, missing - 1):
                 return True
         return False
 
-    extend((anchor,), neighbours)
+    extend((anchor,), candidates, size - 1)
     return subsets
+
+
+def _bound_reaches(rows: List[List[int]], sites: Tuple[int, ...],
+                   limit: int) -> bool:
+    """True if the summed per-qubit distance to the nearest of ``sites``
+    reaches ``limit``; summed qubit by qubit, stopping once it does."""
+    bound = 0
+    for row in rows:
+        bound += min(map(row.__getitem__, sites))
+        if bound >= limit:
+            return True
+    return False
 
 
 def find_gate_position(state: MappingState, gate: Gate, *,
@@ -187,13 +228,13 @@ def find_gate_position(state: MappingState, gate: Gate, *,
         if not site_is_free(anchor) and (
                 best is None or priority < best.estimated_swaps + size):
             for sites in _interacting_subsets(state, anchor, size):
-                distances = [[row[site] for site in sites] for row in rows]
                 # Every qubit needs at least its distance to the nearest
                 # site of the set: a set whose bound already reaches the
                 # incumbent's estimate cannot replace it.
                 if best is not None and \
-                        sum(map(min, distances)) >= best.estimated_swaps:
+                        _bound_reaches(rows, sites, best.estimated_swaps):
                     continue
+                distances = [[row[site] for site in sites] for row in rows]
                 # Greedy matching by increasing distance; ties keep the
                 # (qubit, site) order in which the pairs are listed.
                 pairs = sorted((distance, qubit_index, site_index)

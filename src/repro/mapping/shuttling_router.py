@@ -27,17 +27,26 @@ batch (parallel loading and shuttling), only their activation window
 Occupancy: a chain reads the state's free-site mask, then a private copy
 that its simulated moves update, so the later qubits of a wide gate see the
 earlier moves; the move-away search and :meth:`ShuttlingRouter.forced_chain`
-do the same.
+do the same.  Only the occupancy is per call: the facts that depend on the
+topology alone are lazily built, write-once tables of
+:class:`~repro.hardware.connectivity.SiteConnectivity`.  The zone that
+interacts with every kept site is ``common_interaction_array`` (cached per
+site pair), and a move-away destination is the first free, non-forbidden
+site of ``move_away_order`` — the move-away discs in scan order, innermost
+disc, then travel distance, then site — for the chain builder's
+``MOVE_AWAY_RADIUS`` and for the forced chain's lattice-wide reach alike.
 
 Cost evaluation: :meth:`ShuttlingRouter.chain_cost` is the one scoring
 path.  Only gates acting on the moved atom's circuit qubit can change their
 distance, so :meth:`ShuttlingRouter.best_chain` builds a qubit → node index
 over both layers once per routing round and the per-move distance terms walk
-just the touched gates, in node order; ``C_t_parallel`` is the scalar walk
-over the recent-move history.  Nothing is memoised across chains or rounds:
-once the screen below drops the chains that cannot win, a round scores too
-few moves for a cost memo to pay.  Site geometry (neighbourhood rings,
-hop-distance rows) comes from the shared
+just the touched gates, in node order; ``C_t_parallel``
+(:meth:`ShuttlingRouter.move_time_penalty`) is one walk over the recent-move
+history with the AOD compatibility rule inlined and the full-shuttle term
+computed at most once per move.  Nothing is memoised across chains or
+rounds: once the screen below drops the chains that cannot win, a round
+scores too few moves for a cost memo to pay.  Site geometry (neighbourhood
+rings, hop-distance rows) comes from the shared
 :class:`~repro.hardware.connectivity.SiteConnectivity` /
 :class:`~repro.hardware.topology.GridTopology` caches, which the gate-based
 router uses as well.
@@ -78,7 +87,6 @@ import numpy as _np
 
 from ..circuit.gate import Gate
 from ..hardware.architecture import NeutralAtomArchitecture
-from ..shuttling.aod import _ordering_preserved
 from ..shuttling.moves import Move, MoveChain
 from .chain_screen import MOVE_AWAY_RADIUS, ChainScreen
 from .layers import build_qubit_node_index
@@ -206,10 +214,11 @@ class ShuttlingRouter:
 
         Each selection is a numpy gather that breaks ties as the scalar
         loops of ``tests/differential/chain_reference.py`` do: the zone
-        arrays stay sorted ascending, so argmin's first minimum is the
-        scalar ``(row[site], site)`` tie-break; the row arrays hold the
-        scalar rows' floats verbatim; the move-away order is a stable
-        argsort over the same values.  Occupancy is ``state.free_mask``
+        arrays (``common_interaction_array``) stay sorted ascending, so
+        argmin's first minimum is the scalar ``(row[site], site)``
+        tie-break; the row arrays hold the scalar rows' floats verbatim;
+        the order in which full-zone sites are tried for a move-away is a
+        stable argsort over the same values.  Occupancy is ``state.free_mask``
         until the chain's first simulated move, then a private copy.  The
         last qubit's moves are not simulated (nothing reads them), so a
         two-qubit chain never copies the mask.
@@ -246,12 +255,7 @@ class ShuttlingRouter:
 
             # No site neighbours itself and current_site misses some kept
             # site's neighbourhood, so the zone holds neither.
-            zone = connectivity.interaction_array(kept_sites[0])
-            for kept in kept_sites[1:]:
-                if zone.size:
-                    zone = _np.intersect1d(
-                        zone, connectivity.interaction_array(kept),
-                        assume_unique=True)
+            zone = connectivity.common_interaction_array(kept_sites)
             if not zone.size:
                 return None
 
@@ -273,7 +277,7 @@ class ShuttlingRouter:
                     blocking_atom = state.atom_at_site(destination)
                     if blocking_atom is None:
                         continue
-                    away = self._nearest_free_site(free_mask, lattice,
+                    away = self._nearest_free_site(free_mask, connectivity,
                                                    destination, forbidden)
                     if away is not None:
                         break
@@ -343,28 +347,26 @@ class ShuttlingRouter:
                                  destination, lattice, is_move_away=False)
 
     @staticmethod
-    def _nearest_free_site(free_mask, lattice, origin: int, forbidden: Set[int],
+    def _nearest_free_site(free_mask, connectivity, origin: int,
+                           forbidden: Set[int],
                            max_radius: int = MOVE_AWAY_RADIUS) -> Optional[int]:
         """Closest free site to ``origin`` outside ``forbidden`` (for move-aways).
 
         ``free_mask`` is the occupancy to search (uint8, 1 = free): the live
-        ``state.free_mask`` or a chain's simulated copy.  Discs of 1 to
-        ``max_radius`` lattice spacings are scanned innermost first, each as
-        one masked gather; the disc arrays are sorted ascending, so argmin
-        reproduces the scalar ``(row[site], site)`` tie-break.
+        ``state.free_mask`` or a chain's simulated copy.  The scan — discs
+        of 1 to ``max_radius`` lattice spacings, innermost first, nearest
+        site by travel distance, lowest index on ties — is one masked
+        gather over the cached
+        :meth:`~repro.hardware.connectivity.SiteConnectivity.move_away_order`:
+        its first free site outside ``forbidden`` is the answer.  At most
+        ``len(forbidden)`` free sites are forbidden, so that site is among
+        the first ``len(forbidden) + 1`` free ones.
         """
-        origin_row = lattice.rectangular_row_array(origin)
-        # Only forbidden sites that are free need filtering: the chain
-        # builder forbids occupied sites, forced_chain its target cluster.
-        free_forbidden = [site for site in forbidden if free_mask[site]]
-        for radius in range(1, max_radius + 1):
-            disc = lattice.sites_within_array(
-                origin, radius * lattice.spacing + _EPSILON)
-            candidates = disc[free_mask[disc].nonzero()[0]]
-            for site in free_forbidden:
-                candidates = candidates[candidates != site]
-            if candidates.size:
-                return int(candidates[origin_row[candidates].argmin()])
+        order = connectivity.move_away_order(origin, max_radius)
+        candidates = order[free_mask[order].nonzero()[0]]
+        for site in candidates[:len(forbidden) + 1].tolist():
+            if site not in forbidden:
+                return site
         return None
 
     def _pooled_move(self, atom: int, source: int, destination: int, lattice, *,
@@ -399,48 +401,58 @@ class ShuttlingRouter:
     def move_time_penalty(self, move: Move) -> float:
         """``C_t_parallel`` contribution of one move against the recent-move history.
 
-        The per-recent-move terms of :meth:`_pair_penalty_term` are summed
-        in history order; the screen's batch
-        (:func:`~repro.mapping.chain_screen.time_penalties`) reproduces this
-        sum bit for bit.
+        One walk over the history, in order.  A recent move that can share
+        the move's AOD batch adds nothing: the rule of
+        :func:`repro.shuttling.aod.moves_compatible` (distinct atoms, no
+        shared destination, neither destination the other's source, both
+        axis orderings preserved) is inlined, since this runs ~10^5 times
+        per mapping at scale.  One that shares a source row or column adds
+        the activation window; any other adds a full shuttle, whose term is
+        computed at most once per move.  The terms are added in history
+        order, so the screen's batch
+        (:func:`~repro.mapping.chain_screen.time_penalties`) reproduces the
+        sum bit for bit.  ``test_pair_penalty_matches_moves_compatible``
+        guards the inlined rule against the scheduler's.
         """
         penalty = 0.0
-        for recent in self._recent_moves:
-            penalty += self._pair_penalty_term(move, recent)
-        return penalty
-
-    def _pair_penalty_term(self, move: Move, recent: Move) -> float:
-        """``C_t_parallel`` contribution of ``move`` against one recent move.
-
-        The compatibility check inlines :func:`repro.shuttling.aod.moves_compatible`
-        — this runs ~10^5 times per mapping at scale, and the call/unpack
-        overhead is measurable.  Divergence from the scheduler's rule is
-        guarded by ``test_pair_penalty_matches_moves_compatible``.
-        """
-        if (move.atom != recent.atom
-                and move.destination != recent.destination
-                and move.destination != recent.source
-                and recent.destination != move.source
-                and _ordering_preserved(move.source_position[0],
-                                        recent.source_position[0],
-                                        move.destination_position[0],
-                                        recent.destination_position[0])
-                and _ordering_preserved(move.source_position[1],
-                                        recent.source_position[1],
-                                        move.destination_position[1],
-                                        recent.destination_position[1])):
-            # Parallel loading & shuttling: shares the whole AOD batch.
-            return 0.0
+        full = None
         durations = self.architecture.durations
-        same_row = abs(move.source_position[1] - recent.source_position[1]) < _EPSILON
-        same_column = abs(move.source_position[0] - recent.source_position[0]) < _EPSILON
-        if same_row or same_column:
-            # Parallel loading only: the activation window is shared, but
-            # the shuttle itself needs its own deactivation/activation.
-            return durations.aod_activation + durations.aod_deactivation
-        return (durations.aod_activation
-                + self.architecture.shuttle_move_duration(move.rectangular_distance)
-                + durations.aod_deactivation)
+        atom = move.atom
+        source = move.source
+        destination = move.destination
+        sx, sy = move.source_position
+        ex, ey = move.destination_position
+        for recent in self._recent_moves:
+            rsx, rsy = recent.source_position
+            dsx = sx - rsx
+            dsy = sy - rsy
+            if (atom != recent.atom
+                    and destination != recent.destination
+                    and destination != recent.source
+                    and recent.destination != source):
+                rex, rey = recent.destination_position
+                dex = ex - rex
+                dey = ey - rey
+                if ((abs(dsx) < _EPSILON or abs(dex) < _EPSILON
+                     or (dsx > 0) == (dex > 0))
+                        and (abs(dsy) < _EPSILON or abs(dey) < _EPSILON
+                             or (dsy > 0) == (dey > 0))):
+                    # Parallel loading & shuttling: shares the whole AOD
+                    # batch (adding 0.0 would not change the sum).
+                    continue
+            if abs(dsy) < _EPSILON or abs(dsx) < _EPSILON:
+                # Parallel loading only: the activation window is shared,
+                # but the shuttle itself needs its own
+                # deactivation/activation.
+                penalty += durations.aod_activation + durations.aod_deactivation
+            else:
+                if full is None:
+                    full = (durations.aod_activation
+                            + self.architecture.shuttle_move_duration(
+                                move.rectangular_distance)
+                            + durations.aod_deactivation)
+                penalty += full
+        return penalty
 
     def _distance_change(self, state: MappingState, move: Move,
                          node_index: Dict[int, Sequence]) -> float:
@@ -627,8 +639,9 @@ class ShuttlingRouter:
                     blocking_atom = state.atom_at_site(target)
                     if blocking_atom is None:
                         break
-                    away = self._nearest_free_site(free_mask, lattice, target,
-                                                   forbidden, max_radius=reach)
+                    away = self._nearest_free_site(
+                        free_mask, state.connectivity, target, forbidden,
+                        max_radius=reach)
                     if away is None:
                         break
                     step.append(self._pooled_move(blocking_atom, target, away,

@@ -101,14 +101,17 @@ class Schedule:
         """Summed busy time weighted by the number of atoms each operation occupies."""
         return sum(op.duration * len(op.atoms) for op in self.operations)
 
-    def idle_time(self) -> float:
+    def idle_time(self, *, makespan: Optional[float] = None) -> float:
         """The paper's idle time ``t_idle = n * T - sum_O t_O`` (Eq. 1).
 
         Negative values (possible for highly parallel circuits where the
         operation count outweighs the small qubit register) are clamped to
-        zero, as an idle time below zero has no physical meaning.
+        zero, as an idle time below zero has no physical meaning.  A caller
+        that already holds :attr:`makespan` passes it to skip a rescan.
         """
-        return max(self.num_circuit_qubits * self.makespan - self.total_operation_time(), 0.0)
+        if makespan is None:
+            makespan = self.makespan
+        return max(self.num_circuit_qubits * makespan - self.total_operation_time(), 0.0)
 
     def per_qubit_idle_time(self) -> float:
         """Alternative idle measure: ``sum_q (T - busy_q)`` over circuit qubits."""

@@ -119,7 +119,7 @@ def _build_chain_generic(self, state: MappingState, gate: Gate, anchor: int,
             if blocking_atom is None:
                 continue
             away_destination = _nearest_free_site(
-                _mask(state, occupied), lattice, blocked,
+                _mask(state, occupied), state.connectivity, blocked,
                 forbidden=set(kept_sites) | {current_site})
             if away_destination is None:
                 continue
@@ -188,7 +188,7 @@ def _build_chain_2q(self, state: MappingState, gate: Gate, anchor: int,
         if blocking_atom is None:
             continue
         away_destination = _nearest_free_site(
-            state.free_mask, lattice, blocked, forbidden=forbidden)
+            state.free_mask, state.connectivity, blocked, forbidden=forbidden)
         if away_destination is None:
             continue
         move_away = self._pooled_move(blocking_atom, blocked,
@@ -230,13 +230,15 @@ def _anchor_relocation(self, state: MappingState, anchor: int,
                              destination, lattice, is_move_away=False)
 
 
-def _nearest_free_site(free_mask, lattice, origin: int, forbidden: Set[int],
+def _nearest_free_site(free_mask, connectivity, origin: int,
+                       forbidden: Set[int],
                        max_radius: int = 4) -> Optional[int]:
     """Closest free site to ``origin`` outside ``forbidden`` (for move-aways).
 
     A scalar set scan of the discs, innermost first; ``free_mask[site]`` is
-    nonzero for a free site.
+    nonzero for a free site.  Only ``connectivity``'s lattice is read.
     """
+    lattice = connectivity.architecture.lattice
     origin_row = lattice.rectangular_row(origin)
     for radius in range(1, max_radius + 1):
         disc = set(lattice.sites_within(origin, radius * lattice.spacing + _EPSILON))
@@ -290,7 +292,7 @@ def forced_chain(self, state: MappingState, node) -> Optional[MoveChain]:
                     feasible = False
                     break
                 away = _nearest_free_site(
-                    _mask(state, occupied), lattice, target,
+                    _mask(state, occupied), state.connectivity, target,
                     forbidden=set(cluster) | gate_sites, max_radius=reach)
                 if away is None:
                     feasible = False

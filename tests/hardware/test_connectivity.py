@@ -1,5 +1,9 @@
 """Unit tests for the site connectivity graph."""
 
+import random
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from repro.hardware import (TOPOLOGY_KINDS, NeutralAtomArchitecture,
@@ -108,24 +112,32 @@ class TestDistances:
         assert all(site in allowed for site in path)
 
 
+#: Devices per topology family for the table tests: the gate preset's
+#: r_int = 4.5 gives the dense neighbourhoods, the zoned device has
+#: storage sites without interaction partners and corridor penalties.
+ARCHITECTURES = {
+    "square": lambda: [mixed(lattice_rows=7, num_atoms=30),
+                       gate_optimised(lattice_rows=7, num_atoms=30)],
+    "rectangular": lambda: [mixed(lattice_rows=7, num_atoms=30,
+                                  topology="rectangular", spacing_y=4.0)],
+    "zoned": lambda: [zoned(lattice_rows=9, num_atoms=30)],
+}
+
+
+def test_every_topology_family_has_table_devices():
+    assert sorted(ARCHITECTURES) == sorted(TOPOLOGY_KINDS)
+
+
 class TestSwapRow:
     """``swap_row`` is the one SWAP-distance definition: the router's cost
     engine and the capability decider read it where they once applied the
     adjacency test and ``max(hop - 1, 0)`` by hand."""
 
-    ARCHITECTURES = {
-        "square": lambda: [mixed(lattice_rows=7, num_atoms=30),
-                           gate_optimised(lattice_rows=7, num_atoms=30)],
-        "rectangular": lambda: [mixed(lattice_rows=7, num_atoms=30,
-                                      topology="rectangular", spacing_y=4.0)],
-        "zoned": lambda: [zoned(lattice_rows=9, num_atoms=30)],
-    }
-
     @pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
     def test_equals_adjacency_and_hop_rule(self, kind):
-        assert kind in self.ARCHITECTURES, (
+        assert kind in ARCHITECTURES, (
             f"topology family {kind!r} has no architecture in this suite")
-        for architecture in self.ARCHITECTURES[kind]():
+        for architecture in ARCHITECTURES[kind]():
             connectivity = SiteConnectivity(architecture)
             for a in range(connectivity.num_sites):
                 row = connectivity.swap_row(a)
@@ -139,3 +151,109 @@ class TestSwapRow:
                     # The per-qubit SWAP scorer reads a moved qubit's row,
                     # where a full walk reads its partner's.
                     assert row[b] == connectivity.swap_row(b)[a]
+
+
+def _intersect1d_fold(connectivity, sites):
+    """The chain builder's former zone: a ``numpy.intersect1d`` fold."""
+    zone = connectivity.interaction_array(sites[0])
+    for site in sites[1:]:
+        zone = np.intersect1d(zone, connectivity.interaction_array(site),
+                              assume_unique=True)
+    return zone
+
+
+class TestCommonInteractionArray:
+    """``common_interaction_array`` is the chain builder's gathering zone,
+    cached per site pair: it must equal the ``intersect1d`` fold it
+    replaced, for any order of the kept sites, and never be writeable."""
+
+    @pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
+    def test_equals_the_intersect1d_fold(self, kind):
+        rng = random.Random(kind)
+        sizes = Counter()
+        for architecture in ARCHITECTURES[kind]():
+            connectivity = SiteConnectivity(architecture)
+            num_sites = connectivity.num_sites
+            for _ in range(300):
+                count = rng.randint(1, 4)
+                sites = [rng.randrange(num_sites)]
+                while len(sites) < count:
+                    # Mostly kept sets as the chain builder grows them (each
+                    # site interacts with every earlier one), some at random.
+                    zone = _intersect1d_fold(connectivity, sites).tolist()
+                    if zone and rng.random() < 0.8:
+                        sites.append(rng.choice(zone))
+                    else:
+                        sites.append(rng.randrange(num_sites))
+                expected = _intersect1d_fold(connectivity, sites)
+                for order in (sites, sites[::-1]):
+                    actual = connectivity.common_interaction_array(order)
+                    assert actual.dtype == expected.dtype
+                    assert actual.tolist() == expected.tolist(), order
+                    assert not actual.flags.writeable
+                sizes[(count, bool(expected.size))] += 1
+        # Every kept-set size, with empty and non-empty zones.
+        assert all(sizes[(count, True)] for count in range(1, 5)), sizes
+        assert any(sizes[(count, False)] for count in range(2, 5)), sizes
+
+    def test_pairs_are_cached_unordered_and_read_only(self):
+        connectivity = SiteConnectivity(gate_optimised(lattice_rows=7,
+                                                       num_atoms=30))
+        a, b = 10, 11
+        zone = connectivity.common_interaction_array([a, b])
+        assert connectivity.common_interaction_array([b, a]) is zone
+        assert connectivity.common_interaction_array([a]) is \
+            connectivity.interaction_array(a)
+        with pytest.raises(ValueError):
+            zone[0] = -1
+        with pytest.raises(ValueError):
+            connectivity.interaction_array(a)[0] = -1
+
+
+class TestMoveAwayOrder:
+    """``move_away_order`` lists the move-away discs in the order the
+    innermost-disc-first scan visits them; the scan itself is compared with
+    the scalar reference in ``tests/mapping/test_chain_builder_reference.py``."""
+
+    @pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
+    def test_disc_then_travel_then_site(self, kind):
+        for architecture in ARCHITECTURES[kind]():
+            connectivity = SiteConnectivity(architecture)
+            lattice = architecture.lattice
+            for origin in range(0, connectivity.num_sites, 5):
+                travel = lattice.rectangular_row(origin)
+                for radius in (1, 2, 4, 9):
+                    discs = [set(lattice.sites_within(
+                        origin, disc * lattice.spacing + 1e-9))
+                        for disc in range(1, radius + 1)]
+
+                    def key(site):
+                        innermost = next(index for index, disc
+                                         in enumerate(discs) if site in disc)
+                        return innermost, travel[site], site
+
+                    order = connectivity.move_away_order(origin, radius)
+                    assert not order.flags.writeable
+                    assert connectivity.move_away_order(origin, radius) \
+                        is order
+                    assert order.tolist() == sorted(discs[-1], key=key)
+
+
+class TestLaterAdjacentBits:
+    """The clique search's bitsets mark exactly the later neighbours that
+    interact with each neighbour of the anchor."""
+
+    @pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
+    def test_bits_equal_the_adjacency_rule(self, kind):
+        for architecture in ARCHITECTURES[kind]():
+            connectivity = SiteConnectivity(architecture)
+            for anchor in range(connectivity.num_sites):
+                neighbours = connectivity.interaction_neighbours(anchor)
+                bits = connectivity.later_adjacent_bits(anchor)
+                assert connectivity.later_adjacent_bits(anchor) is bits
+                assert len(bits) == len(neighbours)
+                for j, site in enumerate(neighbours):
+                    expected = sum(
+                        1 << k for k in range(j + 1, len(neighbours))
+                        if connectivity.are_adjacent(site, neighbours[k]))
+                    assert bits[j] == expected, (anchor, j)

@@ -12,9 +12,11 @@ wide gates see the simulated moves of the earlier ones.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.circuit import QuantumCircuit
@@ -23,7 +25,7 @@ from repro.hardware import SiteConnectivity
 from repro.hardware.presets import preset
 from repro.mapping import MappingState, ShuttlingRouter
 
-from chain_reference import patched_router
+from chain_reference import _nearest_free_site, patched_router
 
 NUM_QUBITS = 12
 STEPS = 25
@@ -91,3 +93,53 @@ def test_chains_match_the_scalar_reference(name):
     # The walk reached every path the comparison is meant to cover.
     assert seen["move-away"] and seen["simulated"], seen
     assert seen["forced move-away"] and seen["none"], seen
+
+
+#: Move-away devices: inexact lattice constants and a zoned grid whose
+#: travel metric carries corridor penalties.
+MOVE_AWAY_ARCHITECTURES = {
+    "square-3.0": lambda: preset("shuttling", lattice_rows=7, num_atoms=30),
+    "square-0.3": lambda: preset("shuttling", lattice_rows=7, spacing=0.3,
+                                 num_atoms=30),
+    "square-1.1": lambda: preset("mixed", lattice_rows=7, spacing=1.1,
+                                 num_atoms=30),
+    "zoned-1.1": lambda: preset("zoned", lattice_rows=9, spacing=1.1,
+                                num_atoms=30, corridor_transit_um=7.3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOVE_AWAY_ARCHITECTURES))
+def test_move_away_lookup_matches_the_scalar_scan(name):
+    """One gather over the ordered move-away table returns what the scalar
+    disc-by-disc scan returns: radii 1-4 and forced_chain's lattice-wide
+    reach, random free masks and forbidden sets (free and occupied sites,
+    near and far)."""
+    architecture = MOVE_AWAY_ARCHITECTURES[name]()
+    lattice = architecture.lattice
+    if name.startswith("zoned"):
+        assert lattice.has_travel_penalties
+    connectivity = SiteConnectivity(architecture)
+    num_sites = connectivity.num_sites
+    reach = math.ceil(math.hypot((lattice.rows - 1) * lattice.spacing_y,
+                                 (lattice.cols - 1) * lattice.spacing_x)
+                      / lattice.spacing)
+    rng = random.Random(name)
+    outcomes = Counter()
+    for _ in range(150):
+        fill = rng.choice((0.3, 0.8, 0.97))
+        free_mask = np.array([rng.random() > fill for _ in range(num_sites)],
+                             dtype=np.uint8)
+        origin = rng.randrange(num_sites)
+        near = lattice.sites_within(origin, 2 * lattice.spacing + 1e-9)
+        forbidden = set(rng.sample(near, min(len(near), rng.randint(0, 6))))
+        forbidden.update(rng.sample(range(num_sites), rng.randint(0, 3)))
+        for radius in (1, 2, 3, 4, reach):
+            expected = _nearest_free_site(free_mask, connectivity, origin,
+                                          forbidden, radius)
+            actual = ShuttlingRouter._nearest_free_site(
+                free_mask, connectivity, origin, forbidden, radius)
+            assert actual == expected, (origin, radius, sorted(forbidden))
+            outcomes[expected is None, radius == reach] += 1
+    # Found and not found, within the move-away radius and lattice-wide.
+    assert all(outcomes[key] for key in
+               ((False, False), (True, False), (False, True))), outcomes

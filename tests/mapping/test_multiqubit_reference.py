@@ -26,6 +26,7 @@ from repro.hardware import (TOPOLOGY_KINDS, NeutralAtomArchitecture,
                             SiteConnectivity, SquareLattice)
 from repro.hardware.presets import preset
 from repro.mapping import GatePosition, MappingState, find_gate_position
+from repro.mapping.multiqubit import _interacting_subsets
 
 
 # ----------------------------------------------------------------------
@@ -269,3 +270,54 @@ def test_storage_stranded_gate_matches_reference():
     for width in (3, 4, 5):
         gate = controlled_z(tuple(range(width)))
         assert assert_matches_reference(state, gate) is None
+
+
+@pytest.mark.parametrize("occupancy", sorted(OCCUPANCIES))
+@pytest.mark.parametrize("spacing", SPACINGS)
+def test_bitset_clique_search_matches_reference(spacing, occupancy):
+    """The bitset DFS returns the reference's subsets, in order, for every
+    occupied anchor and widths 3-5.  On the gate preset (r_int = 4.5) a
+    dense fill leaves anchors with more than 24 occupied neighbours, so the
+    neighbour cap binds; the 8-set cap binds too."""
+    architecture = preset("gate", lattice_rows=7, spacing=spacing,
+                          num_atoms=int(49 * OCCUPANCIES[occupancy]))
+    connectivity = SiteConnectivity(architecture)
+    rng = random.Random(f"cliques/{spacing}/{occupancy}")
+    capped = full = found = 0
+    for _ in range(3):
+        state = _random_state(architecture, connectivity, rng)
+        for anchor in range(connectivity.num_sites):
+            if state.site_is_free(anchor):
+                continue
+            occupied = sum(not state.site_is_free(site) for site in
+                           connectivity.interaction_neighbours(anchor))
+            capped += occupied > 24
+            for size in (3, 4, 5):
+                expected = _mutually_interacting_subsets(state, anchor, size)
+                assert _interacting_subsets(state, anchor, size) == expected, \
+                    (anchor, size)
+                found += bool(expected)
+                full += len(expected) == 8
+    assert found and full
+    if occupancy == "dense":
+        assert capped, "the 24-neighbour cap never binds: oracle is vacuous"
+
+
+def test_bitset_clique_search_honours_the_exact_neighbour_cap():
+    """A 9x9 gate-preset fill (found by search; such states are rare) where
+    the 24th occupied neighbour enters an anchor's first 8 sets, so that a
+    cap of 23 would return other sets: the cap's exact value is checked."""
+    architecture = preset("gate", lattice_rows=9, num_atoms=48)
+    connectivity = SiteConnectivity(architecture)
+    rng = random.Random("9/0.6/15")
+    sites = rng.sample(range(architecture.lattice.num_sites), 48)
+    state = MappingState(architecture, 5, connectivity=connectivity,
+                         initial_sites=sites)
+    observable = 0
+    for anchor in sites:
+        for size in (3, 4, 5):
+            expected = _mutually_interacting_subsets(state, anchor, size)
+            assert _interacting_subsets(state, anchor, size) == expected
+            observable += expected != _mutually_interacting_subsets(
+                state, anchor, size, max_candidates=23)
+    assert observable

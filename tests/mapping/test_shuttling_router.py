@@ -200,7 +200,7 @@ class TestForcedChain:
 
 
 class TestPairPenaltyCompatibilityParity:
-    """The inlined AOD-compatibility test in ``_pair_penalty_term`` must
+    """The AOD-compatibility test inlined in ``move_time_penalty`` must
     agree with :func:`repro.shuttling.aod.moves_compatible` for every move
     pair — if the scheduler's batching rule ever changes, this fails loudly
     instead of letting the cost model drift silently."""
@@ -231,7 +231,8 @@ class TestPairPenaltyCompatibilityParity:
         ]
         checked = 0
         for move, recent in product(moves, moves):
-            term = router._pair_penalty_term(move, recent)
+            router._recent_moves = [recent]
+            term = router.move_time_penalty(move)
             assert (term == 0.0) == moves_compatible(move, recent), \
                 (move, recent)
             checked += 1
@@ -294,3 +295,66 @@ class TestBatchedTimePenalty:
                 assert value.hex() == scalar.hex(), (move, value, scalar)
                 filled += 1
         assert filled > 200
+
+
+class TestTimePenaltyReference:
+    """`move_time_penalty` walks the history once with the AOD rule inlined;
+    it must equal, bit for bit, the sum of per-recent-move terms decided by
+    :func:`repro.shuttling.aod.moves_compatible`, in history order."""
+
+    @pytest.mark.parametrize("hardware, spacing, topology_kwargs", (
+        ("mixed", 3.0, {}),
+        ("mixed", 0.3, {}),
+        ("mixed", 1.1, {}),
+        ("zoned", 1.1, {"corridor_transit_um": 7.3}),
+    ))
+    def test_equals_moves_compatible_sum(self, hardware, spacing,
+                                         topology_kwargs):
+        import random
+
+        from repro.hardware.presets import preset
+        from repro.shuttling.aod import moves_compatible
+
+        architecture = preset(hardware, lattice_rows=5, spacing=spacing,
+                              num_atoms=12, **topology_kwargs)
+        topology = architecture.lattice
+        durations = architecture.durations
+        router = ShuttlingRouter(architecture, history_window=4)
+        rng = random.Random(f"{hardware}/{spacing}")
+        sites = range(topology.num_sites)
+
+        def random_move():
+            source, destination = rng.sample(sites, 2)
+            return router._pooled_move(rng.randrange(6), source, destination,
+                                       topology, is_move_away=False)
+
+        def reference(move):
+            penalty = 0.0
+            for recent in router._recent_moves:
+                if moves_compatible(move, recent):
+                    term = 0.0
+                elif (abs(move.source_position[1]
+                          - recent.source_position[1]) < 1e-9
+                      or abs(move.source_position[0]
+                             - recent.source_position[0]) < 1e-9):
+                    term = durations.aod_activation + durations.aod_deactivation
+                else:
+                    term = (durations.aod_activation
+                            + architecture.shuttle_move_duration(
+                                move.rectangular_distance)
+                            + durations.aod_deactivation)
+                penalty += term
+            return penalty
+
+        terms = set()
+        for _round in range(60):
+            router.note_moves_applied(
+                [random_move() for _ in range(rng.randint(1, 3))])
+            for _ in range(rng.randint(1, 12)):
+                move = random_move()
+                expected = reference(move)
+                assert router.move_time_penalty(move).hex() == \
+                    expected.hex(), move
+                terms.add(expected)
+        # Sums of zero, shared and full terms all occur.
+        assert len(terms) > 10
