@@ -30,29 +30,18 @@ from __future__ import annotations
 import argparse
 import os
 import queue
-import sys
 import tempfile
 import threading
 import time
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-if __package__:
-    from .common import bench_spec, scaled_size
-    from .perf_report import PAPER_SIZES, merge_case, write_report, _print_case
-else:  # executed as a plain script: python benchmarks/bench_serving.py
-    _HERE = Path(__file__).resolve().parent
-    for entry in (str(_HERE), str(_HERE.parent / "src")):
-        if entry not in sys.path:
-            sys.path.insert(0, entry)
-    from common import bench_spec, scaled_size
-    from perf_report import PAPER_SIZES, merge_case, write_report, _print_case
+from perf_report import PAPER_SIZES, bench_spec, record_case, scaled_size
 
-from repro.server import ServingClient, ServingGateway  # noqa: E402
-from repro.server.__main__ import _start_background_server  # noqa: E402
-from repro.service import CompilationTask  # noqa: E402
-from repro.store import ResultStore  # noqa: E402
-from repro.telemetry import percentile  # noqa: E402
+from repro.server import ServingClient, ServingGateway
+from repro.server.__main__ import _start_background_server
+from repro.service import CompilationTask
+from repro.store import ResultStore
+from repro.telemetry import percentile
 
 DEFAULT_CIRCUITS = ("qft", "graph")
 DEFAULT_HARDWARE = ("mixed",)
@@ -99,8 +88,7 @@ def run_serving_case(scale: float, *, repeats: int = 5, clients: int = 4,
     fault_plan = None
     compile_fn = None
     if degraded:
-        from repro.resilience import (FaultPlan, FaultSpec, FaultyCompile,
-                                      RetryPolicy)
+        from repro.resilience import FaultPlan, FaultSpec, FaultyCompile
 
         num_distinct = len(circuits) * len(hardware_presets)
         fault_plan = FaultPlan(
@@ -232,10 +220,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                             pool=args.pool, circuits=args.circuits,
                             hardware_presets=args.hardware, mode=args.mode,
                             store_dir=args.store_dir, degraded=args.degraded)
-    report = merge_case(args.out, case, args.scale)
-    write_report(report, args.out)
-    _print_case(case)
-    print(f"wrote {args.out}")
+    record_case(args.out, case, args.scale)
     return 0 if case["num_failures"] == 0 else 1
 
 

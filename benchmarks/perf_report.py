@@ -1,7 +1,10 @@
-"""Perf-report helper: track compile wall time per pass across scales.
+"""Perf report: compile wall time per pass, swap/move counts and quality.
 
-Emits ``BENCH_scaling.json`` so the performance trajectory of the mapper is
-recorded from PR 1 onward (schema ``repro-bench-scaling/v1``):
+The one harness that writes ``BENCH_scaling.json`` cases (schema
+``repro-bench-scaling/v1``).  It keeps the cases perfbench cannot express:
+the scaled single-circuit matrix per topology, batch throughput, serial vs
+sharded routing and the telemetry overhead probe; ``bench_serving.py``
+adds its serving cases through :func:`record_case`:
 
 .. code-block:: json
 
@@ -66,15 +69,16 @@ Usage::
         --hardware mixed --scale 0.3           # zoned-topology matrix
     PYTHONPATH=src python benchmarks/perf_report.py --shard \
         --hardware mixed --circuits qft --scale 0.3  # shard-routing case
-    PYTHONPATH=src python benchmarks/perf_report.py --profile \
-        --hardware mixed --circuits qft --scale 0.12 # cProfile the routing
+    PYTHONPATH=src python -m cProfile -s cumulative benchmarks/perf_report.py \
+        --hardware mixed --circuits qft --scale 0.12 --out smoke-report.json
 
 ``--baseline`` points at a previous report (e.g. the committed seed
 baseline); matching cases gain a ``speedup_vs_baseline`` field computed from
-``wall_seconds``.  The pytest entry point is ``benchmarks/bench_scaling.py``,
-which runs the same matrix (and a smoke-scale batch case) and emits the same
-file; ``python benchmarks/bench_scaling.py --batch`` is a shorthand for the
-batch mode here.
+``wall_seconds``.  Every mode merges its cases into ``--out`` through
+:func:`merge_report`.  The default ``--out`` is the tracked report at the
+repository root; point it elsewhere for smoke runs.  For a per-function
+profile run the matrix under ``cProfile`` as above; perfbench's ``--trace 1``
+gives the per-layer breakdown.
 """
 
 from __future__ import annotations
@@ -92,25 +96,39 @@ try:  # POSIX-only; absent on some platforms
 except ImportError:  # pragma: no cover - non-POSIX fallback
     _resource = None
 
-if __package__:
-    from .common import (PAPER_SIZES, bench_spec, build_circuit,
-                         config_for_mode, scaled_size)
-else:  # executed as a plain script: python benchmarks/perf_report.py
-    _HERE = Path(__file__).resolve().parent
-    for entry in (str(_HERE), str(_HERE.parent / "src")):
-        if entry not in sys.path:
-            sys.path.insert(0, entry)
-    from common import (PAPER_SIZES, bench_spec, build_circuit,
-                        config_for_mode, scaled_size)
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+if _SRC not in sys.path:
+    sys.path.insert(0, _SRC)
 
-from repro.pipeline import compile_circuit
-from repro.service import ARCHITECTURE_CACHE, BatchCompiler, CompilationTask
-from repro.telemetry import tracing
+from repro.circuit import QuantumCircuit, decompose_mcx_to_mcz  # noqa: E402
+from repro.circuit.library import get_benchmark  # noqa: E402
+from repro.mapping import MapperConfig  # noqa: E402
+from repro.pipeline import compile_circuit  # noqa: E402
+from repro.service import (ARCHITECTURE_CACHE, ArchitectureSpec,  # noqa: E402
+                           BatchCompiler, CompilationTask)
+from repro.telemetry import tracing  # noqa: E402
+from repro.workloads import PAPER_SIZES, scaled_register_size  # noqa: E402
 
 SCHEMA = "repro-bench-scaling/v1"
 DEFAULT_CIRCUITS: Tuple[str, ...] = ("qft", "graph")
 DEFAULT_HARDWARE: Tuple[str, ...] = ("gate", "mixed", "shuttling")
 DEFAULT_MODES: Tuple[str, ...] = ("hybrid",)
+
+
+def scaled_size(name: str, scale: float) -> int:
+    """Scaled register size for a named benchmark (minimum 8 qubits)."""
+    return scaled_register_size(name, scale, min_size=8)
+
+
+def bench_spec(hardware: str, scale: float,
+               topology: str = "square") -> ArchitectureSpec:
+    """Cacheable spec of the benchmark device at the given scale."""
+    return ArchitectureSpec.scaled(hardware, scale, topology=topology)
+
+
+def build_circuit(name: str, scale: float, seed: int = 2024) -> QuantumCircuit:
+    circuit = get_benchmark(name, num_qubits=scaled_size(name, scale), seed=seed)
+    return decompose_mcx_to_mcz(circuit)
 
 
 def _architecture(hardware: str, scale: float, topology: str = "square"):
@@ -124,9 +142,9 @@ def peak_rss_mb() -> Optional[float]:
     lifetime (kibibytes on Linux, bytes on macOS), so a case records the
     peak *after* it ran — an upper bound on its own footprint, and across a
     whole report the field shows which case pushed the mark up.  ``None``
-    where the ``resource`` module is unavailable; consumers (including
-    ``_preserved_cases``) must tolerate cases lacking the field, which also
-    keeps reports recorded before the field existed loadable.
+    where the ``resource`` module is unavailable; consumers must tolerate
+    cases lacking the field, which also keeps reports recorded before the
+    field existed loadable.
     """
     if _resource is None:  # pragma: no cover - non-POSIX fallback
         return None
@@ -156,7 +174,7 @@ def run_case(hardware: str, circuit_name: str, mode: str, scale: float,
     """
     architecture, connectivity = _architecture(hardware, scale, topology)
     circuit = build_circuit(circuit_name, scale)
-    config = config_for_mode(mode, alpha)
+    config = MapperConfig.for_mode(mode, alpha)
     with tracing.start_trace("perf_report.case", hardware=hardware,
                              circuit=circuit_name, mode=mode) as handle:
         start = time.perf_counter()
@@ -203,7 +221,7 @@ def run_shard_case(hardware: str, circuit_name: str, mode: str, scale: float,
     """
     architecture, connectivity = _architecture(hardware, scale, topology)
     circuit = build_circuit(circuit_name, scale)
-    serial_config = config_for_mode(mode, alpha)
+    serial_config = MapperConfig.for_mode(mode, alpha)
     sharded_config = serial_config.with_overrides(shard_routing=True)
     alpha_ratio = alpha if mode == "hybrid" else None
 
@@ -276,7 +294,7 @@ def run_telemetry_overhead_case(scale: float, *, hardware: str = "shuttling",
 
     architecture, connectivity = _architecture(hardware, scale, topology)
     circuit = build_circuit(circuit_name, scale)
-    config = config_for_mode(mode, 1.0)
+    config = MapperConfig.for_mode(mode, 1.0)
     alpha_ratio = 1.0 if mode == "hybrid" else None
     registry = get_registry()
     best: Dict[str, float] = {}
@@ -380,26 +398,6 @@ def run_batch_case(scale: float, num_workers: int,
     return case
 
 
-def collect_report(scale: float,
-                   circuits: Sequence[str] = DEFAULT_CIRCUITS,
-                   hardware_presets: Sequence[str] = DEFAULT_HARDWARE,
-                   modes: Sequence[str] = DEFAULT_MODES,
-                   cases: Optional[Iterable[Dict]] = None,
-                   topology: str = "square") -> Dict:
-    """Assemble a full report, running the matrix unless ``cases`` is given."""
-    if cases is None:
-        cases = [run_case(hardware, circuit, mode, scale, topology=topology)
-                 for hardware in hardware_presets
-                 for circuit in circuits
-                 for mode in modes]
-    return {
-        "schema": SCHEMA,
-        "created_unix": time.time(),
-        "scale": scale,
-        "cases": list(cases),
-    }
-
-
 def _case_key(case: Dict) -> Tuple:
     return (case.get("kind", "single"), case.get("hardware"),
             case.get("circuit"), case.get("mode"), case.get("scale"),
@@ -417,67 +415,50 @@ def attach_baseline(report: Dict, baseline: Dict) -> None:
                 matched["wall_seconds"] / case["wall_seconds"], 2)
 
 
-def merge_case(report_path, case: Dict, scale: float) -> Dict:
-    """Append ``case`` to an existing report (replacing a same-key case).
+def merge_report(report_path, cases: Sequence[Dict], scale: float,
+                 matrix_topology: Optional[str] = None) -> Dict:
+    """The report at ``report_path`` with ``cases`` merged in.
 
-    Creates a fresh report when the path does not hold one.  Used by the
-    batch mode so throughput cases accumulate next to the single-circuit
-    matrix instead of overwriting it.
+    Each new case replaces a recorded case with the same key; every other
+    recorded case (throughput kinds, other topologies, other scales) is
+    kept, so regeneration order does not matter.  A matrix regeneration
+    passes its ``matrix_topology``: it then also drops that topology's
+    remaining single-circuit cases (the matrix is replaced wholesale), its
+    cases lead the report and the report's ``scale`` becomes ``scale``.
+    Other cases are appended.  A path that does not hold a report starts a
+    fresh one.
     """
-    path = Path(report_path)
-    report: Optional[Dict] = None
-    if path.exists():
-        try:
-            candidate = json.loads(path.read_text())
-        except ValueError:
-            candidate = None
-        if isinstance(candidate, dict) and candidate.get("schema") == SCHEMA:
-            report = candidate
-    if report is None:
-        report = {"schema": SCHEMA, "created_unix": time.time(),
-                  "scale": scale, "cases": []}
-    report["cases"] = [existing for existing in report["cases"]
-                       if _case_key(existing) != _case_key(case)]
-    report["cases"].append(case)
+    try:
+        report = json.loads(Path(report_path).read_text())
+    except (OSError, ValueError):
+        report = None
+    if not isinstance(report, dict) or report.get("schema") != SCHEMA:
+        report = {"schema": SCHEMA, "created_unix": time.time(), "scale": scale,
+                  "cases": []}
+    new_keys = {_case_key(case) for case in cases}
+    kept = [case for case in report["cases"]
+            if _case_key(case) not in new_keys
+            and (matrix_topology is None
+                 or case.get("kind", "single") != "single"
+                 or case.get("topology", "square") != matrix_topology)]
+    if matrix_topology is None:
+        report["cases"] = kept + list(cases)
+    else:
+        report["cases"] = list(cases) + kept
+        report["scale"] = scale
     report["created_unix"] = time.time()
     return report
 
 
-def _preserved_cases(report_path, new_cases: Sequence[Dict],
-                     topology: Optional[str] = "square") -> List[Dict]:
-    """Cases of an existing report not superseded by ``new_cases``.
-
-    Regenerating one single-circuit matrix must not silently drop previously
-    recorded throughput cases (``batch_throughput`` / ``serving_throughput``)
-    or the matrices of *other* topologies (e.g. a committed ``topology:
-    "zoned"`` case when the square matrix is refreshed, and vice versa), so
-    regeneration order does not matter.
-
-    With ``topology`` set, same-topology single-circuit cases are dropped
-    even when not superseded (a full-matrix CLI regeneration replaces that
-    topology's matrix wholesale); ``topology=None`` preserves *every*
-    non-superseded case (the cumulative pytest-harness path, which records
-    a mixed-topology case list).
-    """
-    path = Path(report_path)
-    if not path.exists():
-        return []
-    try:
-        existing = json.loads(path.read_text())
-    except ValueError:
-        return []
-    if not isinstance(existing, dict) or existing.get("schema") != SCHEMA:
-        return []
-    new_keys = {_case_key(case) for case in new_cases}
-    return [case for case in existing.get("cases", [])
-            if _case_key(case) not in new_keys
-            and (topology is None
-                 or case.get("kind", "single") != "single"
-                 or case.get("topology", "square") != topology)]
-
-
 def write_report(report: Dict, path) -> None:
     Path(path).write_text(json.dumps(report, indent=2) + "\n")
+
+
+def record_case(report_path, case: Dict, scale: float) -> None:
+    """Merge one case into the report at ``report_path`` and print it."""
+    write_report(merge_report(report_path, [case], scale), report_path)
+    _print_case(case)
+    print(f"wrote {report_path}")
 
 
 def cpu_caveat(case: Dict) -> Optional[str]:
@@ -500,48 +481,6 @@ def cpu_caveat(case: Dict) -> Optional[str]:
                 f"beat serial at {workers} workers; re-record this case on "
                 f"a host with >= {max(2, workers)} cores (ROADMAP caveat)")
     return None
-
-
-def profile_matrix(scale: float,
-                   circuits: Sequence[str] = DEFAULT_CIRCUITS,
-                   hardware_presets: Sequence[str] = DEFAULT_HARDWARE,
-                   modes: Sequence[str] = DEFAULT_MODES,
-                   topology: str = "square", top: int = 20,
-                   stream=None) -> None:
-    """Profile the routing pass per matrix case (``--profile``).
-
-    For each (hardware, circuit, mode) the full pipeline compile runs under
-    ``cProfile``; the dump shows the top-``top`` functions by cumulative
-    time, and the same view restricted to ``repro/mapping`` so the routing
-    hot spots are not drowned out by evaluation/scheduling frames.
-    """
-    import cProfile
-    import pstats
-
-    stream = stream or sys.stdout
-    for hardware in hardware_presets:
-        for circuit_name in circuits:
-            for mode in modes:
-                architecture, connectivity = _architecture(
-                    hardware, scale, topology)
-                circuit = build_circuit(circuit_name, scale)
-                config = config_for_mode(mode, 1.0)
-                profiler = cProfile.Profile()
-                profiler.enable()
-                compile_circuit(
-                    circuit, architecture, config,
-                    connectivity=connectivity,
-                    alpha_ratio=1.0 if mode == "hybrid" else None)
-                profiler.disable()
-                header = (f"{hardware}/{circuit_name}/{mode} "
-                          f"@ scale {scale} ({topology})")
-                print(f"\n=== profile: {header} ===", file=stream)
-                stats = pstats.Stats(profiler, stream=stream)
-                stats.sort_stats("cumulative")
-                print(f"-- top {top} by cumulative time --", file=stream)
-                stats.print_stats(top)
-                print(f"-- top {top} within repro/mapping --", file=stream)
-                stats.print_stats(r"repro[/\\]mapping", top)
 
 
 def _print_case(case: Dict) -> None:
@@ -615,10 +554,6 @@ def build_parser(description: str) -> argparse.ArgumentParser:
     parser.add_argument("--shard", action="store_true",
                         help="record serial-vs-sharded routing cases "
                              "(kind shard_routing) for the selected matrix")
-    parser.add_argument("--profile", action="store_true",
-                        help="run the selected matrix under cProfile and "
-                             "dump the top-20 functions by cumulative time "
-                             "(no report write)")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="run the selected matrix under structured "
                              "tracing and write the span timeline as Chrome "
@@ -658,36 +593,25 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.baseline and not Path(args.baseline).exists():
         parser.error(f"baseline report not found: {args.baseline}")
 
-    if args.trace and (args.profile or args.shard or args.batch
-                       or args.telemetry_overhead):
+    if args.trace and (args.shard or args.batch or args.telemetry_overhead):
         parser.error("--trace applies to the default single-circuit matrix")
-
-    if args.profile:
-        profile_matrix(args.scale, args.circuits, args.hardware, args.modes,
-                       topology=args.topology)
-        return 0
 
     if args.telemetry_overhead:
         case = run_telemetry_overhead_case(args.scale)
-        report = merge_case(args.out, case, args.scale)
-        write_report(report, args.out)
-        _print_case(case)
-        print(f"wrote {args.out}")
+        record_case(args.out, case, args.scale)
         return 0 if case["digests_identical"] else 1
 
     if args.shard:
         if len(args.modes) != 1:
             parser.error("--shard records comparison cases; pass exactly "
                          "one --modes value")
-        report = None
         for hardware in args.hardware:
             for circuit_name in args.circuits:
-                case = run_shard_case(hardware, circuit_name, args.modes[0],
-                                      args.scale, topology=args.topology)
-                report = merge_case(args.out, case, args.scale)
-                write_report(report, args.out)
-                _print_case(case)
-        print(f"wrote {args.out}")
+                record_case(args.out,
+                            run_shard_case(hardware, circuit_name,
+                                           args.modes[0], args.scale,
+                                           topology=args.topology),
+                            args.scale)
         return 0
 
     if args.batch:
@@ -696,30 +620,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         case = run_batch_case(args.scale, args.workers, args.circuits,
                               args.hardware, mode=args.modes[0],
                               topology=args.topology)
-        report = merge_case(args.out, case, args.scale)
-        write_report(report, args.out)
-        _print_case(case)
-        print(f"wrote {args.out}")
+        record_case(args.out, case, args.scale)
         return 0 if case["num_failures"] == 0 else 1
 
+    spans: Optional[List[tracing.Span]] = [] if args.trace else None
+    cases = [run_case(hardware, circuit_name, mode, args.scale,
+                      topology=args.topology, span_sink=spans)
+             for hardware in args.hardware
+             for circuit_name in args.circuits
+             for mode in args.modes]
     if args.trace:
-        spans: List[tracing.Span] = []
-        traced_cases = [run_case(hardware, circuit_name, mode, args.scale,
-                                 topology=args.topology, span_sink=spans)
-                        for hardware in args.hardware
-                        for circuit_name in args.circuits
-                        for mode in args.modes]
-        report = collect_report(args.scale, args.circuits, args.hardware,
-                                args.modes, cases=traced_cases,
-                                topology=args.topology)
         Path(args.trace).write_text(
             json.dumps(tracing.chrome_trace_events(spans), indent=2) + "\n")
         print(f"wrote {args.trace}")
-    else:
-        report = collect_report(args.scale, args.circuits, args.hardware,
-                                args.modes, topology=args.topology)
-    report["cases"].extend(_preserved_cases(args.out, report["cases"],
-                                            topology=args.topology))
+    report = merge_report(args.out, cases, args.scale,
+                          matrix_topology=args.topology)
     if args.baseline:
         attach_baseline(report, json.loads(Path(args.baseline).read_text()))
     write_report(report, args.out)

@@ -119,7 +119,6 @@ class GridTopology:
         self._euclidean_rows: List[Optional[List[float]]] = [None] * self._num_sites
         self._rectangular_rows: List[Optional[List[float]]] = [None] * self._num_sites
         self._rect_row_arrays: Dict[int, Any] = {}
-        self._sites_within_arrays: Dict[Tuple[int, float], Any] = {}
         # numpy row-vector kernel: per-axis coordinate arrays, used to fill
         # rectangular-distance rows in one vectorised expression (exact for
         # any spacing — see rectangular_row).  Euclidean rows intentionally
@@ -377,22 +376,6 @@ class GridTopology:
         if radius <= 0:
             return 0
         return len(self._radius_offsets(radius))
-
-    def sites_within_array(self, site: int, radius: float):
-        """:meth:`sites_within` as a cached int64 numpy array.
-
-        The scan order of :meth:`sites_within` is ascending site index, so
-        first-occurrence argmin over this array matches the scalar
-        ``min(..., key=(value, site))`` tie-break.  Returned by reference;
-        callers must not mutate it.
-        """
-        key = (site, radius)
-        array = self._sites_within_arrays.get(key)
-        if array is None:
-            array = _np.asarray(self.sites_within(site, radius),
-                                dtype=_np.int64)
-            self._sites_within_arrays[key] = array
-        return array
 
     # ------------------------------------------------------------------
     # Zone hooks (single-region defaults; ZonedTopology overrides them)

@@ -31,56 +31,13 @@ from repro.circuit.gate import (
     swap_gate,
 )
 
+from gate_matrices import local_matrix
+
 NUM_QUBITS = 5
 
 #: Angles of the parameterised gates: generic values, so no rotation
 #: degenerates to the identity or to a Pauli.
 ANGLES = (0.37, 1.23, -0.71)
-
-
-def _u3(theta: float, phi: float, lam: float) -> np.ndarray:
-    cos, sin = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[cos, -np.exp(1j * lam) * sin],
-                     [np.exp(1j * phi) * sin, np.exp(1j * (phi + lam)) * cos]])
-
-
-def _single_qubit_matrix(name: str, params) -> np.ndarray:
-    sx = np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]) / 2
-    fixed = {
-        "id": np.eye(2),
-        "x": np.array([[0, 1], [1, 0]]),
-        "y": np.array([[0, -1j], [1j, 0]]),
-        "z": np.diag([1, -1]),
-        "h": np.array([[1, 1], [1, -1]]) / np.sqrt(2),
-        "s": np.diag([1, 1j]),
-        "sdg": np.diag([1, -1j]),
-        "t": np.diag([1, np.exp(1j * np.pi / 4)]),
-        "tdg": np.diag([1, np.exp(-1j * np.pi / 4)]),
-        "sx": sx,
-        "sxdg": sx.conj().T,
-    }
-    if name in fixed:
-        return fixed[name]
-    if name == "rx":
-        (theta,) = params
-        return np.array([[np.cos(theta / 2), -1j * np.sin(theta / 2)],
-                         [-1j * np.sin(theta / 2), np.cos(theta / 2)]])
-    if name == "ry":
-        (theta,) = params
-        return np.array([[np.cos(theta / 2), -np.sin(theta / 2)],
-                         [np.sin(theta / 2), np.cos(theta / 2)]])
-    if name == "rz":
-        (theta,) = params
-        return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
-    if name in ("p", "u1"):
-        (lam,) = params
-        return np.diag([1, np.exp(1j * lam)])
-    if name == "u2":
-        phi, lam = params
-        return _u3(np.pi / 2, phi, lam)
-    if name in ("u3", "u"):
-        return _u3(*params)
-    raise KeyError(name)
 
 
 def _params_for(name: str):
@@ -113,32 +70,8 @@ def _embed(local: np.ndarray, qubits) -> np.ndarray:
     return full
 
 
-def _controlled_matrix(width: int, flip_target: bool) -> np.ndarray:
-    """``C^{width-1}Z`` or ``C^{width-1}X``; the target is the last bit."""
-    dim = 2 ** width
-    all_ones = dim - 1
-    if not flip_target:
-        diagonal = np.ones(dim, dtype=complex)
-        diagonal[all_ones] = -1
-        return np.diag(diagonal)
-    matrix = np.eye(dim, dtype=complex)
-    target_bit = 1 << (width - 1)
-    flipped = all_ones ^ target_bit
-    matrix[[all_ones, flipped]] = matrix[[flipped, all_ones]]
-    return matrix
-
-
 def _unitary(gate) -> np.ndarray:
-    if gate.kind == "single":
-        return _embed(_single_qubit_matrix(gate.name, gate.params), gate.qubits)
-    if gate.kind == "cz":
-        return _embed(_controlled_matrix(len(gate.qubits), False), gate.qubits)
-    if gate.kind == "cx":
-        return _embed(_controlled_matrix(len(gate.qubits), True), gate.qubits)
-    if gate.kind == "swap":
-        swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
-        return _embed(swap, gate.qubits)
-    raise ValueError(gate.kind)
+    return _embed(local_matrix(gate), gate.qubits)
 
 
 def _unitary_gates():

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.hardware import SiteConnectivity, SquareLattice
@@ -63,14 +62,6 @@ class TestNeighbourTableKernel:
         assert len(table) == lattice.num_sites
         for site in range(lattice.num_sites):
             assert list(table[site]) == lattice.sites_within(site, radius)
-
-    def test_sites_within_array_is_the_ascending_list(self, lattice, radius):
-        """The move-away search's argmin tie-break needs ascending discs."""
-        for site in (0, lattice.num_sites // 2, lattice.num_sites - 1):
-            disc = lattice.sites_within_array(site, radius)
-            assert disc.dtype == np.int64
-            assert disc.tolist() == lattice.sites_within(site, radius)
-            assert disc.tolist() == sorted(disc.tolist())
 
 
 class TestConnectivityUsesKernel:

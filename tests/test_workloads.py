@@ -1,6 +1,6 @@
 """Tests for the shared workload-scaling rules.
 
-These helpers replaced duplicated sizing logic in ``benchmarks/common.py``
+These helpers replaced duplicated sizing logic in the benchmark harness
 and ``evaluation/table.py::ExperimentSettings``; the tests pin the agreed
 behaviour for both consumers.
 """
@@ -62,10 +62,12 @@ class TestLatticeRows:
 
 class TestBuildScaledArchitecture:
     def test_matches_benchmark_harness_sizing(self):
-        from benchmarks.common import build_architecture, scaled_atom_count as bench_atoms
+        # benchmarks/perf_report.py builds its devices from ArchitectureSpec.scaled.
+        from repro.service import ArchitectureSpec
         ours = build_scaled_architecture("mixed", 0.15)
-        theirs = build_architecture("mixed", 0.15)
-        assert ours.num_atoms == theirs.num_atoms == bench_atoms(0.15)
+        theirs = ArchitectureSpec.scaled("mixed", 0.15).build()
+        sizes = [scaled_register_size(name, 0.15) for name in PAPER_SIZES]
+        assert ours.num_atoms == theirs.num_atoms == scaled_atom_count(0.15, sizes)
         assert ours.lattice.rows == theirs.lattice.rows
 
     def test_matches_experiment_settings_sizing(self):
