@@ -84,60 +84,64 @@ def run_serving_case(scale: float, *, repeats: int = 5, clients: int = 4,
     every crashed task, so the case records the rps/p95 cost of crash
     recovery on an otherwise identical workload.
     """
-    store_dir = store_dir or tempfile.mkdtemp(prefix="repro-serving-bench-")
-    fault_plan = None
-    compile_fn = None
-    if degraded:
-        from repro.resilience import FaultPlan, FaultSpec, FaultyCompile
+    # The store (unless the caller named one) and the fault ledger live in
+    # a scratch directory that is removed when the case is done.
+    with tempfile.TemporaryDirectory(prefix="repro-serving-bench-") as scratch:
+        fault_plan = None
+        compile_fn = None
+        if degraded:
+            from repro.resilience import FaultPlan, FaultSpec, FaultyCompile
 
-        num_distinct = len(circuits) * len(hardware_presets)
-        fault_plan = FaultPlan(
-            tempfile.mkdtemp(prefix="repro-serving-bench-ledger-"),
-            (FaultSpec("crash", "worker", times=num_distinct),))
-        compile_fn = FaultyCompile(fault_plan)
-    gateway = ServingGateway(
-        ResultStore(store_dir, fault_plan=fault_plan), max_workers=workers,
-        pool=pool, compile_fn=compile_fn)
-    server_thread, port = _start_background_server(gateway, "127.0.0.1")
+            num_distinct = len(circuits) * len(hardware_presets)
+            fault_plan = FaultPlan(
+                os.path.join(scratch, "ledger"),
+                (FaultSpec("crash", "worker", times=num_distinct),))
+            compile_fn = FaultyCompile(fault_plan)
+        gateway = ServingGateway(
+            ResultStore(store_dir or os.path.join(scratch, "store"),
+                        fault_plan=fault_plan),
+            max_workers=workers, pool=pool, compile_fn=compile_fn)
+        server_thread, port = _start_background_server(gateway, "127.0.0.1")
 
-    stream = build_request_stream(scale, repeats, circuits, hardware_presets,
-                                  mode)
-    pending: "queue.Queue[CompilationTask]" = queue.Queue()
-    for task in stream:
-        pending.put(task)
+        stream = build_request_stream(scale, repeats, circuits, hardware_presets,
+                                      mode)
+        pending: "queue.Queue[CompilationTask]" = queue.Queue()
+        for task in stream:
+            pending.put(task)
 
-    latencies: List[float] = []
-    failures: List[str] = []
-    lock = threading.Lock()
+        latencies: List[float] = []
+        failures: List[str] = []
+        lock = threading.Lock()
 
-    def client_worker() -> None:
+        def client_worker() -> None:
+            with ServingClient("127.0.0.1", port) as client:
+                while True:
+                    try:
+                        task = pending.get_nowait()
+                    except queue.Empty:
+                        return
+                    tick = time.perf_counter()
+                    response = client.compile_task(task)
+                    elapsed = time.perf_counter() - tick
+                    with lock:
+                        latencies.append(elapsed)
+                        if not response.ok:
+                            failures.append(f"{task.task_id}: {response.error}")
+
+        start = time.perf_counter()
+        threads = [threading.Thread(target=client_worker)
+                   for _ in range(max(1, min(clients, len(stream))))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        wall = time.perf_counter() - start
+
         with ServingClient("127.0.0.1", port) as client:
-            while True:
-                try:
-                    task = pending.get_nowait()
-                except queue.Empty:
-                    return
-                tick = time.perf_counter()
-                response = client.compile_task(task)
-                elapsed = time.perf_counter() - tick
-                with lock:
-                    latencies.append(elapsed)
-                    if not response.ok:
-                        failures.append(f"{task.task_id}: {response.error}")
-
-    start = time.perf_counter()
-    threads = [threading.Thread(target=client_worker)
-               for _ in range(max(1, min(clients, len(stream))))]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall = time.perf_counter() - start
-
-    with ServingClient("127.0.0.1", port) as client:
-        stats = client.stats()
-        client.shutdown()
-    server_thread.join(timeout=10)
+            stats = client.stats()
+            client.shutdown()
+        server_thread.join(timeout=10)
+        faults_injected = fault_plan.fired() if fault_plan is not None else 0
 
     gateway_stats = stats["gateway"]
     served_without_compile = (gateway_stats["store_hits"]
@@ -151,7 +155,7 @@ def run_serving_case(scale: float, *, repeats: int = 5, clients: int = 4,
     supervision = stats.get("supervision") or {}
     return {
         "kind": "serving_degraded" if degraded else "serving_throughput",
-        "faults_injected": fault_plan.fired() if fault_plan is not None else 0,
+        "faults_injected": faults_injected,
         "pool_crashes": supervision.get("crashes", 0),
         "pool_retries": supervision.get("retries", 0),
         "hardware": "+".join(hardware_presets),

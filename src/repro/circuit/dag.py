@@ -1,24 +1,26 @@
 """Directed acyclic dependency graph of a quantum circuit.
 
-The DAG is the data structure behind the layer-creation block of the hybrid
-mapping process (Section 3.2, block (1)): each node is a gate; an edge
-``u -> v`` means gate ``v`` cannot execute before gate ``u`` because they act
-on a common qubit and do not commute.  The *front layer* is the set of nodes
-with no unexecuted predecessors; the *lookahead layer* collects the gates that
-become available within a configurable depth behind the front layer.
+The DAG is the layer-creation block of the hybrid mapping process
+(Section 3.2, block (1)): each node is a gate; an edge ``u -> v`` means gate
+``v`` cannot execute before gate ``u`` because they act on a common qubit and
+do not commute.  A gate is *ready* once all its predecessors are executed.
 
-The implementation keeps an explicit "executed" set so the mapper can mark
-gates as done one by one and cheaply query the updated front layer, without
-rebuilding the graph.
+The DAG is also the mapper's routing view.  Ready non-entangling gates
+(single-qubit gates, barriers, measurements) need no routing:
+:meth:`CircuitDAG.drain_trivial` executes them.  What remains are the two
+layers the mapper routes: the *front layer* of ready entangling gates and the
+*lookahead layer* of entangling gates released within a configurable depth
+behind the ready set.  Both are cached until the next execution, so the many
+routing rounds of a long SWAP or move sequence reuse one snapshot.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
 from .circuit import QuantumCircuit
 from .commutation import gates_commute
-from .gate import Gate, GateKind
+from .gate import Gate
 
 __all__ = ["CircuitDAG", "DAGNode"]
 
@@ -50,20 +52,34 @@ class CircuitDAG:
         front of them on their qubits may surface in the front layer early.
         If False, the DAG degrades to the plain "last gate on each wire"
         dependency structure.
+    lookahead_depth:
+        How many release steps behind the ready set the lookahead layer
+        extends; 0 disables it.
     """
 
-    def __init__(self, circuit: QuantumCircuit, use_commutation: bool = True) -> None:
+    def __init__(self, circuit: QuantumCircuit, use_commutation: bool = True,
+                 lookahead_depth: int = 1) -> None:
+        if lookahead_depth < 0:
+            raise ValueError("lookahead depth cannot be negative")
         self.circuit = circuit
         self.use_commutation = use_commutation
+        self.lookahead_depth = lookahead_depth
         self.nodes: List[DAGNode] = [DAGNode(i, g) for i, g in enumerate(circuit)]
-        self._executed: Set[int] = set()
         self._build_edges()
-        self._remaining_pred_count: Dict[int, int] = {
-            node.index: len(node.predecessors) for node in self.nodes
-        }
-        self._front: Set[int] = {
-            node.index for node in self.nodes if not node.predecessors
-        }
+        self._entangling: List[bool] = [node.gate.is_entangling
+                                        for node in self.nodes]
+        self._remaining_pred_count: List[int] = [
+            len(node.predecessors) for node in self.nodes]
+        self._executed: Set[int] = set()
+        # The ready set, split by whether a gate needs routing.
+        self._ready_trivial: Set[int] = set()
+        self._ready_entangling: Set[int] = set()
+        for node in self.nodes:
+            if not node.predecessors:
+                self._ready_set(node.index).add(node.index)
+        # Routing view, cached until the next execution.
+        self._front: Optional[List[DAGNode]] = None
+        self._lookahead: Optional[List[DAGNode]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -101,51 +117,72 @@ class CircuitDAG:
     # ------------------------------------------------------------------
     # Execution state
     # ------------------------------------------------------------------
-    @property
-    def num_gates(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def num_executed(self) -> int:
-        return len(self._executed)
+    def _ready_set(self, index: int) -> Set[int]:
+        return self._ready_entangling if self._entangling[index] else self._ready_trivial
 
     def is_finished(self) -> bool:
         return len(self._executed) == len(self.nodes)
 
     def execute(self, index: int) -> None:
-        """Mark gate ``index`` as executed and release its successors."""
+        """Mark ready gate ``index`` as executed and release its successors."""
         if index in self._executed:
             raise ValueError(f"gate {index} already executed")
-        if index not in self._front:
-            raise ValueError(f"gate {index} is not in the front layer")
+        ready = self._ready_set(index)
+        if index not in ready:
+            raise ValueError(f"gate {index} is not ready")
+        ready.remove(index)
         self._executed.add(index)
-        self._front.discard(index)
+        self._front = self._lookahead = None
         for succ in self.nodes[index].successors:
             self._remaining_pred_count[succ] -= 1
-            if self._remaining_pred_count[succ] == 0 and succ not in self._executed:
-                self._front.add(succ)
+            if self._remaining_pred_count[succ] == 0:
+                self._ready_set(succ).add(succ)
+
+    def drain_trivial(self) -> List[DAGNode]:
+        """Execute and return ready non-entangling gates until none is ready.
+
+        Each pass executes the gates ready at its start in index order; the
+        gates they release wait for the next pass.  That is the order the
+        mapper forwards them to the output stream.
+        """
+        drained: List[DAGNode] = []
+        while self._ready_trivial:
+            for index in sorted(self._ready_trivial):
+                self.execute(index)
+                drained.append(self.nodes[index])
+        return drained
 
     # ------------------------------------------------------------------
-    # Layers
+    # Routing view
     # ------------------------------------------------------------------
     def front_layer(self) -> List[DAGNode]:
-        """Gates with all dependencies satisfied, in circuit order."""
-        return [self.nodes[i] for i in sorted(self._front)]
+        """Ready entangling gates, in circuit order.
 
-    def lookahead_layer(self, depth: int = 1) -> List[DAGNode]:
-        """Gates that become available within ``depth`` releases behind the front.
-
-        ``depth = 1`` returns the immediate successors of the current front
-        layer (excluding gates already in the front); larger depths expand the
-        horizon breadth-first.  The lookahead layer is used by both cost
-        functions (Eq. 2 and Eq. 4) with the weighting factor ``w_l``.
+        The list is cached until the next execution; treat it as read-only.
         """
-        if depth <= 0:
-            return []
-        seen: Set[int] = set(self._front) | set(self._executed)
-        frontier: Set[int] = set(self._front)
+        if self._front is None:
+            self._front = [self.nodes[i] for i in sorted(self._ready_entangling)]
+        return self._front
+
+    def lookahead_layer(self) -> List[DAGNode]:
+        """Entangling gates released within ``lookahead_depth`` steps, in circuit order.
+
+        Depth 1 holds the direct successors of the ready gates; larger depths
+        expand the horizon breadth-first.  Both cost functions (Eq. 2 and
+        Eq. 4) weigh this layer with ``w_l``.  Cached like
+        :meth:`front_layer`.
+        """
+        if self._lookahead is None:
+            self._lookahead = self._entangling_lookahead()
+        return self._lookahead
+
+    def _entangling_lookahead(self) -> List[DAGNode]:
+        # A successor of an unexecuted gate is neither ready nor executed,
+        # so the walk only has to remember the nodes it has reached.
+        frontier: Set[int] = self._ready_trivial | self._ready_entangling
+        seen: Set[int] = set(frontier)
         lookahead: List[int] = []
-        for _ in range(depth):
+        for _ in range(self.lookahead_depth):
             next_frontier: Set[int] = set()
             for index in frontier:
                 for succ in self.nodes[index].successors:
@@ -157,12 +194,4 @@ class CircuitDAG:
             if not next_frontier:
                 break
             frontier = next_frontier
-        return [self.nodes[i] for i in sorted(lookahead)]
-
-    def entangling_front(self) -> List[DAGNode]:
-        """Entangling gates currently in the front layer."""
-        return [node for node in self.front_layer() if node.gate.is_entangling]
-
-    def executable_trivially(self) -> List[DAGNode]:
-        """Front-layer gates that need no routing (single-qubit, barrier, measure)."""
-        return [node for node in self.front_layer() if not node.gate.is_entangling]
+        return [self.nodes[i] for i in sorted(lookahead) if self._entangling[i]]

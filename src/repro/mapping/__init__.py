@@ -15,7 +15,6 @@ from .initial_layout import (
     identity_layout,
     interaction_graph_layout,
 )
-from .layers import LayerManager
 from .multiqubit import GatePosition, find_gate_position
 from .partition import (
     CircuitSlice,
@@ -46,7 +45,6 @@ __all__ = [
     "CircuitGateOp",
     "SwapOp",
     "ShuttleOp",
-    "LayerManager",
     "CapabilityDecider",
     "CapabilityDecision",
     "GateCostEstimate",

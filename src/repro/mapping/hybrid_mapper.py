@@ -2,8 +2,9 @@
 
 :class:`HybridMapper` ties the five building blocks together:
 
-1. **Layer creation** — :class:`~repro.mapping.layers.LayerManager` maintains
-   the commutation-aware front and lookahead layers.
+1. **Layer creation** — :class:`~repro.circuit.dag.CircuitDAG` drains the
+   gates that need no routing and keeps the commutation-aware front and
+   lookahead layers of entangling gates.
 2. **Capability decision** — :class:`~repro.mapping.decision.CapabilityDecider`
    assigns every front/lookahead gate to gate-based or shuttling-based
    mapping by weighing approximate success probabilities with
@@ -34,7 +35,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..circuit.circuit import QuantumCircuit
-from ..circuit.dag import DAGNode
+from ..circuit.dag import CircuitDAG, DAGNode
 from ..circuit.gate import GateKind
 from ..hardware.architecture import NeutralAtomArchitecture
 from ..hardware.connectivity import SiteConnectivity
@@ -42,7 +43,6 @@ from ..telemetry import tracing
 from .config import MapperConfig
 from .decision import CapabilityDecider
 from .gate_router import GateRouter, SwapCandidate
-from .layers import LayerManager
 from .multiqubit import GatePosition, find_gate_position
 from .result import CircuitGateOp, MappingResult, ShuttleOp, SwapOp
 from .shuttling_router import ShuttlingRouter
@@ -128,8 +128,8 @@ class HybridMapper:
 
         state = initial_state or MappingState(
             self.architecture, circuit.num_qubits, connectivity=self.connectivity)
-        layers = LayerManager(circuit, lookahead_depth=self.config.lookahead_depth,
-                              use_commutation=self.config.use_commutation)
+        dag = CircuitDAG(circuit, use_commutation=self.config.use_commutation,
+                         lookahead_depth=self.config.lookahead_depth)
         result = MappingResult(
             circuit=circuit,
             mode=self.config.mode,
@@ -148,14 +148,14 @@ class HybridMapper:
         routing_steps = 0
         steps_since_execution = 0
 
-        while not layers.is_finished():
+        while not dag.is_finished():
             # (1) Forward gates that need no routing.
-            for node in layers.drain_trivial_gates():
+            for node in dag.drain_trivial():
                 self._emit_circuit_gate(result, state, node)
-            if layers.is_finished():
+            if dag.is_finished():
                 break
 
-            front = layers.front_layer()
+            front = dag.front_layer()
             if not front:
                 continue
 
@@ -164,7 +164,7 @@ class HybridMapper:
             for node in front:
                 if state.gate_executable(node.gate):
                     self._emit_circuit_gate(result, state, node)
-                    layers.execute(node)
+                    dag.execute(node.index)
                     positions.pop(node.index, None)
                     capability = routed_by.pop(node.index, None)
                     if capability == "gate":
@@ -178,7 +178,7 @@ class HybridMapper:
                 steps_since_execution = 0
                 continue
 
-            lookahead = layers.lookahead_layer()
+            lookahead = dag.lookahead_layer()
 
             # (2) Decide the mapping capability per gate.
             gate_nodes, shuttle_nodes = self.decider.split_layers(state, front)

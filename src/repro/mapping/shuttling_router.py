@@ -85,11 +85,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as _np
 
+from ..circuit.dag import DAGNode
 from ..circuit.gate import Gate
 from ..hardware.architecture import NeutralAtomArchitecture
 from ..shuttling.moves import Move, MoveChain
 from .chain_screen import MOVE_AWAY_RADIUS, ChainScreen
-from .layers import build_qubit_node_index
 from .state import MappingState
 
 __all__ = ["ShuttlingRouter"]
@@ -100,6 +100,20 @@ _EPSILON = 1e-9
 #: this.  Screening costs a fixed numpy pass per round, which narrow fronts
 #: do not repay (measured on the perfbench workloads, see CHANGES.md).
 _SCREEN_FRONT_WIDTH = 16
+
+
+def build_qubit_node_index(nodes: Sequence[DAGNode]
+                           ) -> Dict[int, List[DAGNode]]:
+    """Inverted index: circuit qubit → nodes acting on it, in node order.
+
+    Node order is preserved so float sums taken over a qubit's nodes are
+    bit-identical to iterating the original layer list.
+    """
+    index: Dict[int, List[DAGNode]] = {}
+    for node in nodes:
+        for qubit in node.gate.qubits:
+            index.setdefault(qubit, []).append(node)
+    return index
 
 
 def _simulate(free_mask, live_mask, moves: Sequence[Move]):
@@ -462,7 +476,7 @@ class ShuttlingRouter:
         direct distance; the (rarer) indirect conflicts of Example 6 are
         handled by re-validating cached positions in the mapper rather than
         inside this per-move cost.  ``node_index`` is the layer's qubit →
-        nodes index (:func:`~repro.mapping.layers.build_qubit_node_index`),
+        nodes index (:func:`build_qubit_node_index`),
         so the walk visits just the touched gates, in layer order.
         """
         moved_qubit = state.qubit_of_atom(move.atom)

@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="admission bound on concurrent compiles")
     parser.add_argument("--store-dir", default=None,
                         help="persistent store directory (default: a fresh "
-                             "temporary directory)")
+                             "temporary directory, removed on exit)")
     parser.add_argument("--store-max-mb", type=float, default=None,
                         help="LRU size budget of the store in MiB")
     parser.add_argument("--no-evaluate", action="store_true",
@@ -93,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_gateway(args) -> ServingGateway:
-    store_dir = args.store_dir or tempfile.mkdtemp(prefix="repro-store-")
+def _build_gateway(args, scratch: Path) -> ServingGateway:
+    store_dir = args.store_dir or scratch / "store"
     max_bytes = (None if args.store_max_mb is None
                  else int(args.store_max_mb * 1024 * 1024))
     store = ResultStore(store_dir, max_bytes=max_bytes)
@@ -127,8 +127,8 @@ def _write_metrics(path: Optional[str]) -> None:
 # ----------------------------------------------------------------------
 # Serve mode
 # ----------------------------------------------------------------------
-def run_server(args) -> int:
-    gateway = _build_gateway(args)
+def run_server(args, scratch: Path) -> int:
+    gateway = _build_gateway(args, scratch)
 
     async def main() -> None:
         server = ServingServer(gateway, args.host, args.port)
@@ -182,8 +182,8 @@ def _fresh_compile_sha(spec: ArchitectureSpec, circuit) -> str:
     return context.require_result().op_stream_digest()["sha256"]
 
 
-def run_self_test(args) -> int:
-    gateway = _build_gateway(args)
+def run_self_test(args, scratch: Path) -> int:
+    gateway = _build_gateway(args, scratch)
     thread, port = _start_background_server(gateway, args.host)
     scale = args.scale
     spec = ArchitectureSpec.scaled("mixed", scale)
@@ -354,7 +354,7 @@ def run_self_test(args) -> int:
 # ----------------------------------------------------------------------
 # Chaos self-test mode
 # ----------------------------------------------------------------------
-def run_chaos_self_test(args) -> int:
+def run_chaos_self_test(args, scratch: Path) -> int:
     """End-to-end fault-injection smoke (the CI chaos job).
 
     Arms one worker crash, one hung compile, one corrupted store entry and
@@ -371,13 +371,13 @@ def run_chaos_self_test(args) -> int:
     spec = ArchitectureSpec.scaled("mixed", scale)
     sizes = {name: scaled_register_size(name, scale)
              for name in ("qft", "graph", "qpe")}
-    plan = FaultPlan(tempfile.mkdtemp(prefix="repro-chaos-ledger-"), (
+    plan = FaultPlan(str(scratch / "chaos-ledger"), (
         FaultSpec("crash", "worker", match="graph-r0"),
         FaultSpec("hang", "worker", match="qpe-r0", hang_s=6.0),
         FaultSpec("corrupt", "store-put"),
         FaultSpec("sever", "tcp-response", match="compile"),
     ))
-    store_dir = args.store_dir or tempfile.mkdtemp(prefix="repro-chaos-store-")
+    store_dir = args.store_dir or scratch / "chaos-store"
     store = ResultStore(store_dir, fault_plan=plan)
     gateway = ServingGateway(
         store, max_workers=args.workers, max_pending=args.max_pending,
@@ -462,8 +462,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.chaos and not args.self_test:
         raise SystemExit("--chaos requires --self-test")
     if args.self_test:
-        return run_chaos_self_test(args) if args.chaos else run_self_test(args)
-    return run_server(args)
+        run = run_chaos_self_test if args.chaos else run_self_test
+    else:
+        run = run_server
+    # Default stores and the chaos fault ledger live in a scratch directory
+    # removed on exit; a --store-dir is the caller's and is kept.
+    with tempfile.TemporaryDirectory(prefix="repro-server-") as scratch:
+        return run(args, Path(scratch))
 
 
 if __name__ == "__main__":

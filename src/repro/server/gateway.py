@@ -63,7 +63,6 @@ from ..resilience import (
 )
 from ..service.batch import (
     CompilationTask,
-    _fork_context,
     compile_task_to_artifact,
     task_store_key,
 )
@@ -214,8 +213,7 @@ class ServingGateway:
             return
         self._pool = SupervisedPool(
             self.max_workers, kind=self.pool_kind,
-            deadline_s=self.deadline_s, retry_policy=self.retry_policy,
-            mp_context=_fork_context() if self.pool_kind == "process" else None)
+            deadline_s=self.deadline_s, retry_policy=self.retry_policy)
 
     def close(self) -> None:
         if self._pool is not None:

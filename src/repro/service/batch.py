@@ -19,7 +19,6 @@ stream-for-stream to serial compilation (enforced by the service tests).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -332,8 +331,7 @@ class BatchCompiler:
         results: List[Optional[TaskResult]] = [None] * len(tasks)
         with SupervisedPool(workers, kind="process",
                             deadline_s=self.deadline_s,
-                            retry_policy=self.retry_policy,
-                            mp_context=_fork_context()) as pool:
+                            retry_policy=self.retry_policy) as pool:
             futures = [pool.submit(job, task, label=task.task_id,
                                    token=task.task_id) for task in tasks]
             for index, (task, future) in enumerate(zip(tasks, futures)):
@@ -350,28 +348,13 @@ class BatchCompiler:
                              evaluate=self.evaluate, store=self.store)
 
 
-def _fork_context():
-    """The ``fork`` start method when the platform offers it, else the default.
-
-    The prewarmed :data:`ARCHITECTURE_CACHE` is only inherited by forked
-    workers; requesting ``fork`` explicitly keeps that guarantee on platforms
-    (and future Python versions) whose default start method is ``spawn`` or
-    ``forkserver``.  Where ``fork`` does not exist at all, the pool falls
-    back to the platform default and each worker lazily rebuilds every
-    distinct architecture once — correct, just slower on the first task.
-    """
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:
-        return None
-
-
 class _BoundExecute:
     """Picklable callable binding the compiler flags for ``pool.map``.
 
     Carries the store as its picklable ``(root, max_bytes)`` spec and opens
-    one process-local handle lazily — counters are per worker, but the
-    directory (and therefore hits) is shared with the parent.
+    a handle on it per task; handles on one directory share their counters
+    within a process, and the directory (and therefore hits) is shared with
+    the parent.
 
     An attached fault plan fires *before* :func:`_execute_task` runs:
     ``_execute_task`` converts every exception into a failed
@@ -385,24 +368,14 @@ class _BoundExecute:
         self.evaluate = evaluate
         self.store_spec = store_spec
         self.fault_plan = fault_plan
-        self._store: Optional[ResultStore] = None
-
-    def __getstate__(self):
-        return (self.keep_result, self.evaluate, self.store_spec,
-                self.fault_plan)
-
-    def __setstate__(self, state) -> None:
-        (self.keep_result, self.evaluate, self.store_spec,
-         self.fault_plan) = state
-        self._store = None
 
     def __call__(self, task: CompilationTask) -> TaskResult:
         if self.fault_plan is not None:
             self.fault_plan.fire_worker_fault(task.task_id)
-        if self.store_spec is not None and self._store is None:
-            self._store = ResultStore.from_spec(self.store_spec)
+        store = (ResultStore.from_spec(self.store_spec)
+                 if self.store_spec is not None else None)
         return _execute_task(task, keep_result=self.keep_result,
-                             evaluate=self.evaluate, store=self._store)
+                             evaluate=self.evaluate, store=store)
 
 
 def _duplicate_ids(tasks: Sequence[CompilationTask]) -> set:

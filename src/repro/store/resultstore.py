@@ -11,8 +11,9 @@ recompiles and overwrites.
 The store is safe for concurrent readers and writers across threads *and*
 processes: the atomic rename means a reader observes either the previous
 complete payload or the new complete payload, never a torn write (enforced
-by ``tests/store/test_store.py``).  Counters are per-handle (per process);
-worker processes construct cheap handles from :meth:`ResultStore.spec`.
+by ``tests/store/test_store.py``).  Counters are per store directory and
+process: every handle on one root in a process (the caller's, and those
+worker threads open from :meth:`ResultStore.spec`) shares one series set.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ __all__ = ["ResultStore", "StoreStats"]
 
 
 class StoreStats(CounterSet):
-    """Per-handle operation counters (hits / misses / corruption / churn).
+    """Per-directory operation counters (hits / misses / corruption / churn).
 
     Registry-backed (``repro_store_*_total``, one ``instance`` label per
-    handle); attribute reads and ``+=`` keep working for callers and tests.
+    store root, so handles on one directory share their counters);
+    attribute reads and ``+=`` keep working for callers and tests.
     """
 
     PREFIX = "repro_store"
@@ -76,7 +78,7 @@ class ResultStore:
         #: Test seam: a :class:`repro.resilience.FaultPlan` may corrupt a
         #: freshly-written entry (chaos suite); never set in production.
         self.fault_plan = fault_plan
-        self.stats = StoreStats()
+        self.stats = StoreStats(instance=f"store:{self.root.absolute()}")
         self._lock = Lock()
         # Strictly increasing recency clock: consecutive touches within one
         # process always order correctly even on coarse-mtime filesystems.
@@ -133,23 +135,23 @@ class ResultStore:
             try:
                 text = path.read_text()
             except (FileNotFoundError, OSError):
-                self._bump("misses")
+                self.stats.inc("misses")
                 trace_span.set(outcome="miss")
                 return None
             try:
                 artifact = CompiledArtifact.from_json(text, expected_key=key)
             except ArtifactError:
                 self._quarantine(path)
-                self._bump("corruptions")
-                self._bump("misses")
+                self.stats.inc("corruptions")
+                self.stats.inc("misses")
                 trace_span.set(outcome="corrupt")
                 return None
             if require_metrics and artifact.metrics is None:
-                self._bump("misses")
+                self.stats.inc("misses")
                 trace_span.set(outcome="metrics-miss")
                 return None
             self._touch(path)
-            self._bump("hits")
+            self.stats.inc("hits")
             trace_span.set(outcome="hit")
             return artifact
 
@@ -178,13 +180,13 @@ class ResultStore:
                 handle.write(artifact.to_json(key))
                 handle.flush()
                 os.fsync(handle.fileno())
-            self._bump("fsyncs")
+            self.stats.inc("fsyncs")
             os.replace(temp, path)
             self._fsync_dir()
             if self.fault_plan is not None:
                 self.fault_plan.fire_store_fault(path, key.digest())
             self._touch(path)
-            self._bump("puts")
+            self.stats.inc("puts")
             self._evict_if_needed(protect=path.name)
             return path
 
@@ -235,7 +237,7 @@ class ResultStore:
                     path.unlink()
                 except OSError:
                     continue
-                self.stats.evictions += 1
+                self.stats.inc("evictions")
                 total -= size
                 if total <= self.max_bytes:
                     break
@@ -273,7 +275,7 @@ class ResultStore:
                 path.unlink()
             except OSError:
                 continue
-            self._bump("orphans_swept")
+            self.stats.inc("orphans_swept")
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupted payload aside so it is never read again.
@@ -289,10 +291,6 @@ class ResultStore:
                 path.unlink()
             except OSError:
                 pass
-
-    def _bump(self, counter: str) -> None:
-        with self._lock:
-            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
 
     # ------------------------------------------------------------------
     # Introspection

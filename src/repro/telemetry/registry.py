@@ -446,6 +446,15 @@ class CounterSet:
             return
         object.__setattr__(self, name, value)
 
+    def inc(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to counter ``name`` under the counter's own lock.
+
+        ``stats.name += 1`` reads the value and then writes it back, so two
+        threads bumping one series through different objects can lose an
+        update; shared series are bumped through this instead.
+        """
+        self._counters[name].inc(amount)
+
     def as_dict(self) -> Dict[str, int]:
         return {name: counter.value
                 for name, counter in self._counters.items()}

@@ -12,15 +12,16 @@ consumers agree on them:
   drops below the largest circuit,
 * the lattice edge grows just past the atom count so the fill factor stays
   comparable to the paper's 200-atom / 15x15 configuration.
+
+:meth:`repro.service.ArchitectureSpec.scaled` applies them to a hardware
+preset; ``ArchitectureSpec.scaled(hardware, scale).build()`` is the device.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Iterable
 
 from .circuit.library import BENCHMARK_NAMES, default_benchmark_size
-from .hardware.architecture import NeutralAtomArchitecture
-from .hardware.presets import preset
 
 __all__ = [
     "PAPER_SIZES",
@@ -28,7 +29,6 @@ __all__ = [
     "scaled_register_size",
     "scaled_atom_count",
     "lattice_rows_for",
-    "build_scaled_architecture",
 ]
 
 #: Register sizes of the paper's evaluation (Table 1b), keyed by benchmark.
@@ -77,18 +77,3 @@ def lattice_rows_for(num_atoms: int, topology: str = "square") -> int:
         while rows < 6 or rows * rows < 2 * num_atoms:
             rows += 1
     return rows
-
-
-def build_scaled_architecture(hardware: str, scale: float, *,
-                              circuit_names: Sequence[str] = BENCHMARK_NAMES,
-                              min_size: int = 8,
-                              spacing: float = 3.0,
-                              topology: str = "square") -> NeutralAtomArchitecture:
-    """Build a hardware preset scaled for the named benchmark circuits."""
-    if hardware == "zoned":
-        topology = "zoned"
-    sizes = [scaled_register_size(name, scale, min_size=min_size)
-             for name in circuit_names]
-    atoms = scaled_atom_count(scale, sizes)
-    return preset(hardware, lattice_rows=lattice_rows_for(atoms, topology),
-                  spacing=spacing, num_atoms=atoms, topology=topology)

@@ -24,12 +24,23 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import pytest
 
+from repro.circuit.dag import CircuitDAG
 from repro.circuit.gate import Gate
 from repro.mapping.gate_router import GateRouter, SwapCandidate, SwapCostCache
 from repro.mapping.multiqubit import GatePosition
 from repro.mapping.shuttling_router import _EPSILON, ShuttlingRouter
 from repro.mapping.state import MappingState
 from repro.shuttling.moves import Move, MoveChain
+
+
+def routing_layers(circuit, **dag_options) -> Tuple[List, List]:
+    """``(front, lookahead)`` of ``circuit``'s first routing round.
+
+    The ready single-qubit gates are drained first, as the mapper does.
+    """
+    dag = CircuitDAG(circuit, **dag_options)
+    dag.drain_trivial()
+    return dag.front_layer(), dag.lookahead_layer()
 
 
 def candidate_swaps(state: MappingState,

@@ -37,7 +37,7 @@ from repro.circuit.library.random_circuits import (
 )
 from repro.hardware import SiteConnectivity, preset
 from repro.mapping import HybridMapper, MapperConfig
-from repro.workloads import build_scaled_architecture
+from repro.service import ArchitectureSpec
 
 HARDWARE_PRESETS = ("gate", "mixed", "shuttling")
 
@@ -53,7 +53,7 @@ RANDOM_CIRCUITS = {
 
 
 def _architecture(hardware: str):
-    architecture = build_scaled_architecture(hardware, 0.12)
+    architecture = ArchitectureSpec.scaled(hardware, 0.12).build()
     return architecture, SiteConnectivity(architecture)
 
 

@@ -25,7 +25,7 @@ from repro.circuit.library import get_benchmark
 from repro.circuit.library.random_circuits import random_layered_circuit
 from repro.hardware import SiteConnectivity
 from repro.mapping import HybridMapper, MapperConfig
-from repro.workloads import build_scaled_architecture
+from repro.service import ArchitectureSpec
 
 from chain_reference import patched_router
 
@@ -82,8 +82,8 @@ class TestKernelDifferentialHostileSpacings:
     @pytest.mark.parametrize("hardware", ("gate", "mixed", "shuttling"))
     @pytest.mark.parametrize("spacing", HOSTILE_SPACINGS)
     def test_layered_stream_identical(self, hardware, spacing):
-        architecture = build_scaled_architecture(hardware, 0.12,
-                                                 spacing=spacing)
+        architecture = ArchitectureSpec.scaled(hardware, 0.12,
+                                               spacing=spacing).build()
         connectivity = SiteConnectivity(architecture)
         circuit = random_layered_circuit(16, 6, seed=7)
         assert_kernel_matches_reference(
@@ -92,8 +92,8 @@ class TestKernelDifferentialHostileSpacings:
 
     @pytest.mark.parametrize("spacing", HOSTILE_SPACINGS)
     def test_qft_stream_identical(self, spacing):
-        architecture = build_scaled_architecture("mixed", 0.12,
-                                                 spacing=spacing)
+        architecture = ArchitectureSpec.scaled("mixed", 0.12,
+                                               spacing=spacing).build()
         connectivity = SiteConnectivity(architecture)
         circuit = decompose_mcx_to_mcz(
             get_benchmark("qft", num_qubits=14, seed=2024))
@@ -106,8 +106,8 @@ class TestKernelDifferentialHostileSpacings:
         """CCZ-promoted layers drive the chain builder through gates of
         three or more qubits, whose later qubits read the chain's simulated
         occupancy, which two-qubit-only workloads never reach."""
-        architecture = build_scaled_architecture(hardware, 0.12,
-                                                 spacing=spacing)
+        architecture = ArchitectureSpec.scaled(hardware, 0.12,
+                                               spacing=spacing).build()
         connectivity = SiteConnectivity(architecture)
         circuit = random_layered_circuit(16, 6, seed=7,
                                          multi_qubit_fraction=0.35)
@@ -119,8 +119,8 @@ class TestKernelDifferentialHostileSpacings:
     def test_zoned_multi_qubit_stream_identical(self, spacing):
         """Zoned topology + wide gates drive the chain builder through the
         anchor-relocation prefix and travel-penalised pooled moves."""
-        architecture = build_scaled_architecture("zoned", 0.12,
-                                                 spacing=spacing)
+        architecture = ArchitectureSpec.scaled("zoned", 0.12,
+                                               spacing=spacing).build()
         connectivity = SiteConnectivity(architecture)
         circuit = random_layered_circuit(14, 5, seed=11,
                                          multi_qubit_fraction=0.3)
@@ -133,7 +133,7 @@ class TestKernelDifferentialHostileSpacings:
         separately — the axis where a fused vector expression would first
         drift from the scalar two-step composition."""
         from repro.hardware.presets import preset
-        reference = build_scaled_architecture("mixed", 0.12, spacing=0.3)
+        reference = ArchitectureSpec.scaled("mixed", 0.12, spacing=0.3).build()
         architecture = preset("mixed", lattice_rows=reference.lattice.rows,
                               spacing=0.3, num_atoms=reference.num_atoms,
                               topology="rectangular", spacing_y=0.7)

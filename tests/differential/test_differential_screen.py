@@ -28,7 +28,7 @@ import repro.mapping.shuttling_router as shuttling_router_module
 from repro.circuit import QuantumCircuit
 from repro.hardware import NeutralAtomArchitecture, SquareLattice
 from repro.hardware.presets import preset
-from repro.mapping import LayerManager, MappingState, ShuttlingRouter
+from repro.mapping import MappingState, ShuttlingRouter
 
 import routing_reference
 from test_differential_kernel import HOSTILE_SPACINGS
@@ -70,9 +70,9 @@ def routing_round(draw):
                                   unique=True)))
     # All-CZ circuits commute into one front layer; without commutation
     # the later gates form a lookahead layer.
-    front, lookahead = LayerManager(
+    front, lookahead = routing_reference.routing_layers(
         circuit, lookahead_depth=draw(st.integers(1, 3)),
-        use_commutation=draw(st.booleans())).layers()
+        use_commutation=draw(st.booleans()))
     if lookahead:
         event("non-empty lookahead")
 
@@ -176,7 +176,7 @@ def test_zoned_topologies_are_never_screened():
     circuit = QuantumCircuit(10)
     for qubit in range(5):
         circuit.cz(qubit, 9 - qubit)
-    front, lookahead = LayerManager(circuit).layers()
+    front, lookahead = routing_reference.routing_layers(circuit)
     router = ShuttlingRouter(arch)
 
     def refuse(*_args):

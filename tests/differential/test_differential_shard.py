@@ -34,7 +34,7 @@ from repro.circuit.library.random_circuits import (
 from repro.evaluation.metrics import evaluate
 from repro.hardware import SiteConnectivity
 from repro.mapping import HybridMapper, MapperConfig, validate_stream
-from repro.workloads import build_scaled_architecture
+from repro.service import ArchitectureSpec
 
 pytestmark = pytest.mark.shard
 
@@ -84,7 +84,7 @@ def _record_parity_failure(row: Dict[str, object]) -> None:
 
 
 def _architecture(hardware: str):
-    architecture = build_scaled_architecture(hardware, 0.12)
+    architecture = ArchitectureSpec.scaled(hardware, 0.12).build()
     return architecture, SiteConnectivity(architecture)
 
 

@@ -17,7 +17,6 @@ from repro.circuit.library import get_benchmark
 from repro.hardware import SiteConnectivity, preset
 from repro.mapping import HybridMapper
 from repro.service import ArchitectureSpec, BatchCompiler, CompilationTask
-from repro.workloads import build_scaled_architecture
 
 
 def _zoned_architecture(lattice_rows: int = 9, num_atoms: int = 24):
@@ -62,7 +61,8 @@ class TestZonedCompileCircuit:
         assert mapped_schedule.makespan > reference_schedule.makespan
 
     def test_scaled_zoned_preset_compiles(self):
-        architecture = build_scaled_architecture("mixed", 0.12, topology="zoned")
+        architecture = ArchitectureSpec.scaled(
+            "mixed", 0.12, topology="zoned").build()
         assert architecture.lattice.kind == "zoned"
         connectivity = SiteConnectivity(architecture)
         circuit = decompose_mcx_to_mcz(get_benchmark("qft", num_qubits=12, seed=2024))

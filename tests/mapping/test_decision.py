@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.circuit import QuantumCircuit
+from repro.circuit import CircuitDAG, QuantumCircuit
 from repro.circuit.gate import controlled_z
-from repro.mapping import CapabilityDecider, LayerManager, MappingState
+from repro.mapping import CapabilityDecider, MappingState
 
 
 @pytest.fixture()
@@ -93,8 +93,7 @@ class TestDecisions:
     def test_split_layers_preserves_all_nodes(self, decider, small_state):
         circuit = QuantumCircuit(12)
         circuit.cz(0, 11).cz(1, 2).cz(3, 9)
-        manager = LayerManager(circuit)
-        front, _ = manager.layers()
+        front = CircuitDAG(circuit).front_layer()
         gate_nodes, shuttle_nodes = decider.split_layers(small_state, front)
         assert len(gate_nodes) + len(shuttle_nodes) == len(front)
         assert ({node.index for node in gate_nodes + shuttle_nodes}

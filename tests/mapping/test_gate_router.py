@@ -3,8 +3,8 @@
 import pytest
 
 from repro.circuit import QuantumCircuit
-from repro.mapping import (GateRouter, LayerManager, MappingState,
-                           SwapCostCache, find_gate_position)
+from repro.mapping import (GateRouter, MappingState, SwapCostCache,
+                           find_gate_position)
 
 import routing_reference
 
@@ -15,17 +15,11 @@ def router(small_architecture):
                       recency_window=4)
 
 
-def front_for(circuit, state):
-    manager = LayerManager(circuit)
-    front, lookahead = manager.layers()
-    return manager, front, lookahead
-
-
 class TestCandidates:
     def test_candidates_touch_front_gate_qubits(self, router, small_state):
         circuit = QuantumCircuit(12)
         circuit.cz(0, 11)
-        _, front, _ = front_for(circuit, small_state)
+        front, _ = routing_reference.routing_layers(circuit)
         candidates, _ = routing_reference.scanned_candidates(
             router, small_state, front)
         assert candidates
@@ -37,7 +31,7 @@ class TestCandidates:
     def test_candidates_deduplicated(self, router, small_state):
         circuit = QuantumCircuit(12)
         circuit.cz(0, 1)   # adjacent qubits: their neighbourhoods overlap
-        _, front, _ = front_for(circuit, small_state)
+        front, _ = routing_reference.routing_layers(circuit)
         candidates, _ = routing_reference.scanned_candidates(
             router, small_state, front)
         keys = [(min(a, b), max(a, b)) for _, _, a, b in candidates]
@@ -53,7 +47,7 @@ class TestCost:
     def test_distance_reducing_swap_preferred(self, router, small_state):
         circuit = QuantumCircuit(12)
         circuit.cz(0, 11)
-        _, front, lookahead = front_for(circuit, small_state)
+        front, lookahead = routing_reference.routing_layers(circuit)
         best = router.best_swap(small_state, front, lookahead, {})
         assert best is not None
         # Without a lookahead layer or decay the cost is the front distance.
@@ -63,7 +57,7 @@ class TestCost:
     def test_layer_distance_zero_when_all_gates_satisfied(self, router, small_state):
         circuit = QuantumCircuit(12)
         circuit.cz(0, 1).cz(2, 3)
-        _, front, _ = front_for(circuit, small_state)
+        front, _ = routing_reference.routing_layers(circuit)
         assert SwapCostCache(router, small_state, front, [], {}).baseline_front == 0
 
     def test_cost_includes_lookahead_with_weight(self, small_architecture, small_state):
@@ -71,8 +65,7 @@ class TestCost:
         lazy = GateRouter(small_architecture, lookahead_weight=0.0)
         circuit = QuantumCircuit(12)
         circuit.cz(0, 11).cz(0, 9)
-        manager = LayerManager(circuit)
-        front, lookahead = manager.layers()
+        front, lookahead = routing_reference.routing_layers(circuit)
         candidate = routing_reference.candidate_swaps(small_state, front)[0]
         cost_eager = SwapCostCache(eager, small_state, front, lookahead,
                                    {}).cost(candidate)
@@ -84,8 +77,7 @@ class TestCost:
     def test_position_distance_used_for_multiqubit_gates(self, router, small_state):
         circuit = QuantumCircuit(12)
         circuit.ccz(0, 5, 11)
-        manager = LayerManager(circuit)
-        front, lookahead = manager.layers()
+        front, lookahead = routing_reference.routing_layers(circuit)
         node = front[0]
         position = find_gate_position(small_state, node.gate)
         assert position is not None
@@ -116,7 +108,7 @@ class TestRecency:
     def test_recency_score_decays_with_age(self, router, small_state):
         circuit = QuantumCircuit(12)
         circuit.cz(0, 11)
-        _, front, _ = front_for(circuit, small_state)
+        front, _ = routing_reference.routing_layers(circuit)
         candidate = routing_reference.candidate_swaps(small_state, front)[0]
         assert router.recency(candidate) == 0
         router.note_swap_applied(small_state, candidate)
@@ -126,7 +118,7 @@ class TestRecency:
         router = GateRouter(small_architecture, decay_rate=0.5, recency_window=4)
         circuit = QuantumCircuit(12)
         circuit.cz(0, 11)
-        _, front, lookahead = front_for(circuit, small_state)
+        front, lookahead = routing_reference.routing_layers(circuit)
         candidate = routing_reference.candidate_swaps(small_state, front)[0]
         fresh_cost = SwapCostCache(router, small_state, front, lookahead,
                                    {}).cost(candidate)
@@ -138,7 +130,7 @@ class TestRecency:
     def test_reset_clears_history(self, router, small_state):
         circuit = QuantumCircuit(12)
         circuit.cz(0, 11)
-        _, front, _ = front_for(circuit, small_state)
+        front, _ = routing_reference.routing_layers(circuit)
         candidate = routing_reference.candidate_swaps(small_state, front)[0]
         router.note_swap_applied(small_state, candidate)
         router.reset()
@@ -147,7 +139,7 @@ class TestRecency:
     def test_inverse_of_last_swap_is_avoided(self, router, small_state):
         circuit = QuantumCircuit(12)
         circuit.cz(0, 11)
-        _, front, lookahead = front_for(circuit, small_state)
+        front, lookahead = routing_reference.routing_layers(circuit)
         first = router.best_swap(small_state, front, lookahead, {})
         assert first is not None
         router.note_swap_applied(small_state, first)

@@ -4,22 +4,18 @@ import pytest
 
 from repro.circuit import QuantumCircuit
 from repro.hardware.presets import preset
-from repro.mapping import (HybridMapper, LayerManager, MapperConfig,
-                           MappingState, ShuttlingRouter)
-from repro.mapping.layers import build_qubit_node_index
+from repro.mapping import (HybridMapper, MapperConfig, MappingState,
+                           ShuttlingRouter)
 from repro.mapping.replay import validate_stream
+from repro.mapping.shuttling_router import build_qubit_node_index
+
+import routing_reference
 
 
 @pytest.fixture()
 def router(small_architecture):
     return ShuttlingRouter(small_architecture, lookahead_weight=0.1, time_weight=0.1,
                            history_window=4)
-
-
-def layered(circuit):
-    manager = LayerManager(circuit)
-    front, lookahead = manager.layers()
-    return manager, front, lookahead
 
 
 def indexed(front, lookahead):
@@ -33,7 +29,7 @@ class TestChainConstruction:
         state = MappingState(small_architecture, 12, connectivity=small_connectivity)
         circuit = QuantumCircuit(12)
         circuit.cz(0, 11)
-        _, front, _ = layered(circuit)
+        front, _ = routing_reference.routing_layers(circuit)
         chains = router.candidate_chains(state, front[0])
         assert chains
         chain = chains[0]
@@ -44,14 +40,14 @@ class TestChainConstruction:
     def test_chain_length_respects_bound(self, router, small_state):
         circuit = QuantumCircuit(12)
         circuit.ccz(0, 6, 11)
-        _, front, _ = layered(circuit)
+        front, _ = routing_reference.routing_layers(circuit)
         for chain in router.candidate_chains(small_state, front[0]):
             assert len(chain) <= 2 * (3 - 1)
 
     def test_chain_moves_target_free_sites(self, router, small_state):
         circuit = QuantumCircuit(12)
         circuit.cz(0, 11)
-        _, front, _ = layered(circuit)
+        front, _ = routing_reference.routing_layers(circuit)
         chain = router.candidate_chains(small_state, front[0])[0]
         # Destination of the first move must be free in the current state.
         assert small_state.site_is_free(chain.moves[0].destination)
@@ -59,7 +55,7 @@ class TestChainConstruction:
     def test_executable_gate_produces_no_chain(self, router, small_state):
         circuit = QuantumCircuit(12)
         circuit.cz(0, 1)
-        _, front, _ = layered(circuit)
+        front, _ = routing_reference.routing_layers(circuit)
         assert router.candidate_chains(small_state, front[0]) == []
 
     def test_move_away_emitted_when_vicinity_is_full(self):
@@ -73,7 +69,7 @@ class TestChainConstruction:
         state = MappingState(architecture, 24)
         circuit = QuantumCircuit(24)
         circuit.cz(0, 12)   # (0,0) and (2,2): not adjacent, vicinities fully occupied
-        _, front, _ = layered(circuit)
+        front, _ = routing_reference.routing_layers(circuit)
         chains = router.candidate_chains(state, front[0])
         assert chains
         assert all(chain.num_move_aways > 0 for chain in chains)
@@ -104,7 +100,7 @@ class TestCost:
     def test_distance_reducing_chain_has_negative_cost(self, router, small_state):
         circuit = QuantumCircuit(12)
         circuit.cz(0, 11)
-        _, front, lookahead = layered(circuit)
+        front, lookahead = routing_reference.routing_layers(circuit)
         chain = router.candidate_chains(small_state, front[0])[0]
         cost = router.chain_cost(small_state, chain, *indexed(front, lookahead))
         assert cost < 0
@@ -113,7 +109,7 @@ class TestCost:
         router_with_history = ShuttlingRouter(small_architecture, time_weight=1.0)
         circuit = QuantumCircuit(12)
         circuit.cz(0, 11)
-        _, front, lookahead = layered(circuit)
+        front, lookahead = routing_reference.routing_layers(circuit)
         chain = router_with_history.candidate_chains(small_state, front[0])[0]
         base_cost = router_with_history.chain_cost(small_state, chain,
                                                    *indexed(front, lookahead))
@@ -141,7 +137,7 @@ class TestSelection:
     def test_best_chain_selects_lowest_cost(self, router, small_state):
         circuit = QuantumCircuit(12)
         circuit.cz(0, 11).cz(1, 2)
-        _, front, lookahead = layered(circuit)
+        front, lookahead = routing_reference.routing_layers(circuit)
         best = router.best_chain(small_state, front, lookahead)
         assert best is not None
         # The chain must serve the non-executable gate.
@@ -150,7 +146,7 @@ class TestSelection:
     def test_best_chain_none_when_everything_executable(self, router, small_state):
         circuit = QuantumCircuit(12)
         circuit.cz(0, 1)
-        _, front, lookahead = layered(circuit)
+        front, lookahead = routing_reference.routing_layers(circuit)
         assert router.best_chain(small_state, front, lookahead) is None
 
 
@@ -160,7 +156,7 @@ class TestForcedChain:
         state = MappingState(small_architecture, 12, connectivity=small_connectivity)
         circuit = QuantumCircuit(12)
         circuit.ccz(0, 6, 11)
-        _, front, _ = layered(circuit)
+        front, _ = routing_reference.routing_layers(circuit)
         chain = router.forced_chain(state, front[0])
         assert chain is not None
         for move in chain:
@@ -173,7 +169,7 @@ class TestForcedChain:
         state = MappingState(small_architecture, 20, connectivity=small_connectivity)
         circuit = QuantumCircuit(20)
         circuit.ccz(0, 13, 19)
-        _, front, _ = layered(circuit)
+        front, _ = routing_reference.routing_layers(circuit)
         chain = router.forced_chain(state, front[0])
         assert chain is not None
         for move in chain:

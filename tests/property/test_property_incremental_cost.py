@@ -26,8 +26,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.circuit import QuantumCircuit
 from repro.hardware import NeutralAtomArchitecture, SiteConnectivity, SquareLattice
-from repro.mapping import (GateRouter, LayerManager, MappingState,
-                           SwapCandidate, SwapCostCache, find_gate_position)
+from repro.mapping import (GateRouter, MappingState, SwapCandidate,
+                           SwapCostCache, find_gate_position)
 
 import routing_reference
 
@@ -106,8 +106,7 @@ def scrambled_state(operations) -> MappingState:
 def routing_round(circuit, operations):
     """State, layers, and (multi-qubit) positions as the mapper would see them."""
     state = scrambled_state(operations)
-    layers = LayerManager(circuit)
-    front, lookahead = layers.layers()
+    front, lookahead = routing_reference.routing_layers(circuit)
     positions = {}
     for node in front + lookahead:
         if node.gate.num_qubits >= 3:
@@ -244,7 +243,7 @@ class TestDeltaCostExactness:
         circuit = QuantumCircuit(NUM_QUBITS)
         circuit.cz(0, 9)
         state = MappingState(ARCHITECTURE, NUM_QUBITS, connectivity=CONNECTIVITY)
-        front, _ = LayerManager(circuit).layers()
+        front, _ = routing_reference.routing_layers(circuit)
         router = GateRouter(ARCHITECTURE)
         single = SwapCostCache(router, state, front, [], {})
         double = SwapCostCache(router, state, front + front, [], {})
@@ -287,7 +286,7 @@ class TestHandPickedRounds:
         state = MappingState(sparse, 2, initial_sites=[0, 1, 34, 35])
         circuit = QuantumCircuit(2)
         circuit.cz(0, 1)
-        front, lookahead = LayerManager(circuit).layers()
+        front, lookahead = routing_reference.routing_layers(circuit)
         (only,) = routing_reference.candidate_swaps(state, front)
         router = GateRouter(sparse)
         router.note_swap_applied(state, only)
@@ -301,7 +300,7 @@ class TestHandPickedRounds:
         circuit = QuantumCircuit(NUM_QUBITS)
         circuit.ccz(0, 1, 9).cz(2, 8)
         state = MappingState(ARCHITECTURE, NUM_QUBITS, connectivity=CONNECTIVITY)
-        front, lookahead = LayerManager(circuit).layers()
+        front, lookahead = routing_reference.routing_layers(circuit)
         ccz = next(node for node in front if node.gate.num_qubits == 3)
         position = find_gate_position(state, ccz.gate)
         assert position is not None
@@ -319,7 +318,7 @@ class TestHandPickedRounds:
         # ccz waits in the lookahead layer.
         circuit.cx(0, 9).ccz(0, 1, 9)
         state = MappingState(ARCHITECTURE, NUM_QUBITS, connectivity=CONNECTIVITY)
-        front, lookahead = LayerManager(circuit).layers()
+        front, lookahead = routing_reference.routing_layers(circuit)
         assert [node.gate.num_qubits for node in lookahead] == [3]
         assert swaps_both(state, front, lookahead[0].gate.qubits)
         router = GateRouter(ARCHITECTURE, lookahead_weight=1.0,
@@ -330,7 +329,7 @@ class TestHandPickedRounds:
         circuit = QuantumCircuit(NUM_QUBITS)
         circuit.ccz(0, 1, 9).cz(2, 8).ccz(3, 4, 7)
         state = MappingState(ARCHITECTURE, NUM_QUBITS, connectivity=CONNECTIVITY)
-        front, _ = LayerManager(circuit).layers()
+        front, _ = routing_reference.routing_layers(circuit)
         assert len(front) == 3
         positioned = front[0]
         position = find_gate_position(state, positioned.gate)

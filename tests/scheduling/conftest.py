@@ -10,7 +10,7 @@ from repro.hardware import (NeutralAtomArchitecture, SiteConnectivity, Zone,
                             ZonedTopology)
 from repro.mapping import HybridMapper, MapperConfig
 from repro.pipeline import compile_circuit
-from repro.workloads import build_scaled_architecture
+from repro.service import ArchitectureSpec
 
 
 @pytest.fixture(scope="session")
@@ -22,7 +22,7 @@ def call25_gate_only():
     frontier test their gates against long-finished intervals.
     Returns ``(architecture, connectivity, circuit, result)``.
     """
-    architecture = build_scaled_architecture("mixed", 0.3)
+    architecture = ArchitectureSpec.scaled("mixed", 0.3).build()
     connectivity = SiteConnectivity(architecture)
     circuit = decompose_mcx_to_mcz(get_benchmark("call", num_qubits=25,
                                                  seed=2024))
@@ -58,7 +58,7 @@ def call25_hybrid_compiled():
     violations on its mapped schedule.  Returns
     ``(architecture, context)``.
     """
-    architecture = build_scaled_architecture("mixed", 0.3)
+    architecture = ArchitectureSpec.scaled("mixed", 0.3).build()
     circuit = get_benchmark("call", seed=1819171248)
     context = compile_circuit(circuit, architecture, MapperConfig.hybrid(1.0),
                               alpha_ratio=1.0)

@@ -28,7 +28,7 @@ from repro.hardware import (GateDurations, NeutralAtomArchitecture,
 from repro.mapping import HybridMapper, MapperConfig
 from repro.scheduling import (Schedule, Scheduler, scheduler as scheduler_module,
                               validate_schedule)
-from repro.workloads import build_scaled_architecture
+from repro.service import ArchitectureSpec
 
 
 # ----------------------------------------------------------------------
@@ -121,7 +121,7 @@ RANDOM_CIRCUITS = {
 @pytest.mark.parametrize("workload", sorted(RANDOM_CIRCUITS))
 @pytest.mark.parametrize("hardware", ("gate", "mixed", "shuttling", "zoned"))
 def test_random_circuit_schedules_match_reference(hardware, workload, seed):
-    architecture = build_scaled_architecture(hardware, 0.12)
+    architecture = ArchitectureSpec.scaled(hardware, 0.12).build()
     connectivity = SiteConnectivity(architecture)
     circuit = RANDOM_CIRCUITS[workload](seed)
     result = HybridMapper(architecture, MapperConfig.hybrid(),

@@ -1,4 +1,4 @@
-"""Gateway counter integrity under mixed load (ISSUE satellite).
+"""Gateway counter integrity under mixed load.
 
 Every admitted request must land in exactly one outcome bucket, and the
 registry-backed counters must equal what a client independently observes
@@ -173,3 +173,29 @@ def test_store_hits_counted_once_per_served_request(tmp_path):
     assert [response.source for response in responses] == \
         ["compiled", "store", "compiled"]
     _assert_counts_match(gateway, responses)
+
+
+def test_store_series_stay_flat_over_compiles(tmp_path):
+    """Worker-side store handles share the gateway store's counters: the
+    compiles add no registry series, and the gateway's stats count every
+    artifact persisted."""
+    compiles = 4
+
+    def store_series():
+        return sorted(series for series in get_registry().snapshot()["counters"]
+                      if series.startswith("repro_store_"))
+
+    async def scenario():
+        store = ResultStore(tmp_path / "store")
+        series = store_series()
+        async with ServingGateway(store, pool="thread",
+                                  max_workers=2) as gateway:
+            for seed in range(compiles):
+                response = await gateway.compile(
+                    _task(f"seed-{seed}", qubits=8, seed=seed))
+                assert response.source == "compiled", response.error
+        return store, series
+
+    store, series = asyncio.run(scenario())
+    assert store_series() == series
+    assert store.stats.puts == compiles == store.num_entries()

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.service import ArchitectureCache, ArchitectureSpec
-from repro.workloads import build_scaled_architecture
+from repro.workloads import (
+    PAPER_SIZES,
+    lattice_rows_for,
+    scaled_atom_count,
+    scaled_register_size,
+)
 
 
 class TestArchitectureSpec:
@@ -16,9 +21,12 @@ class TestArchitectureSpec:
 
     def test_scaled_spec_matches_shared_workload_sizing(self):
         spec = ArchitectureSpec.scaled("gate", 0.15)
-        reference = build_scaled_architecture("gate", 0.15)
-        assert spec.lattice_rows == reference.lattice.rows
-        assert spec.num_atoms == reference.num_atoms
+        sizes = [scaled_register_size(name, 0.15) for name in PAPER_SIZES]
+        assert spec.num_atoms == scaled_atom_count(0.15, sizes)
+        assert spec.lattice_rows == lattice_rows_for(spec.num_atoms)
+        built = spec.build()
+        assert built.num_atoms == spec.num_atoms
+        assert built.lattice.rows == spec.lattice_rows
 
     def test_spec_is_hashable_and_value_equal(self):
         a = ArchitectureSpec("mixed", lattice_rows=7, num_atoms=30)

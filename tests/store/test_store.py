@@ -6,6 +6,7 @@ payload — integrity failures quarantine the file and report a miss.
 """
 
 import json
+import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -242,6 +243,31 @@ class TestConcurrentWriters:
         leftovers = [p for p in tmp_path.iterdir() if ".tmp-" in p.name]
         assert not leftovers, leftovers
 
+    def test_shared_counters_lose_no_update(self, tmp_path):
+        """Handles on one root bump one counter set from many threads; each
+        lookup must be counted exactly once."""
+        store = ResultStore(tmp_path)
+        threads_n, lookups = 8, 300
+        key = _distinct_key(7)
+
+        def reader() -> None:
+            handle = ResultStore.from_spec(store.spec)
+            for _ in range(lookups):
+                handle.get(key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert store.stats.misses == threads_n * lookups
+
 
 class TestEviction:
     def _padded(self, artifact, label: str) -> CompiledArtifact:
@@ -301,3 +327,16 @@ class TestStats:
         assert payload["total_bytes"] > 0
         assert payload["max_bytes"] == 10_000_000
         assert payload["num_quarantined"] == 0
+
+    def test_handles_on_one_root_share_counters(self, tmp_path, compiled):
+        # Worker threads open their own handles from ``store.spec``; their
+        # puts and lookups must show on the caller's handle, in one series.
+        key, artifact, _ = compiled
+        store = ResultStore(tmp_path / "shared")
+        worker = ResultStore.from_spec(store.spec)
+        worker.put(key, artifact)
+        worker.get(key)
+        assert store.stats.puts == 1 and store.stats.hits == 1
+        assert store.stats.instance == worker.stats.instance
+        other = ResultStore(tmp_path / "other")
+        assert other.stats.puts == 0

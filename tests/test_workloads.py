@@ -7,9 +7,9 @@ behaviour for both consumers.
 
 import pytest
 
+from repro.service import ArchitectureSpec
 from repro.workloads import (
     PAPER_SIZES,
-    build_scaled_architecture,
     lattice_rows_for,
     scaled_atom_count,
     scaled_register_size,
@@ -60,15 +60,13 @@ class TestLatticeRows:
         assert lattice_rows_for(200) == 16
 
 
-class TestBuildScaledArchitecture:
+class TestScaledArchitecture:
     def test_matches_benchmark_harness_sizing(self):
         # benchmarks/perf_report.py builds its devices from ArchitectureSpec.scaled.
-        from repro.service import ArchitectureSpec
-        ours = build_scaled_architecture("mixed", 0.15)
-        theirs = ArchitectureSpec.scaled("mixed", 0.15).build()
+        architecture = ArchitectureSpec.scaled("mixed", 0.15).build()
         sizes = [scaled_register_size(name, 0.15) for name in PAPER_SIZES]
-        assert ours.num_atoms == theirs.num_atoms == scaled_atom_count(0.15, sizes)
-        assert ours.lattice.rows == theirs.lattice.rows
+        assert architecture.num_atoms == scaled_atom_count(0.15, sizes)
+        assert architecture.lattice.rows == lattice_rows_for(architecture.num_atoms)
 
     def test_matches_experiment_settings_sizing(self):
         from repro.evaluation.table import ExperimentSettings
@@ -80,7 +78,7 @@ class TestBuildScaledArchitecture:
 
     def test_circuit_always_fits(self):
         for scale in (0.05, 0.1, 0.3, 1.0):
-            architecture = build_scaled_architecture("shuttling", scale)
+            architecture = ArchitectureSpec.scaled("shuttling", scale).build()
             largest = max(scaled_register_size(name, scale)
                           for name in PAPER_SIZES)
             assert architecture.num_atoms >= largest
@@ -95,7 +93,7 @@ class TestEdgeSizes:
         # lattice bottoms out at the 4+1 edge of lattice_rows_for.
         for name in PAPER_SIZES:
             assert scaled_register_size(name, 0.001) == 8
-        architecture = build_scaled_architecture("mixed", 0.001)
+        architecture = ArchitectureSpec.scaled("mixed", 0.001).build()
         assert architecture.lattice.rows == lattice_rows_for(architecture.num_atoms)
         assert architecture.num_atoms == 8
         # The 4-row floor of lattice_rows_for plus the one extra free row.
@@ -108,7 +106,7 @@ class TestEdgeSizes:
         from repro.circuit.library import get_benchmark
         from repro.pipeline import compile_circuit
 
-        architecture = build_scaled_architecture(hardware, 0.001)
+        architecture = ArchitectureSpec.scaled(hardware, 0.001).build()
         circuit = decompose_mcx_to_mcz(
             get_benchmark("qft", num_qubits=8, seed=2024))
         context = compile_circuit(circuit, architecture)
@@ -123,7 +121,7 @@ class TestEdgeSizes:
         circuit.h(0)
         circuit.rz(0.25, 0)
         circuit.h(0)
-        architecture = build_scaled_architecture(hardware, 0.001)
+        architecture = ArchitectureSpec.scaled(hardware, 0.001).build()
         context = compile_circuit(circuit, architecture)
         result = context.require_result()
         result.verify_complete()
