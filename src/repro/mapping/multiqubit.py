@@ -14,8 +14,9 @@ The search is a best-first expansion started simultaneously from all gate
 qubits.  Anchor sites leave a heap in order of increasing *priority* — the
 summed hop distance to the gate qubits' current sites, ties by site index —
 and the interaction neighbours of each popped anchor join the heap.  At most
-``max_explored_anchors`` anchors are popped, and the search stops early once
-an anchor's priority reaches the incumbent's estimate plus ``2 m``.
+``_MAX_EXPLORED_ANCHORS`` (64) anchors are popped, and the search stops
+early once an anchor's priority reaches the incumbent's estimate plus
+``2 m``.
 
 For each occupied anchor, the candidate positions are the ``m``-sets made of
 the anchor and ``m - 1`` of its first 24 occupied interaction neighbours
@@ -81,6 +82,8 @@ __all__ = ["GatePosition", "find_gate_position"]
 _MAX_NEIGHBOURS = 24
 #: Mutually interacting subsets evaluated per anchor.
 _MAX_SUBSETS = 8
+#: Anchors popped from the best-first heap per search.
+_MAX_EXPLORED_ANCHORS = 64
 
 
 class GatePosition:
@@ -181,8 +184,8 @@ def _bound_reaches(rows: List[List[int]], sites: Tuple[int, ...],
     return False
 
 
-def find_gate_position(state: MappingState, gate: Gate, *,
-                       max_explored_anchors: int = 64) -> Optional[GatePosition]:
+def find_gate_position(state: MappingState,
+                       gate: Gate) -> Optional[GatePosition]:
     """Find a feasible position for a multi-qubit gate, or ``None``.
 
     The returned position minimises the estimated SWAP count among the
@@ -215,7 +218,7 @@ def find_gate_position(state: MappingState, gate: Gate, *,
 
     best: Optional[GatePosition] = None
     explored = 0
-    while heap and explored < max_explored_anchors:
+    while heap and explored < _MAX_EXPLORED_ANCHORS:
         priority, anchor = heapq.heappop(heap)
         explored += 1
         if best is not None and priority >= best.estimated_swaps + size * 2:

@@ -6,7 +6,7 @@ sub-bullet):
 * :mod:`~repro.resilience.errors` — the retryable / permanent / shed error
   taxonomy carried on the wire as ``error_class``,
 * :mod:`~repro.resilience.policy` — :class:`RetryPolicy` (bounded attempts,
-  exponential backoff, deterministic jitter) and :class:`Deadline` budgets,
+  exponential backoff, deterministic jitter) and :func:`tightest` budgets,
 * :mod:`~repro.resilience.breaker` — a three-state :class:`CircuitBreaker`
   over pool-level failures,
 * :mod:`~repro.resilience.supervisor` — :class:`SupervisedPool`, the
@@ -32,7 +32,7 @@ from .errors import (
     classify_error,
 )
 from .faults import FaultPlan, FaultSpec, FaultyCompile
-from .policy import Deadline, RetryPolicy, tightest
+from .policy import RetryPolicy, tightest
 from .supervisor import PoolStats, SupervisedPool
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "CompileFailed",
     "classify_error",
     "RetryPolicy",
-    "Deadline",
     "tightest",
     "CircuitBreaker",
     "SupervisedPool",

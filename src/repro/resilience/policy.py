@@ -9,11 +9,10 @@ retries instead of thundering back in lockstep.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["RetryPolicy", "Deadline", "tightest"]
+__all__ = ["RetryPolicy", "tightest"]
 
 
 @dataclass(frozen=True)
@@ -60,28 +59,6 @@ class RetryPolicy:
         # Spread over [raw * (1 - jitter), raw]: never longer than the
         # un-jittered delay, so budgets stay easy to reason about.
         return raw * (1.0 - self.jitter * fraction)
-
-
-@dataclass(frozen=True)
-class Deadline:
-    """A wall-clock budget anchored at creation time (monotonic clock)."""
-
-    budget_s: Optional[float]
-    started_at: float
-
-    @classmethod
-    def start(cls, budget_s: Optional[float]) -> "Deadline":
-        return cls(budget_s=budget_s, started_at=time.monotonic())
-
-    def remaining_s(self) -> Optional[float]:
-        """Seconds left (never negative), or ``None`` for an unbounded budget."""
-        if self.budget_s is None:
-            return None
-        return max(0.0, self.budget_s - (time.monotonic() - self.started_at))
-
-    def expired(self) -> bool:
-        remaining = self.remaining_s()
-        return remaining is not None and remaining <= 0.0
 
 
 def tightest(*budgets: Optional[float]) -> Optional[float]:

@@ -64,7 +64,7 @@ from ..resilience import (
 from ..service.batch import (
     CompilationTask,
     compile_task_to_artifact,
-    task_store_key,
+    lookup_task,
 )
 from ..store import CompiledArtifact, ResultStore
 from ..telemetry import tracing
@@ -102,21 +102,44 @@ class GatewayStats(CounterSet):
 def compile_task_artifact(task: CompilationTask,
                           store_spec: Optional[Tuple[str, Optional[int]]] = None,
                           evaluate: bool = True) -> CompiledArtifact:
-    """Worker-side compile job: pipeline-compile ``task`` into an artifact.
+    """Pool job: pipeline-compile ``task`` into an artifact and persist it.
 
     Module-level and argument-picklable so it runs on a process pool.  The
-    actual flow is the shared
-    :func:`~repro.service.batch.compile_task_to_artifact` — consult store
-    (another worker may have landed the key meanwhile), compile, persist —
-    so the batch and serving paths cannot diverge.
+    gateway looked the key up before dispatch, so this only compiles and
+    persists, through the shared
+    :func:`~repro.service.batch.compile_task_to_artifact` (the batch and
+    serving paths cannot diverge) and this process's one handle on
+    ``store_spec``.
     """
     store = ResultStore.from_spec(store_spec) if store_spec is not None else None
-    artifact, context, _ = compile_task_to_artifact(task, store=store,
-                                                    evaluate=evaluate)
+    artifact, context = compile_task_to_artifact(task, store=store,
+                                                 evaluate=evaluate)
     if artifact is None:
         # Store-less gateway: the caller still needs the serialisable form.
         artifact = CompiledArtifact.from_context(context)
     return artifact
+
+
+def _in_request_trace(name: str, task: CompilationTask,
+                      job: Callable[[], object]) -> Callable[[], object]:
+    """``job`` run under a ``name`` span of the calling request's trace.
+
+    ``run_in_executor`` does not propagate contextvars, so the trace is
+    captured here and re-activated on the executor thread; its spans reach
+    the request tree through the global ``TRACER``.
+    """
+    trace_ctx = tracing.current_context()
+
+    def run():
+        sink = []
+        try:
+            with tracing.activate(trace_ctx, sink=sink):
+                with tracing.span(name, task_id=task.task_id):
+                    return job()
+        finally:
+            if sink:
+                tracing.TRACER.ingest(sink)
+    return run
 
 
 class ServingGateway:
@@ -304,30 +327,11 @@ class ServingGateway:
         # QASM parsing, digest hashing and store file reads are per-request
         # CPU/IO that must not stall other connections.
         epoch_before = self._completion_epoch
-        # run_in_executor does not propagate contextvars, so an active
-        # trace must be re-activated explicitly inside executor closures;
-        # their spans reach the request tree through the global TRACER.
-        trace_ctx = tracing.current_context()
-
-        def _prepare():
-            sink = []
-            try:
-                with tracing.activate(trace_ctx, sink=sink):
-                    with tracing.span("gateway.prepare",
-                                      task_id=task.task_id):
-                        prepared_circuit = task.build_circuit()
-                        prepared_key = task_store_key(task, prepared_circuit)
-                        hit = (self.store.get(prepared_key,
-                                              require_metrics=self.evaluate)
-                               if self.store is not None else None)
-                        return prepared_circuit, prepared_key, hit
-            finally:
-                if sink:
-                    tracing.TRACER.ingest(sink)
-
         try:
             circuit, key, artifact = await loop.run_in_executor(
-                self._prep_executor, _prepare)
+                self._prep_executor, _in_request_trace(
+                    "gateway.prepare", task,
+                    lambda: lookup_task(task, self.store, self.evaluate)))
         except Exception as exc:  # noqa: BLE001 - bad requests are data
             self.stats.failures += 1
             return ServeResponse.failure(
@@ -474,21 +478,16 @@ class ServingGateway:
             self._degraded_executor = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="repro-serve-degraded")
         self._active_degraded += 1
-        trace_ctx = tracing.current_context()
 
         def _job():
-            sink = []
             try:
-                with tracing.activate(trace_ctx, sink=sink):
-                    with tracing.span("gateway.degraded_compile",
-                                      task_id=task.task_id):
-                        return self.compile_fn(task, store_spec, self.evaluate)
+                return self.compile_fn(task, store_spec, self.evaluate)
             finally:
                 self._active_degraded -= 1
-                if sink:
-                    tracing.TRACER.ingest(sink)
 
-        call = loop.run_in_executor(self._degraded_executor, _job)
+        call = loop.run_in_executor(
+            self._degraded_executor,
+            _in_request_trace("gateway.degraded_compile", task, _job))
         if deadline is None:
             return await call
         try:

@@ -38,7 +38,7 @@ from ..telemetry import tracing
 from .cache import ARCHITECTURE_CACHE, ArchitectureSpec
 
 __all__ = ["CompilationTask", "TaskResult", "BatchResult", "BatchCompiler",
-           "task_store_key", "compile_task_to_artifact"]
+           "task_store_key", "lookup_task", "compile_task_to_artifact"]
 
 
 def task_store_key(task: "CompilationTask",
@@ -54,29 +54,34 @@ def task_store_key(task: "CompilationTask",
     return compute_store_key(circuit, task.architecture, task.build_config())
 
 
+def lookup_task(task: "CompilationTask", store: Optional[ResultStore],
+                evaluate: bool):
+    """Front-end read half of the store contract: ``(circuit, key, hit)``.
+
+    ``hit`` is ``None`` on a miss or without a ``store``; under
+    ``evaluate`` a metrics-less entry is a miss (``require_metrics``).
+    """
+    circuit = task.build_circuit()
+    key = task_store_key(task, circuit)
+    return circuit, key, (store.get(key, require_metrics=evaluate)
+                          if store is not None else None)
+
+
 def compile_task_to_artifact(task: "CompilationTask", *,
                              store: Optional[ResultStore] = None,
-                             evaluate: bool = True,
-                             read_store: bool = True,
-                             circuit: Optional[QuantumCircuit] = None):
-    """The one canonical consult-store → compile → persist flow.
+                             evaluate: bool = True):
+    """The one canonical compile → persist flow of a pool job.
 
-    Shared by the batch service and the serving gateway so the store
-    contract (key computation, ``require_metrics`` semantics, persist with
-    write failures degrading to an unpersisted success) cannot diverge
-    between the two paths.  Returns ``(artifact, context, from_store)``:
-    ``context`` is ``None`` on a store hit, and ``artifact`` is ``None``
-    when no store asked for one (the batch path skips op-stream
-    serialisation it would only throw away).
+    Write half of the store contract the batch service and the serving
+    gateway share (:func:`lookup_task` is the read half), so the two paths
+    cannot diverge; a store write failure degrades to an unpersisted
+    success.  It never reads: the front-end looked the key up already.
+    Returns ``(artifact, context)``; ``artifact`` is ``None`` when no
+    store asked for one (the batch path skips op-stream serialisation).
     """
     with tracing.span("compile_task", task_id=task.task_id):
-        if circuit is None:
-            circuit = task.build_circuit()
+        circuit = task.build_circuit()
         key = task_store_key(task, circuit) if store is not None else None
-        if store is not None and read_store:
-            artifact = store.get(key, require_metrics=evaluate)
-            if artifact is not None:
-                return artifact, None, True
         architecture, connectivity = ARCHITECTURE_CACHE.get(task.architecture)
         context = compile_circuit(
             circuit, architecture, task.build_config(),
@@ -89,7 +94,7 @@ def compile_task_to_artifact(task: "CompilationTask", *,
                 store.put(key, artifact)
             except OSError:
                 pass
-        return artifact, context, False
+        return artifact, context
 
 
 @dataclass(frozen=True)
@@ -192,46 +197,28 @@ class BatchResult:
 def _execute_task(task: CompilationTask, *, keep_result: bool = False,
                   evaluate: bool = True,
                   store: Optional[ResultStore] = None) -> TaskResult:
-    """Worker entry point: compile one task through the standard pipeline.
+    """Worker entry point: compile one task and persist it to ``store``.
 
-    With a ``store``, the key is consulted first (a hit skips the compile
-    entirely — it carries no :class:`MappingResult` object, so store reads
-    are bypassed under ``keep_result``) and a fresh compile is persisted
-    afterwards.  All failures are captured as a failed :class:`TaskResult`
-    so one bad task never takes down the batch (or the pool); store write
-    failures degrade to an uncached success rather than a task failure.
+    The caller has already served store hits, so this always compiles.
+    All failures are captured as a failed :class:`TaskResult` so one bad
+    task never takes down the batch (or the pool); store write failures
+    degrade to an uncached success rather than a task failure.
     """
     start = time.perf_counter()
     try:
-        circuit = task.build_circuit()
-        artifact, context, from_store = compile_task_to_artifact(
-            task, store=store, evaluate=evaluate,
-            read_store=not keep_result, circuit=circuit)
-        if from_store:
-            return TaskResult(
-                task=task,
-                ok=True,
-                metrics=artifact.metrics_for(circuit.name),
-                wall_seconds=time.perf_counter() - start,
-                worker_pid=os.getpid(),
-                from_store=True,
-            )
-        return TaskResult(
-            task=task,
-            ok=True,
-            metrics=context.metrics,
-            result=context.result if keep_result else None,
-            wall_seconds=time.perf_counter() - start,
-            worker_pid=os.getpid(),
-        )
+        _, context = compile_task_to_artifact(task, store=store,
+                                              evaluate=evaluate)
+        return _task_result(task, start, ok=True, metrics=context.metrics,
+                            result=context.result if keep_result else None)
     except Exception as exc:  # noqa: BLE001 - failures are data, not crashes
-        return TaskResult(
-            task=task,
-            ok=False,
-            error=f"{type(exc).__name__}: {exc}",
-            wall_seconds=time.perf_counter() - start,
-            worker_pid=os.getpid(),
-        )
+        return _task_result(task, start, ok=False,
+                            error=f"{type(exc).__name__}: {exc}")
+
+
+def _task_result(task: CompilationTask, start: float, **fields) -> TaskResult:
+    """A result of ``task`` settled in this process, timed from ``start``."""
+    return TaskResult(task=task, wall_seconds=time.perf_counter() - start,
+                      worker_pid=os.getpid(), **fields)
 
 
 class BatchCompiler:
@@ -251,12 +238,13 @@ class BatchCompiler:
         Run the schedule + evaluate passes per task (on by default); off,
         tasks stop after routing and carry no metrics.
     store:
-        Optional :class:`~repro.store.ResultStore`.  Tasks whose key is
-        already stored are served without compiling (``from_store=True`` on
-        their results; compilation is bit-identical either way, so served
-        metrics equal compiled metrics) and fresh compiles are persisted.
-        Worker processes open their own handle onto the same directory, so
-        the pool path populates and consults the identical store.
+        Optional :class:`~repro.store.ResultStore`, read once per task in
+        the calling process before dispatch: a stored key is served
+        without compiling (``from_store=True`` on its result; compilation
+        is bit-identical either way, so served metrics equal compiled
+        metrics), and only misses reach a worker, which compiles and
+        persists.  Store reads are skipped under ``keep_results``, since a
+        hit carries no :class:`MappingResult`.
     deadline_s:
         Per-task wall-clock budget enforced by the supervised pool: a task
         whose worker hangs past it is killed, its worker recycled, and the
@@ -309,12 +297,37 @@ class BatchCompiler:
 
         start = time.perf_counter()
         if workers == 1:
-            results = [self._run_one(task) for task in tasks]
+            # One task at a time: a repeated key is served by its compile.
+            results = [self._lookup(task) or _execute_task(
+                task, keep_result=self.keep_results, evaluate=self.evaluate,
+                store=self.store) for task in tasks]
         else:
-            results = self._run_pool(tasks, workers)
+            settled = [self._lookup(task) for task in tasks]
+            misses = [task for task, done in zip(tasks, settled)
+                      if done is None]
+            compiled = iter(self._run_pool(
+                misses, self.resolved_workers(len(misses))) if misses else ())
+            results = [done or next(compiled) for done in settled]
         wall = time.perf_counter() - start
         return BatchResult(results=results, wall_seconds=wall,
                            num_workers=workers)
+
+    def _lookup(self, task: CompilationTask) -> Optional[TaskResult]:
+        """The one store read of ``task``: its result when the store
+        settles it (a hit, or a task that cannot even be keyed), ``None``
+        when it must compile."""
+        if self.store is None or self.keep_results:
+            return None
+        start = time.perf_counter()
+        try:
+            circuit, _, artifact = lookup_task(task, self.store, self.evaluate)
+        except Exception as exc:  # noqa: BLE001 - failures are data
+            return _task_result(task, start, ok=False,
+                                error=f"{type(exc).__name__}: {exc}")
+        if artifact is None:
+            return None
+        return _task_result(task, start, ok=True, from_store=True,
+                            metrics=artifact.metrics_for(circuit.name))
 
     def _run_pool(self, tasks: Sequence[CompilationTask],
                   workers: int) -> List[TaskResult]:
@@ -343,18 +356,14 @@ class BatchCompiler:
                         error=f"{type(exc).__name__}: {exc}")
         return results
 
-    def _run_one(self, task: CompilationTask) -> TaskResult:
-        return _execute_task(task, keep_result=self.keep_results,
-                             evaluate=self.evaluate, store=self.store)
-
 
 class _BoundExecute:
     """Picklable callable binding the compiler flags for ``pool.map``.
 
-    Carries the store as its picklable ``(root, max_bytes)`` spec and opens
-    a handle on it per task; handles on one directory share their counters
-    within a process, and the directory (and therefore hits) is shared with
-    the parent.
+    Carries the store as its picklable ``(root, max_bytes)`` spec; each
+    worker process persists its compiles through its one handle on it
+    (:meth:`~repro.store.ResultStore.from_spec`).  The parent has already
+    served the hits, so the job never reads the store.
 
     An attached fault plan fires *before* :func:`_execute_task` runs:
     ``_execute_task`` converts every exception into a failed

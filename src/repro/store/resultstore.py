@@ -12,8 +12,9 @@ The store is safe for concurrent readers and writers across threads *and*
 processes: the atomic rename means a reader observes either the previous
 complete payload or the new complete payload, never a torn write (enforced
 by ``tests/store/test_store.py``).  Counters are per store directory and
-process: every handle on one root in a process (the caller's, and those
-worker threads open from :meth:`ResultStore.spec`) shares one series set.
+process.  Pool jobs reach the store through :meth:`ResultStore.from_spec`,
+one handle per spec per process, so the orphan sweep runs once per
+directory per process rather than once per job.
 """
 
 from __future__ import annotations
@@ -100,11 +101,22 @@ class ResultStore:
             return (str(self.root), self.max_bytes, self.fault_plan)
         return (str(self.root), self.max_bytes)
 
+    #: ``(pid, *spec)`` → handle; keyed on the pid so a forked worker
+    #: opens its own handle (and lock) instead of reusing its parent's.
+    #: Unlocked on purpose: a fork while another thread held a lock here
+    #: would deadlock the child, and a race only opens one spare handle.
+    _handles: Dict[tuple, "ResultStore"] = {}
+
     @classmethod
     def from_spec(cls, spec) -> "ResultStore":
-        root, max_bytes, *rest = spec
-        return cls(root, max_bytes=max_bytes,
-                   fault_plan=rest[0] if rest else None)
+        """This process's one handle on ``spec``, opened on first use."""
+        key = (os.getpid(), *spec)
+        if key not in cls._handles:
+            root, max_bytes, *rest = spec
+            cls._handles.setdefault(key, cls(
+                root, max_bytes=max_bytes,
+                fault_plan=rest[0] if rest else None))
+        return cls._handles[key]
 
     # ------------------------------------------------------------------
     # Paths

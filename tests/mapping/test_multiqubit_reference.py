@@ -18,6 +18,7 @@ import heapq
 import itertools
 import random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+from unittest import mock
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.hardware import (TOPOLOGY_KINDS, NeutralAtomArchitecture,
                             SiteConnectivity, SquareLattice)
 from repro.hardware.presets import preset
 from repro.mapping import GatePosition, MappingState, find_gate_position
+from repro.mapping import multiqubit
 from repro.mapping.multiqubit import _interacting_subsets
 
 
@@ -159,9 +161,16 @@ def _summary(position: Optional[GatePosition]):
 
 
 def assert_matches_reference(state: MappingState, gate: Gate, **kwargs):
-    """Compare one search against the reference; return the reference result."""
+    """Compare one search against the reference; return the reference result.
+
+    A ``max_explored_anchors`` keyword caps both searches: the reference's
+    argument and the mapper's module constant ``_MAX_EXPLORED_ANCHORS``.
+    """
     expected = reference_find_gate_position(state, gate, **kwargs)
-    actual = find_gate_position(state, gate, **kwargs)
+    cap = kwargs.get("max_explored_anchors",
+                     multiqubit._MAX_EXPLORED_ANCHORS)
+    with mock.patch.object(multiqubit, "_MAX_EXPLORED_ANCHORS", cap):
+        actual = find_gate_position(state, gate)
     assert _summary(actual) == _summary(expected), (gate.qubits, kwargs)
     return expected
 

@@ -332,3 +332,42 @@ class TestStoreIntegration:
         assert served.digest == compiled.digest
         assert served.metrics["circuit_name"] == "as-qasm"
         assert stats.compiles == 1
+
+
+class TestOneStoreReadPerRequest:
+    """The gateway reads the store once per request; pool jobs only
+    compile and persist."""
+
+    def test_compile_then_repeat_reads_the_store_once_each(self, tmp_path):
+        async def scenario():
+            store = ResultStore(tmp_path)
+            async with ServingGateway(store, pool="thread", max_workers=1,
+                                      evaluate=False) as gateway:
+                first = await gateway.compile(library_task("once"))
+                second = await gateway.compile(library_task("again"))
+                return store, first, second
+
+        store, first, second = asyncio.run(scenario())
+        assert first.source == "compiled" and second.source == "store"
+        assert store.stats.misses == 1, "the pool job must not read the store"
+        assert store.stats.hits == 1
+
+    def test_worker_side_compiles_sweep_orphans_once(self, tmp_path,
+                                                     monkeypatch):
+        from repro.server import compile_task_artifact
+
+        store = ResultStore(tmp_path)
+        sweeps = []
+        stock_sweep = ResultStore._sweep_orphans
+
+        def counting_sweep(handle):
+            sweeps.append(handle.root)
+            stock_sweep(handle)
+
+        monkeypatch.setattr(ResultStore, "_sweep_orphans", counting_sweep)
+        for seed in (1, 2, 3):
+            compile_task_artifact(library_task(f"sweep-{seed}", qubits=6,
+                                               seed=seed),
+                                  store.spec, False)
+        assert sweeps == [tmp_path]
+        assert store.stats.puts == 3

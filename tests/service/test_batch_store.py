@@ -5,14 +5,18 @@ store with metrics equal to the compiled run (bit-identity contract), on
 both the serial and the process-pool path.
 """
 
+import os
+
 import pytest
 
+from repro.service import batch as batch_module
 from repro.service import (
     ArchitectureSpec,
     BatchCompiler,
     CompilationTask,
     task_store_key,
 )
+from repro.resilience import SupervisedPool
 from repro.store import ResultStore
 
 SPEC = ArchitectureSpec("mixed", lattice_rows=7, num_atoms=30)
@@ -98,7 +102,7 @@ class TestPoolPath:
         second = BatchCompiler(max_workers=2, store=store).compile(TASKS)
         assert second.ok
         assert len(second.from_store) == len(TASKS), \
-            "pool workers must consult the shared store directory"
+            "pool workers must persist to the shared store directory"
         for compiled, served in zip(first.results, second.results):
             assert served.metrics == compiled.metrics
 
@@ -106,3 +110,62 @@ class TestPoolPath:
         batch = BatchCompiler(max_workers=1).compile(TASKS[:1])
         assert batch.ok
         assert not batch.results[0].from_store
+
+
+class TestParentSideLookup:
+    """The compiler reads the store once per task in the parent; only
+    misses reach the worker job, which compiles and persists."""
+
+    BROKEN = CompilationTask("broken", SPEC, circuit_name="nope")
+
+    def test_serial_hits_never_run_the_worker_job(self, store, monkeypatch):
+        BatchCompiler(max_workers=1, store=store).compile(TASKS[:2])
+        ran = []
+        stock_execute = batch_module._execute_task
+
+        def recording_execute(task, **kwargs):
+            ran.append(task.task_id)
+            return stock_execute(task, **kwargs)
+
+        monkeypatch.setattr(batch_module, "_execute_task", recording_execute)
+        batch = BatchCompiler(max_workers=1, store=store).compile(
+            TASKS + (self.BROKEN,))
+        assert ran == [TASKS[2].task_id]
+        self._assert_outcome(batch, store)
+
+    def test_pool_hits_never_reach_a_worker(self, store, monkeypatch):
+        BatchCompiler(max_workers=1, store=store).compile(TASKS[:2])
+        submitted = []
+
+        class RecordingPool(SupervisedPool):
+            def submit(self, fn, *args, **kwargs):
+                submitted.append(kwargs["label"])
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(batch_module, "SupervisedPool", RecordingPool)
+        batch = BatchCompiler(max_workers=2, store=store).compile(
+            TASKS + (self.BROKEN,))
+        assert submitted == [TASKS[2].task_id]
+        self._assert_outcome(batch, store)
+
+    def test_serial_serves_a_repeated_key_from_the_first_compile(self,
+                                                                 store):
+        twin = CompilationTask("qft-10-twin", SPEC, circuit_name="qft",
+                               num_qubits=10)
+        assert task_store_key(twin) == task_store_key(TASKS[1])
+        batch = BatchCompiler(max_workers=1, store=store).compile(
+            [TASKS[1], twin])
+        assert batch.ok
+        assert [entry.from_store for entry in batch.results] == [False, True]
+        assert batch.results[1].metrics == batch.results[0].metrics
+        assert store.num_entries() == 1
+
+    def _assert_outcome(self, batch, store):
+        hits, miss, broken = batch.results[:2], batch.results[2], \
+            batch.results[3]
+        assert all(entry.ok and entry.from_store for entry in hits)
+        assert all(entry.worker_pid == os.getpid() for entry in hits)
+        assert miss.ok and not miss.from_store
+        assert not broken.ok and not broken.from_store
+        assert broken.error.startswith("ValueError")
+        assert store.num_entries() == len(TASKS)

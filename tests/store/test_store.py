@@ -216,7 +216,7 @@ class TestConcurrentWriters:
         errors = []
 
         def writer() -> None:
-            handle = ResultStore.from_spec(store.spec)
+            handle = ResultStore(*store.spec)
             for _ in range(10):
                 try:
                     handle.put(key, artifact)
@@ -224,7 +224,7 @@ class TestConcurrentWriters:
                     errors.append(f"put: {exc}")
 
         def reader() -> None:
-            handle = ResultStore.from_spec(store.spec)
+            handle = ResultStore(*store.spec)
             for _ in range(30):
                 loaded = handle.get(key)
                 if loaded is not None and loaded != artifact:
@@ -251,7 +251,7 @@ class TestConcurrentWriters:
         key = _distinct_key(7)
 
         def reader() -> None:
-            handle = ResultStore.from_spec(store.spec)
+            handle = ResultStore(*store.spec)
             for _ in range(lookups):
                 handle.get(key)
 
@@ -329,8 +329,8 @@ class TestStats:
         assert payload["num_quarantined"] == 0
 
     def test_handles_on_one_root_share_counters(self, tmp_path, compiled):
-        # Worker threads open their own handles from ``store.spec``; their
-        # puts and lookups must show on the caller's handle, in one series.
+        # A pool job opens its own handle from ``store.spec``; its puts and
+        # lookups must show on the caller's handle, in one series.
         key, artifact, _ = compiled
         store = ResultStore(tmp_path / "shared")
         worker = ResultStore.from_spec(store.spec)
@@ -340,3 +340,15 @@ class TestStats:
         assert store.stats.instance == worker.stats.instance
         other = ResultStore(tmp_path / "other")
         assert other.stats.puts == 0
+
+    def test_from_spec_opens_one_handle_per_spec_per_process(
+            self, tmp_path, monkeypatch):
+        import repro.store.resultstore as resultstore
+
+        spec = ResultStore(tmp_path).spec
+        handle = ResultStore.from_spec(spec)
+        assert ResultStore.from_spec(spec) is handle
+        assert ResultStore.from_spec((spec[0], 1 << 20)) is not handle
+        # A forked worker (another pid) opens its own handle and lock.
+        monkeypatch.setattr(resultstore.os, "getpid", lambda: -1)
+        assert ResultStore.from_spec(spec) is not handle
