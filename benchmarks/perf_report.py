@@ -49,6 +49,16 @@ adds its serving cases through :func:`record_case`:
           "peak_rss_mb": 72.9           // ru_maxrss high-water after the case
         },
         {
+          "kind": "serial_large",       // large serial route (--serial-large)
+          "hardware": "mixed", "circuit": "local_window", "mode": "hybrid",
+          "scale": 0.6, "num_qubits": 1024, "num_gates": 614,
+          "wall_seconds": 9.1, "mapper_seconds": 8.0,
+          "num_swaps": 310, "num_moves": 120, "delta_t_us": 2500.0,
+          "swap_rounds": 300,           // best_swap calls
+          "mean_candidates": 2600.0,    // SWAP candidates per round
+          "mean_rescored": 40.0         // candidates rescored per round
+        },
+        {
           "kind": "serving_throughput",  // gateway case (benchmarks/bench_serving.py)
           "hardware": "mixed", "circuit": "qft+graph", "mode": "hybrid",
           "scale": 0.3, "num_requests": 10, "distinct_requests": 2,
@@ -69,6 +79,8 @@ Usage::
         --hardware mixed --scale 0.3           # zoned-topology matrix
     PYTHONPATH=src python benchmarks/perf_report.py --shard \
         --hardware mixed --circuits qft --scale 0.3  # shard-routing case
+    PYTHONPATH=src python benchmarks/perf_report.py --serial-large \
+        --scale 0.6                  # 1024-qubit local-window serial route
     PYTHONPATH=src python -m cProfile -s cumulative benchmarks/perf_report.py \
         --hardware mixed --circuits qft --scale 0.12 --out smoke-report.json
 
@@ -102,17 +114,28 @@ if _SRC not in sys.path:
 
 from repro.circuit import QuantumCircuit, decompose_mcx_to_mcz  # noqa: E402
 from repro.circuit.library import get_benchmark  # noqa: E402
-from repro.mapping import MapperConfig  # noqa: E402
-from repro.pipeline import compile_circuit  # noqa: E402
+from repro.circuit.library.random_circuits import (  # noqa: E402
+    local_window_circuit)
+from repro.hardware import SiteConnectivity  # noqa: E402
+from repro.hardware.presets import mixed  # noqa: E402
+from repro.mapping import HybridMapper, MapperConfig  # noqa: E402
+from repro.pipeline import (PassManager, RoutingPass,  # noqa: E402
+                            compile_circuit, default_passes)
 from repro.service import (ARCHITECTURE_CACHE, ArchitectureSpec,  # noqa: E402
                            BatchCompiler, CompilationTask)
 from repro.telemetry import tracing  # noqa: E402
-from repro.workloads import PAPER_SIZES, scaled_register_size  # noqa: E402
+from repro.workloads import (PAPER_SIZES, lattice_rows_for,  # noqa: E402
+                             scaled_register_size)
 
 SCHEMA = "repro-bench-scaling/v1"
 DEFAULT_CIRCUITS: Tuple[str, ...] = ("qft", "graph")
 DEFAULT_HARDWARE: Tuple[str, ...] = ("gate", "mixed", "shuttling")
 DEFAULT_MODES: Tuple[str, ...] = ("hybrid",)
+
+#: Local-window workload: qubits at scale 1.0 (scale 0.6 is ~1024 qubits)
+#: and entangling gates per qubit.
+LOCAL_WINDOW_QUBITS = 1707
+LOCAL_WINDOW_GATES_PER_QUBIT = 0.6
 
 
 def scaled_size(name: str, scale: float) -> int:
@@ -265,6 +288,81 @@ def run_shard_case(hardware: str, circuit_name: str, mode: str, scale: float,
         "sharded_delta_cz": sharded_metrics.delta_cz,
         "serial_delta_t_us": round(serial_metrics.delta_t_us, 2),
         "sharded_delta_t_us": round(sharded_metrics.delta_t_us, 2),
+    }
+    rss = peak_rss_mb()
+    if rss is not None:
+        case["peak_rss_mb"] = rss
+    return case
+
+
+def local_window_workload(scale: float):
+    """``(architecture, connectivity, circuit)`` of the large-circuit
+    workload at ``scale``: a mixed device with a few spare atoms, and a
+    circuit whose two-qubit gates couple qubits within windows of four."""
+    num_qubits = max(256, round(LOCAL_WINDOW_QUBITS * scale))
+    num_gates = max(128, round(num_qubits * LOCAL_WINDOW_GATES_PER_QUBIT))
+    num_atoms = num_qubits + max(64, num_qubits // 16)
+    architecture = mixed(lattice_rows=lattice_rows_for(num_atoms),
+                         num_atoms=num_atoms)
+    circuit = local_window_circuit(num_qubits, num_gates, window=4, seed=7)
+    return architecture, SiteConnectivity(architecture), circuit
+
+
+def run_serial_large_case(scale: float) -> Dict:
+    """Route the local-window workload serially (default hybrid config).
+
+    Besides compile time and quality, the case records how many SWAP
+    candidates each gate-routing round holds and how many of them the
+    candidate table had to rescore.
+    """
+    architecture, connectivity, circuit = local_window_workload(scale)
+    rounds: List[Tuple[int, int]] = []
+
+    def counting_mapper(architecture, config, connectivity=None):
+        mapper = HybridMapper(architecture, config, connectivity=connectivity)
+        router = mapper.gate_router
+        best_swap = router.best_swap
+
+        def counted(*args):
+            chosen = best_swap(*args)
+            rounds.append((len(router.table.entries), router.table.rescored))
+            return chosen
+
+        router.best_swap = counted
+        return mapper
+
+    passes = [RoutingPass(counting_mapper) if isinstance(stage, RoutingPass)
+              else stage for stage in default_passes()]
+    config = MapperConfig()
+    start = time.perf_counter()
+    context = compile_circuit(circuit, architecture, config,
+                              connectivity=connectivity, alpha_ratio=1.0,
+                              pass_manager=PassManager(passes))
+    wall = time.perf_counter() - start
+    result = context.require_result()
+    metrics = context.require_metrics()
+    num_rounds = max(len(rounds), 1)
+    case = {
+        "kind": "serial_large",
+        "hardware": "mixed",
+        "circuit": "local_window",
+        "mode": config.mode,
+        "topology": architecture.lattice.kind,
+        "scale": scale,
+        "num_qubits": circuit.num_qubits,
+        "num_gates": len(circuit),
+        "available_cpus": os.cpu_count(),
+        "wall_seconds": round(wall, 4),
+        "mapper_seconds": round(result.runtime_seconds, 4),
+        "num_swaps": result.num_swaps,
+        "num_moves": result.num_moves,
+        "delta_cz": metrics.delta_cz,
+        "delta_t_us": round(metrics.delta_t_us, 2),
+        "swap_rounds": len(rounds),
+        "mean_candidates": round(sum(held for held, _ in rounds)
+                                 / num_rounds, 1),
+        "mean_rescored": round(sum(rescored for _, rescored in rounds)
+                               / num_rounds, 1),
     }
     rss = peak_rss_mb()
     if rss is not None:
@@ -506,6 +604,15 @@ def _print_case(case: Dict) -> None:
               f"dT={case.get('serial_delta_t_us')}->"
               f"{case.get('sharded_delta_t_us')}us")
         return
+    if case.get("kind") == "serial_large":
+        print(f"[serial   ] {case['circuit']:>12s} x {case['hardware']} "
+              f"qubits={case['num_qubits']} "
+              f"wall={case['wall_seconds']:7.2f}s "
+              f"swaps={case['num_swaps']} moves={case['num_moves']} "
+              f"dT={case['delta_t_us']}us "
+              f"candidates/round={case['mean_candidates']} "
+              f"rescored/round={case['mean_rescored']}")
+        return
     if case.get("kind") == "telemetry_overhead":
         print(f"[telemetry] {case['circuit']:>12s} x {case['hardware']} "
               f"{case['mode']} "
@@ -554,6 +661,10 @@ def build_parser(description: str) -> argparse.ArgumentParser:
     parser.add_argument("--shard", action="store_true",
                         help="record serial-vs-sharded routing cases "
                              "(kind shard_routing) for the selected matrix")
+    parser.add_argument("--serial-large", action="store_true",
+                        help="record the serial large-circuit case (kind "
+                             "serial_large: the local-window workload routed "
+                             "serially) at --scale; ignores the matrix flags")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="run the selected matrix under structured "
                              "tracing and write the span timeline as Chrome "
@@ -593,8 +704,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.baseline and not Path(args.baseline).exists():
         parser.error(f"baseline report not found: {args.baseline}")
 
-    if args.trace and (args.shard or args.batch or args.telemetry_overhead):
+    if args.trace and (args.shard or args.batch or args.telemetry_overhead
+                       or args.serial_large):
         parser.error("--trace applies to the default single-circuit matrix")
+
+    if args.serial_large:
+        record_case(args.out, run_serial_large_case(args.scale), args.scale)
+        return 0
 
     if args.telemetry_overhead:
         case = run_telemetry_overhead_case(args.scale)

@@ -25,29 +25,13 @@ import argparse
 import json
 import sys
 
-from perf_report import peak_rss_mb
+from perf_report import local_window_workload, peak_rss_mb
 
-from repro.circuit.library.random_circuits import local_window_circuit
-from repro.hardware import SiteConnectivity
-from repro.hardware.presets import mixed
 from repro.mapping import MapperConfig, ShardedRouter, StreamValidator
-from repro.workloads import lattice_rows_for
-
-#: Qubit count at scale 1.0; scale 0.6 lands on ~1024 qubits, the
-#: tentpole's "1000+-qubit synthetic stream" sizing.
-FULL_SCALE_QUBITS = 1707
-#: Entangling-gate budget per qubit (local-window workload density).
-GATES_PER_QUBIT = 0.6
 
 
 def run_smoke(scale: float) -> dict:
-    num_qubits = max(256, round(FULL_SCALE_QUBITS * scale))
-    num_gates = max(128, round(num_qubits * GATES_PER_QUBIT))
-    num_atoms = num_qubits + max(64, num_qubits // 16)
-    architecture = mixed(lattice_rows=lattice_rows_for(num_atoms),
-                         num_atoms=num_atoms)
-    connectivity = SiteConnectivity(architecture)
-    circuit = local_window_circuit(num_qubits, num_gates, window=4, seed=7)
+    architecture, connectivity, circuit = local_window_workload(scale)
     config = MapperConfig.sharded(shard_min_slice=48)
     router = ShardedRouter(architecture, config, connectivity=connectivity)
     stream = router.stream(circuit, retain=False)
@@ -68,9 +52,9 @@ def run_smoke(scale: float) -> dict:
     stats = stream.stats
     return {
         "scale": scale,
-        "num_qubits": num_qubits,
+        "num_qubits": circuit.num_qubits,
         "num_gates": len(circuit),
-        "num_atoms": num_atoms,
+        "num_atoms": architecture.num_atoms,
         "num_ops": num_ops,
         "num_slices": stats["num_slices"],
         "tree_depth": stats["tree_depth"],

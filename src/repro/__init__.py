@@ -85,7 +85,6 @@ from .service import (
     BatchCompiler,
     BatchResult,
     CompilationTask,
-    task_store_key,
 )
 from .store import (
     CompiledArtifact,
@@ -116,7 +115,7 @@ __all__ = [
     "CompilationContext", "PassManager", "default_pipeline", "compile_circuit",
     # service
     "ArchitectureSpec", "ArchitectureCache", "CompilationTask", "BatchCompiler",
-    "BatchResult", "task_store_key",
+    "BatchResult",
     # store + server
     "ResultStore", "CompiledArtifact", "StoreKey", "compute_store_key",
     "ServingGateway", "ServingServer", "ServingClient",

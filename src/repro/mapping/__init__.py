@@ -6,7 +6,7 @@ from .decision import (
     CapabilityDecision,
     GateCostEstimate,
 )
-from .gate_router import GateRouter, SwapCandidate, SwapCostCache
+from .gate_router import GateRouter, SwapCandidate, SwapCandidateTable
 from .hybrid_mapper import HybridMapper, MappingError
 from .initial_layout import (
     LAYOUT_STRATEGIES,
@@ -50,7 +50,7 @@ __all__ = [
     "GateCostEstimate",
     "GateRouter",
     "SwapCandidate",
-    "SwapCostCache",
+    "SwapCandidateTable",
     "ShuttlingRouter",
     "CircuitSlice",
     "PartitionPlan",

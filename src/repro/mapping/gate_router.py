@@ -27,45 +27,60 @@ set, ranking by remaining distance and ranking by difference are equivalent;
 the implementation uses the remaining distance so that the cost is
 non-negative and the exponential damping acts in the intended direction.
 
-Cost engine
------------
-A SWAP only changes the sites of ``qubit_a`` and ``qubit_b``, so
-:class:`SwapCostCache` is the one scoring path: once per routing round it
-computes each layer's baseline distance and, for every qubit a front or
-lookahead gate acts on, that qubit's *per-qubit terms*:
+Candidate table
+---------------
+:class:`SwapCandidateTable` holds every candidate of the current round and
+lives for a whole routing run (:meth:`GateRouter.reset` drops it).  It
+keeps:
 
-* the sites of its partners in two-qubit and position-less multi-qubit
-  gates, read against :meth:`~repro.hardware.connectivity.SiteConnectivity.swap_row`
-  (``max(hop - 1, 0)``, the two-qubit distance rule);
-* the assigned target sites of its positioned multi-qubit gates
-  (:class:`~repro.mapping.multiqubit.GatePosition`), read against
-  ``hop_row``;
-* both sums ``S_q(site)`` evaluated at the qubit's current site.
+* per node of the front and lookahead layers: its gate, its
+  :class:`~repro.mapping.multiqubit.GatePosition` object, how often each
+  layer lists it (hand-crafted layers may list a node twice), and its
+  routing distance; the layer baselines are the count-weighted sums;
+* per qubit a front or lookahead gate acts on, its *per-qubit terms*: one
+  distance row per listing of a partner in a two-qubit or position-less
+  multi-qubit gate (the partner site's
+  :meth:`~repro.hardware.connectivity.SiteConnectivity.swap_row`,
+  ``max(hop - 1, 0)``, the two-qubit distance rule) and per listing of an
+  assigned target of a positioned gate (the target's ``hop_row``), and
+  both sums ``S_q(site)`` at the qubit's current site.  The site graph is
+  undirected, so a row read at ``site`` is the distance from ``site``;
+* per candidate site pair, the SWAP's orientation and its integer
+  ``(delta front, delta lookahead)``.
 
-Each node is counted once per listing in the front or lookahead layer
-(hand-crafted layers may list a node twice), so a SWAP moving ``a`` from
-``s_a`` to ``s_b`` and ``b`` from ``s_b`` to ``s_a`` changes a layer's
-distance by exactly ``[S_a(s_b) - S_a(s_a)] + [S_b(s_a) - S_b(s_b)]``.
-A gate pair holding both swapped qubits contributes ``0 - 0`` to each
-side, because candidate sites are adjacent, and position terms are
-additive per qubit.  Every term is an integer, so ``baseline + delta`` is
-*bit-identical* to re-walking both layers in full;
-``tests/differential/routing_reference.py`` keeps that naive walk, with its
-own candidate generator, as the test-only reference.
+A SWAP moving ``a`` from ``s_a`` to ``s_b`` and ``b`` from ``s_b`` to
+``s_a`` changes a layer's distance by exactly ``[S_a(s_b) - S_a(s_a)] +
+[S_b(s_a) - S_b(s_b)]``.  A gate pair holding both swapped qubits
+contributes ``0 - 0`` to each side, because candidate sites are adjacent,
+and position terms are additive per qubit.
 
-Cache invalidation: a :class:`SwapCostCache` is valid for one routing round
-only — it snapshots the per-qubit terms against the current mapping state
-and the current ``positions`` dict, and is discarded after the round's SWAP
-is chosen.  The row tables it reads live in
-:class:`~repro.hardware.connectivity.SiteConnectivity` and are immutable.
+Cache invalidation: each round diffs the front and lookahead node lists,
+and every node's ``GatePosition`` identity, against the previous round,
+and takes the sites changed since then from the
+:class:`~repro.mapping.state.MappingState` change log (SWAPs, forced
+routes and shuttle moves all log there).  A qubit is *dirty* when it sits
+on a changed site, when it shares a position-less gate with such a qubit,
+or when a node it belongs to entered, left, changed its listing counts or
+was re-positioned.  Only the dirty qubits' terms and the distances of
+nodes holding a moved qubit are rebuilt, and only the site pairs touching
+a changed site or a dirty qubit's site are re-enumerated and rescored.
+The orientation (the front qubit visited first is ``qubit_a``) is
+re-derived for those pairs, and for every pair when the visit order of
+the clean front qubits changed (the mapper's layers keep circuit order,
+so only a hand-crafted layer does that).  The first round, a different
+state object, or a change log another reader took rebuilds the table
+from nothing through the same path, with every qubit dirty.
 
-Fused scan: :meth:`GateRouter.best_swap` walks the front qubits (each once,
-first occurrence in layer order) and then their occupied neighbour sites
-in neighbour order, skips site pairs already seen and the inverse of the
-last SWAP in line, and scores each pair as it goes.  It compares
-``(cost, lower site, higher site)`` tuples and builds a
-:class:`SwapCandidate` only for the winner (and, with ``lambda_t > 0``, for
-the recency score).
+Selection: :meth:`GateRouter.best_swap` loops over the stored pairs once
+and evaluates ``(B_f + delta_f) + w_l * (B_l + delta_l)`` on the integers,
+times ``exp(lambda_t * t(S))`` with the recency recomputed per round when
+``lambda_t > 0``.  Every term is an integer, so the float costs are
+bit-identical to re-walking both layers in full, and the
+``(cost, lower site, higher site)`` key is a total order that does not
+depend on the loop order; the inverse of the last SWAP stands only when
+it is the one candidate.  ``tests/differential/routing_reference.py``
+keeps the naive walk, with its own candidate generator, as the test-only
+reference.
 """
 
 from __future__ import annotations
@@ -78,7 +93,10 @@ from ..hardware.architecture import NeutralAtomArchitecture
 from .multiqubit import GatePosition
 from .state import MappingState
 
-__all__ = ["SwapCandidate", "SwapCostCache", "GateRouter"]
+__all__ = ["SwapCandidate", "SwapCandidateTable", "GateRouter"]
+
+#: The per-qubit terms of a qubit no front or lookahead gate acts on.
+_NO_TERMS = ((), (), 0, 0)
 
 
 class SwapCandidate(NamedTuple):
@@ -102,132 +120,278 @@ class SwapCandidate(NamedTuple):
         return (min(self.site_a, self.site_b), max(self.site_a, self.site_b))
 
 
-class SwapCostCache:
-    """One routing round's per-qubit scorer for SWAP candidates.
+class SwapCandidateTable:
+    """The SWAP candidates of a routing run, kept across rounds.
 
-    Snapshots the baseline distances of the front and lookahead layers and
-    every touched qubit's per-qubit terms (see the module docstring), then
-    scores a candidate from the terms of its two qubits alone.  Valid for a
-    single routing round: discard after the round's SWAP has been applied
-    (the state, layers, or positions may have changed).
+    :meth:`update` brings the table in line with one round's state, layers
+    and positions, rescoring only what changed since the previous round
+    (see the module docstring).  :attr:`entries` then maps every candidate
+    site pair ``(lower, higher)`` to ``(delta front, delta lookahead,
+    fields)``, ``fields`` being the :class:`SwapCandidate` field tuple; a
+    candidate's layer distances are the baselines plus its deltas.
     """
 
-    __slots__ = ("_router", "_swap_row", "_hop_row", "_terms",
-                 "baseline_front", "baseline_lookahead")
+    __slots__ = ("_reader", "_state", "_front", "_lookahead", "_nodes",
+                 "_qubit_nodes", "_terms", "_rank", "entries", "baseline_front",
+                 "baseline_lookahead", "rescored")
 
-    def __init__(self, router: "GateRouter", state: MappingState,
-                 front_nodes: Sequence, lookahead_nodes: Sequence,
-                 positions: Dict[int, GatePosition]) -> None:
-        self._router = router
+    def __init__(self) -> None:
+        # Identifies this table to MappingState.take_changed_sites; a bare
+        # token rather than the table, so the state holds no reference
+        # back to the table (and through it to the state itself).
+        self._reader = object()
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget everything; the next :meth:`update` rebuilds the table."""
+        self._state: Optional[MappingState] = None
+        self._front: list = []
+        self._lookahead: list = []
+        # node index -> [gate, position, front count, lookahead count,
+        #                distance]
+        self._nodes: Dict[int, list] = {}
+        # qubit -> indices of the nodes whose gate acts on it
+        self._qubit_nodes: Dict[int, Set[int]] = {}
+        # qubit -> (front rows, lookahead rows, front sum here,
+        #           lookahead sum here); a row per partner or target listing
+        self._terms: Dict[int, tuple] = {}
+        # front qubit -> its place in the visit order
+        self._rank: Dict[int, int] = {}
+        self.entries: Dict[Tuple[int, int], Tuple[int, int, tuple]] = {}
+        self.baseline_front = 0
+        self.baseline_lookahead = 0
+        # Pairs enumerated and scored by the last update.
+        self.rescored = 0
+
+    def update(self, state: MappingState, front_nodes: Sequence,
+               lookahead_nodes: Sequence,
+               positions: Dict[int, GatePosition]) -> None:
+        """Bring the table in line with this round."""
+        changed = state.take_changed_sites(self._reader)
+        if changed is None or state is not self._state:
+            self.clear()
+            self._state = state
+            changed = ()
         connectivity = state.connectivity
-        self._swap_row = swap_row = connectivity.swap_row
-        self._hop_row = hop_row = connectivity.hop_row
-        # node index -> [gate, position, front count, lookahead count]: a
-        # node listed more than once weighs in once per listing, as a full
-        # walk of the layers counts it.
-        nodes: Dict[int, list] = {}
-        for slot, layer in ((2, front_nodes), (3, lookahead_nodes)):
-            for node in layer:
-                entry = nodes.get(node.index)
-                if entry is None:
-                    entry = [node.gate, positions.get(node.index), 0, 0]
-                    nodes[node.index] = entry
-                entry[slot] += 1
-
+        swap_row = connectivity.swap_row
+        hop_row = connectivity.hop_row
         site_of_qubit = state.site_of_qubit
-        # qubit -> (front partner sites, front target sites,
-        #           lookahead partner sites, lookahead target sites)
-        lists: Dict[int, Tuple[list, list, list, list]] = {}
-        baseline_front = baseline_lookahead = 0
-        for gate, position, in_front, in_lookahead in nodes.values():
+        site_atoms = state.site_atoms
+        atom_qubits = state.atom_qubits
+        nodes = self._nodes
+        qubit_nodes = self._qubit_nodes
+
+        # (1) Diff the layers and the positions against the previous round.
+        front = list(front_nodes)
+        lookahead = list(lookahead_nodes)
+        added: List[tuple] = []
+        dropped: List[int] = []
+        old_rank = rank = self._rank
+        # Most rounds follow a SWAP and list the very same nodes; then only
+        # a position can have changed.
+        if front == self._front and lookahead == self._lookahead:
+            for index, entry in nodes.items():
+                position = positions.get(index)
+                if position is not entry[1]:
+                    dropped.append(index)
+                    added.append((index, entry[0], position, entry[2],
+                                  entry[3]))
+        else:
+            # node index -> [gate, front count, lookahead count]: a node
+            # listed more than once weighs in once per listing, as a full
+            # walk of the layers counts it.
+            listed: Dict[int, list] = {}
+            for slot, layer in ((1, front), (2, lookahead)):
+                for node in layer:
+                    entry = listed.get(node.index)
+                    if entry is None:
+                        entry = listed[node.index] = [node.gate, 0, 0]
+                    entry[slot] += 1
+            for index in nodes:
+                if index not in listed:
+                    dropped.append(index)
+            for index, (gate, in_front, in_lookahead) in listed.items():
+                position = positions.get(index)
+                old = nodes.get(index)
+                if old is not None:
+                    if (old[0] is gate and old[1] is position
+                            and old[2] == in_front and old[3] == in_lookahead):
+                        continue
+                    dropped.append(index)
+                added.append((index, gate, position, in_front, in_lookahead))
+            rank = {}
+            for node in front:
+                for qubit in node.gate.qubits:
+                    if qubit not in rank:
+                        rank[qubit] = len(rank)
+            self._rank = rank
+            self._front = front
+            self._lookahead = lookahead
+
+        dirty: Set[int] = set()
+        for index in dropped:
+            gate, _, in_front, in_lookahead, distance = nodes.pop(index)
+            self.baseline_front -= in_front * distance
+            self.baseline_lookahead -= in_lookahead * distance
+            for qubit in gate.qubits:
+                indices = qubit_nodes[qubit]
+                indices.discard(index)
+                if not indices:
+                    del qubit_nodes[qubit]
+                dirty.add(qubit)
+        # (2) A qubit on a changed site moved: its nodes' distances change,
+        # and so do the terms of every qubit sharing a position-less gate
+        # with it.
+        resized: Set[int] = set()
+        for site in changed:
+            atom = site_atoms[site]
+            if atom < 0:
+                continue
+            qubit = atom_qubits[atom]
+            if qubit < 0:
+                continue
+            dirty.add(qubit)
+            for index in qubit_nodes.get(qubit, ()):
+                resized.add(index)
+                entry = nodes[index]
+                if entry[1] is None:
+                    dirty.update(entry[0].qubits)
+        for index, gate, position, in_front, in_lookahead in added:
+            nodes[index] = [gate, position, in_front, in_lookahead, 0]
+            resized.add(index)
+            for qubit in gate.qubits:
+                indices = qubit_nodes.get(qubit)
+                if indices is None:
+                    indices = qubit_nodes[qubit] = set()
+                indices.add(index)
+                dirty.add(qubit)
+
+        # (3) Node distances and the baselines.
+        for index in resized:
+            entry = nodes[index]
+            gate, position, in_front, in_lookahead, old = entry
             distance = 0
             if position is not None:
                 for qubit, target in position.assignment.items():
                     distance += hop_row(site_of_qubit(qubit))[target]
-                    terms = lists.get(qubit)
-                    if terms is None:
-                        terms = lists[qubit] = ([], [], [], [])
-                    terms[1].extend((target,) * in_front)
-                    terms[3].extend((target,) * in_lookahead)
             else:
-                qubits = gate.qubits
-                sites = [site_of_qubit(qubit) for qubit in qubits]
-                for i, qubit in enumerate(qubits):
-                    row = swap_row(sites[i])
+                sites = [site_of_qubit(qubit) for qubit in gate.qubits]
+                for i, site in enumerate(sites):
+                    row = swap_row(site)
                     for other in sites[i + 1:]:
                         distance += row[other]
-                    partners = sites[:i] + sites[i + 1:]
-                    terms = lists.get(qubit)
-                    if terms is None:
-                        terms = lists[qubit] = ([], [], [], [])
-                    terms[0].extend(partners * in_front)
-                    terms[2].extend(partners * in_lookahead)
-            baseline_front += in_front * distance
-            baseline_lookahead += in_lookahead * distance
-        self.baseline_front = baseline_front
-        self.baseline_lookahead = baseline_lookahead
+            entry[4] = distance
+            self.baseline_front += in_front * (distance - old)
+            self.baseline_lookahead += in_lookahead * (distance - old)
 
-        # qubit -> (front partners, front targets, front sum here,
-        #           lookahead partners, lookahead targets, lookahead sum here)
-        site_sum = self._site_sum
-        self._terms: Dict[int, tuple] = {}
-        for qubit, (front_p, front_t, look_p, look_t) in lists.items():
-            here = site_of_qubit(qubit)
-            self._terms[qubit] = (
-                front_p, front_t, site_sum(front_p, front_t, here),
-                look_p, look_t, site_sum(look_p, look_t, here))
-
-    def _site_sum(self, partners: List[int], targets: List[int],
-                  site: int) -> int:
-        """``S_q(site)``: one qubit's summed distance terms were it at ``site``."""
-        total = 0
-        if partners:
-            row = self._swap_row(site)
-            for partner in partners:
-                total += row[partner]
-        if targets:
-            row = self._hop_row(site)
-            for target in targets:
-                total += row[target]
-        return total
-
-    def layer_costs(self, qubit_a: int, qubit_b: Optional[int], site_a: int,
-                    site_b: int) -> Tuple[int, int]:
-        """Front and lookahead distances after swapping the atoms at
-        ``site_a`` (holding ``qubit_a``) and ``site_b`` (holding ``qubit_b``,
-        ``None`` for an auxiliary atom)."""
-        front = self.baseline_front
-        lookahead = self.baseline_lookahead
+        # (4) The dirty qubits' terms.  The site graph is undirected, so the
+        # partner's (target's) row read at a site is the distance from it.
         terms = self._terms
-        site_sum = self._site_sum
-        for qubit, there in ((qubit_a, site_b), (qubit_b, site_a)):
-            entry = terms.get(qubit)
-            if entry is None:
+        touched = set(changed)
+        for qubit in dirty:
+            here = site_of_qubit(qubit)
+            touched.add(here)
+            indices = qubit_nodes.get(qubit)
+            if not indices:
+                terms.pop(qubit, None)
                 continue
-            front_p, front_t, front_here, look_p, look_t, look_here = entry
-            if front_p or front_t:
-                front += site_sum(front_p, front_t, there) - front_here
-            if look_p or look_t:
-                lookahead += site_sum(look_p, look_t, there) - look_here
-        return front, lookahead
+            front_rows: List[List[int]] = []
+            look_rows: List[List[int]] = []
+            for index in indices:
+                gate, position, in_front, in_lookahead, _ = nodes[index]
+                if position is not None:
+                    target = position.assignment.get(qubit)
+                    if target is None:
+                        continue
+                    rows = [hop_row(target)]
+                else:
+                    rows = [swap_row(site_of_qubit(other))
+                            for other in gate.qubits if other != qubit]
+                front_rows.extend(rows * in_front)
+                look_rows.extend(rows * in_lookahead)
+            terms[qubit] = (front_rows, look_rows,
+                            sum(row[here] for row in front_rows),
+                            sum(row[here] for row in look_rows))
 
-    def cost(self, candidate: SwapCandidate) -> float:
-        """Cost of ``candidate`` according to Eq. (2)/(3)."""
-        front, lookahead = self.layer_costs(candidate.qubit_a,
-                                            candidate.qubit_b,
-                                            candidate.site_a, candidate.site_b)
-        router = self._router
-        base = front + router.lookahead_weight * lookahead
-        if router.decay_rate == 0.0:
-            return base
-        return base * math.exp(router.decay_rate * router.recency(candidate))
+        # (5) Re-enumerate and rescore the pairs around touched sites, each
+        # pair once, from its lower touched site.
+        entries = self.entries
+        interaction_neighbours = connectivity.interaction_neighbours
+        rescored = 0
+        for site in touched:
+            neighbours = [neighbour for neighbour in interaction_neighbours(site)
+                          if neighbour > site or neighbour not in touched]
+            atom = site_atoms[site]
+            if atom < 0:
+                for neighbour in neighbours:
+                    entries.pop((site, neighbour) if site < neighbour
+                                else (neighbour, site), None)
+                continue
+            qubit = atom_qubits[atom]
+            qubit_rank = rank.get(qubit)
+            front_rows, look_rows, front_here, look_here = terms.get(
+                qubit, _NO_TERMS)
+            for neighbour in neighbours:
+                pair = ((site, neighbour) if site < neighbour
+                        else (neighbour, site))
+                other_atom = site_atoms[neighbour]
+                if other_atom < 0:
+                    entries.pop(pair, None)
+                    continue
+                other = atom_qubits[other_atom]
+                other_rank = rank.get(other)
+                if qubit_rank is None and other_rank is None:
+                    entries.pop(pair, None)
+                    continue
+                # [S_a(s_b) - S_a(s_a)] + [S_b(s_a) - S_b(s_b)] per layer.
+                delta_front = -front_here
+                for row in front_rows:
+                    delta_front += row[neighbour]
+                delta_lookahead = -look_here
+                for row in look_rows:
+                    delta_lookahead += row[neighbour]
+                other_terms = terms.get(other)
+                if other_terms is not None:
+                    other_front, other_look, other_front_here, \
+                        other_look_here = other_terms
+                    delta_front -= other_front_here
+                    for row in other_front:
+                        delta_front += row[site]
+                    delta_lookahead -= other_look_here
+                    for row in other_look:
+                        delta_lookahead += row[site]
+                # The front qubit visited first is qubit_a.
+                if qubit_rank is not None and (other_rank is None
+                                               or qubit_rank < other_rank):
+                    fields = (qubit, other if other >= 0 else None, atom,
+                              other_atom, site, neighbour)
+                else:
+                    fields = (other, qubit if qubit >= 0 else None, other_atom,
+                              atom, neighbour, site)
+                entries[pair] = (delta_front, delta_lookahead, fields)
+                rescored += 1
+        self.rescored = rescored
+
+        # (6) Pairs of two front qubits that were not re-enumerated keep
+        # their orientation unless the visit order of clean qubits changed
+        # (only a hand-crafted layer reorders its nodes).
+        if rank is not old_rank and [
+                qubit for qubit in rank if qubit not in dirty] != [
+                qubit for qubit in old_rank if qubit not in dirty]:
+            for pair, (delta_front, delta_lookahead, fields) in \
+                    entries.items():
+                qubit_a, qubit_b, atom_a, atom_b, site_a, site_b = fields
+                rank_b = rank.get(qubit_b)
+                if rank_b is not None and rank_b < rank[qubit_a]:
+                    entries[pair] = (delta_front, delta_lookahead, (
+                        qubit_b, qubit_a, atom_b, atom_a, site_b, site_a))
 
 
 class GateRouter:
     """SWAP-insertion router with lookahead and recency damping.
 
-    :meth:`best_swap` scores every candidate of a round through one
-    :class:`SwapCostCache`.
+    :meth:`best_swap` selects from one :class:`SwapCandidateTable` that
+    lives until :meth:`reset`.
     """
 
     def __init__(self, architecture: NeutralAtomArchitecture, *,
@@ -248,6 +412,7 @@ class GateRouter:
         self._step = 0
         self._last_used: Dict[int, int] = {}
         self._last_swap_key: Optional[Tuple[int, int]] = None
+        self.table = SwapCandidateTable()
 
     # ------------------------------------------------------------------
     # Recency bookkeeping
@@ -256,6 +421,7 @@ class GateRouter:
         self._step = 0
         self._last_used.clear()
         self._last_swap_key = None
+        self.table.clear()
 
     def note_swap_applied(self, state: MappingState, candidate: SwapCandidate) -> None:
         """Record a SWAP execution for the recency score.
@@ -286,9 +452,12 @@ class GateRouter:
                     self._last_used[neighbour_qubit] = self._step
 
     def recency(self, candidate: SwapCandidate) -> int:
-        """Recency score ``t(S)`` in ``[0, recency_window]`` (0 = long unused)."""
+        """Recency score ``t(S)`` in ``[0, recency_window]`` (0 = long unused).
+
+        ``candidate`` may also be a candidate's plain field tuple.
+        """
         score = 0
-        for qubit in (candidate.qubit_a, candidate.qubit_b):
+        for qubit in (candidate[0], candidate[1]):
             if qubit is None or qubit not in self._last_used:
                 continue
             age = self._step - self._last_used[qubit]
@@ -311,58 +480,37 @@ class GateRouter:
         with ``lambda_t = 0`` a cost tie between doing and undoing a SWAP
         would otherwise ping-pong forever.
         """
-        layer_costs = SwapCostCache(self, state, front_nodes, lookahead_nodes,
-                                    positions).layer_costs
+        table = self.table
+        table.update(state, front_nodes, lookahead_nodes, positions)
+        entries = table.entries
+        last = self._last_swap_key
+        inverse = entries.pop(last, None) if last is not None else None
+        baseline_front = table.baseline_front
+        baseline_lookahead = table.baseline_lookahead
         lookahead_weight = self.lookahead_weight
         decay_rate = self.decay_rate
-        last = self._last_swap_key
-        interaction_neighbours = state.connectivity.interaction_neighbours
-        atom_of_qubit = state.atom_of_qubit
-        site_of_atom = state.site_of_atom
-        atom_at_site = state.atom_at_site
-        qubit_of_atom = state.qubit_of_atom
-        visited: Set[int] = set()
-        seen: Set[Tuple[int, int]] = set()
-        # (cost, lower site, higher site): the cost, then candidate.key().
-        best_key: Optional[Tuple[float, int, int]] = None
-        best: Optional[SwapCandidate] = None
-        inverse: Optional[SwapCandidate] = None
-        for node in front_nodes:
-            for qubit in node.gate.qubits:
-                # A qubit shared by commuting front gates adds nothing the
-                # first visit did not.
-                if qubit in visited:
-                    continue
-                visited.add(qubit)
-                atom_a = atom_of_qubit(qubit)
-                site_a = site_of_atom(atom_a)
-                for site_b in interaction_neighbours(site_a):
-                    atom_b = atom_at_site(site_b)
-                    if atom_b is None:
-                        continue
-                    pair = (site_a, site_b) if site_a < site_b else (site_b, site_a)
-                    if pair in seen:
-                        continue
-                    seen.add(pair)
-                    qubit_b = qubit_of_atom(atom_b)
-                    if pair == last:
-                        inverse = SwapCandidate(qubit, qubit_b, atom_a, atom_b,
-                                                site_a, site_b)
-                        continue
-                    front, lookahead = layer_costs(qubit, qubit_b, site_a, site_b)
-                    cost = front + lookahead_weight * lookahead
-                    candidate = None
-                    if decay_rate != 0.0:
-                        candidate = SwapCandidate(qubit, qubit_b, atom_a,
-                                                  atom_b, site_a, site_b)
-                        cost *= math.exp(decay_rate * self.recency(candidate))
-                    key = (cost, pair[0], pair[1])
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best = candidate or SwapCandidate(
-                            qubit, qubit_b, atom_a, atom_b, site_a, site_b)
-        # The inverse of the last SWAP stands only when it is the one candidate.
-        return best if best is not None else inverse
+        best: Optional[tuple] = None
+        best_cost = math.inf
+        best_pair = (0, 0)
+        # The key (cost, lower site, higher site), compared as the tuple
+        # would be; ``best is None`` admits a first candidate of cost inf/NaN.
+        for pair, (delta_front, delta_lookahead, fields) in entries.items():
+            cost = ((baseline_front + delta_front)
+                    + lookahead_weight * (baseline_lookahead + delta_lookahead))
+            if decay_rate != 0.0:
+                cost *= math.exp(decay_rate * self.recency(fields))
+            if (cost < best_cost or (cost == best_cost and pair < best_pair)
+                    or best is None):
+                best = fields
+                best_cost = cost
+                best_pair = pair
+        if inverse is not None:
+            entries[last] = inverse
+            if best is None:
+                # The inverse of the last SWAP stands only when it is the one
+                # candidate.
+                best = inverse[2]
+        return SwapCandidate(*best) if best is not None else None
 
     # ------------------------------------------------------------------
     # Deterministic fallback routing

@@ -120,6 +120,12 @@ class MappingState:
         self.num_swaps_applied = 0
         self.num_moves_applied = 0
 
+        # Change log: every site whose atom or circuit qubit changed since
+        # the log was last taken (see take_changed_sites).  A set, so it
+        # stays bounded by the lattice when nobody reads it.
+        self._changed_sites: Set[int] = set()
+        self._change_reader: Optional[object] = None
+
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
@@ -168,6 +174,18 @@ class MappingState:
         as read-only.
         """
         return self._free_mask
+
+    @property
+    def site_atoms(self) -> List[int]:
+        """The live site -> atom list (``-1`` = empty trap), for per-site
+        loops; callers must treat it as read-only."""
+        return self._site_to_atom
+
+    @property
+    def atom_qubits(self) -> List[int]:
+        """The live atom -> circuit qubit list (``-1`` = auxiliary atom);
+        callers must treat it as read-only."""
+        return self._atom_to_qubit
 
     def placement_arrays(self):
         """The placement maps as fresh int64 arrays, for batched gathers.
@@ -300,6 +318,8 @@ class MappingState:
         self._swap_atoms(atom, other_atom)
 
     def _swap_atoms(self, atom_a: int, atom_b: int) -> None:
+        self._changed_sites.add(self._atom_to_site[atom_a])
+        self._changed_sites.add(self._atom_to_site[atom_b])
         qubit_a = self._atom_to_qubit[atom_a]
         qubit_b = self._atom_to_qubit[atom_b]
         self._atom_to_qubit[atom_a], self._atom_to_qubit[atom_b] = qubit_b, qubit_a
@@ -327,6 +347,8 @@ class MappingState:
         self._atom_to_site[atom] = destination
         self._free_mask[source] = 1
         self._free_mask[destination] = 0
+        self._changed_sites.add(source)
+        self._changed_sites.add(destination)
         self.num_moves_applied += 1
         free_near = self._free_near
         for neighbour in self.connectivity.interaction_neighbours(source):
@@ -350,11 +372,29 @@ class MappingState:
             travel_distance_um=travel,
         )
 
+    def take_changed_sites(self, reader: object) -> Optional[Set[int]]:
+        """Sites whose atom or circuit qubit changed since ``reader`` last
+        took the log, and an empty log from here on.
+
+        SWAPs log both sites, moves their source and destination.  Returns
+        ``None`` when the log cannot tell ``reader`` everything that changed:
+        on its first take, or when another reader took the log in between.
+        """
+        changed = self._changed_sites
+        self._changed_sites = set()
+        if self._change_reader is not reader:
+            self._change_reader = reader
+            return None
+        return changed
+
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
     def copy(self) -> "MappingState":
-        """Deep copy of the mapping state (shares the immutable connectivity)."""
+        """Deep copy of the mapping state (shares the immutable connectivity).
+
+        The copy starts with an empty change log and no reader.
+        """
         clone = MappingState(
             self.architecture,
             self.num_circuit_qubits,

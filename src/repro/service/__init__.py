@@ -10,7 +10,6 @@ from .batch import (
     BatchResult,
     CompilationTask,
     TaskResult,
-    task_store_key,
 )
 from .cache import ARCHITECTURE_CACHE, ArchitectureCache, ArchitectureSpec
 
@@ -22,5 +21,4 @@ __all__ = [
     "TaskResult",
     "BatchResult",
     "BatchCompiler",
-    "task_store_key",
 ]

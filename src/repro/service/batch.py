@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 from ..resilience import RetryPolicy, ServingFault, SupervisedPool
@@ -38,20 +39,7 @@ from ..telemetry import tracing
 from .cache import ARCHITECTURE_CACHE, ArchitectureSpec
 
 __all__ = ["CompilationTask", "TaskResult", "BatchResult", "BatchCompiler",
-           "task_store_key", "lookup_task", "compile_task_to_artifact"]
-
-
-def task_store_key(task: "CompilationTask",
-                   circuit: Optional[QuantumCircuit] = None) -> StoreKey:
-    """The persistent-store key of one task (see :mod:`repro.store.keys`).
-
-    ``circuit`` lets a caller that already instantiated the task's circuit
-    avoid building it twice; by default the task payload is materialised
-    here (library build or QASM parse — cheap relative to mapping).
-    """
-    if circuit is None:
-        circuit = task.build_circuit()
-    return compute_store_key(circuit, task.architecture, task.build_config())
+           "lookup_task", "compile_task_to_artifact"]
 
 
 def lookup_task(task: "CompilationTask", store: Optional[ResultStore],
@@ -60,11 +48,12 @@ def lookup_task(task: "CompilationTask", store: Optional[ResultStore],
 
     ``hit`` is ``None`` on a miss or without a ``store``; under
     ``evaluate`` a metrics-less entry is a miss (``require_metrics``).
+    The circuit and key stay memoised on ``task``, so the compile of a
+    miss reuses them.
     """
-    circuit = task.build_circuit()
-    key = task_store_key(task, circuit)
-    return circuit, key, (store.get(key, require_metrics=evaluate)
-                          if store is not None else None)
+    key = task.store_key
+    return task.circuit, key, (store.get(key, require_metrics=evaluate)
+                               if store is not None else None)
 
 
 def compile_task_to_artifact(task: "CompilationTask", *,
@@ -78,20 +67,21 @@ def compile_task_to_artifact(task: "CompilationTask", *,
     success.  It never reads: the front-end looked the key up already.
     Returns ``(artifact, context)``; ``artifact`` is ``None`` when no
     store asked for one (the batch path skips op-stream serialisation).
+    The circuit and key come from ``task``'s memo: a task the front-end
+    looked up (and, on a process pool, pickled with its memo) is neither
+    built nor keyed again.
     """
     with tracing.span("compile_task", task_id=task.task_id):
-        circuit = task.build_circuit()
-        key = task_store_key(task, circuit) if store is not None else None
         architecture, connectivity = ARCHITECTURE_CACHE.get(task.architecture)
         context = compile_circuit(
-            circuit, architecture, task.build_config(),
+            task.circuit, architecture, task.build_config(),
             connectivity=connectivity, alpha_ratio=task.alpha_ratio,
             evaluate=evaluate)
         artifact: Optional[CompiledArtifact] = None
         if store is not None:
             artifact = CompiledArtifact.from_context(context)
             try:
-                store.put(key, artifact)
+                store.put(task.store_key, artifact)
             except OSError:
                 pass
         return artifact, context
@@ -104,6 +94,8 @@ class CompilationTask:
     The circuit payload is either a benchmark-library reference
     (``circuit_name`` + ``num_qubits`` + ``seed``) or an explicit OpenQASM
     document (``qasm``); both forms are cheap to pickle to worker processes.
+    :attr:`circuit` and :attr:`store_key` memoise the built circuit and its
+    key on the task object; a pickled task carries them along.
     """
 
     task_id: str
@@ -128,6 +120,17 @@ class CompilationTask:
 
     def build_config(self) -> MapperConfig:
         return MapperConfig.for_mode(self.mode, self.alpha)
+
+    @cached_property
+    def circuit(self) -> QuantumCircuit:
+        """The task's circuit, built once per task object."""
+        return self.build_circuit()
+
+    @cached_property
+    def store_key(self) -> StoreKey:
+        """The task's persistent-store key, hashed once per task object."""
+        return compute_store_key(self.circuit, self.architecture,
+                                 self.build_config())
 
     @property
     def alpha_ratio(self) -> Optional[float]:

@@ -1,7 +1,7 @@
 """Naive routing-cost scorers: the test-only reference for both routers.
 
-``GateRouter.best_swap`` scores every SWAP candidate of a round in one
-fused scan from the per-qubit terms of one ``SwapCostCache``, and
+``GateRouter.best_swap`` selects from a ``SwapCandidateTable`` that keeps
+every SWAP candidate's integer layer deltas across rounds, and
 ``ShuttlingRouter.best_chain`` walks per-round qubit → node indices and
 screens wide fronts.  The functions below are the original naive scorers,
 kept as an independent oracle: SWAP candidates are listed by their own
@@ -12,7 +12,7 @@ builds and ranks the candidates of every front node.  Every function that
 reads router settings takes the router as its first argument;
 :func:`reference_routers` installs both selections on a mapper for the
 reference arm of the op-stream equivalence tests, and
-:func:`scanned_candidates` records what ``best_swap``'s fused scan scores.
+:func:`reference_entries` is what a candidate table must hold.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ import pytest
 
 from repro.circuit.dag import CircuitDAG
 from repro.circuit.gate import Gate
-from repro.mapping.gate_router import GateRouter, SwapCandidate, SwapCostCache
+from repro.mapping.gate_router import (GateRouter, SwapCandidate,
+                                      SwapCandidateTable)
 from repro.mapping.multiqubit import GatePosition
 from repro.mapping.shuttling_router import _EPSILON, ShuttlingRouter
 from repro.mapping.state import MappingState
@@ -152,27 +153,39 @@ def best_swap(router: GateRouter, state: MappingState, front_nodes: Sequence,
     return best_candidate
 
 
-def scanned_candidates(router: GateRouter, state: MappingState,
-                       front_nodes: Sequence, lookahead_nodes: Sequence = (),
-                       positions: Optional[Dict[int, GatePosition]] = None
-                       ) -> Tuple[list, Optional[SwapCandidate]]:
-    """Run ``router.best_swap`` and record what its fused scan scores.
+def reference_entries(state: MappingState, front_nodes: Sequence,
+                      lookahead_nodes: Sequence,
+                      positions: Dict[int, GatePosition]) -> Dict:
+    """What a candidate table must hold for this round.
 
-    Returns the ``(qubit_a, qubit_b, site_a, site_b)`` of every scored
-    candidate, in scan order, and the selected SWAP.
+    Maps each candidate's site pair to ``(candidate fields, delta front,
+    delta lookahead)``, the deltas from full walks of both layers.
     """
-    scanned = []
-    layer_costs = SwapCostCache.layer_costs
+    front = layer_distance(state, front_nodes, positions)
+    lookahead = layer_distance(state, lookahead_nodes, positions)
+    return {candidate.key(): (
+        tuple(candidate),
+        layer_distance(state, front_nodes, positions, candidate) - front,
+        layer_distance(state, lookahead_nodes, positions, candidate)
+        - lookahead)
+        for candidate in candidate_swaps(state, front_nodes)}
 
-    def recording(cache, qubit_a, qubit_b, site_a, site_b):
-        scanned.append((qubit_a, qubit_b, site_a, site_b))
-        return layer_costs(cache, qubit_a, qubit_b, site_a, site_b)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(SwapCostCache, "layer_costs", recording)
-        best = router.best_swap(state, front_nodes, lookahead_nodes,
-                                positions or {})
-    return scanned, best
+def table_entries(table: SwapCandidateTable) -> Dict:
+    """A table's entries in the form of :func:`reference_entries`."""
+    return {pair: (tuple(candidate), delta_front, delta_lookahead)
+            for pair, (delta_front, delta_lookahead, candidate)
+            in table.entries.items()}
+
+
+def fresh_table(state: MappingState, front_nodes: Sequence,
+                lookahead_nodes: Sequence,
+                positions: Dict[int, GatePosition]) -> SwapCandidateTable:
+    """A table built from nothing for this round, on a copy of ``state``
+    so that the copy's change log, not ``state``'s, is taken."""
+    table = SwapCandidateTable()
+    table.update(state.copy(), front_nodes, lookahead_nodes, positions)
+    return table
 
 
 def distance_change(router: ShuttlingRouter, state: MappingState, move: Move,

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.circuit import QuantumCircuit
-from repro.mapping import (GateRouter, MappingState, SwapCostCache,
-                           find_gate_position)
+from repro.mapping import GateRouter, MappingState, find_gate_position
 
 import routing_reference
 
@@ -19,28 +18,30 @@ class TestCandidates:
     def test_candidates_touch_front_gate_qubits(self, router, small_state):
         circuit = QuantumCircuit(12)
         circuit.cz(0, 11)
-        front, _ = routing_reference.routing_layers(circuit)
-        candidates, _ = routing_reference.scanned_candidates(
-            router, small_state, front)
-        assert candidates
+        front, lookahead = routing_reference.routing_layers(circuit)
+        router.best_swap(small_state, front, lookahead, {})
+        entries = router.table.entries
+        assert entries
         front_qubits = {0, 11}
-        for qubit_a, _, site_a, site_b in candidates:
+        for (low, high), (_, _, fields) in entries.items():
+            qubit_a, _, _, _, site_a, site_b = fields
             assert qubit_a in front_qubits
+            assert (low, high) == (min(site_a, site_b), max(site_a, site_b))
             assert small_state.connectivity.are_adjacent(site_a, site_b)
 
     def test_candidates_deduplicated(self, router, small_state):
         circuit = QuantumCircuit(12)
         circuit.cz(0, 1)   # adjacent qubits: their neighbourhoods overlap
-        front, _ = routing_reference.routing_layers(circuit)
-        candidates, _ = routing_reference.scanned_candidates(
-            router, small_state, front)
-        keys = [(min(a, b), max(a, b)) for _, _, a, b in candidates]
-        assert len(keys) == len(set(keys))
+        front, lookahead = routing_reference.routing_layers(circuit)
+        router.best_swap(small_state, front, lookahead, {})
+        expected = routing_reference.candidate_swaps(small_state, front)
+        assert len(expected) == len({candidate.key() for candidate in expected})
+        assert sorted(router.table.entries) == sorted(
+            candidate.key() for candidate in expected)
 
     def test_no_candidates_without_front_gates(self, router, small_state):
-        scanned, best = routing_reference.scanned_candidates(
-            router, small_state, [])
-        assert scanned == [] and best is None
+        assert router.best_swap(small_state, [], [], {}) is None
+        assert router.table.entries == {}
 
 
 class TestCost:
@@ -51,39 +52,44 @@ class TestCost:
         best = router.best_swap(small_state, front, lookahead, {})
         assert best is not None
         # Without a lookahead layer or decay the cost is the front distance.
-        front_only = SwapCostCache(router, small_state, front, [], {})
-        assert front_only.cost(best) <= front_only.baseline_front
+        delta_front, _, _ = router.table.entries[best.key()]
+        assert delta_front <= 0
 
-    def test_layer_distance_zero_when_all_gates_satisfied(self, router, small_state):
+    def test_layer_distance_zero_when_all_gates_satisfied(self, small_state):
         circuit = QuantumCircuit(12)
         circuit.cz(0, 1).cz(2, 3)
         front, _ = routing_reference.routing_layers(circuit)
-        assert SwapCostCache(router, small_state, front, [], {}).baseline_front == 0
+        table = routing_reference.fresh_table(small_state, front, [], {})
+        assert table.baseline_front == 0
 
     def test_cost_includes_lookahead_with_weight(self, small_architecture, small_state):
-        eager = GateRouter(small_architecture, lookahead_weight=1.0)
-        lazy = GateRouter(small_architecture, lookahead_weight=0.0)
         circuit = QuantumCircuit(12)
         circuit.cz(0, 11).cz(0, 9)
-        front, lookahead = routing_reference.routing_layers(circuit)
-        candidate = routing_reference.candidate_swaps(small_state, front)[0]
-        cost_eager = SwapCostCache(eager, small_state, front, lookahead,
-                                   {}).cost(candidate)
-        cost_lazy = SwapCostCache(lazy, small_state, front, lookahead,
-                                  {}).cost(candidate)
-        if lookahead:
-            assert cost_eager != cost_lazy
+        front, lookahead = routing_reference.routing_layers(
+            circuit, use_commutation=False)
+        assert lookahead
+        table = routing_reference.fresh_table(small_state, front, lookahead, {})
+        assert table.baseline_lookahead > 0
+        assert any(delta_lookahead != 0
+                   for _, delta_lookahead, _ in table.entries.values())
+        for weight in (0.0, 1.0):
+            router = GateRouter(small_architecture, lookahead_weight=weight)
+            assert router.best_swap(small_state, front, lookahead, {}) == \
+                routing_reference.best_swap(router, small_state, front,
+                                            lookahead, {})
 
-    def test_position_distance_used_for_multiqubit_gates(self, router, small_state):
+    def test_position_distance_used_for_multiqubit_gates(self, small_state):
         circuit = QuantumCircuit(12)
         circuit.ccz(0, 5, 11)
         front, lookahead = routing_reference.routing_layers(circuit)
         node = front[0]
         position = find_gate_position(small_state, node.gate)
         assert position is not None
-        cache = SwapCostCache(router, small_state, front, lookahead,
-                              {node.index: position})
-        assert cache.baseline_front >= 0
+        positions = {node.index: position}
+        table = routing_reference.fresh_table(small_state, front, lookahead,
+                                              positions)
+        assert table.baseline_front == routing_reference.layer_distance(
+            small_state, front, positions)
 
     def test_invalid_parameters_rejected(self, small_architecture):
         with pytest.raises(ValueError):
@@ -120,21 +126,26 @@ class TestRecency:
         circuit.cz(0, 11)
         front, lookahead = routing_reference.routing_layers(circuit)
         candidate = routing_reference.candidate_swaps(small_state, front)[0]
-        fresh_cost = SwapCostCache(router, small_state, front, lookahead,
-                                   {}).cost(candidate)
+        fresh_cost = routing_reference.swap_cost(router, small_state, candidate,
+                                                 front, lookahead, {})
         router.note_swap_applied(small_state, candidate)
-        damped_cost = SwapCostCache(router, small_state, front, lookahead,
-                                    {}).cost(candidate)
+        damped_cost = routing_reference.swap_cost(
+            router, small_state, candidate, front, lookahead, {})
         assert damped_cost >= fresh_cost
+        assert router.best_swap(small_state, front, lookahead, {}) == \
+            routing_reference.best_swap(router, small_state, front, lookahead,
+                                        {})
 
     def test_reset_clears_history(self, router, small_state):
         circuit = QuantumCircuit(12)
         circuit.cz(0, 11)
-        front, _ = routing_reference.routing_layers(circuit)
+        front, lookahead = routing_reference.routing_layers(circuit)
         candidate = routing_reference.candidate_swaps(small_state, front)[0]
+        router.best_swap(small_state, front, lookahead, {})
         router.note_swap_applied(small_state, candidate)
         router.reset()
         assert router.recency(candidate) == 0
+        assert router.table.entries == {}
 
     def test_inverse_of_last_swap_is_avoided(self, router, small_state):
         circuit = QuantumCircuit(12)

@@ -1,22 +1,22 @@
 """Property tests: the per-qubit SWAP cost engine is exact.
 
 The gate-based router scores candidates as ``baseline + delta``
-(:class:`repro.mapping.SwapCostCache`), where the delta reads only the
+(:class:`repro.mapping.SwapCandidateTable`), where the delta reads only the
 per-qubit site terms of the two swapped qubits.  On random circuits,
-lattices, and scrambled mapping states the cost of *every* candidate must
-equal the naive full recomputation of
-``tests/differential/routing_reference.py`` bit-for-bit, also on
-hand-crafted layers that list a node more than once, and
-:meth:`GateRouter.best_swap` must pick the reference's candidate.
+lattices, and scrambled mapping states the table built for a round must
+hold exactly the reference generator's candidates
+(``routing_reference.candidate_swaps``), with the same orientation, and
+each one's integer layer deltas must equal the naive full recomputation of
+``tests/differential/routing_reference.py``, also on hand-crafted layers
+that list a node more than once; :meth:`GateRouter.best_swap` must pick the
+reference's candidate, so the float costs agree bit-for-bit.
 
-The fused scan of ``best_swap`` is also checked against the reference
-generator (``routing_reference.candidate_swaps``): it must score exactly the
-reference's candidates, in order and with the same orientation, skipping
-only the inverse of the last SWAP; and the selection must match the original
-selection loop, kept below unchanged as a test-only reference.  Hand-picked
-rounds pin the cases random draws rarely reach: a round whose only candidate
-is the last SWAP, and 3-qubit gates (positioned, or position-less in the
-lookahead layer) that hold both swapped qubits.
+The selection must also match the original selection loop, kept below
+unchanged as a test-only reference.  Hand-picked rounds pin the cases
+random draws rarely reach: a round whose only candidate is the last SWAP,
+and 3-qubit gates (positioned, or position-less in the lookahead layer)
+that hold both swapped qubits.  ``test_property_candidate_table.py`` checks
+the table across the rounds of whole mapping runs.
 """
 
 from typing import Optional, Sequence, Tuple
@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 from repro.circuit import QuantumCircuit
 from repro.hardware import NeutralAtomArchitecture, SiteConnectivity, SquareLattice
 from repro.mapping import (GateRouter, MappingState, SwapCandidate,
-                           SwapCostCache, find_gate_position)
+                           find_gate_position)
 
 import routing_reference
 
@@ -55,9 +55,17 @@ def routing_scenario(draw):
     return circuit, operations
 
 
-def _fields(candidate: SwapCandidate) -> Tuple:
-    return (candidate.qubit_a, candidate.qubit_b, candidate.atom_a,
-            candidate.atom_b, candidate.site_a, candidate.site_b)
+def assert_table_matches_reference(state, front, lookahead, positions):
+    """A table built for this round holds the reference's candidates, in
+    the reference's orientation, with the naive walks' layer deltas."""
+    table = routing_reference.fresh_table(state, front, lookahead, positions)
+    assert routing_reference.table_entries(table) == \
+        routing_reference.reference_entries(state, front, lookahead, positions)
+    assert table.baseline_front == routing_reference.layer_distance(
+        state, front, positions)
+    assert table.baseline_lookahead == routing_reference.layer_distance(
+        state, lookahead, positions)
+    return table
 
 
 def reference_best_swap(router: GateRouter, state: MappingState,
@@ -125,12 +133,11 @@ class TestDeltaCostExactness:
         state, front, lookahead, positions = routing_round(circuit, operations)
         if not front:
             return
+        assert_table_matches_reference(state, front, lookahead, positions)
         router = GateRouter(ARCHITECTURE, lookahead_weight=lookahead_weight)
-        cache = SwapCostCache(router, state, front, lookahead, positions)
-        for candidate in routing_reference.candidate_swaps(state, front):
-            naive = routing_reference.swap_cost(
-                router, state, candidate, front, lookahead, positions)
-            assert cache.cost(candidate) == naive
+        assert router.best_swap(state, front, lookahead, positions) == \
+            routing_reference.best_swap(router, state, front, lookahead,
+                                        positions)
 
     @given(routing_scenario())
     @settings(max_examples=60, deadline=None)
@@ -157,36 +164,34 @@ class TestDeltaCostExactness:
         candidates = routing_reference.candidate_swaps(state, front)
         for candidate in candidates[:num_applied]:
             router.note_swap_applied(state, candidate)
-        cache = SwapCostCache(router, state, front, lookahead, positions)
-        for candidate in candidates:
-            naive = routing_reference.swap_cost(router, state, candidate,
-                                                front, lookahead, positions)
-            assert cache.cost(candidate) == naive
+        assert router.best_swap(state, front, lookahead, positions) == \
+            routing_reference.best_swap(router, state, front, lookahead,
+                                        positions)
 
     @given(routing_scenario(), st.integers(0, 10_000), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_candidates_match_reference_generator(self, scenario, pick,
                                                   after_swap):
-        """The fused scan scores the reference's candidates, in order and
-        with the same orientation, skipping only the last SWAP's inverse."""
+        """The table holds the reference's candidates with the same
+        orientation, the last SWAP's inverse included; only the selection
+        skips that inverse, unless it is the one candidate."""
         circuit, operations = scenario
         state, front, lookahead, positions = routing_round(circuit, operations)
         expected = routing_reference.candidate_swaps(state, front)
         router = GateRouter(ARCHITECTURE)
         if after_swap and expected:
             router.note_swap_applied(state, expected[pick % len(expected)])
-            if len(expected) > 1:
-                expected = [candidate for candidate in expected
-                            if candidate.key() != router._last_swap_key]
-        scored, best = routing_reference.scanned_candidates(
-            router, state, front, lookahead, positions)
-        if len(expected) == 1 and after_swap:
-            # The lone inverse stands without being scored.
-            assert scored == [] and _fields(best) == _fields(expected[0])
-            return
-        assert scored == [(c.qubit_a, c.qubit_b, c.site_a, c.site_b)
-                          for c in expected]
-        assert best is None or _fields(best) in {_fields(c) for c in expected}
+        best = router.best_swap(state, front, lookahead, positions)
+        assert {pair: fields for pair, (fields, _, _) in
+                routing_reference.table_entries(router.table).items()} == \
+            {candidate.key(): tuple(candidate) for candidate in expected}
+        if not expected:
+            assert best is None
+        elif len(expected) == 1:
+            assert best == expected[0]
+        else:
+            assert best in expected
+            assert best.key() != router._last_swap_key
 
     @given(routing_scenario(), st.integers(0, 10_000),
            st.sampled_from([0.0, 0.5]))
@@ -231,10 +236,7 @@ class TestDeltaCostExactness:
         candidates = routing_reference.candidate_swaps(state, front)
         if candidates:
             router.note_swap_applied(state, candidates[0])
-        cache = SwapCostCache(router, state, front, lookahead, positions)
-        for candidate in candidates:
-            assert cache.cost(candidate) == routing_reference.swap_cost(
-                router, state, candidate, front, lookahead, positions)
+        assert_table_matches_reference(state, front, lookahead, positions)
         assert router.best_swap(state, front, lookahead, positions) == \
             routing_reference.best_swap(router, state, front, lookahead,
                                         positions)
@@ -245,22 +247,20 @@ class TestDeltaCostExactness:
         state = MappingState(ARCHITECTURE, NUM_QUBITS, connectivity=CONNECTIVITY)
         front, _ = routing_reference.routing_layers(circuit)
         router = GateRouter(ARCHITECTURE)
-        single = SwapCostCache(router, state, front, [], {})
-        double = SwapCostCache(router, state, front + front, [], {})
+        single = routing_reference.fresh_table(state, front, [], {})
+        double = routing_reference.fresh_table(state, front + front, [], {})
         assert single.baseline_front > 0
         assert double.baseline_front == 2 * single.baseline_front
-        for candidate in routing_reference.candidate_swaps(state, front):
-            assert double.cost(candidate) == 2 * single.cost(candidate)
+        assert single.entries.keys() == double.entries.keys()
+        for pair, (delta_front, _, fields) in single.entries.items():
+            assert double.entries[pair] == (2 * delta_front, 0, fields)
         assert router.best_swap(state, front + front, [], {}) == \
             routing_reference.best_swap(router, state, front + front, [], {})
 
 
 def assert_round_matches_reference(router, state, front, lookahead, positions):
-    """Every candidate's cost and the selection equal the naive reference."""
-    cache = SwapCostCache(router, state, front, lookahead, positions)
-    for candidate in routing_reference.candidate_swaps(state, front):
-        assert cache.cost(candidate) == routing_reference.swap_cost(
-            router, state, candidate, front, lookahead, positions)
+    """Every candidate's deltas and the selection equal the naive reference."""
+    assert_table_matches_reference(state, front, lookahead, positions)
     best = router.best_swap(state, front, lookahead, positions)
     assert best == routing_reference.best_swap(router, state, front,
                                                lookahead, positions)

@@ -352,6 +352,26 @@ class TestOneStoreReadPerRequest:
         assert store.stats.misses == 1, "the pool job must not read the store"
         assert store.stats.hits == 1
 
+    def test_a_miss_is_built_and_keyed_once(self, tmp_path, monkeypatch):
+        """The prepare step's circuit and key reach the thread-pool job."""
+        builds = []
+        stock_build = CompilationTask.build_circuit
+
+        def counting_build(task):
+            builds.append(task.task_id)
+            return stock_build(task)
+
+        monkeypatch.setattr(CompilationTask, "build_circuit", counting_build)
+
+        async def scenario():
+            store = ResultStore(tmp_path)
+            async with ServingGateway(store, pool="thread", max_workers=1,
+                                      evaluate=False) as gateway:
+                return await gateway.compile(library_task("once"))
+
+        assert asyncio.run(scenario()).source == "compiled"
+        assert builds == ["once"]
+
     def test_worker_side_compiles_sweep_orphans_once(self, tmp_path,
                                                      monkeypatch):
         from repro.server import compile_task_artifact

@@ -14,7 +14,6 @@ from repro.service import (
     ArchitectureSpec,
     BatchCompiler,
     CompilationTask,
-    task_store_key,
 )
 from repro.resilience import SupervisedPool
 from repro.store import ResultStore
@@ -57,7 +56,7 @@ class TestSerialPath:
         batch = compiler.compile(TASKS[:1])
         assert batch.ok
         entry = batch.results[0]
-        artifact = store.get(task_store_key(entry.task))
+        artifact = store.get(entry.task.store_key)
         assert artifact is not None
         assert artifact.op_stream_digest() == entry.result.op_stream_digest()
         assert artifact.op_stream == tuple(entry.result.op_stream_lines())
@@ -77,7 +76,7 @@ class TestSerialPath:
         """An evaluate=False artifact must not satisfy an evaluate=True task."""
         BatchCompiler(max_workers=1, evaluate=False,
                       store=store).compile(TASKS[:1])
-        key = task_store_key(TASKS[0])
+        key = TASKS[0].store_key
         assert store.get(key, require_metrics=True) is None
 
         batch = BatchCompiler(max_workers=1, store=store).compile(TASKS[:1])
@@ -85,6 +84,44 @@ class TestSerialPath:
         assert not batch.results[0].from_store, "metric-less entry must recompile"
         assert batch.results[0].metrics is not None
         assert store.get(key, require_metrics=True) is not None
+
+    def test_a_miss_is_built_and_keyed_once(self, store, monkeypatch):
+        """The lookup's circuit and key serve the compile of a miss."""
+        builds, keys = [], []
+        stock_build = CompilationTask.build_circuit
+        stock_key = batch_module.compute_store_key
+
+        def counting_build(task):
+            builds.append(task.task_id)
+            return stock_build(task)
+
+        def counting_key(*args, **kwargs):
+            keys.append(args[0].name)
+            return stock_key(*args, **kwargs)
+
+        monkeypatch.setattr(CompilationTask, "build_circuit", counting_build)
+        monkeypatch.setattr(batch_module, "compute_store_key", counting_key)
+        tasks = [CompilationTask(task.task_id, task.architecture,
+                                 circuit_name=task.circuit_name,
+                                 num_qubits=task.num_qubits, seed=task.seed,
+                                 mode=task.mode) for task in TASKS]
+        batch = BatchCompiler(max_workers=1, store=store).compile(tasks)
+        assert batch.ok and not batch.from_store
+        assert builds == [task.task_id for task in TASKS]
+        assert len(keys) == len(TASKS)
+
+    def test_pickled_task_carries_its_circuit_and_key(self):
+        import pickle
+
+        task = CompilationTask("memo", SPEC, circuit_name="graph",
+                               num_qubits=8, seed=3)
+        key = task.store_key
+        clone = pickle.loads(pickle.dumps(task))
+        assert clone == task
+        assert {"circuit", "store_key"} <= set(vars(clone))
+        assert clone.store_key == key
+        assert clone.circuit.canonical_digest() == \
+            task.circuit.canonical_digest()
 
     def test_failures_are_not_cached(self, store):
         broken = CompilationTask("broken", SPEC, circuit_name="nope")
@@ -152,7 +189,7 @@ class TestParentSideLookup:
                                                                  store):
         twin = CompilationTask("qft-10-twin", SPEC, circuit_name="qft",
                                num_qubits=10)
-        assert task_store_key(twin) == task_store_key(TASKS[1])
+        assert twin.store_key == TASKS[1].store_key
         batch = BatchCompiler(max_workers=1, store=store).compile(
             [TASKS[1], twin])
         assert batch.ok

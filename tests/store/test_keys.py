@@ -18,7 +18,7 @@ from repro.circuit.library import get_benchmark
 from repro.circuit.qasm import dumps as qasm_dumps, loads as qasm_loads
 from repro.mapping import MapperConfig
 from repro.pipeline import compile_circuit
-from repro.service import ArchitectureSpec, CompilationTask, task_store_key
+from repro.service import ArchitectureSpec, CompilationTask
 from repro.store import StoreKey, compute_store_key
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -241,7 +241,7 @@ class TestStoreKey:
         task = CompilationTask("t", spec, circuit_name="qft", num_qubits=8)
         direct = compute_store_key(task.build_circuit(), spec,
                                    task.build_config())
-        assert task_store_key(task) == direct
+        assert task.store_key == direct
 
     def test_round_trips_through_dict(self):
         key = StoreKey("c" * 64, "architecture/v1|hardware='mixed'", "f" * 64)

@@ -2,9 +2,10 @@
 
 The CLI runs as a subprocess from the repository root at ``--scale 0.08``
 (about a second per run), always with ``--out`` in a temporary directory:
-the default matrix, the zoned case, a batch-throughput case and a matrix
-regeneration into the same report, which must keep the report's merge
-rules (also checked on synthetic cases through ``merge_report`` itself).
+the default matrix, the zoned case, a batch-throughput case, a matrix
+regeneration and the serial large-circuit case into the same report, which
+must keep the report's merge rules (also checked on synthetic cases through
+``merge_report`` itself).
 The tracked ``BENCH_scaling.json`` must come out byte-identical.
 """
 
@@ -46,6 +47,7 @@ def runs(tmp_path_factory):
                       "--circuits", "qft"),
         "batch": _run(out, "--batch", "--workers", "2"),
         "regenerated": _run(out, "--circuits", "qft"),
+        "serial_large": _run(out, "--serial-large"),
     }
     return tracked, reports
 
@@ -103,6 +105,17 @@ def test_matrix_regeneration_replaces_only_its_own_topology(runs):
     kept = [case for case in before
             if case.get("kind") or case["topology"] != "square"]
     assert after[3:] == kept
+
+
+def test_serial_large_case(runs):
+    _, reports = runs
+    (case,) = [case for case in reports["serial_large"]["cases"]
+               if case.get("kind") == "serial_large"]
+    assert case["circuit"] == "local_window" and case["num_qubits"] >= 256
+    assert case["wall_seconds"] > 0 and case["delta_t_us"] >= 0
+    assert case["swap_rounds"] > 0
+    # Only a small share of a round's candidates is rescored.
+    assert 0 < case["mean_rescored"] < case["mean_candidates"]
 
 
 def test_merge_report_rules(tmp_path, monkeypatch):
