@@ -25,6 +25,7 @@ adds its serving cases through :func:`record_case`:
           },
           "num_swaps": 46, "num_moves": 0,
           "delta_cz": 138, "delta_t_us": 1234.5,
+          "quality_caveat": "...",   // present when mapped with commutation on
           "speedup_vs_baseline": 11.5   // present only with --baseline
         },
         {
@@ -132,6 +133,14 @@ DEFAULT_CIRCUITS: Tuple[str, ...] = ("qft", "graph")
 DEFAULT_HARDWARE: Tuple[str, ...] = ("gate", "mixed", "shuttling")
 DEFAULT_MODES: Tuple[str, ...] = ("hybrid",)
 
+#: Label of every matrix case mapped with commutation on.  The DAG links a
+#: gate only to the nearest non-commuting gate on each wire, so such a
+#: stream can reorder two non-commuting gates; its quality figures stand
+#: until the sound DAG re-derives them.
+COMMUTATION_CAVEAT = ("commutation on: the stream may reorder non-commuting "
+                      "gates (DAG wire-walk defect), so num_swaps, num_moves, "
+                      "delta_cz and delta_t_us are pending the sound DAG")
+
 #: Local-window workload: qubits at scale 1.0 (scale 0.6 is ~1024 qubits)
 #: and entangling gates per qubit.
 LOCAL_WINDOW_QUBITS = 1707
@@ -227,6 +236,8 @@ def run_case(hardware: str, circuit_name: str, mode: str, scale: float,
         "delta_cz": metrics.delta_cz,
         "delta_t_us": round(metrics.delta_t_us, 2),
     }
+    if config.use_commutation:
+        case["quality_caveat"] = COMMUTATION_CAVEAT
     rss = peak_rss_mb()
     if rss is not None:
         case["peak_rss_mb"] = rss

@@ -16,7 +16,7 @@ routing rounds of a long SWAP or move sequence reuse one snapshot.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from .circuit import QuantumCircuit
 from .commutation import gates_commute
@@ -98,13 +98,34 @@ class CircuitDAG:
         while the ``cx`` is pending.  The strict xfail
         ``test_gate_behind_a_commuting_blocker_waits`` in
         ``tests/circuit/test_dag.py`` pins this defect.
+
+        The walk skips what it already knows it would skip, so it stays
+        linear on long diagonal runs (a qft wire is one long run of ``cp``
+        gates).  Each wire keeps two lists: every gate on it, and only its
+        non-diagonal gates.  A diagonal gate walks the non-diagonal list.
+        That is exact: two diagonal gates always commute under
+        :func:`gates_commute`, and barriers and measurements are never
+        diagonal, so the full walk would pass over every diagonal gate
+        anyway.  A non-diagonal gate walks the full list.  Without
+        commutation a gate links straight to the last gate on each wire.
+        ``tests/differential/dag_reference.py`` keeps the plain walk, and
+        the edges of both must be equal.
         """
-        last_blockers: Dict[int, List[int]] = {q: [] for q in range(self.circuit.num_qubits)}
+        num_qubits = self.circuit.num_qubits
+        wire_gates: List[List[int]] = [[] for _ in range(num_qubits)]
+        wire_blockers: List[List[int]] = [[] for _ in range(num_qubits)]
 
         for node in self.nodes:
             gate = node.gate
+            diagonal = gate.is_diagonal
             for qubit in gate.qubits:
-                for other_index in reversed(last_blockers[qubit]):
+                if not self.use_commutation:
+                    walk = wire_gates[qubit][-1:]
+                elif diagonal:
+                    walk = wire_blockers[qubit]
+                else:
+                    walk = wire_gates[qubit]
+                for other_index in reversed(walk):
                     other = self.nodes[other_index]
                     if self.use_commutation and gates_commute(gate, other.gate):
                         continue
@@ -112,7 +133,9 @@ class CircuitDAG:
                     other.successors.add(node.index)
                     break  # the wire's blocker: the nearest non-commuting gate
             for qubit in gate.qubits:
-                last_blockers[qubit].append(node.index)
+                wire_gates[qubit].append(node.index)
+                if not diagonal:
+                    wire_blockers[qubit].append(node.index)
 
     # ------------------------------------------------------------------
     # Execution state

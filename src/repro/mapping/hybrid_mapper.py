@@ -147,6 +147,10 @@ class HybridMapper:
         max_steps = self._max_routing_steps(circuit)
         routing_steps = 0
         steps_since_execution = 0
+        # Front gates the last scans found not executable, and how many ops
+        # the stream held after the last scan.
+        unsatisfied: Set[int] = set()
+        scanned_ops = 0
 
         while not dag.is_finished():
             # (1) Forward gates that need no routing.
@@ -159,21 +163,32 @@ class HybridMapper:
             if not front:
                 continue
 
-            # Execute every front gate that is already satisfied.
+            # Execute every front gate that is already satisfied.  A gate
+            # found unsatisfied stays so until one of its qubits moves:
+            # gate_executable reads only the sites of the gate's own qubits
+            # and the static connectivity, and every site change is emitted
+            # as a SwapOp or ShuttleOp.  So only those gates are re-checked.
+            moved = self._moved_qubits(state, result.operations, scanned_ops)
             executed_any = False
             for node in front:
-                if state.gate_executable(node.gate):
-                    self._emit_circuit_gate(result, state, node)
-                    dag.execute(node.index)
-                    positions.pop(node.index, None)
-                    capability = routed_by.pop(node.index, None)
-                    if capability == "gate":
-                        result.num_gate_routed += 1
-                    elif capability == "shuttle":
-                        result.num_shuttle_routed += 1
-                    else:
-                        result.num_trivially_executable += 1
-                    executed_any = True
+                if node.index in unsatisfied and moved.isdisjoint(node.gate.qubits):
+                    continue
+                if not state.gate_executable(node.gate):
+                    unsatisfied.add(node.index)
+                    continue
+                unsatisfied.discard(node.index)
+                self._emit_circuit_gate(result, state, node)
+                dag.execute(node.index)
+                positions.pop(node.index, None)
+                capability = routed_by.pop(node.index, None)
+                if capability == "gate":
+                    result.num_gate_routed += 1
+                elif capability == "shuttle":
+                    result.num_shuttle_routed += 1
+                else:
+                    result.num_trivially_executable += 1
+                executed_any = True
+            scanned_ops = len(result.operations)
             if executed_any:
                 steps_since_execution = 0
                 continue
@@ -230,6 +245,23 @@ class HybridMapper:
         result.final_atom_map = state.atom_mapping()
         result.runtime_seconds = time.perf_counter() - start_time
         return result
+
+    @staticmethod
+    def _moved_qubits(state: MappingState, operations: Sequence,
+                      start: int) -> Set[int]:
+        """Circuit qubits moved by the SWAPs and moves in ``operations[start:]``."""
+        moved: Set[int] = set()
+        for index in range(start, len(operations)):
+            op = operations[index]
+            if isinstance(op, SwapOp):
+                moved.add(op.qubit_a)
+                if op.qubit_b >= 0:
+                    moved.add(op.qubit_b)
+            elif isinstance(op, ShuttleOp):
+                qubit = state.qubit_of_atom(op.move.atom)
+                if qubit is not None:
+                    moved.add(qubit)
+        return moved
 
     # ------------------------------------------------------------------
     # Emission helpers

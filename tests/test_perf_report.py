@@ -67,6 +67,8 @@ def test_matrix_cases(runs):
         # At tiny scales a case may need no routing at all.
         assert case["num_swaps"] >= 0 and case["num_moves"] >= 0
         assert case["mapper_seconds"] >= 0
+        # The default config maps with commutation on.
+        assert "pending the sound DAG" in case["quality_caveat"]
 
 
 def test_zoned_case_shuttles_and_keeps_the_square_matrix(runs):
