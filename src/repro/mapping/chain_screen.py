@@ -31,11 +31,16 @@ The bound is the candidate's cost itself, evaluated in batch:
   ``(n + 8) 2**-50 (A + 1)`` is four times the worst case of the
   difference.
 
-Neighbourhoods are gathered as ``(row, col)`` offsets from the topology
-(:meth:`~repro.hardware.topology.GridTopology.radius_offset_arrays`), so the
-screen keeps no per-site table between rounds.  It covers unzoned grid topologies only;
-zoned devices relocate anchors and charge corridor penalties, which the
-screen does not model, so the router never consults it there.
+Everything about a site's neighbourhood is fixed for the device, so the
+screen builds it once, as write-once per-site tables: each site's
+interaction zone and move-away disc (gathered from the topology's ``(row,
+col)`` offsets, :meth:`~repro.hardware.topology.GridTopology.radius_offset_arrays`,
+padded to one width with a valid mask) and the rectangular distances from a
+site to its disc.  A round gathers their rows by index; only occupancy, the
+placement and the layers are read per round.  The screen covers unzoned
+grid topologies only; zoned devices relocate anchors and charge corridor
+penalties, which the screen does not model, so the router never consults
+it there.
 """
 
 from __future__ import annotations
@@ -56,6 +61,10 @@ _SLACK_PER_TERM = 2.0 ** -50
 #: shuttling router's ``_nearest_free_site`` lookup and the screen's model of
 #: it share this value.
 MOVE_AWAY_RADIUS = 4
+#: Recent moves per broadcast pass of :func:`time_penalties`: the default
+#: history window in one pass, and bounded temporaries for an unbounded
+#: history (``history_window=0``).
+_HISTORY_BLOCK = 8
 
 
 def time_penalties(architecture, recent_moves: Sequence, atom, src, dst,
@@ -68,9 +77,14 @@ def time_penalties(architecture, recent_moves: Sequence, atom, src, dst,
     in the scalar evaluation order, and the history accumulates in order
     (``x + 0.0 == x`` covers the scalar walk skipping compatible moves), so
     each entry is bit-identical to the scalar sum.  ``distance`` is each move's
-    ``rectangular_distance``.  One pass per recent move keeps the
-    temporaries ``O(len(atom))`` however long the history is.
+    ``rectangular_distance``.  The terms are evaluated in one broadcast
+    ``(history, moves)`` pass per block of ``_HISTORY_BLOCK`` recent moves,
+    which covers the whole capped history, and the rows are then added in
+    history order.
     """
+    penalty = _np.zeros(len(atom))
+    if not recent_moves:
+        return penalty
     durations = architecture.durations
     activation = durations.aod_activation
     deactivation = durations.aod_deactivation
@@ -78,10 +92,14 @@ def time_penalties(architecture, recent_moves: Sequence, atom, src, dst,
     full = (activation + distance / architecture.shuttling_speed) \
         + deactivation
     shared = activation + deactivation
-    penalty = _np.zeros(len(atom))
-    for recent in recent_moves:
-        r_sx, r_sy = recent.source_position
-        r_ex, r_ey = recent.destination_position
+    for start in range(0, len(recent_moves), _HISTORY_BLOCK):
+        block = recent_moves[start:start + _HISTORY_BLOCK]
+        r_atom, r_src, r_dst = _np.array(
+            [(recent.atom, recent.source, recent.destination)
+             for recent in block], dtype=_np.int64).T[:, :, None]
+        r_sx, r_sy, r_ex, r_ey = _np.array(
+            [recent.source_position + recent.destination_position
+             for recent in block]).T[:, :, None]
         sdx = sx - r_sx
         sdy = sy - r_sy
         edx = ex - r_ex
@@ -92,13 +110,12 @@ def time_penalties(architecture, recent_moves: Sequence, atom, src, dst,
                      | ((sdx > 0) == (edx > 0)))
                     & (near_sy | (abs(edy) < _EPSILON)
                        | ((sdy > 0) == (edy > 0))))
-        compatible = ((atom != recent.atom)
-                      & (dst != recent.destination)
-                      & (dst != recent.source)
-                      & (src != recent.destination)
-                      & ordering)
-        penalty += _np.where(compatible, 0.0,
-                             _np.where(near_sy | near_sx, shared, full))
+        compatible = ((atom != r_atom) & (dst != r_dst) & (dst != r_src)
+                      & (src != r_dst) & ordering)
+        terms = _np.where(compatible, 0.0,
+                          _np.where(near_sy | near_sx, shared, full))
+        for row in terms:
+            penalty += row
     return penalty
 
 
@@ -136,6 +153,15 @@ class ChainScreen:
              for offset in _offset_pairs(self.disc_offsets)],
             dtype=_np.int64)
         self._num_sites = topology.num_sites
+        # Write-once per-site tables: row ``s`` of a site table is site
+        # ``s``'s neighbourhood, gathered from the offsets above, and the
+        # rounds gather rows by anchor or blocked site.
+        sites = _np.arange(self._num_sites, dtype=_np.int64)
+        self.zone_sites, self.zone_valid = self._neighbourhoods(
+            sites, self.zone_offsets)
+        self.disc_sites, self.disc_valid = self._neighbourhoods(
+            sites, self.disc_offsets)
+        self.disc_rect = self._rect(sites, self.disc_sites)
 
     @staticmethod
     def supports(topology) -> bool:
@@ -145,7 +171,8 @@ class ChainScreen:
     def _neighbourhoods(self, sites, offsets):
         """Padded neighbourhoods of ``sites``: ``(site table, valid mask)``.
 
-        Valid entries of a row are ascending; invalid ones hold site 0.
+        Column ``j`` is offset ``j``.  Valid entries of a row are
+        ascending; invalid ones hold site 0.
         """
         dr, dc = offsets
         rows = sites[:, None] // self.cols + dr
@@ -187,7 +214,8 @@ class ChainScreen:
         anchor_sites = qubit_sites[front_pairs.reshape(-1)]
         mover_sites = qubit_sites[movers]
 
-        zone, valid = self._neighbourhoods(anchor_sites, self.zone_offsets)
+        zone = self.zone_sites[anchor_sites]
+        valid = self.zone_valid[anchor_sites]
         adjacent = (valid & (zone == mover_sites[:, None])).any(axis=1)
         free = valid & (state.free_mask[zone] != 0)
         free &= ~adjacent[:, None]
@@ -259,14 +287,14 @@ class ChainScreen:
         origins = seen.nonzero()[0]
         row_of = _np.zeros(self._num_sites, dtype=_np.int64)
         row_of[origins] = _np.arange(origins.size)
-        disc, disc_valid = self._neighbourhoods(origins, self.disc_offsets)
-        disc_free = disc_valid & (state.free_mask[disc] != 0)
+        disc = self.disc_sites[origins]
+        disc_free = self.disc_valid[origins] & (state.free_mask[disc] != 0)
         innermost = _np.where(disc_free, self.disc_ring,
                               MOVE_AWAY_RADIUS + 1).min(axis=1)
         clearable = innermost <= MOVE_AWAY_RADIUS
         nearest = disc[_np.arange(origins.size),
                        _np.where(disc_free & (self.disc_ring == innermost[:, None]),
-                                 self._rect(origins, disc), _np.inf).argmin(axis=1)]
+                                 self.disc_rect[origins], _np.inf).argmin(axis=1)]
         lookup = row_of[zone]
         usable = valid & clearable[lookup]
         found = usable.any(axis=1)
@@ -304,15 +332,14 @@ class ChainScreen:
         qubit_index = _np.where(move_qubits < 0, num_qubits, move_qubits)
         per_move = counts[qubit_index]
         num_moves = move_qubits.size
-        move_of_entry = _np.repeat(_np.arange(num_moves), per_move)
-        entry = (_np.arange(per_move.sum())
-                 + _np.repeat(starts[qubit_index] + per_move
-                              - per_move.cumsum(), per_move))
+        ends = per_move.cumsum()
+        entry = (_np.arange(ends[-1] if num_moves else 0)
+                 + _np.repeat(starts[qubit_index] + per_move - ends, per_move))
         after = _np.bincount(
-            move_of_entry,
+            _np.repeat(_np.arange(num_moves), per_move),
             weights[entry] * _euclidean(
-                xs[move_dst][move_of_entry] - partner_x[entry],
-                ys[move_dst][move_of_entry] - partner_y[entry]),
+                _np.repeat(xs[move_dst], per_move) - partner_x[entry],
+                _np.repeat(ys[move_dst], per_move) - partner_y[entry]),
             minlength=num_moves)
         before = before[qubit_index]
         contribution = (after - before) / scale

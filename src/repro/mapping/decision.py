@@ -14,13 +14,22 @@ the gate-qubit sites, the connectivity's adjacency and hop-distance rows,
 the topology's rectangular distance rows and the state's per-site
 free-neighbour counts.  The Eq. (1) success pair is computed once per
 distinct input tuple and then read from a per-decider table.
+
+The per-round split reads even less for a two-qubit gate.  Its verdict
+depends only on the two sites and on whether each has a free trap in its
+interaction neighbourhood: the zone check, the two-qubit counts and Eq. (1)
+read nothing else, since the register size, the weights and the device are
+fixed for one decider and one state.  :meth:`CapabilityDecider.split_layers`
+therefore memoises two-qubit verdicts per state object under that key;
+wide fronts repeat the same few thousand keys for the whole run.  Gates on
+three or more qubits are decided directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuit.gate import Gate
 from ..hardware.architecture import NeutralAtomArchitecture
@@ -62,8 +71,9 @@ class CapabilityDecider:
         them to zero forces the corresponding capability off, reproducing the
         paper's gate-only and shuttling-only modes.
 
-    :meth:`split_layers` is the per-round path and builds no per-gate
-    objects; :meth:`estimate` and :meth:`decide` are the single-gate API.
+    :meth:`split_layers` is the per-round path; it builds no per-gate
+    objects and memoises two-qubit verdicts per state.  :meth:`estimate`
+    and :meth:`decide` are the single-gate API.
     All three read the same counts (:meth:`_counts`) and the same table of
     Eq. (1) success pairs, so they always agree.
     """
@@ -91,6 +101,10 @@ class CapabilityDecider:
         # so a table hit equals a recomputation.
         self._success_table: Dict[Tuple[int, int, int, int, float],
                                   Tuple[float, float, bool]] = {}
+        # Two-qubit verdicts of split_layers for one state (see the module
+        # docstring), keyed by sites and free-neighbour flags.
+        self._verdict_state: Optional[MappingState] = None
+        self._verdicts: Dict[int, bool] = {}
 
     # ------------------------------------------------------------------
     # Estimates
@@ -229,13 +243,37 @@ class CapabilityDecider:
         """Split DAG nodes into gate-based and shuttling-based sublayers.
 
         Returns ``(gate_based_nodes, shuttling_nodes)`` preserving the
-        input order.
+        input order.  Two-qubit verdicts are memoised per state under the
+        key ``(site_a, site_b, free_near(site_a) > 0, free_near(site_b) >
+        0)`` packed into one int; the memo starts empty for every new state.
         """
+        if state is not self._verdict_state:
+            self._verdict_state = state
+            self._verdicts = {}
+        verdicts = self._verdicts
+        num_sites = state.num_sites
+        qubit_atoms = state.qubit_atoms
+        atom_sites = state.atom_sites
+        free_near = state.free_near_counts
         gate_nodes: List = []
         shuttle_nodes: List = []
         use_gate_based = self._use_gate_based
         for node in nodes:
-            if use_gate_based(state, node.gate.qubits):
+            qubits = node.gate.qubits
+            if len(qubits) == 2:
+                site_a = atom_sites[qubit_atoms[qubits[0]]]
+                site_b = atom_sites[qubit_atoms[qubits[1]]]
+                key = (site_a * num_sites + site_b) * 4
+                if free_near[site_a]:
+                    key += 2
+                if free_near[site_b]:
+                    key += 1
+                verdict = verdicts.get(key)
+                if verdict is None:
+                    verdict = verdicts[key] = use_gate_based(state, qubits)
+            else:
+                verdict = use_gate_based(state, qubits)
+            if verdict:
                 gate_nodes.append(node)
             else:
                 shuttle_nodes.append(node)

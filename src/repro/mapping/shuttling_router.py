@@ -482,12 +482,16 @@ class ShuttlingRouter:
         moved_qubit = state.qubit_of_atom(move.atom)
         if moved_qubit is None:
             return 0.0
+        nodes = node_index.get(moved_qubit)
+        if not nodes:
+            # Nothing to walk: ``0.0 / spacing`` would be 0.0 as well.
+            return 0.0
         lattice = self.architecture.lattice
         source_row = lattice.euclidean_row(move.source)
         destination_row = lattice.euclidean_row(move.destination)
         site_of_qubit = state.site_of_qubit
         change = 0.0
-        for node in node_index.get(moved_qubit, ()):
+        for node in nodes:
             qubits = node.gate.qubits
             before = 0.0
             after = 0.0

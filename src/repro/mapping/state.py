@@ -187,6 +187,23 @@ class MappingState:
         callers must treat it as read-only."""
         return self._atom_to_qubit
 
+    @property
+    def qubit_atoms(self) -> List[int]:
+        """The live circuit qubit -> atom list; callers must treat it as
+        read-only."""
+        return self._qubit_to_atom
+
+    @property
+    def atom_sites(self) -> List[int]:
+        """The live atom -> site list; callers must treat it as read-only."""
+        return self._atom_to_site
+
+    @property
+    def free_near_counts(self) -> List[int]:
+        """The live per-site counts of :meth:`num_free_sites_near`; callers
+        must treat them as read-only."""
+        return self._free_near
+
     def placement_arrays(self):
         """The placement maps as fresh int64 arrays, for batched gathers.
 

@@ -4,6 +4,8 @@
 routing round from O(1) table reads: per-site free-neighbour counts kept by
 ``MappingState.move_atom``, the connectivity's adjacency and hop-distance
 rows, a two-qubit specialisation and a table of Eq. (1) success pairs.
+``split_layers`` also memoises two-qubit verdicts per state; the harness
+wraps the stock method, so every split it checks goes through that memo.
 :mod:`decision_reference` keeps the original scalar estimate as the oracle.
 This harness compiles seeded random circuits, the paper benchmarks, a
 multi-qubit displacement circuit and zoned-device benchmarks, and asserts:

@@ -26,9 +26,11 @@ from hypothesis import assume, event, given, settings, strategies as st
 
 import repro.mapping.shuttling_router as shuttling_router_module
 from repro.circuit import QuantumCircuit
-from repro.hardware import NeutralAtomArchitecture, SquareLattice
+from repro.hardware import (NeutralAtomArchitecture, RectangularLattice,
+                            SquareLattice)
 from repro.hardware.presets import preset
 from repro.mapping import MappingState, ShuttlingRouter
+from repro.mapping.chain_screen import MOVE_AWAY_RADIUS, ChainScreen
 
 import routing_reference
 from test_differential_kernel import HOSTILE_SPACINGS
@@ -186,3 +188,53 @@ def test_zoned_topologies_are_never_screened():
         patch.setattr(shuttling_router_module, "_SCREEN_FRONT_WIDTH", 0)
         patch.setattr(router, "screen_bounds", refuse)
         assert router.best_chain(state, front, lookahead) is not None
+
+
+class TestPerSiteTables:
+    """The screen's write-once site tables hold, row for row, what the
+    offset gather yields for that site: the in-radius sites in ascending
+    order, padded with invalid site-0 entries, and the rectangular
+    distances of the topology's own rows."""
+
+    @staticmethod
+    def offset_gather(topology, site, offsets):
+        """``(sites, valid)`` of one site's neighbourhood, per offset."""
+        row, col = topology.row_col(site)
+        sites, valid = [], []
+        for dr, dc in zip(*(array.tolist() for array in offsets)):
+            r, c = row + dr, col + dc
+            inside = 0 <= r < topology.rows and 0 <= c < topology.cols
+            sites.append(r * topology.cols + c if inside else 0)
+            valid.append(inside)
+        return sites, valid
+
+    @pytest.mark.parametrize("lattice", (
+        *(SquareLattice(6, 6, spacing) for spacing in SPACINGS),
+        SquareLattice(5, 8, 1.1),
+        RectangularLattice(5, 7, spacing_x=0.3, spacing_y=0.7),
+        RectangularLattice(7, 4, spacing_x=1.1, spacing_y=0.3),
+    ), ids=repr)
+    @pytest.mark.parametrize("radius", (0.5, 1.0, 1.5, 2.5))
+    def test_tables_equal_the_offset_gather(self, lattice, radius):
+        arch = NeutralAtomArchitecture(
+            name="screen-tables", lattice=lattice, num_atoms=4,
+            interaction_radius=radius, restriction_radius=radius)
+        screen = ChainScreen(arch)
+        disc_radius = MOVE_AWAY_RADIUS * lattice.spacing + 1e-9
+        tables = (
+            (screen.zone_sites, screen.zone_valid, screen.zone_offsets,
+             arch.interaction_radius_um),
+            (screen.disc_sites, screen.disc_valid, screen.disc_offsets,
+             disc_radius),
+        )
+        for site in range(lattice.num_sites):
+            for table, valid, offsets, reach in tables:
+                sites, inside = self.offset_gather(lattice, site, offsets)
+                assert table[site].tolist() == sites
+                assert valid[site].tolist() == inside
+                assert (table[site][valid[site]].tolist()
+                        == lattice.sites_within(site, reach))
+            rect = lattice.rectangular_row(site)
+            disc = screen.disc_sites[site]
+            assert [value.hex() for value in screen.disc_rect[site].tolist()] \
+                == [rect[other].hex() for other in disc.tolist()]

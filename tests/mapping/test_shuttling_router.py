@@ -238,7 +238,8 @@ class TestPairPenaltyCompatibilityParity:
 class TestBatchedTimePenalty:
     """The screen's `chain_screen.time_penalties` batch equals the scalar
     history walk `move_time_penalty` bit for bit, on inexact spacings and
-    on corridor-penalised zoned travel (the screen's bound relies on it)."""
+    on corridor-penalised zoned travel (the screen's bound relies on it),
+    for every history length up to the window."""
 
     @pytest.mark.parametrize("hardware, spacing, topology_kwargs", (
         ("mixed", 3.0, {}),
@@ -253,7 +254,7 @@ class TestBatchedTimePenalty:
         import numpy as np
 
         from repro.hardware.presets import preset
-        from repro.mapping.chain_screen import time_penalties
+        from repro.mapping.chain_screen import _HISTORY_BLOCK, time_penalties
 
         architecture = preset(hardware, lattice_rows=5, spacing=spacing,
                               num_atoms=12, **topology_kwargs)
@@ -270,26 +271,33 @@ class TestBatchedTimePenalty:
             return router._pooled_move(rng.randrange(6), source, destination,
                                        topology, is_move_away=False)
 
+        # Every length the window allows, the empty history included, and
+        # an unbounded history (window 0) longer than one broadcast block.
+        lengths = list(range(router.history_window + 1))
+        lengths.append(2 * _HISTORY_BLOCK + 3)
         filled = 0
-        for _round in range(40):
-            router.note_moves_applied(
-                [random_move() for _ in range(rng.randint(1, 3))])
-            moves = [random_move() for _ in range(rng.randint(1, 24))]
-            batched = time_penalties(
-                architecture, router._recent_moves,
-                np.array([m.atom for m in moves], dtype=np.int64),
-                np.array([m.source for m in moves], dtype=np.int64),
-                np.array([m.destination for m in moves], dtype=np.int64),
-                np.array([m.source_position[0] for m in moves]),
-                np.array([m.source_position[1] for m in moves]),
-                np.array([m.destination_position[0] for m in moves]),
-                np.array([m.destination_position[1] for m in moves]),
-                np.array([m.rectangular_distance for m in moves]))
-            assert batched.shape == (len(moves),)
-            for move, value in zip(moves, batched.tolist()):
-                scalar = router.move_time_penalty(move)
-                assert value.hex() == scalar.hex(), (move, value, scalar)
-                filled += 1
+        for length in lengths:
+            for _round in range(12):
+                router._recent_moves = [random_move() for _ in range(length)]
+                moves = [random_move() for _ in range(rng.randint(1, 24))]
+                batched = time_penalties(
+                    architecture, router._recent_moves,
+                    np.array([m.atom for m in moves], dtype=np.int64),
+                    np.array([m.source for m in moves], dtype=np.int64),
+                    np.array([m.destination for m in moves], dtype=np.int64),
+                    np.array([m.source_position[0] for m in moves]),
+                    np.array([m.source_position[1] for m in moves]),
+                    np.array([m.destination_position[0] for m in moves]),
+                    np.array([m.destination_position[1] for m in moves]),
+                    np.array([m.rectangular_distance for m in moves]))
+                assert batched.shape == (len(moves),)
+                for move, value in zip(moves, batched.tolist()):
+                    scalar = router.move_time_penalty(move)
+                    assert value.hex() == scalar.hex(), (length, move, value,
+                                                         scalar)
+                    filled += 1
+                if not length:
+                    assert not batched.any()
         assert filled > 200
 
 
