@@ -21,7 +21,13 @@ The bound is the candidate's cost itself, evaluated in batch:
 * the distance terms sum the front and lookahead partner distances of each
   moved qubit, and the ``C_t_parallel`` penalty is batched against the
   recent-move history bit for bit as the scalar ``move_time_penalty``
-  walks it;
+  walks it.  These are evaluated once per distinct move: every screened
+  move starts at its atom's current site (a direct or onto-move at the
+  mover's, a move-away at the blocked site, which holds the blocking
+  atom), so ``(atom, destination)`` fixes the source, the moved qubit and
+  every term, and candidates that share a move share its cost row.  The
+  key is the atom, not the qubit: atoms without a circuit qubit share no
+  distance terms but differ in their history penalties;
 * a rigorous float slack is subtracted: the scalar cost and the batched one
   evaluate the same real-valued sum of ``n`` partner terms in a different
   order, and each differs from it by at most ``(n + 8) u A`` with
@@ -311,10 +317,17 @@ class ChainScreen:
         change, weighted lookahead change and weighted ``C_t_parallel`` —
         and ``magnitude`` the same sum over absolute values, for the slack.
         Every move starts from its atom's current site, so the distance
-        sum before the move is one value per qubit.  A move of an atom
-        without a circuit qubit (``move_qubits == -1``) has no distance
-        terms.
+        sum before the move is one value per qubit, and a move's row is
+        fixed by its ``(atom, destination)``: the terms are evaluated once
+        per distinct pair and gathered back.  A move of an atom without a
+        circuit qubit (``move_qubits == -1``) has no distance terms.
         """
+        _, distinct, inverse = _np.unique(
+            move_atoms * self._num_sites + move_dst,
+            return_index=True, return_inverse=True)
+        move_qubits, move_atoms = move_qubits[distinct], move_atoms[distinct]
+        move_src, move_dst = move_src[distinct], move_dst[distinct]
+
         owners, partners, weights = entries
         num_qubits = qubit_sites.size
         xs, ys = self.xs, self.ys
@@ -328,7 +341,7 @@ class ChainScreen:
                                          ys[owner_sites] - partner_y),
             minlength=num_qubits + 1)
 
-        # Expand each move into its moved qubit's partner entries.
+        # Expand each distinct move into its moved qubit's partner entries.
         qubit_index = _np.where(move_qubits < 0, num_qubits, move_qubits)
         per_move = counts[qubit_index]
         num_moves = move_qubits.size
@@ -352,7 +365,7 @@ class ChainScreen:
                 move_dst, sx, sy, ex, ey, _np.abs(ex - sx) + _np.abs(ey - sy))
             contribution += penalty
             magnitude += penalty
-        return contribution, magnitude, per_move
+        return contribution[inverse], magnitude[inverse], per_move[inverse]
 
 
 def _offset_pairs(offsets):

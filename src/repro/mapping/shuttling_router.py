@@ -107,12 +107,17 @@ def build_qubit_node_index(nodes: Sequence[DAGNode]
     """Inverted index: circuit qubit → nodes acting on it, in node order.
 
     Node order is preserved so float sums taken over a qubit's nodes are
-    bit-identical to iterating the original layer list.
+    bit-identical to iterating the original layer list.  A qubit's list is
+    created by its first node, so no call allocates a list it then drops.
     """
     index: Dict[int, List[DAGNode]] = {}
     for node in nodes:
         for qubit in node.gate.qubits:
-            index.setdefault(qubit, []).append(node)
+            bucket = index.get(qubit)
+            if bucket is None:
+                index[qubit] = [node]
+            else:
+                bucket.append(node)
     return index
 
 
@@ -586,29 +591,33 @@ class ShuttlingRouter:
         all exceed the incumbent's cost only has chains strictly more
         expensive than the incumbent: they can neither win nor tie, so
         the node is dropped.  Every other node — wider gates included —
-        keeps its chains, in front order, for the ranking loop.
+        keeps its chains, in front order, for the ranking loop.  The kept
+        positions come from a keep-mask over the front that is cleared at
+        the pruned positions, so only the kept nodes are walked; wider
+        gates have no screen position and are never cleared.
         """
         positions, bounds = self.screen_bounds(state, front_nodes,
                                                lookahead_nodes)
         node_bounds = bounds.min(axis=1)
-        built: Dict[int, List[MoveChain]] = {}
+        built_position = -1
+        built: List[MoveChain] = []
         incumbent = _np.inf
         if node_bounds.size:
             best = int(node_bounds.argmin())
             if node_bounds[best] < _np.inf:
-                position = positions[best]
-                chains = self.candidate_chains(state, front_nodes[position])
-                built[position] = chains
-                for chain in chains:
+                built_position = positions[best]
+                built = self.candidate_chains(state,
+                                              front_nodes[built_position])
+                for chain in built:
                     incumbent = min(incumbent, cost_of(chain))
         # Strictly above only: a node whose bound equals the incumbent's
         # cost may hold a chain that ties it and wins on front order.
-        pruned = {positions[index]
-                  for index in (node_bounds > incumbent).nonzero()[0]}
-        return [built[position] if position in built
-                else self.candidate_chains(state, node)
-                for position, node in enumerate(front_nodes)
-                if position not in pruned]
+        pruned = _np.array(positions, dtype=_np.int64)[node_bounds > incumbent]
+        keep = _np.ones(len(front_nodes), dtype=bool)
+        keep[pruned] = False
+        return [built if position == built_position
+                else self.candidate_chains(state, front_nodes[position])
+                for position in keep.nonzero()[0].tolist()]
 
     # ------------------------------------------------------------------
     # Deterministic fallback

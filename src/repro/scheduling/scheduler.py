@@ -19,14 +19,24 @@ Two hardware constraints shape the timing:
    other (Section 2.1) — otherwise the later gate is delayed.
 
 The second constraint is checked against the live entangling intervals,
-which an :class:`_IntervalIndex` keeps ordered by end time.  A candidate
-start ``t`` can only conflict with an interval that ends after
-``t + _EPSILON``; every other interval is skipped by the time test anyway.
-The index finds the first such interval with one ``bisect_right`` on the
-sorted end times and scans only the tail, re-bisecting on every retry.  The
-time-overlap and spatial tests on that tail are unchanged, and a retry
-moves the start to the maximum end over all conflicts, which does not
-depend on the order the intervals are visited in — so the schedule is
+which an :class:`_IntervalIndex` keeps ordered by end time.  A gate of
+duration ``d`` at candidate start ``t`` can only conflict with an interval
+that ends after ``t + _EPSILON`` and starts before ``stop = t + d -
+_EPSILON``; every other interval is skipped by the time test anyway.  Both
+sides are cut by one ``bisect_right`` each on the sorted end times:
+
+* the lower cut drops the intervals ending at or before ``t + _EPSILON``;
+* the upper cut drops the intervals ending after ``stop + longest``, where
+  ``longest`` is the longest duration ever indexed.  This needs no margin,
+  for any float times: an interval ``[s, s + d_i)`` that starts before
+  ``stop`` has ``s + d_i < stop + longest`` as real numbers, and rounding
+  to nearest is monotone, so its stored end ``fl(s + d_i)`` is at most
+  ``fl(stop + longest)``, the cut itself, which ``bisect_right`` keeps.
+
+Only the slice between the cuts is scanned, re-bisecting on every retry.
+The time-overlap and spatial tests on that slice are unchanged, and a
+retry moves the start to the maximum end over all conflicts, which does
+not depend on the order the intervals are visited in — so the schedule is
 exactly the one a scan over every live interval produces.
 
 No interval is ever dropped.  Atoms that idled far behind the frontier may
@@ -72,12 +82,13 @@ _NATIVE_SWAP = (
 class _EntanglingInterval:
     """Book-keeping entry for the restriction-radius constraint."""
 
-    __slots__ = ("start", "end", "sites", "blocked")
+    __slots__ = ("start", "duration", "end", "sites", "blocked")
 
-    def __init__(self, start: float, end: float, sites: Tuple[int, ...],
-                 blocked: Set[int]) -> None:
+    def __init__(self, start: float, duration: float,
+                 sites: Tuple[int, ...], blocked: Set[int]) -> None:
         self.start = start
-        self.end = end
+        self.duration = duration
+        self.end = start + duration
         self.sites = sites
         self.blocked = blocked
 
@@ -87,23 +98,31 @@ class _IntervalIndex:
 
     ``bisect`` has no ``key=`` argument before Python 3.10, so the end
     times are kept in a list of their own.  Intervals with equal ends keep
-    their insertion order.
+    their insertion order.  ``longest`` is the longest duration added.
     """
 
-    __slots__ = ("ends", "items")
+    __slots__ = ("ends", "items", "longest")
 
     def __init__(self) -> None:
         self.ends: List[float] = []
         self.items: List[_EntanglingInterval] = []
+        self.longest = 0.0
 
     def add(self, interval: _EntanglingInterval) -> None:
         position = bisect_right(self.ends, interval.end)
         self.ends.insert(position, interval.end)
         self.items.insert(position, interval)
+        if interval.duration > self.longest:
+            self.longest = interval.duration
 
-    def ending_after(self, time: float) -> List[_EntanglingInterval]:
-        """The intervals whose end lies strictly after ``time``."""
-        return self.items[bisect_right(self.ends, time):]
+    def overlapping(self, after: float, stop: float
+                    ) -> List[_EntanglingInterval]:
+        """The intervals ending strictly after ``after``, less those that
+        end after ``stop + longest`` and so start at or after ``stop`` (the
+        module docstring proves the cut)."""
+        ends = self.ends
+        return self.items[bisect_right(ends, after):
+                          bisect_right(ends, stop + self.longest)]
 
 
 class Scheduler:
@@ -266,8 +285,9 @@ class Scheduler:
         site_set = set(sites)
         while True:
             conflict_end: Optional[float] = None
-            for interval in intervals.ending_after(start + _EPSILON):
-                if interval.start >= start + duration - _EPSILON:
+            stop = start + duration - _EPSILON
+            for interval in intervals.overlapping(start + _EPSILON, stop):
+                if interval.start >= stop:
                     continue
                 if (not site_set.isdisjoint(interval.blocked)
                         or any(site in blocked for site in interval.sites)):
@@ -284,7 +304,7 @@ class Scheduler:
                            duration: float) -> None:
         for atom in atoms:
             ready[atom] = start + duration
-        intervals.add(_EntanglingInterval(start, start + duration, sites, blocked))
+        intervals.add(_EntanglingInterval(start, duration, sites, blocked))
 
     # ------------------------------------------------------------------
     # Shuttling

@@ -10,12 +10,15 @@ fidelity, floats compared exactly.
 
 The matrix covers seeded random circuits mapped on every hardware preset,
 a zoned device whose restriction radii differ per zone (so each of the two
-spatial tests blocks on its own), hand-built hostile timings, and a long
-mapped schedule.
+spatial tests blocks on its own), hand-built hostile timings, mixed
+entangling durations with an interval ending exactly at the index's upper
+end-time cut, and a long mapped schedule.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from typing import Dict, List, Optional, Set, Tuple
 
 import pytest
@@ -215,6 +218,60 @@ def test_atom_idle_behind_the_frontier_matches_reference():
     (schedule,) = assert_matches_reference(architecture, circuit)
     assert _entangling_starts(schedule)[-1] == pytest.approx(1500.0)
     assert validate_schedule(schedule, architecture) == []
+
+
+# ----------------------------------------------------------------------
+# Mixed durations: the upper end-time cut uses the longest interval
+# ----------------------------------------------------------------------
+def test_longer_earlier_interval_matches_reference():
+    """A 0.6 us CCCZ that starts before a 0.2 us CZ's stop but ends past
+    the CZ's own end: only the longest duration bounds its end, so the CZ
+    must still see it and wait."""
+    architecture = _row_device(single_qubit=0.1)
+    circuit = QuantumCircuit(8)
+    for qubit in range(3, 7):
+        circuit.h(qubit)
+    circuit.mcz([3, 4, 5, 6])     # [0.1, 0.7)
+    circuit.cz(1, 2)              # ready at 0, next to qubit 3
+    (schedule,) = assert_matches_reference(architecture, circuit)
+    assert _entangling_starts(schedule) == pytest.approx([0.1, 0.7])
+
+
+@pytest.mark.parametrize("seed", (3, 17, 2024))
+def test_mixed_durations_match_reference(seed):
+    """CZ, CCZ and CCCZ pulses (0.2/0.4/0.6 us, as the reversible
+    benchmarks mix them) interleaved with single-qubit pulses in random
+    order, so long intervals end past many shorter later ones."""
+    rng = random.Random(seed)
+    circuit = QuantumCircuit(16)
+    for _ in range(400):
+        if rng.random() < 0.3:
+            circuit.h(rng.randrange(16))
+        else:
+            circuit.mcz(rng.sample(range(16), rng.choice((2, 3, 4))))
+    architecture = _row_device(single_qubit=0.1)
+    (schedule,) = assert_matches_reference(architecture, circuit)
+    assert {op.duration for op in schedule if len(op.atoms) > 1} == {
+        0.2, 0.4, 0.6}
+
+
+@pytest.mark.parametrize("overlaps", (True, False))
+def test_interval_ending_exactly_at_the_cut_matches_reference(overlaps):
+    """A CCCZ whose end equals the cut ``fl(stop + longest)`` exactly.  It
+    starts one ulp before the CZ's ``stop`` (a conflict the cut must keep)
+    or exactly at it (no conflict)."""
+    stop = 0.2 - _EPSILON            # the CZ's stop at start 0
+    first = math.nextafter(stop, 0.0) if overlaps else stop
+    assert first + 0.6 == stop + 0.6
+    architecture = _row_device(single_qubit=first)
+    circuit = QuantumCircuit(8)
+    for qubit in range(3, 7):
+        circuit.h(qubit)
+    circuit.mcz([3, 4, 5, 6])     # [first, first + 0.6)
+    circuit.cz(1, 2)              # ready at 0, next to qubit 3
+    (schedule,) = assert_matches_reference(architecture, circuit)
+    assert _entangling_starts(schedule)[1] == (first + 0.6 if overlaps
+                                               else 0.0)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Smoke checks of the perf-report CLI (``benchmarks/perf_report.py``).
 
 The CLI runs as a subprocess from the repository root at ``--scale 0.08``
-(about a second per run), always with ``--out`` in a temporary directory:
+(a few seconds per run: each matrix case compiles three times), always with
+``--out`` in a temporary directory:
 the default matrix, the zoned case, a batch-throughput case, a matrix
 regeneration and the serial large-circuit case into the same report, which
 must keep the report's merge rules (also checked on synthetic cases through
@@ -67,6 +68,10 @@ def test_matrix_cases(runs):
         # At tiny scales a case may need no routing at all.
         assert case["num_swaps"] >= 0 and case["num_moves"] >= 0
         assert case["mapper_seconds"] >= 0
+        # Each case is the median of a fixed number of compiles.
+        assert case["repeats"] == 3
+        assert (0 < case["wall_min_seconds"] <= case["wall_seconds"]
+                <= case["wall_max_seconds"])
         # The default config maps with commutation on.
         assert "pending the sound DAG" in case["quality_caveat"]
 
